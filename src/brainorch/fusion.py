@@ -85,6 +85,37 @@ def label_priority_order(labels) -> tuple[Label, ...]:
     return tuple(sorted(labels, key=key))
 
 
+def grid_mismatch(vol: Volume, shape, affine, grid: str) -> str | None:
+    """Why ``vol`` does not sit on the grid ``(shape, affine)``, or None.
+
+    Shapes must match exactly, affine entries within ``GRID_ATOL_MM``;
+    ``grid`` names the grid in the reason.
+    """
+    if vol.shape != tuple(shape):
+        return f"shape {vol.shape} does not match {grid} {tuple(shape)}"
+    if not np.allclose(vol.affine, affine, atol=GRID_ATOL_MM):
+        return f"affine does not match {grid}"
+    return None
+
+
+def check_candidate_codes(data: np.ndarray, labels, name: str) -> None:
+    """The rule every candidate mask obeys: an integer dtype holding only
+    background and the codes of ``labels``.
+
+    Raises ``ValueError`` for a non-integer dtype and :class:`UnknownLabel`
+    for stray codes; ``name`` opens the message.
+    """
+    if not np.issubdtype(data.dtype, np.integer):
+        raise ValueError(f"{name} has non-integer dtype {data.dtype}")
+    allowed = {lb.code for lb in labels} | {0}
+    stray = {int(v) for v in np.unique(data)} - allowed
+    if stray:
+        raise UnknownLabel(
+            f"{name} holds label codes {sorted(stray)} outside the task's set "
+            f"{sorted(allowed - {0})}"
+        )
+
+
 @dataclass(frozen=True)
 class CandidateSet:
     """Candidate masks on one shared grid with a declared label set."""
@@ -106,23 +137,11 @@ class CandidateSet:
         if len(set(source_ids)) != len(source_ids):
             raise ValueError(f"duplicate source ids in {source_ids}")
         ref = masks[0]
-        allowed = {lb.code for lb in labels} | {0}
         for sid, mask in zip(source_ids, masks):
-            if not np.issubdtype(mask.data.dtype, np.integer):
-                raise ValueError(f"candidate {sid!r} has non-integer dtype {mask.data.dtype}")
-            if mask.shape != ref.shape:
-                raise GridMismatch(
-                    f"candidate {sid!r} shape {mask.shape} != {ref.shape}"
-                )
-            if not np.allclose(mask.affine, ref.affine, atol=GRID_ATOL_MM):
-                raise GridMismatch(f"candidate {sid!r} affine deviates from the set's grid")
-            present = {int(v) for v in np.unique(mask.data)}
-            stray = present - allowed
-            if stray:
-                raise UnknownLabel(
-                    f"candidate {sid!r} holds codes {sorted(stray)} outside the "
-                    f"label set {sorted(allowed - {0})}"
-                )
+            problem = grid_mismatch(mask, ref.shape, ref.affine, "the set's grid")
+            if problem is not None:
+                raise GridMismatch(f"candidate {sid!r} {problem}")
+            check_candidate_codes(mask.data, labels, f"candidate {sid!r}")
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "source_ids", source_ids)
         object.__setattr__(self, "labels", labels)

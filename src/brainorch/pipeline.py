@@ -19,8 +19,13 @@ candidate survives; zero survivors abort the run. The manifest's content
 digest covers the file hash map only, never the timestamp, so identical
 inputs with the mock engine produce identical digests.
 
-The synthesis flow (INPAINT, MISSING_MRI) shares the skeleton but runs a
-single algorithm and skips fusion and metrics.
+Segmentation (:func:`run_inference`) and synthesis (:func:`run_synthesis`,
+INPAINT and MISSING_MRI) run through one staged-run skeleton: validate,
+refuse a collision, stage, run the jobs, produce, warp to native space,
+hash and publish. Each kind adds only a produce step. Segmentation vets
+and fuses candidate masks and scores them against the consensus; synthesis
+runs exactly one algorithm and keeps its image. Validation decodes every
+input once and hands its grids on, so the run decodes no input again.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import logging
 import os
 import shutil
 import uuid
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -45,6 +51,7 @@ from .errors import (
     BrainorchError,
     EngineUnreachable,
     OutputCollision,
+    UnknownLabel,
     ValidationFailed,
 )
 from .fusion import (
@@ -52,10 +59,13 @@ from .fusion import (
     CandidateSet,
     FusionResult,
     SimpleParams,
+    check_candidate_codes,
     fuse,
+    grid_mismatch,
     identity_result,
 )
 from .geometry import (
+    AffineTransform,
     GridSpec,
     inverse_warp_image_to_native,
     inverse_warp_to_native,
@@ -264,20 +274,16 @@ def _native_preflight(inputs: SubjectInputs, task: TaskSpec) -> list[Finding]:
 
 def _validate(inputs: SubjectInputs, task: TaskSpec, config: PipelineConfig) -> ValidationReport:
     report = validate_subject(inputs, task)
-    extra: list[Finding] = []
-    if config.native_space_output:
-        extra = _native_preflight(inputs, task)
-    if extra:
-        findings = report.findings + tuple(extra)
-        verdict = "fail" if any(f.severity == SEVERITY_ERROR for f in findings) else report.verdict
-        report = dataclasses.replace(report, findings=findings, verdict=verdict)
+    extra = _native_preflight(inputs, task) if config.native_space_output else []
+    if extra:  # preflight findings are all errors
+        report = dataclasses.replace(report, findings=report.findings + tuple(extra), verdict="fail")
     if not report.passed:
         raise ValidationFailed(report)
     return report
 
 
 def _stage_inputs(
-    inputs: SubjectInputs, tags: list[str], stage_dir: Path
+    inputs: SubjectInputs, tags, stage_dir: Path
 ) -> dict[str, Path]:
     """Copy inputs under the container naming contract:
     ``<subject>-<tag>.nii[.gz]``, lowercase tags."""
@@ -291,26 +297,43 @@ def _stage_inputs(
     return staged
 
 
-def _present_tags(inputs: SubjectInputs, task: TaskSpec) -> list[str]:
-    if task.input_policy == "any-three-of-four":
-        return [m for m in MODALITIES if m in inputs.files]
-    return list(task.required_inputs)
+@dataclass
+class _Run:
+    """One staged run in progress, as a produce step sees it."""
+
+    inputs: SubjectInputs
+    task: TaskSpec
+    config: PipelineConfig
+    bundle: Path  # the bundle being assembled in the staging directory
+    grid: GridSpec  # every accepted output sits on this input grid
+    warnings: list[str]
+
+
+@dataclass(frozen=True)
+class _Product:
+    """What a produce step made. Paths are relative to the bundle."""
+
+    job_rows: list[dict]
+    primary: str
+    per_algorithm: dict[str, str]
+    manifest: dict  # the fields only this kind of run records
+    native_name: str
+    # (forward transform, native grid, path): warp the result and write it
+    write_native: Callable[[AffineTransform, GridSpec, Path], None]
+    fusion_metadata: str | None = None
+    metrics: str | None = None
 
 
 def _run_jobs(
-    entries: list[AlgorithmEntry],
-    stage_dir: Path,
-    jobs_root: Path,
-    inputs: SubjectInputs,
-    task: TaskSpec,
-    config: PipelineConfig,
+    run: _Run, entries: list[AlgorithmEntry], stage_dir: Path
 ) -> list[tuple[AlgorithmEntry, "JobResult | Exception", Path]]:
     """Pull and run every entry with bounded parallelism.
 
     Engine exceptions are captured per job so one bad image cannot abort the
     survivors.
     """
-    engine = config.engine
+    engine = run.config.engine
+    jobs_root = run.bundle / "work" / "jobs"
 
     def run_one(entry: AlgorithmEntry):
         out_dir = jobs_root / entry.id
@@ -322,8 +345,8 @@ def _run_jobs(
                 input_dir=stage_dir,
                 output_dir=out_dir,
                 env={
-                    "ORCH_SUBJECT": inputs.subject_id,
-                    "ORCH_TASK": task.task_id.value,
+                    "ORCH_SUBJECT": run.inputs.subject_id,
+                    "ORCH_TASK": run.task.task_id.value,
                 },
                 requires_gpu=entry.requires_gpu,
                 shm_bytes=entry.shm_bytes,
@@ -335,7 +358,7 @@ def _run_jobs(
         except Exception as exc:  # captured per job, reported in the manifest
             return exc
 
-    with ThreadPoolExecutor(max_workers=config.parallel_jobs) as pool:
+    with ThreadPoolExecutor(max_workers=run.config.parallel_jobs) as pool:
         outcomes = list(pool.map(run_one, entries))
     return [
         (entry, outcome, jobs_root / entry.id)
@@ -360,30 +383,20 @@ def _pick_output_file(out_dir: Path, preferred_stems: tuple[str, ...]) -> Path |
     return None
 
 
-def _check_candidate_grid(vol: Volume, grid: GridSpec) -> str | None:
-    if vol.shape != tuple(grid.shape):
-        return f"shape {vol.shape} does not match the input grid {tuple(grid.shape)}"
-    if not np.allclose(vol.affine, grid.affine, atol=1e-3):
-        return "affine does not match the input grid"
-    return None
+def _collect(run: _Run, outcomes, stem: str, noun: str, vet=None):
+    """Read and vet each job's output; failures degrade to warnings.
 
-
-def _collect_candidates(
-    outcomes,
-    input_grid: GridSpec,
-    task: TaskSpec,
-    warnings: list[str],
-):
-    """Read and vet each job's mask; failures degrade to warnings."""
-    allowed = set(task.label_codes) | {0}
+    ``vet(volume)`` raises ``ValueError`` or :class:`UnknownLabel` to reject
+    an output. Raises when no output is accepted.
+    """
     job_rows: list[dict] = []
-    candidates: list[tuple[AlgorithmEntry, Volume, Path]] = []
+    accepted: list[tuple[AlgorithmEntry, Volume, Path]] = []
     for entry, outcome, out_dir in outcomes:
         row = {"id": entry.id, "image_reference": entry.image_reference}
+        job_rows.append(row)
         if isinstance(outcome, Exception):
             row.update(status="engine_error", exit_code=None, duration_seconds=0.0, error=str(outcome))
-            warnings.append(f"{entry.id}: {outcome}")
-            job_rows.append(row)
+            run.warnings.append(f"{entry.id}: {outcome}")
             continue
         row.update(
             status=outcome.status,
@@ -394,131 +407,75 @@ def _collect_candidates(
         if not outcome.ok:
             tail = outcome.log_excerpt.strip().splitlines()
             detail = f" ({tail[-1]})" if tail else ""
-            warnings.append(f"{entry.id}: job {outcome.status}{detail}")
-            job_rows.append(row)
+            run.warnings.append(f"{entry.id}: job {outcome.status}{detail}")
             continue
-        mask_path = _pick_output_file(out_dir, preferred_stems=("seg",))
-        if mask_path is None:
-            warnings.append(f"{entry.id}: job succeeded but produced no unambiguous mask")
-            job_rows.append(row)
+        path = _pick_output_file(out_dir, preferred_stems=(stem,))
+        if path is None:
+            run.warnings.append(f"{entry.id}: job succeeded but produced no unambiguous {noun}")
             continue
         try:
-            vol = read_volume(mask_path)
+            vol = read_volume(path)
         except BrainorchError as exc:
-            warnings.append(f"{entry.id}: unreadable mask {mask_path.name}: {exc}")
-            job_rows.append(row)
+            run.warnings.append(f"{entry.id}: unreadable {noun} {path.name}: {exc}")
             continue
-        problem = _check_candidate_grid(vol, input_grid)
-        if problem is None and not np.issubdtype(vol.data.dtype, np.integer):
-            problem = f"mask dtype {vol.data.dtype} is not integer"
-        if problem is None:
-            stray = {int(v) for v in np.unique(vol.data)} - allowed
-            if stray:
-                problem = f"mask holds label codes {sorted(stray)} outside the task's set"
+        problem = grid_mismatch(vol, run.grid.shape, run.grid.affine, "the input grid")
+        if problem is None and vet is not None:
+            try:
+                vet(vol)
+            except (ValueError, UnknownLabel) as exc:
+                problem = str(exc)
         if problem is not None:
-            warnings.append(f"{entry.id}: rejected candidate: {problem}")
-            job_rows.append(row)
+            run.warnings.append(f"{entry.id}: rejected candidate: {problem}")
             continue
         row["candidate"] = True
-        job_rows.append(row)
-        candidates.append((entry, vol, mask_path))
-    return job_rows, candidates
+        accepted.append((entry, vol, path))
+    if not accepted:
+        exceptions = [o for _, o, _ in outcomes if isinstance(o, Exception)]
+        if exceptions and len(exceptions) == len(outcomes) and all(
+            isinstance(e, EngineUnreachable) for e in exceptions
+        ):
+            raise exceptions[0]
+        raise AllJobsFailed(
+            f"no algorithm produced a usable candidate {noun}: " + "; ".join(run.warnings)
+        )
+    return job_rows, accepted
 
 
-def _raise_for_no_candidates(outcomes, warnings: list[str]):
-    exceptions = [o for _, o, _ in outcomes if isinstance(o, Exception)]
-    if exceptions and len(exceptions) == len(outcomes) and all(
-        isinstance(e, EngineUnreachable) for e in exceptions
-    ):
-        raise exceptions[0]
-    raise AllJobsFailed(
-        "no algorithm produced a usable candidate mask: " + "; ".join(warnings)
-    )
+def _refuse_collision(target: Path, force: bool) -> None:
+    if target.exists() and any(target.iterdir()) and not force:
+        raise OutputCollision(f"output bundle {target} already exists; use force to replace")
 
 
 def _atomic_publish(bundle_staging: Path, target: Path, force: bool) -> None:
     target.parent.mkdir(parents=True, exist_ok=True)
+    _refuse_collision(target, force)
     if target.exists():
-        if any(target.iterdir()) and not force:
-            raise OutputCollision(f"output bundle {target} already exists; use force to replace")
         shutil.rmtree(target)
     bundle_staging.replace(target)
 
 
-def _check_collision(config: PipelineConfig, subject_id: str, task: TaskSpec) -> Path:
-    target = config.output_dir / subject_id / task.task_id.value
-    if target.exists() and any(target.iterdir()) and not config.force:
-        raise OutputCollision(f"output bundle {target} already exists; use force to replace")
-    return target
+def _warp_to_native(run: _Run, product: _Product) -> str:
+    """Write the native-space derivative next to the atlas-space output."""
+    forward = _find_forward_transform(run.inputs, run.task)
+    native_grid = GridSpec.from_volume(read_volume(run.inputs.native_reference))
+    rel = f"native/{product.native_name}-native.nii.gz"
+    (run.bundle / "native").mkdir(parents=True, exist_ok=True)
+    product.write_native(forward, native_grid, run.bundle / rel)
+    return rel
 
 
-def _base_manifest(inputs: SubjectInputs, task: TaskSpec, config: PipelineConfig, staged):
-    return {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "tool": "brainorch",
-        "tool_version": __version__,
-        "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "subject": inputs.subject_id,
-        "task": task.task_id.value,
-        "inputs": {
-            tag: {"file": staged[tag].name, "sha256": _sha256_file(staged[tag])}
-            for tag in sorted(staged)
-        },
-        "parallel_jobs": config.parallel_jobs,
-        "native_space_output": config.native_space_output,
-    }
-
-
-def _finish_bundle(
-    bundle_staging: Path,
-    target: Path,
-    manifest: dict,
+def _staged_run(
+    inputs: SubjectInputs,
     config: PipelineConfig,
-    warnings: list[str],
-) -> tuple[Path, dict]:
-    if not config.keep_intermediate:
-        shutil.rmtree(bundle_staging / "work", ignore_errors=True)
-    manifest["warnings"] = warnings
-    files = _hash_tree(bundle_staging)
-    manifest["files"] = files
-    manifest["content_digest"] = manifest_digest(files)
-    manifest_path = bundle_staging / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    _atomic_publish(bundle_staging, target, config.force)
-    return target / "manifest.json", manifest
-
-
-def _warp_to_native(
-    mask: Volume, inputs: SubjectInputs, task: TaskSpec, native_dir: Path, image: Volume | None = None
-) -> dict[str, Path]:
-    """Write native-space derivatives next to the atlas-space outputs."""
-    forward = _find_forward_transform(inputs, task)
-    native_vol = read_volume(inputs.native_reference)
-    native_grid = GridSpec.from_volume(native_vol)
-    native_dir.mkdir(parents=True, exist_ok=True)
-    out: dict[str, Path] = {}
-    if mask is not None:
-        path = native_dir / "consensus-native.nii.gz"
-        write_mask(inverse_warp_to_native(mask, forward, native_grid), path)
-        out["consensus"] = path
-    if image is not None:
-        path = native_dir / f"{SYNTHESIS_STEM}-native.nii.gz"
-        warped = inverse_warp_image_to_native(image, forward, native_grid)
-        write_volume(warped, path, dtype=np.float32)
-        out[SYNTHESIS_STEM] = path
-    return out
-
-
-def run_inference(inputs: SubjectInputs, config: PipelineConfig) -> OutputBundle:
-    """Run a segmentation task end to end and publish the bundle."""
-    task = get_task_spec(config.task)
-    if task.kind != SEGMENTATION:
-        raise ValueError(
-            f"task {task.task_id.value!r} is a synthesis task; use run_synthesis"
-        )
-    entries = _resolve_entries(config, task)
+    task: TaskSpec,
+    entries: list[AlgorithmEntry],
+    produce: Callable[[_Run, list], _Product],
+) -> OutputBundle:
+    """Validate, stage, run the jobs, let ``produce`` make the outputs, warp
+    them to native space on request, and publish one hashed bundle."""
     report = _validate(inputs, task, config)
-    target = _check_collision(config, inputs.subject_id, task)
+    target = config.output_dir / inputs.subject_id / task.task_id.value
+    _refuse_collision(target, config.force)  # before any container runs
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     staging_root = config.output_dir / f".staging-{inputs.subject_id}-{task.task_id.value}-{uuid.uuid4().hex[:8]}"
@@ -526,174 +483,167 @@ def run_inference(inputs: SubjectInputs, config: PipelineConfig) -> OutputBundle
     warnings = [f"{f.code}: {f.message}" for f in report.warnings]
     try:
         stage_dir = bundle / "work" / "input"
-        staged = _stage_inputs(inputs, _present_tags(inputs, task), stage_dir)
-        first_staged = staged[sorted(staged)[0]]
-        input_grid = GridSpec.from_volume(read_volume(first_staged))
+        # A passing report decoded exactly the inputs this task consumes.
+        staged = _stage_inputs(inputs, report.grids, stage_dir)
+        run = _Run(inputs, task, config, bundle, report.grids[min(staged)], warnings)
 
         logger.info(
             "running %d algorithm(s) for %s/%s", len(entries), inputs.subject_id, task.task_id.value
         )
-        outcomes = _run_jobs(entries, stage_dir, bundle / "work" / "jobs", inputs, task, config)
-        job_rows, collected = _collect_candidates(outcomes, input_grid, task, warnings)
-        if not collected:
-            _raise_for_no_candidates(outcomes, warnings)
-
-        candidates_dir = bundle / "candidates"
-        candidates_dir.mkdir(parents=True, exist_ok=True)
-        per_algorithm: dict[str, str] = {}
-        volumes: list[Volume] = []
-        ids: list[str] = []
-        for entry, vol, mask_path in collected:
-            dest = candidates_dir / f"{entry.id}{_nifti_suffix(mask_path)}"
-            shutil.copyfile(mask_path, dest)
-            per_algorithm[entry.id] = dest.relative_to(bundle).as_posix()
-            volumes.append(vol)
-            ids.append(entry.id)
-
-        candidate_set = CandidateSet(masks=tuple(volumes), source_ids=tuple(ids), labels=task.labels)
-        if len(volumes) == 1:
-            result: FusionResult = identity_result(candidate_set)
-        else:
-            result = fuse(candidate_set, config.fusion_method, config.fusion_params)
-        write_mask(result.consensus, bundle / CONSENSUS_NAME)
-
-        fusion_doc = result.to_json_dict()
-        fusion_doc["labels"] = [{"code": lb.code, "name": lb.name} for lb in task.labels]
-        fusion_doc["candidates"] = ids
-        (bundle / "fusion.json").write_text(json.dumps(fusion_doc, indent=2, sort_keys=True) + "\n")
-
-        metrics_rel = None
-        if len(volumes) > 1:
-            scores = {
-                algo_id: compute_metric_report(
-                    result.consensus.data, vol.data, task.labels, result.consensus.spacing
-                ).to_json_dict()
-                for algo_id, vol in zip(ids, volumes)
-            }
-            (bundle / "metrics.json").write_text(
-                json.dumps({"reference": "consensus", "per_candidate": scores}, indent=2, sort_keys=True)
-                + "\n"
-            )
-            metrics_rel = "metrics.json"
+        product = produce(run, _run_jobs(run, entries, stage_dir))
 
         native_rel: dict[str, str] = {}
         if config.native_space_output and task.spatial_space != "native":
-            native_paths = _warp_to_native(result.consensus, inputs, task, bundle / "native")
-            native_rel = {k: p.relative_to(bundle).as_posix() for k, p in native_paths.items()}
+            native_rel[product.native_name] = _warp_to_native(run, product)
 
-        manifest = _base_manifest(inputs, task, config, staged)
-        manifest["algorithms"] = job_rows
-        manifest["fusion"] = {
-            "method": result.method,
-            "iterations_run": result.iterations_run,
-            "params": result.params,
+        manifest = {
+            "schema_version": MANIFEST_SCHEMA_VERSION,
+            "tool": "brainorch",
+            "tool_version": __version__,
+            "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "subject": inputs.subject_id,
+            "task": task.task_id.value,
+            "inputs": {
+                tag: {"file": staged[tag].name, "sha256": _sha256_file(staged[tag])}
+                for tag in sorted(staged)
+            },
+            "parallel_jobs": config.parallel_jobs,
+            "native_space_output": config.native_space_output,
+            **product.manifest,
+            "algorithms": product.job_rows,
+            "validation": report.to_json_dict(),
+            "warnings": warnings,
         }
-        manifest["validation"] = report.to_json_dict()
-        manifest_path, manifest = _finish_bundle(bundle, target, manifest, config, warnings)
+        if not config.keep_intermediate:
+            shutil.rmtree(bundle / "work", ignore_errors=True)
+        manifest["files"] = _hash_tree(bundle)
+        manifest["content_digest"] = manifest_digest(manifest["files"])
+        (bundle / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _atomic_publish(bundle, target, config.force)
     finally:
         shutil.rmtree(staging_root, ignore_errors=True)
 
     return OutputBundle(
         bundle_dir=target,
-        consensus_path=target / CONSENSUS_NAME,
-        per_algorithm_paths={k: target / v for k, v in per_algorithm.items()},
-        fusion_metadata_path=target / "fusion.json",
-        metrics_path=(target / metrics_rel) if metrics_rel else None,
+        consensus_path=target / product.primary,
+        per_algorithm_paths={k: target / v for k, v in product.per_algorithm.items()},
+        fusion_metadata_path=(target / product.fusion_metadata) if product.fusion_metadata else None,
+        metrics_path=(target / product.metrics) if product.metrics else None,
         native_space_paths={k: target / v for k, v in native_rel.items()},
-        manifest_path=manifest_path,
+        manifest_path=target / "manifest.json",
         manifest=manifest,
     )
 
 
-def _missing_modality(inputs: SubjectInputs) -> str:
-    present = {m for m in MODALITIES if m in inputs.files}
-    missing = [m for m in MODALITIES if m not in present]
-    # Validation guarantees exactly one by this point.
-    return missing[0]
+def _task_of_kind(config: PipelineConfig, kind: str) -> TaskSpec:
+    task = get_task_spec(config.task)
+    if task.kind != kind:
+        entry_point = "run_inference" if task.kind == SEGMENTATION else "run_synthesis"
+        raise ValueError(f"task {task.task_id.value!r} is a {task.kind} task; use {entry_point}")
+    return task
+
+
+def _produce_segmentation(run: _Run, outcomes) -> _Product:
+    """Keep each accepted mask, fuse them, and score each against the consensus."""
+    task, bundle = run.task, run.bundle
+    job_rows, collected = _collect(
+        run, outcomes, "seg", "mask", vet=lambda vol: check_candidate_codes(vol.data, task.labels, "mask")
+    )
+    candidates_dir = bundle / "candidates"
+    candidates_dir.mkdir(parents=True, exist_ok=True)
+    per_algorithm: dict[str, str] = {}
+    for entry, _, mask_path in collected:
+        dest = candidates_dir / f"{entry.id}{_nifti_suffix(mask_path)}"
+        shutil.copyfile(mask_path, dest)
+        per_algorithm[entry.id] = dest.relative_to(bundle).as_posix()
+    ids = [entry.id for entry, _, _ in collected]
+    # Each accepted mask matched the input grid within tolerance, so the set
+    # takes that grid exactly: two masks on opposite sides of it still agree.
+    volumes = [Volume(data=vol.data, affine=run.grid.affine) for _, vol, _ in collected]
+
+    candidate_set = CandidateSet(masks=tuple(volumes), source_ids=tuple(ids), labels=task.labels)
+    if len(volumes) == 1:
+        result: FusionResult = identity_result(candidate_set)
+    else:
+        result = fuse(candidate_set, run.config.fusion_method, run.config.fusion_params)
+    write_mask(result.consensus, bundle / CONSENSUS_NAME)
+
+    fusion_doc = result.to_json_dict()
+    fusion_doc["labels"] = [{"code": lb.code, "name": lb.name} for lb in task.labels]
+    fusion_doc["candidates"] = ids
+    (bundle / "fusion.json").write_text(json.dumps(fusion_doc, indent=2, sort_keys=True) + "\n")
+
+    metrics_rel = None
+    if len(volumes) > 1:
+        scores = {
+            algo_id: compute_metric_report(
+                result.consensus.data, vol.data, task.labels, result.consensus.spacing
+            ).to_json_dict()
+            for algo_id, vol in zip(ids, volumes)
+        }
+        (bundle / "metrics.json").write_text(
+            json.dumps({"reference": "consensus", "per_candidate": scores}, indent=2, sort_keys=True)
+            + "\n"
+        )
+        metrics_rel = "metrics.json"
+
+    def write_native(forward, native_grid, path):
+        write_mask(inverse_warp_to_native(result.consensus, forward, native_grid), path)
+
+    return _Product(
+        job_rows=job_rows,
+        primary=CONSENSUS_NAME,
+        per_algorithm=per_algorithm,
+        manifest={
+            "fusion": {
+                "method": result.method,
+                "iterations_run": result.iterations_run,
+                "params": result.params,
+            }
+        },
+        native_name="consensus",
+        write_native=write_native,
+        fusion_metadata="fusion.json",
+        metrics=metrics_rel,
+    )
+
+
+def run_inference(inputs: SubjectInputs, config: PipelineConfig) -> OutputBundle:
+    """Run a segmentation task end to end and publish the bundle."""
+    task = _task_of_kind(config, SEGMENTATION)
+    return _staged_run(inputs, config, task, _resolve_entries(config, task), _produce_segmentation)
+
+
+def _produce_synthesis(run: _Run, outcomes) -> _Product:
+    """Keep the one synthesized image."""
+    job_rows, [(entry, image, produced)] = _collect(run, outcomes, SYNTHESIS_STEM, "volume")
+    out_name = f"{SYNTHESIS_STEM}{_nifti_suffix(produced)}"
+    shutil.copyfile(produced, run.bundle / out_name)
+    if run.task.task_id == TaskId.INPAINT:
+        synthesized = "T1n"
+    else:  # validation guarantees exactly one absent modality
+        synthesized = next(m for m in MODALITIES if m not in run.inputs.files)
+
+    def write_native(forward, native_grid, path):
+        warped = inverse_warp_image_to_native(image, forward, native_grid)
+        write_volume(warped, path, dtype=np.float32)
+
+    return _Product(
+        job_rows=job_rows,
+        primary=out_name,
+        per_algorithm={entry.id: out_name},
+        manifest={"synthesized_modality": synthesized, "synthesis_output": out_name},
+        native_name=SYNTHESIS_STEM,
+        write_native=write_native,
+    )
 
 
 def run_synthesis(inputs: SubjectInputs, config: PipelineConfig) -> OutputBundle:
     """Run a synthesis task (INPAINT or MISSING_MRI) with one algorithm."""
-    task = get_task_spec(config.task)
-    if task.kind != SYNTHESIS:
-        raise ValueError(
-            f"task {task.task_id.value!r} is a segmentation task; use run_inference"
-        )
+    task = _task_of_kind(config, SYNTHESIS)
     entries = _resolve_entries(config, task)
     if len(entries) != 1:
         raise ValueError(
             f"synthesis runs exactly one algorithm, got {len(entries)} selectors"
         )
-    entry = entries[0]
-    report = _validate(inputs, task, config)
-    target = _check_collision(config, inputs.subject_id, task)
-
-    synthesized = (
-        "T1n" if task.task_id == TaskId.INPAINT else _missing_modality(inputs)
-    )
-
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    staging_root = config.output_dir / f".staging-{inputs.subject_id}-{task.task_id.value}-{uuid.uuid4().hex[:8]}"
-    bundle = staging_root / "bundle"
-    warnings = [f"{f.code}: {f.message}" for f in report.warnings]
-    try:
-        stage_dir = bundle / "work" / "input"
-        staged = _stage_inputs(inputs, _present_tags(inputs, task), stage_dir)
-        first_staged = staged[sorted(staged)[0]]
-        input_grid = GridSpec.from_volume(read_volume(first_staged))
-
-        outcomes = _run_jobs([entry], stage_dir, bundle / "work" / "jobs", inputs, task, config)
-        _, outcome, out_dir = outcomes[0]
-        job_rows: list[dict] = []
-        if isinstance(outcome, Exception):
-            if isinstance(outcome, EngineUnreachable):
-                raise outcome
-            raise AllJobsFailed(f"{entry.id}: {outcome}")
-        job_rows.append(
-            {
-                "id": entry.id,
-                "image_reference": entry.image_reference,
-                "status": outcome.status,
-                "exit_code": outcome.exit_code,
-                "duration_seconds": outcome.duration_seconds,
-                "error": outcome.error,
-            }
-        )
-        if not outcome.ok:
-            raise AllJobsFailed(f"{entry.id}: job {outcome.status}: {outcome.error}")
-        produced = _pick_output_file(out_dir, preferred_stems=(SYNTHESIS_STEM,))
-        if produced is None:
-            raise AllJobsFailed(f"{entry.id}: job succeeded but produced no unambiguous volume")
-        vol = read_volume(produced)
-        problem = _check_candidate_grid(vol, input_grid)
-        if problem is not None:
-            raise AllJobsFailed(f"{entry.id}: rejected synthesis output: {problem}")
-
-        out_name = f"{SYNTHESIS_STEM}{_nifti_suffix(produced)}"
-        shutil.copyfile(produced, bundle / out_name)
-        job_rows[0]["candidate"] = True
-
-        native_rel: dict[str, str] = {}
-        if config.native_space_output and task.spatial_space != "native":
-            native_paths = _warp_to_native(None, inputs, task, bundle / "native", image=vol)
-            native_rel = {k: p.relative_to(bundle).as_posix() for k, p in native_paths.items()}
-
-        manifest = _base_manifest(inputs, task, config, staged)
-        manifest["algorithms"] = job_rows
-        manifest["synthesized_modality"] = synthesized
-        manifest["synthesis_output"] = out_name
-        manifest["validation"] = report.to_json_dict()
-        manifest_path, manifest = _finish_bundle(bundle, target, manifest, config, warnings)
-    finally:
-        shutil.rmtree(staging_root, ignore_errors=True)
-
-    return OutputBundle(
-        bundle_dir=target,
-        consensus_path=target / out_name,
-        per_algorithm_paths={entry.id: target / out_name},
-        fusion_metadata_path=None,
-        metrics_path=None,
-        native_space_paths={k: target / v for k, v in native_rel.items()},
-        manifest_path=manifest_path,
-        manifest=manifest,
-    )
+    return _staged_run(inputs, config, task, entries, _produce_synthesis)

@@ -357,12 +357,16 @@ def builtin_catalog() -> Catalog:
 def list_algorithms(
     task: "TaskId | str", year: int | None = None, catalog: Catalog | None = None
 ) -> tuple[AlgorithmEntry, ...]:
+    """:meth:`Catalog.list_algorithms` on the built-in catalog unless one is
+    given: a one-call shortcut for tutorial users."""
     return (catalog or _BUILTIN_CATALOG).list_algorithms(task, year)
 
 
 def resolve_algorithm(
     task: "TaskId | str", selector: str, catalog: Catalog | None = None
 ) -> AlgorithmEntry:
+    """:meth:`Catalog.resolve` on the built-in catalog unless one is given:
+    a one-call shortcut for tutorial users."""
     return (catalog or _BUILTIN_CATALOG).resolve(task, selector)
 
 

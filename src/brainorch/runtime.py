@@ -113,6 +113,20 @@ class JobResult:
         }
 
 
+def _no_gpu_result(spec: JobSpec) -> JobResult:
+    """Declarative fail-fast for a GPU job on an engine without GPU support:
+    no container is created."""
+    return JobResult(
+        image_reference=spec.image_reference,
+        status=STATUS_ENGINE_ERROR,
+        exit_code=None,
+        duration_seconds=0.0,
+        log_excerpt="",
+        produced_files=(),
+        error="job requires a GPU but the engine has no GPU support",
+    )
+
+
 def _walk_outputs(output_dir: Path) -> tuple[Path, ...]:
     return tuple(sorted(p for p in output_dir.rglob("*") if p.is_file()))
 
@@ -294,16 +308,7 @@ class MockEngine:
         behavior = self._behaviors[name]
 
         if spec.requires_gpu and not self.supports_gpu:
-            # Declarative fail-fast: no container is created.
-            return JobResult(
-                image_reference=spec.image_reference,
-                status=STATUS_ENGINE_ERROR,
-                exit_code=None,
-                duration_seconds=0.0,
-                log_excerpt="",
-                produced_files=(),
-                error="job requires a GPU but the engine has no GPU support",
-            )
+            return _no_gpu_result(spec)
 
         with self._admission:
             self._enter_container()
@@ -517,15 +522,7 @@ class DockerEngine:
     def run_job(self, spec: JobSpec) -> JobResult:
         """Create, start, wait (bounded), log, and always remove."""
         if spec.requires_gpu and not self.supports_gpu:
-            return JobResult(
-                image_reference=spec.image_reference,
-                status=STATUS_ENGINE_ERROR,
-                exit_code=None,
-                duration_seconds=0.0,
-                log_excerpt="",
-                produced_files=(),
-                error="job requires a GPU but the engine has no GPU support",
-            )
+            return _no_gpu_result(spec)
         with self._admission:
             started = time.monotonic()
             container_id = self._create_container(spec)

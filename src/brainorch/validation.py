@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BrainorchError
+from .geometry import GridSpec
 from .nifti import Volume, read_volume
 from .registry import (
     CANONICAL_ATLAS_SHAPE,
@@ -102,6 +103,9 @@ class ValidationReport:
     verdict: str
     findings: tuple[Finding, ...]
     per_modality_geometry: dict[str, dict] = field(default_factory=dict)
+    # The grid of every input decoded here, so a run need not decode it again.
+    # Not part of the JSON report.
+    grids: dict[str, GridSpec] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -214,6 +218,7 @@ def validate_subject(inputs: SubjectInputs, task: TaskSpec) -> ValidationReport:
     """
     findings: list[Finding] = []
     geometry: dict[str, dict] = {}
+    grids: dict[str, GridSpec] = {}
 
     if inputs.declared_space is not None and inputs.declared_space != task.spatial_space:
         findings.append(
@@ -257,6 +262,7 @@ def validate_subject(inputs: SubjectInputs, task: TaskSpec) -> ValidationReport:
             continue
         volumes[tag] = vol
         geometry[tag] = _geometry_record(vol)
+        grids[tag] = GridSpec.from_volume(vol)
 
     findings.extend(check_grid_consistency(volumes))
 
@@ -313,4 +319,5 @@ def validate_subject(inputs: SubjectInputs, task: TaskSpec) -> ValidationReport:
         verdict=verdict,
         findings=tuple(findings),
         per_modality_geometry=geometry,
+        grids=grids,
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +304,30 @@ def test_off_grid_candidate_is_rejected(tmp_path, gli_subject, override_catalog)
     assert any("does not match the input grid" in w for w in bundle.manifest["warnings"])
 
 
+def test_candidates_on_opposite_sides_of_the_grid_tolerance_fuse(tmp_path, gli_subject, override_catalog):
+    def skewed(algo_id, scale):
+        def write(spec):
+            affine = e2e_affine()
+            affine[0, 0] = scale  # within 1e-3 of the input grid, 1.8e-3 from the other
+            vol = Volume(data=expected_candidate_masks()[algo_id], affine=affine)
+            write_mask(vol, Path(spec.output_dir) / "seg.nii.gz")
+
+        return write
+
+    engine = engine_with(
+        {
+            "example/mock-gli-1": {"outputs": (skewed("mock-gli-1", 1.0009),)},
+            "example/mock-gli-2": {"outputs": (skewed("mock-gli-2", 0.9991),)},
+        }
+    )
+    inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
+    bundle = run_inference(inputs, gli_config(tmp_path, engine, override_catalog))
+    assert set(bundle.per_algorithm_paths) == set(ALGO_IDS)
+    consensus = read_volume(bundle.consensus_path)
+    np.testing.assert_array_equal(consensus.data, expected_majority())
+    np.testing.assert_array_equal(consensus.affine, e2e_affine())  # the input grid
+
+
 def test_all_jobs_failed_leaves_no_bundle(tmp_path, gli_subject, override_catalog):
     overrides = {f"example/{a}": {"exit_code": 1, "outputs": ()} for a in ALGO_IDS}
     engine = engine_with(overrides)
@@ -446,6 +471,34 @@ def test_inpaint_fills_the_voided_region(tmp_path):
     np.testing.assert_allclose(out.data[~hole], t1n[~hole])
 
 
+def inpaint_config(tmp_path, **kw) -> PipelineConfig:
+    engine = synthesis_engine(
+        "mock-inpaint",
+        ({"path": "synthesis.nii.gz", "generator": "mean_fill", "image": "*-t1n.nii*", "mask": "*-mask.nii*"},),
+    )
+    return PipelineConfig(
+        task=TaskId.INPAINT,
+        engine=engine,
+        output_dir=tmp_path / "bundles",
+        algorithm_selectors=("mock-inpaint-2025-1",),
+        catalog=synthesis_catalog(tmp_path, "inpaint", "mock-inpaint"),
+        **kw,
+    )
+
+
+def test_inpaint_native_bundle_is_byte_stable(tmp_path):
+    subj = write_subject(tmp_path, "sub-08", task=TaskId.INPAINT)
+    add_native_context(subj, "sub-08")
+    inputs = discover_subject_inputs(subj, TaskId.INPAINT)
+    bundle = run_synthesis(inputs, inpaint_config(tmp_path, native_space_output=True))
+    assert sorted(bundle.manifest["files"]) == ["native/synthesis-native.nii.gz", "synthesis.nii.gz"]
+    assert bundle.native_space_paths == {"synthesis": bundle.bundle_dir / "native/synthesis-native.nii.gz"}
+    # pins the synthesis bundle's bytes, as the golden manifest pins segmentation's
+    assert bundle.manifest["content_digest"] == (
+        "c3f019a047934b51fb0d2d57dcb112eb40fc228c31ed6d1be0d267df2e8cc79d"
+    )
+
+
 def test_missing_mri_names_the_absent_modality(tmp_path):
     subj = write_subject(tmp_path, "sub-04", task=TaskId.MISSING_MRI, drop=("T2w",))
     inputs = discover_subject_inputs(subj, TaskId.MISSING_MRI)
@@ -518,6 +571,44 @@ def test_kind_guards(tmp_path, gli_subject, mock_engine, override_catalog):
     )
     with pytest.raises(ValueError, match="use run_synthesis"):
         run_inference(inputs, synth_config)
+
+
+# -- decoding ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Counts ``read_volume`` calls per file name in validation and the pipeline."""
+    import brainorch.pipeline
+    import brainorch.validation
+
+    counts: Counter = Counter()
+
+    def counting(path, *args, **kwargs):
+        counts[Path(path).name] += 1
+        return read_volume(path, *args, **kwargs)
+
+    for module in (brainorch.pipeline, brainorch.validation):
+        monkeypatch.setattr(module, "read_volume", counting)
+    return counts
+
+
+def test_segmentation_decodes_each_input_once(tmp_path, gli_subject, mock_engine, override_catalog, decodes):
+    inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
+    run_inference(inputs, gli_config(tmp_path, mock_engine, override_catalog))
+    names = [p.name for p in inputs.files.values()]
+    assert len(names) == 4
+    assert {name: decodes[name] for name in names} == dict.fromkeys(names, 1)
+
+
+def test_synthesis_decodes_each_input_once(tmp_path, decodes):
+    subj = write_subject(tmp_path, "sub-09", task=TaskId.INPAINT)
+    add_native_context(subj, "sub-09")
+    inputs = discover_subject_inputs(subj, TaskId.INPAINT)
+    run_synthesis(inputs, inpaint_config(tmp_path, native_space_output=True))
+    names = [p.name for p in inputs.files.values()]
+    assert len(names) == 2
+    assert {name: decodes[name] for name in names} == dict.fromkeys(names, 1)
 
 
 # -- configuration and discovery -----------------------------------------------------

@@ -542,6 +542,17 @@ def test_docker_gpu_fail_fast_creates_nothing(tmp_path, docker_stub):
     assert stub.requests == []
 
 
+def test_gpu_fail_fast_is_one_result_on_both_engines(tmp_path, docker_stub):
+    stub = docker_stub()
+    spec = make_spec(tmp_path, requires_gpu=True)
+    docker = DockerEngine(endpoint=stub.endpoint, supports_gpu=False).run_job(spec)
+    mock = pulled_engine(MockBehavior()).run_job(spec)
+    assert docker == mock
+    assert docker.status == STATUS_ENGINE_ERROR
+    assert "GPU" in docker.error
+    assert stub.requests == []
+
+
 def test_docker_nonzero_exit(tmp_path, docker_stub):
     stub = docker_stub(wait_status_code=7)
     engine = DockerEngine(endpoint=stub.endpoint)
