@@ -34,7 +34,7 @@ from .errors import (
     UnknownTask,
     ValidationFailed,
 )
-from .fusion import FUSION_METHODS, CandidateSet, SimpleParams, fuse, identity_result
+from .fusion import FUSION_METHODS, METHOD_MAJORITY, CandidateSet, SimpleParams, fuse
 from .geometry import GridSpec, invert_affine, read_transform, resample_image, resample_mask
 from .nifti import read_volume, write_mask, write_volume
 from .pipeline import PipelineConfig, discover_subject_inputs, run_inference, run_synthesis
@@ -107,13 +107,22 @@ def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_fusion_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--fusion", choices=FUSION_METHODS, default="majority", help="fusion method")
-    sub.add_argument("--max-iterations", type=int, default=25, help="iteration cap (simple)")
+    defaults = SimpleParams()
+    sub.add_argument("--fusion", choices=FUSION_METHODS, default=METHOD_MAJORITY, help="fusion method")
     sub.add_argument(
-        "--drop-factor", type=float, default=1.0, help="drop below mean - factor*std (simple)"
+        "--max-iterations", type=int, default=defaults.max_iterations, help="iteration cap (simple)"
     )
     sub.add_argument(
-        "--epsilon", type=float, default=1e-4, help="convergence change fraction (simple)"
+        "--drop-factor",
+        type=float,
+        default=defaults.drop_factor,
+        help="drop below mean - factor*std (simple)",
+    )
+    sub.add_argument(
+        "--epsilon",
+        type=float,
+        default=defaults.convergence_epsilon,
+        help="convergence change fraction (simple)",
     )
 
 
@@ -213,10 +222,7 @@ def _cmd_fuse(args) -> int:
     ids = [_candidate_id(Path(p), seen) for p in args.masks]
     labels = get_task_spec(args.task).labels if args.task else None
     candidates = CandidateSet.from_volumes(volumes, source_ids=ids, labels=labels)
-    if len(volumes) == 1:
-        result = identity_result(candidates)
-    else:
-        result = fuse(candidates, args.fusion, _fusion_params(args))
+    result = fuse(candidates, args.fusion, _fusion_params(args))
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     consensus_path = out_dir / "consensus.nii.gz"

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyCandidateSet, GridMismatch, UnknownLabel
+from .metrics import dice
 from .nifti import Volume
 from .registry import LABEL_PRIORITY, Label
 
@@ -224,13 +225,6 @@ def majority_vote(candidates: CandidateSet) -> Volume:
     return Volume(data=out, affine=candidates.grid_affine)
 
 
-def _dice_bool(a: np.ndarray, b: np.ndarray) -> float:
-    total = int(a.sum()) + int(b.sum())
-    if total == 0:
-        return 1.0
-    return 2.0 * int(np.logical_and(a, b).sum()) / total
-
-
 def _simple_one_label(binary_stack: np.ndarray, params: SimpleParams):
     """Iterative fusion of one label; returns (consensus, weights, dropped
     index set, iterations, active-count trace)."""
@@ -244,7 +238,7 @@ def _simple_one_label(binary_stack: np.ndarray, params: SimpleParams):
     for _ in range(params.max_iterations):
         iterations += 1
         for i in active:
-            scores[i] = _dice_bool(binary_stack[i], consensus)
+            scores[i] = dice(binary_stack[i], consensus)
         if len(active) > 1:
             vals = scores[active]
             std = float(vals.std())
@@ -315,9 +309,15 @@ def fuse(
 ) -> FusionResult:
     """Dispatch to a fusion method.
 
-    Majority voting reports uniform weight 1.0 and a single iteration, so
-    downstream consumers see one result shape regardless of method.
+    A set of one mask is its own consensus (:func:`identity_result`) under
+    either method. Majority voting reports uniform weight 1.0 and a single
+    iteration, so downstream consumers see one result shape regardless of
+    method.
     """
+    if method not in FUSION_METHODS:
+        raise ValueError(f"unknown fusion method {method!r}; expected one of {FUSION_METHODS}")
+    if len(candidates.masks) == 1:
+        return identity_result(candidates)
     if method == METHOD_MAJORITY:
         consensus = majority_vote(candidates)
         n = len(candidates.masks)
@@ -331,9 +331,7 @@ def fuse(
             iteration_log={lb.name: (n,) for lb in candidates.labels},
             params={},
         )
-    if method == METHOD_SIMPLE:
-        return simple_fuse(candidates, params)
-    raise ValueError(f"unknown fusion method {method!r}; expected one of {FUSION_METHODS}")
+    return simple_fuse(candidates, params)
 
 
 def identity_result(candidates: CandidateSet) -> FusionResult:

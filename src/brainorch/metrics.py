@@ -6,6 +6,9 @@ here once and shared by every caller:
 
 - Two empty masks agree perfectly: DSC and NSD are 1.0. Hausdorff is
   undefined when either mask is empty and returns ``None``.
+- Hausdorff and NSD reduce the same two directed surface-distance arrays;
+  ``_surface_scores`` alone applies their checks and conventions and runs
+  the two EDTs, for ``hausdorff``, ``nsd`` and ``compute_metric_report``.
 - A surface voxel is a foreground voxel with at least one background
   6-neighbor; positions outside the grid count as background, so foreground
   touching the grid edge is surface.
@@ -75,13 +78,28 @@ def _spacing_array(spacing) -> np.ndarray:
     return arr
 
 
-def _surface_distances(from_mask: np.ndarray, to_mask: np.ndarray, spacing: np.ndarray) -> np.ndarray:
-    """Distance in mm from each surface voxel of ``from_mask`` to the
-    nearest surface voxel of ``to_mask``."""
-    to_surface = surface_voxels(to_mask)
-    # EDT of the complement: each voxel gets its distance to the surface set.
-    dist = ndimage.distance_transform_edt(~to_surface, sampling=spacing)
-    return dist[surface_voxels(from_mask)]
+def _surface_scores(
+    a: np.ndarray, b: np.ndarray, spacing, percentile: float, tolerance_mm: float
+) -> tuple[float | None, float]:
+    """(Hausdorff, NSD) of a same-grid boolean pair from one EDT per
+    direction: the mm distance of each surface voxel of one mask to the
+    nearest surface voxel of the other."""
+    if not 0 < percentile <= 100:
+        raise ValueError(f"percentile must be in (0, 100], got {percentile}")
+    if tolerance_mm < 0:
+        raise ValueError(f"tolerance_mm must be >= 0, got {tolerance_mm}")
+    a_any, b_any = bool(a.any()), bool(b.any())
+    if not (a_any and b_any):
+        return None, 1.0 if a_any == b_any else 0.0
+    sp = _spacing_array(spacing)
+    surf_a, surf_b = surface_voxels(a), surface_voxels(b)
+    # EDT of a complement: each voxel gets its distance to the surface set.
+    d_ab = ndimage.distance_transform_edt(~surf_b, sampling=sp)[surf_a]
+    d_ba = ndimage.distance_transform_edt(~surf_a, sampling=sp)[surf_b]
+    hd = float(max(np.percentile(d_ab, percentile), np.percentile(d_ba, percentile)))
+    frac_ab = float(np.mean(d_ab <= tolerance_mm))
+    frac_ba = float(np.mean(d_ba <= tolerance_mm))
+    return hd, (frac_ab + frac_ba) / 2.0
 
 
 def hausdorff(
@@ -98,14 +116,7 @@ def hausdorff(
     a = _as_bool(a, "a")
     b = _as_bool(b, "b")
     _check_same_grid(a, b)
-    if not 0 < percentile <= 100:
-        raise ValueError(f"percentile must be in (0, 100], got {percentile}")
-    if not a.any() or not b.any():
-        return None
-    sp = _spacing_array(spacing)
-    d_ab = _surface_distances(a, b, sp)
-    d_ba = _surface_distances(b, a, sp)
-    return float(max(np.percentile(d_ab, percentile), np.percentile(d_ba, percentile)))
+    return _surface_scores(a, b, spacing, percentile, DEFAULT_NSD_TOLERANCE_MM)[0]
 
 
 def nsd(
@@ -122,19 +133,7 @@ def nsd(
     a = _as_bool(a, "a")
     b = _as_bool(b, "b")
     _check_same_grid(a, b)
-    if tolerance_mm < 0:
-        raise ValueError(f"tolerance_mm must be >= 0, got {tolerance_mm}")
-    a_any, b_any = bool(a.any()), bool(b.any())
-    if not a_any and not b_any:
-        return 1.0
-    if a_any != b_any:
-        return 0.0
-    sp = _spacing_array(spacing)
-    d_ab = _surface_distances(a, b, sp)
-    d_ba = _surface_distances(b, a, sp)
-    frac_ab = float(np.mean(d_ab <= tolerance_mm))
-    frac_ba = float(np.mean(d_ba <= tolerance_mm))
-    return (frac_ab + frac_ba) / 2.0
+    return _surface_scores(a, b, spacing, DEFAULT_HAUSDORFF_PERCENTILE, tolerance_mm)[1]
 
 
 @dataclass(frozen=True)
@@ -323,11 +322,10 @@ def compute_metric_report(
     for label in labels:
         ref_bin = reference == label.code
         pred_bin = prediction == label.code
-        per_label[label.name] = LabelMetrics(
-            dsc=dice(ref_bin, pred_bin),
-            hd_mm=hausdorff(ref_bin, pred_bin, sp, percentile=hausdorff_percentile),
-            nsd=nsd(ref_bin, pred_bin, sp, tolerance_mm=nsd_tolerance_mm),
+        hd_mm, surface_dice = _surface_scores(
+            ref_bin, pred_bin, sp, hausdorff_percentile, nsd_tolerance_mm
         )
+        per_label[label.name] = LabelMetrics(dsc=dice(ref_bin, pred_bin), hd_mm=hd_mm, nsd=surface_dice)
     report = lesionwise_dice(
         reference != 0, prediction != 0, connectivity=connectivity, min_lesion_voxels=min_lesion_voxels
     )

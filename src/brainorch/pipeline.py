@@ -57,12 +57,10 @@ from .errors import (
 from .fusion import (
     METHOD_MAJORITY,
     CandidateSet,
-    FusionResult,
     SimpleParams,
     check_candidate_codes,
     fuse,
     grid_mismatch,
-    identity_result,
 )
 from .geometry import (
     AffineTransform,
@@ -562,10 +560,7 @@ def _produce_segmentation(run: _Run, outcomes) -> _Product:
     volumes = [Volume(data=vol.data, affine=run.grid.affine) for _, vol, _ in collected]
 
     candidate_set = CandidateSet(masks=tuple(volumes), source_ids=tuple(ids), labels=task.labels)
-    if len(volumes) == 1:
-        result: FusionResult = identity_result(candidate_set)
-    else:
-        result = fuse(candidate_set, run.config.fusion_method, run.config.fusion_params)
+    result = fuse(candidate_set, run.config.fusion_method, run.config.fusion_params)
     write_mask(result.consensus, bundle / CONSENSUS_NAME)
 
     fusion_doc = result.to_json_dict()

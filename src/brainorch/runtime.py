@@ -49,6 +49,8 @@ DEFAULT_INPUT_MOUNT = "/mlcube_io0"
 DEFAULT_OUTPUT_MOUNT = "/mlcube_io1"
 
 _CONTAINER_LABEL = "brainorch.managed"
+# Seconds /wait may run past the job's timeout before the client kills it.
+_WAIT_SLACK_S = 5.0
 
 
 def _bound_excerpt(text: str) -> str:
@@ -538,7 +540,7 @@ class DockerEngine:
                     status, payload = self._request(
                         "POST",
                         f"/containers/{container_id}/wait",
-                        read_timeout=spec.timeout_seconds + 5.0,
+                        read_timeout=spec.timeout_seconds + _WAIT_SLACK_S,
                         timeout_ok=True,
                     )
                     if status != 200:

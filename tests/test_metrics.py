@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from brainorch import metrics as metrics_module
 from brainorch.errors import GridMismatch
 from brainorch.metrics import (
     compute_metric_report,
@@ -364,3 +365,68 @@ def test_metric_report_grid_mismatch():
             (Label(1, "NETC"),),
             spacing=(1, 1, 1),
         )
+
+
+def test_metric_report_runs_two_edts_per_label_with_both_masks(monkeypatch):
+    edt = metrics_module.ndimage.distance_transform_edt
+    calls = []
+
+    def counting_edt(*args, **kwargs):
+        calls.append(args[0].shape)
+        return edt(*args, **kwargs)
+
+    monkeypatch.setattr(metrics_module.ndimage, "distance_transform_edt", counting_edt)
+    labels = (Label(1, "NETC"), Label(2, "SNFH"), Label(3, "ET"), Label(4, "RC"))
+    ref = np.zeros((8, 8, 8), dtype=np.uint8)
+    pred = np.zeros_like(ref)
+    ref[0:3, 0:3, 0:3] = 1  # NETC in both masks
+    pred[1:4, 0:3, 0:3] = 1
+    ref[5:7, 5:7, 5:7] = 2  # SNFH in the reference only
+    pred[5:7, 0:2, 5:7] = 3  # ET in the prediction only; RC in neither
+    compute_metric_report(ref, pred, labels, spacing=(1.0, 1.0, 1.0))
+    assert calls == [(8, 8, 8)] * 2
+    calls.clear()
+    ref[5:7, 0:2, 0:2] = 3  # now ET is in both masks too
+    compute_metric_report(ref, pred, labels, spacing=(1.0, 1.0, 1.0))
+    assert len(calls) == 4
+
+
+def _report_case(case):
+    """Labelled (reference, prediction, spacing) pairs the report path must
+    score exactly like the pairwise oracles."""
+    shape = (7, 6, 5)
+    ref = np.zeros(shape, dtype=np.uint8)
+    pred = np.zeros_like(ref)
+    spacing = (1.0, 1.0, 1.0)
+    if case == "grid-edge":
+        ref[0:3, 0:3, :] = 1  # spans the whole third axis
+        pred[0:4, 1:6, 2:5] = 1
+        ref[5:7, 4:6, 0:2] = 3
+        pred[6:7, 3:6, 0:3] = 3
+    elif case == "one-mask-only":
+        ref[1:4, 1:4, 1:4] = 1
+        pred[2:5, 1:4, 1:3] = 1
+        ref[5:7, 0:2, 3:5] = 2  # SNFH only in the reference
+        pred[0:2, 4:6, 0:2] = 3  # ET only in the prediction
+    else:  # anisotropic
+        rng = np.random.default_rng(5)
+        ref = rng.choice(np.array([0, 1, 2, 3], dtype=np.uint8), size=shape, p=[0.55, 0.15, 0.15, 0.15])
+        pred = rng.choice(np.array([0, 1, 2, 3], dtype=np.uint8), size=shape, p=[0.55, 0.15, 0.15, 0.15])
+        spacing = (0.8, 1.0, 2.5)
+    return ref, pred, spacing
+
+
+@pytest.mark.parametrize("case", ["grid-edge", "one-mask-only", "anisotropic"])
+def test_metric_report_surface_metrics_match_oracles(case):
+    labels = (Label(1, "NETC"), Label(2, "SNFH"), Label(3, "ET"))
+    ref, pred, spacing = _report_case(case)
+    report = compute_metric_report(ref, pred, labels, spacing=spacing)
+    for label in labels:
+        a, b = ref == label.code, pred == label.code
+        got = report.per_label[label.name]
+        want_hd = oracles.brute_hausdorff(a, b, spacing, 95.0)
+        if want_hd is None:
+            assert got.hd_mm is None
+        else:
+            assert got.hd_mm == pytest.approx(want_hd, abs=1e-9)
+        assert got.nsd == pytest.approx(oracles.brute_nsd(a, b, spacing, 1.0), abs=1e-9)

@@ -13,6 +13,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
+from brainorch import runtime
 from brainorch.errors import (
     DigestMismatch,
     EngineUnreachable,
@@ -579,10 +580,11 @@ def test_docker_pull_unknown_image(docker_stub):
         DockerEngine(endpoint=stub.endpoint).pull_image("example/ghost")
 
 
-def test_docker_wait_timeout_kills_and_reports(tmp_path, docker_stub):
-    # the client allows timeout_seconds + 5s for /wait, so the stub must
-    # stall longer than that; this is the slowest test in the module
-    stub = docker_stub(wait_delay=7.0)
+def test_docker_wait_timeout_kills_and_reports(tmp_path, docker_stub, monkeypatch):
+    # the client allows timeout_seconds + the wait slack for /wait, so the
+    # stub must stall longer than that; a short slack keeps the test fast
+    monkeypatch.setattr(runtime, "_WAIT_SLACK_S", 0.2)
+    stub = docker_stub(wait_delay=0.8)
     engine = DockerEngine(endpoint=stub.endpoint)
     engine.pull_image("example/algo")
     result = engine.run_job(make_spec(tmp_path, timeout_seconds=0.05))
