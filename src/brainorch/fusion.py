@@ -15,6 +15,14 @@ Two methods over per-label binary decompositions:
 Every label is fused independently; voxels claimed by several labels resolve
 by fixed priority (ET > NETC > RC > SNFH / ED > CC, see the registry). Labels
 outside the named set rank below all named ones, lowest code first.
+
+Both methods run inside the candidates' foreground box
+(:func:`metrics.foreground_box`: the union bounding box of their nonzero
+voxels, padded by 1 voxel) and paste the consensus into a zero grid. This is
+exact: outside the box every candidate is background, so no label gets a
+vote there, and the Dice scores and convergence counts of SIMPLE only count
+voxels inside it. Label code 0 is background, so ``CandidateSet`` rejects a
+label with code 0 (``ValueError``); such a label would be voted outside the box.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyCandidateSet, GridMismatch, UnknownLabel
-from .metrics import dice
+from .metrics import check_label_codes, dice, foreground_box
 from .nifti import Volume
 from .registry import LABEL_PRIORITY, Label
 
@@ -33,6 +41,12 @@ GRID_ATOL_MM = 1e-3
 METHOD_MAJORITY = "majority"
 METHOD_SIMPLE = "simple"
 FUSION_METHODS = (METHOD_MAJORITY, METHOD_SIMPLE)
+
+
+def check_fusion_method(method: str) -> None:
+    """Raise ``ValueError`` unless ``method`` names a fusion method."""
+    if method not in FUSION_METHODS:
+        raise ValueError(f"unknown fusion method {method!r}; expected one of {FUSION_METHODS}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +142,7 @@ class CandidateSet:
     def __post_init__(self):
         masks = tuple(self.masks)
         source_ids = tuple(str(s) for s in self.source_ids)
-        labels = tuple(self.labels)
+        labels = check_label_codes(self.labels)
         if not masks:
             raise EmptyCandidateSet("candidate set holds no masks")
         if len(source_ids) != len(masks):
@@ -159,9 +173,6 @@ class CandidateSet:
     @property
     def grid_affine(self) -> np.ndarray:
         return self.masks[0].affine
-
-    def stacked(self) -> np.ndarray:
-        return np.stack([m.data for m in self.masks])
 
 
 @dataclass(frozen=True)
@@ -203,11 +214,24 @@ def binarize(mask: "Volume | np.ndarray", label: Label, labels=None) -> np.ndarr
     return data == label.code
 
 
-def _overlay(per_label_masks: dict[int, np.ndarray], labels, shape) -> np.ndarray:
-    """Merge per-label binaries into one mask, highest priority winning."""
-    out = np.zeros(shape, dtype=np.uint8)
-    for label in reversed(label_priority_order(labels)):
-        out[per_label_masks[label.code]] = label.code
+def _boxed_stack(candidates: CandidateSet) -> tuple[np.ndarray, tuple[slice, ...]]:
+    """The candidates' data stacked inside their foreground box, and the box.
+
+    All-empty candidates give a zero-size box.
+    """
+    data = [m.data for m in candidates.masks]
+    box = foreground_box(data)
+    return np.stack([d[box] for d in data]), box
+
+
+def _overlay(per_label_masks: dict[int, np.ndarray], candidates: CandidateSet, box) -> np.ndarray:
+    """Merge per-label binaries computed inside ``box`` into one read-only
+    mask on the candidates' grid, highest priority winning."""
+    out = np.zeros(candidates.masks[0].shape, dtype=np.uint8)
+    inside = out[box]  # a view: writes land in ``out``
+    for label in reversed(label_priority_order(candidates.labels)):
+        inside[per_label_masks[label.code]] = label.code
+    out.setflags(write=False)
     return out
 
 
@@ -218,11 +242,9 @@ def _strict_majority(binary_stack: np.ndarray) -> np.ndarray:
 
 def majority_vote(candidates: CandidateSet) -> Volume:
     """Per-label strict-majority consensus."""
-    stack = candidates.stacked()
+    stack, box = _boxed_stack(candidates)
     per_label = {lb.code: _strict_majority(stack == lb.code) for lb in candidates.labels}
-    out = _overlay(per_label, candidates.labels, stack.shape[1:])
-    out.setflags(write=False)
-    return Volume(data=out, affine=candidates.grid_affine)
+    return Volume(data=_overlay(per_label, candidates, box), affine=candidates.grid_affine)
 
 
 def _simple_one_label(binary_stack: np.ndarray, params: SimpleParams):
@@ -273,8 +295,7 @@ def _simple_one_label(binary_stack: np.ndarray, params: SimpleParams):
 def simple_fuse(candidates: CandidateSet, params: SimpleParams | None = None) -> FusionResult:
     """Iterative performance-weighted fusion over all labels."""
     params = params or SimpleParams()
-    stack = candidates.stacked()
-    n = len(candidates.masks)
+    stack, box = _boxed_stack(candidates)
     per_label_masks: dict[int, np.ndarray] = {}
     weights: dict[str, dict[str, float]] = {sid: {} for sid in candidates.source_ids}
     dropped: dict[str, tuple[str, ...]] = {}
@@ -289,10 +310,8 @@ def simple_fuse(candidates: CandidateSet, params: SimpleParams | None = None) ->
             dropped[label.name] = tuple(candidates.source_ids[i] for i in sorted(dropped_idx))
         iteration_log[label.name] = trace
         iterations_run = max(iterations_run, iters)
-    out = _overlay(per_label_masks, candidates.labels, stack.shape[1:])
-    out.setflags(write=False)
     return FusionResult(
-        consensus=Volume(data=out, affine=candidates.grid_affine),
+        consensus=Volume(data=_overlay(per_label_masks, candidates, box), affine=candidates.grid_affine),
         method=METHOD_SIMPLE,
         per_candidate_weights=weights,
         iterations_run=max(iterations_run, 1) if candidates.labels else 1,
@@ -314,8 +333,7 @@ def fuse(
     iteration, so downstream consumers see one result shape regardless of
     method.
     """
-    if method not in FUSION_METHODS:
-        raise ValueError(f"unknown fusion method {method!r}; expected one of {FUSION_METHODS}")
+    check_fusion_method(method)
     if len(candidates.masks) == 1:
         return identity_result(candidates)
     if method == METHOD_MAJORITY:

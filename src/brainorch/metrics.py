@@ -14,6 +14,18 @@ here once and shared by every caller:
   touching the grid edge is surface.
 - Connected-component ids are assigned by first-voxel scan order
   (lexicographic (i, j, k)), independent of the labeling backend.
+- Work runs inside the foreground box (``foreground_box``): the union
+  bounding box of the masks' nonzero voxels, widened by 1 voxel and clipped
+  to the grid. ``compute_metric_report`` crops both masks to it once, and
+  ``_surface_scores`` crops each label pair to its own box. This is exact:
+  every surface voxel, and so every EDT distance, lies inside the box; the
+  1-voxel pad leaves background around foreground away from the grid edge,
+  so only the grid edge meets ``border_value=0`` in the erosion, as on the
+  full grid; cropping keeps the scan order that sets component ids; and the
+  voxels cut away are background in every mask, so they add nothing to
+  Dice or to lesion-wise counts. That last step needs every scored label to
+  have a nonzero code, so a label with code 0 (background) raises
+  ``ValueError`` (``check_label_codes``).
 """
 
 from __future__ import annotations
@@ -71,6 +83,42 @@ def surface_voxels(mask: np.ndarray) -> np.ndarray:
     return mask & ~interior
 
 
+def foreground_box(masks) -> tuple[slice, ...]:
+    """Slices of the union bounding box of the masks' nonzero voxels,
+    widened by 1 voxel on each side and clipped to the grid.
+
+    There is at least one mask, and all share one shape. When every mask is
+    empty the box has size 0.
+    """
+    masks = [np.asarray(m) for m in masks]
+    lo = hi = None
+    for mask in masks:
+        nonzero = mask != 0
+        if not nonzero.any():
+            continue
+        axes = range(nonzero.ndim)
+        hits = [np.flatnonzero(nonzero.any(axis=tuple(a for a in axes if a != axis))) for axis in axes]
+        first, last = [int(h[0]) for h in hits], [int(h[-1]) for h in hits]
+        lo = first if lo is None else [min(a, b) for a, b in zip(lo, first)]
+        hi = last if hi is None else [max(a, b) for a, b in zip(hi, last)]
+    if lo is None:
+        return (slice(0, 0),) * masks[0].ndim
+    return tuple(slice(max(a - 1, 0), min(b + 2, n)) for a, b, n in zip(lo, hi, masks[0].shape))
+
+
+def check_label_codes(labels) -> tuple:
+    """``labels`` as a tuple; ``ValueError`` if one has code 0.
+
+    Code 0 is background. Metrics and fusion work inside the foreground box,
+    which is exact only because nothing is scored or voted outside it.
+    """
+    labels = tuple(labels)
+    for label in labels:
+        if label.code == 0:
+            raise ValueError(f"label {label.name!r} has code 0, which is background")
+    return labels
+
+
 def _spacing_array(spacing) -> np.ndarray:
     arr = np.asarray(spacing, dtype=np.float64)
     if arr.shape != (3,) or not np.all(arr > 0):
@@ -92,6 +140,8 @@ def _surface_scores(
     if not (a_any and b_any):
         return None, 1.0 if a_any == b_any else 0.0
     sp = _spacing_array(spacing)
+    box = foreground_box((a, b))
+    a, b = a[box], b[box]
     surf_a, surf_b = surface_voxels(a), surface_voxels(b)
     # EDT of a complement: each voxel gets its distance to the surface set.
     d_ab = ndimage.distance_transform_edt(~surf_b, sampling=sp)[surf_a]
@@ -308,8 +358,10 @@ def compute_metric_report(
     """Score a multi-label prediction against a reference mask.
 
     ``labels`` is an iterable of objects with ``code`` and ``name`` (the
-    registry's label type). Per-label metrics binarize on the code; the
-    lesion-wise report runs on any-foreground masks.
+    registry's label type); code 0 is background and raises ``ValueError``.
+    Per-label metrics binarize on the code; the lesion-wise report runs on
+    any-foreground masks. Everything runs inside the masks' foreground box;
+    two empty masks crop to a zero-size box.
     """
     reference = np.asarray(reference)
     prediction = np.asarray(prediction)
@@ -317,7 +369,12 @@ def compute_metric_report(
         raise GridMismatch(
             f"masks live on different grids: {reference.shape} vs {prediction.shape}"
         )
+    if reference.ndim != 3:
+        raise ValueError(f"reference must be a 3-D array, got shape {reference.shape}")
+    labels = check_label_codes(labels)
     sp = _spacing_array(spacing)
+    box = foreground_box((reference, prediction))
+    reference, prediction = reference[box], prediction[box]
     per_label: dict[str, LabelMetrics] = {}
     for label in labels:
         ref_bin = reference == label.code

@@ -59,6 +59,7 @@ from .fusion import (
     CandidateSet,
     SimpleParams,
     check_candidate_codes,
+    check_fusion_method,
     fuse,
     grid_mismatch,
 )
@@ -127,6 +128,7 @@ class PipelineConfig:
             raise ValueError("algorithm_selectors must not be empty")
         if self.parallel_jobs < 1:
             raise ValueError(f"parallel_jobs must be >= 1, got {self.parallel_jobs}")
+        check_fusion_method(self.fusion_method)
 
 
 @dataclass(frozen=True)
@@ -365,11 +367,15 @@ def _run_jobs(
 
 
 def _pick_output_file(out_dir: Path, preferred_stems: tuple[str, ...]) -> Path | None:
-    """The mask/volume a job produced: a preferred name, else the only NIfTI."""
+    """The mask/volume a job produced: a preferred name, else the only NIfTI.
+
+    A symlink with a NIfTI name counts as produced, so that
+    :func:`_unsafe_output` rejects it rather than another file standing in.
+    """
     produced = [
         p
         for p in sorted(out_dir.rglob("*"))
-        if p.is_file() and any(p.name.endswith(s) for s in _NIFTI_SUFFIXES)
+        if (p.is_symlink() or p.is_file()) and any(p.name.endswith(s) for s in _NIFTI_SUFFIXES)
     ]
     for stem in preferred_stems:
         for suffix in _NIFTI_SUFFIXES:
@@ -378,6 +384,20 @@ def _pick_output_file(out_dir: Path, preferred_stems: tuple[str, ...]) -> Path |
                     return p
     if len(produced) == 1:
         return produced[0]
+    return None
+
+
+def _unsafe_output(path: Path, out_dir: Path) -> str | None:
+    """Why a job's output file may not be read, or None.
+
+    Container output is untrusted: only a regular file, not a symlink, that
+    resolves inside the job's output directory is read and copied, so a
+    link to a host file never reaches the bundle.
+    """
+    if path.is_symlink() or not path.is_file():
+        return f"{path.name} is not a regular file"
+    if not path.resolve().is_relative_to(out_dir.resolve()):
+        return f"{path.name} resolves outside the job's output directory"
     return None
 
 
@@ -410,6 +430,10 @@ def _collect(run: _Run, outcomes, stem: str, noun: str, vet=None):
         path = _pick_output_file(out_dir, preferred_stems=(stem,))
         if path is None:
             run.warnings.append(f"{entry.id}: job succeeded but produced no unambiguous {noun}")
+            continue
+        unsafe = _unsafe_output(path, out_dir)
+        if unsafe is not None:
+            run.warnings.append(f"{entry.id}: rejected candidate: {unsafe}")
             continue
         try:
             vol = read_volume(path)
@@ -552,7 +576,7 @@ def _produce_segmentation(run: _Run, outcomes) -> _Product:
     per_algorithm: dict[str, str] = {}
     for entry, _, mask_path in collected:
         dest = candidates_dir / f"{entry.id}{_nifti_suffix(mask_path)}"
-        shutil.copyfile(mask_path, dest)
+        shutil.copyfile(mask_path, dest, follow_symlinks=False)
         per_algorithm[entry.id] = dest.relative_to(bundle).as_posix()
     ids = [entry.id for entry, _, _ in collected]
     # Each accepted mask matched the input grid within tolerance, so the set
@@ -613,7 +637,7 @@ def _produce_synthesis(run: _Run, outcomes) -> _Product:
     """Keep the one synthesized image."""
     job_rows, [(entry, image, produced)] = _collect(run, outcomes, SYNTHESIS_STEM, "volume")
     out_name = f"{SYNTHESIS_STEM}{_nifti_suffix(produced)}"
-    shutil.copyfile(produced, run.bundle / out_name)
+    shutil.copyfile(produced, run.bundle / out_name, follow_symlinks=False)
     if run.task.task_id == TaskId.INPAINT:
         synthesized = "T1n"
     else:  # validation guarantees exactly one absent modality

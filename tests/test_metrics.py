@@ -384,7 +384,7 @@ def test_metric_report_runs_two_edts_per_label_with_both_masks(monkeypatch):
     ref[5:7, 5:7, 5:7] = 2  # SNFH in the reference only
     pred[5:7, 0:2, 5:7] = 3  # ET in the prediction only; RC in neither
     compute_metric_report(ref, pred, labels, spacing=(1.0, 1.0, 1.0))
-    assert calls == [(8, 8, 8)] * 2
+    assert calls == [(5, 4, 4)] * 2  # NETC's box: rows 0-3, columns and slices 0-2, padded by 1
     calls.clear()
     ref[5:7, 0:2, 0:2] = 3  # now ET is in both masks too
     compute_metric_report(ref, pred, labels, spacing=(1.0, 1.0, 1.0))

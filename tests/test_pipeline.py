@@ -304,6 +304,26 @@ def test_off_grid_candidate_is_rejected(tmp_path, gli_subject, override_catalog)
     assert any("does not match the input grid" in w for w in bundle.manifest["warnings"])
 
 
+def test_symlinked_output_is_rejected_and_never_copied(tmp_path, gli_subject, override_catalog):
+    # A valid mask on the input grid, so only the link itself can reject it.
+    host_file = tmp_path / "host" / "private.nii.gz"
+    host_file.parent.mkdir()
+    write_mask(Volume(data=expected_candidate_masks()["mock-gli-1"], affine=e2e_affine()), host_file)
+
+    def plant_link(spec):
+        (Path(spec.output_dir) / "seg.nii.gz").symlink_to(host_file)
+
+    engine = engine_with({"example/mock-gli-1": {"outputs": (plant_link,)}})
+    inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
+    bundle = run_inference(inputs, gli_config(tmp_path, engine, override_catalog))
+    assert set(bundle.per_algorithm_paths) == {"mock-gli-2", "mock-gli-3"}
+    assert "mock-gli-1: rejected candidate: seg.nii.gz is not a regular file" in bundle.manifest["warnings"]
+    private = host_file.read_bytes()
+    for path in bundle.bundle_dir.rglob("*"):
+        assert not path.is_symlink()
+        assert not path.is_file() or path.read_bytes() != private
+
+
 def test_candidates_on_opposite_sides_of_the_grid_tolerance_fuse(tmp_path, gli_subject, override_catalog):
     def skewed(algo_id, scale):
         def write(spec):
@@ -623,6 +643,14 @@ def test_config_validation(tmp_path, mock_engine):
         PipelineConfig(task="gli-pre", engine=mock_engine, output_dir=tmp_path, parallel_jobs=0)
     with pytest.raises(UnknownTask):
         PipelineConfig(task="made-up", engine=mock_engine, output_dir=tmp_path)
+
+
+def test_unknown_fusion_method_fails_before_any_job(tmp_path, gli_subject, override_catalog):
+    engine = engine_with()
+    inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
+    with pytest.raises(ValueError, match="unknown fusion method 'majorty'"):
+        run_inference(inputs, gli_config(tmp_path, engine, override_catalog, fusion_method="majorty"))
+    assert engine.containers_created == 0
 
 
 def test_discover_subject_inputs_conventions(tmp_path):
