@@ -8,6 +8,18 @@ row-major 4x4 matrix plus the two tags; units are always mm.
 Masks resample with nearest-neighbor lookup (labels never blend, voxels that
 map outside the source grid become background), images with trilinear
 interpolation.
+
+Resampling evaluates the target grid one plane at a time along its last
+axis, the slowest axis of the Fortran order in which NIfTI stores voxels
+and :func:`brainorch.nifti.read_volume` returns them. It is exact: each
+plane's source coordinates come from the same BLAS matmul, column by
+column, as a full-grid (3, N) coordinate map, so the output is
+byte-identical to one made from such a map. Memory holds the output, a
+Fortran-order copy of the source only when it is not in that order
+already (a NIfTI read never needs one), and a few (3, X·Y) float64 planes
+of coordinates and indices. Lookups within a plane then walk the source's
+memory forward, and on grids of BraTS size one plane keeps each matmul
+small enough that OpenBLAS runs it on the calling thread.
 """
 
 from __future__ import annotations
@@ -121,15 +133,23 @@ class GridSpec:
         return cls(shape=vol.shape, affine=vol.affine)
 
 
-def _source_index_map(source_affine: np.ndarray, world_map: np.ndarray, target: GridSpec) -> np.ndarray:
-    """Source voxel coordinates for every target voxel, shape (3, N).
+def _source_planes(source_affine: np.ndarray, world_map: np.ndarray, target: GridSpec):
+    """Source voxel coordinates of the target grid, one last-axis plane at a time.
 
-    A target index v maps through target voxel->world, then the inverse world
-    map, then world->source voxel.
+    Yields ``(k, coords)``: ``coords`` has shape (3, X·Y) and holds the
+    source coordinates of the target voxels ``[:, :, k]`` in Fortran order.
+    A target index v maps through target voxel->world, then the inverse
+    world map, then world->source voxel. Every column is computed by the
+    same matmul as in a full-grid (3, N) map, so the values are identical.
     """
     m = np.linalg.inv(source_affine) @ np.linalg.inv(world_map) @ target.affine
-    idx = np.indices(target.shape, dtype=np.float64).reshape(3, -1)
-    return m[:3, :3] @ idx + m[:3, 3:4]
+    nx, ny, nz = target.shape
+    idx = np.empty((3, nx * ny))
+    idx[0] = np.tile(np.arange(nx), ny)
+    idx[1] = np.repeat(np.arange(ny), nx)
+    for k in range(nz):
+        idx[2] = k
+        yield k, m[:3, :3] @ idx + m[:3, 3:4]
 
 
 def resample_mask(mask: Volume, world_map: AffineTransform, target: GridSpec) -> Volume:
@@ -138,18 +158,22 @@ def resample_mask(mask: Volume, world_map: AffineTransform, target: GridSpec) ->
     ``world_map`` maps the mask's world coordinates into the target grid's
     world coordinates. Voxels that land outside the source grid become 0.
     The output label set is always a subset of the input's plus background.
+    Filled plane by plane (see the module docstring): beside the output and
+    a Fortran-order copy of a source not already in that order, memory
+    holds a few planes of coordinates, never a full-grid map.
     """
     data = mask.data
     if not np.issubdtype(data.dtype, np.integer):
         raise ValueError(f"mask resampling needs integer labels, got dtype {data.dtype}")
-    coords = _source_index_map(mask.affine, world_map.matrix, target)
-    nearest = np.rint(coords).astype(np.int64)
-    inside = np.ones(nearest.shape[1], dtype=bool)
-    for axis in range(3):
-        inside &= (nearest[axis] >= 0) & (nearest[axis] < data.shape[axis])
-    out = np.zeros(int(np.prod(target.shape)), dtype=data.dtype)
-    out[inside] = data[nearest[0, inside], nearest[1, inside], nearest[2, inside]]
-    out = out.reshape(target.shape)
+    data = np.asfortranarray(data)
+    out = np.zeros(target.shape, dtype=data.dtype, order="F")
+    planes = out.reshape(-1, target.shape[2], order="F")  # a view: column k is plane k
+    for k, coords in _source_planes(mask.affine, world_map.matrix, target):
+        nearest = np.rint(coords).astype(np.int64)
+        inside = np.ones(nearest.shape[1], dtype=bool)
+        for axis in range(3):
+            inside &= (nearest[axis] >= 0) & (nearest[axis] < data.shape[axis])
+        planes[inside, k] = data[nearest[0, inside], nearest[1, inside], nearest[2, inside]]
     out.setflags(write=False)
     return Volume(data=out, affine=target.affine)
 
@@ -157,12 +181,15 @@ def resample_mask(mask: Volume, world_map: AffineTransform, target: GridSpec) ->
 def resample_image(image: Volume, world_map: AffineTransform, target: GridSpec) -> Volume:
     """Trilinear resample of an intensity image onto ``target``.
 
-    Out-of-grid samples read as 0. Output is float64.
+    Out-of-grid samples read as 0. Output is float64. Filled plane by plane
+    like :func:`resample_mask`; the source keeps its dtype and each sample
+    is interpolated in float64, as from a float64 copy of it.
     """
-    coords = _source_index_map(image.affine, world_map.matrix, target)
-    data = image.data.astype(np.float64, copy=False)
-    sampled = ndimage.map_coordinates(data, coords, order=1, mode="constant", cval=0.0)
-    out = sampled.reshape(target.shape)
+    data = np.asfortranarray(image.data)
+    out = np.empty(target.shape, order="F")
+    planes = out.reshape(-1, target.shape[2], order="F")  # a view: column k is plane k
+    for k, coords in _source_planes(image.affine, world_map.matrix, target):
+        ndimage.map_coordinates(data, coords, output=planes[:, k], order=1, mode="constant", cval=0.0)
     out.setflags(write=False)
     return Volume(data=out, affine=target.affine)
 

@@ -10,10 +10,13 @@ A run produces one bundle directory per subject and task:
         native/consensus-native.nii.gz     optional inverse-warped mask
         manifest.json                      hashes of every file, job summary
         work/                              staged inputs and raw job output,
-                                           only with keep_intermediate
+                                           only with keep_intermediate; only
+                                           regular files and directories
 
 Bundles are written to a staging directory and published with one atomic
-rename, so a crashed run never leaves a partial bundle at the target path.
+rename, so a crashed run never leaves a partial bundle at the target path;
+a bundle replaced with ``force`` is renamed aside first and deleted only
+after the swap.
 Partial algorithm failures degrade to warnings as long as at least one
 candidate survives; zero survivors abort the run. The manifest's content
 digest covers the file hash map only, never the timestamp, so identical
@@ -31,11 +34,13 @@ input once and hands its grids on, so the run decodes no input again.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
 import json
 import logging
 import os
 import shutil
+import stat
 import uuid
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -160,6 +165,27 @@ def _sha256_file(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _drop_non_regular(root: Path) -> list[str]:
+    """Delete every entry under ``root`` that is neither a regular file nor a
+    directory, without following links; returns a warning for each.
+
+    Kept job directories hold untrusted container output: a symlink
+    published with them would point outside the bundle, and hashing it
+    would read its target.
+    """
+    dropped = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        for name in (*dirnames, *filenames):
+            path = Path(dirpath, name)
+            mode = path.lstat().st_mode
+            if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+                path.unlink()
+                rel = path.relative_to(root.parent).as_posix()
+                dropped.append(f"{rel}: not a regular file; left out of the bundle")
+        dirnames[:] = [d for d in dirnames if Path(dirpath, d).is_dir()]
+    return dropped
 
 
 def _hash_tree(root: Path) -> dict[str, str]:
@@ -469,11 +495,28 @@ def _refuse_collision(target: Path, force: bool) -> None:
 
 
 def _atomic_publish(bundle_staging: Path, target: Path, force: bool) -> None:
+    """Move the staged bundle to ``target``.
+
+    An existing bundle (``force``) is renamed aside next to the staged one
+    first and deleted with the staging directory after the swap, so a crash
+    at any point leaves one bundle whole: the new one at ``target``, or the
+    old one there or, between the two renames, beside the staged one. If
+    the swap fails, the old bundle goes back. A bundle that another run
+    published at ``target`` in the meantime is an :class:`OutputCollision`.
+    """
     target.parent.mkdir(parents=True, exist_ok=True)
     _refuse_collision(target, force)
-    if target.exists():
-        shutil.rmtree(target)
-    bundle_staging.replace(target)
+    aside = bundle_staging.with_name("replaced")
+    try:
+        if target.exists():
+            target.replace(aside)
+        bundle_staging.replace(target)
+    except OSError as exc:
+        if aside.exists() and not target.exists():
+            aside.replace(target)
+        if exc.errno in (errno.EEXIST, errno.ENOTEMPTY):
+            raise OutputCollision(f"output bundle {target} was published by another run") from exc
+        raise
 
 
 def _warp_to_native(run: _Run, product: _Product) -> str:
@@ -518,6 +561,8 @@ def _staged_run(
         if config.native_space_output and task.spatial_space != "native":
             native_rel[product.native_name] = _warp_to_native(run, product)
 
+        if config.keep_intermediate:
+            warnings.extend(_drop_non_regular(bundle / "work"))
         manifest = {
             "schema_version": MANIFEST_SCHEMA_VERSION,
             "tool": "brainorch",

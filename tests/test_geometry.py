@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from brainorch.errors import (
     DegenerateGrid,
@@ -242,6 +244,106 @@ def test_trilinear_identity_preserves_values():
     vol = Volume(data=data, affine=np.eye(4))
     out = resample_image(vol, identity_transform(), GridSpec.from_volume(vol))
     np.testing.assert_allclose(out.data, data, atol=1e-12)
+
+
+# -- plane-wise evaluation against the full-grid coordinate map ---------------
+
+
+def full_map_coords(source_affine, world_map, target):
+    """Source coordinates of every target voxel at once, shape (3, N)."""
+    m = np.linalg.inv(source_affine) @ np.linalg.inv(world_map) @ target.affine
+    idx = np.indices(target.shape, dtype=np.float64).reshape(3, -1)
+    return m[:3, :3] @ idx + m[:3, 3:4]
+
+
+def full_map_mask(mask, world_map, target):
+    """Nearest-neighbour resampling through one full-grid coordinate map."""
+    data = mask.data
+    nearest = np.rint(full_map_coords(mask.affine, world_map.matrix, target)).astype(np.int64)
+    inside = np.ones(nearest.shape[1], dtype=bool)
+    for axis in range(3):
+        inside &= (nearest[axis] >= 0) & (nearest[axis] < data.shape[axis])
+    out = np.zeros(int(np.prod(target.shape)), dtype=data.dtype)
+    out[inside] = data[nearest[0, inside], nearest[1, inside], nearest[2, inside]]
+    return out.reshape(target.shape)
+
+
+def full_map_image(image, world_map, target):
+    """Trilinear resampling of a float64 copy through one full-grid map."""
+    coords = full_map_coords(image.affine, world_map.matrix, target)
+    data = image.data.astype(np.float64, copy=False)
+    sampled = ndimage.map_coordinates(data, coords, order=1, mode="constant", cval=0.0)
+    return sampled.reshape(target.shape)
+
+
+def random_affine(rng, spacing_range):
+    """A rotation about all three axes, anisotropic scaling and a shift."""
+    a, b, c = rng.uniform(-np.pi, np.pi, size=3)
+    rx = np.array([[1, 0, 0], [0, np.cos(a), -np.sin(a)], [0, np.sin(a), np.cos(a)]])
+    ry = np.array([[np.cos(b), 0, np.sin(b)], [0, 1, 0], [-np.sin(b), 0, np.cos(b)]])
+    rz = np.array([[np.cos(c), -np.sin(c), 0], [np.sin(c), np.cos(c), 0], [0, 0, 1]])
+    affine = np.eye(4)
+    affine[:3, :3] = rx @ ry @ rz @ np.diag(rng.uniform(*spacing_range, size=3))
+    affine[:3, 3] = rng.uniform(-3.0, 3.0, size=3)
+    return affine
+
+
+extent = st.integers(1, 7)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    source_shape=st.tuples(extent, extent, extent),
+    target_shape=st.tuples(extent, extent, extent),
+    dtype=st.sampled_from(["u1", "i2", ">i2", ">f4", "<f8"]),
+    order=st.sampled_from("CF"),
+)
+@example(seed=0, source_shape=(5, 6, 7), target_shape=(1, 6, 7), dtype="u1", order="F")
+@example(seed=1, source_shape=(5, 6, 7), target_shape=(6, 7, 1), dtype=">i2", order="C")
+@example(seed=2, source_shape=(5, 6, 7), target_shape=(1, 1, 7), dtype=">f4", order="F")
+@example(seed=3, source_shape=(1, 1, 1), target_shape=(7, 7, 7), dtype="<f8", order="C")
+def test_plane_wise_resampling_equals_the_full_grid_map(seed, source_shape, target_shape, dtype, order):
+    rng = np.random.default_rng(seed)
+    dtype = np.dtype(dtype)
+    if dtype.kind == "f":
+        values = rng.normal(0.0, 100.0, size=source_shape)
+    else:
+        values = rng.integers(0, 6, size=source_shape)
+    data = np.asarray(values.astype(dtype), order=order)
+    assert data.dtype == dtype
+    source = Volume(data=data, affine=random_affine(rng, (0.5, 3.0)))
+    world_map = identity_transform(matrix=random_affine(rng, (0.8, 1.25)))
+    target = GridSpec(shape=target_shape, affine=random_affine(rng, (0.5, 3.0)))
+
+    image = resample_image(source, world_map, target)
+    assert image.data.dtype == np.float64
+    assert np.array_equal(image.data, full_map_image(source, world_map, target))
+    if dtype.kind != "f":
+        mask = resample_mask(source, world_map, target)
+        expected = full_map_mask(source, world_map, target)
+        assert mask.data.dtype == expected.dtype
+        assert np.array_equal(mask.data, expected)
+
+
+@pytest.mark.parametrize(
+    "resample, dtype", [(resample_mask, np.uint8), (resample_image, np.float32)]
+)
+def test_resampling_holds_the_output_and_a_few_planes(resample, dtype):
+    rng = np.random.default_rng(5)
+    data = np.asfortranarray(rng.integers(0, 4, size=(48, 48, 32)).astype(dtype))
+    source = Volume(data=data, affine=np.eye(4))
+    target = GridSpec(shape=(44, 46, 30), affine=random_affine(rng, (0.9, 1.1)))
+    tracemalloc.start()
+    try:
+        out = resample(source, identity_transform(), target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A Fortran-ordered source is read in place; a (3, N) float64
+    # coordinate map alone would be 3 * 44 * 46 * 30 * 8 bytes (1.46 MB).
+    plane = 3 * 44 * 46 * 8
+    assert peak <= out.data.nbytes + 8 * plane, peak
 
 
 # -- inverse warps -----------------------------------------------------------

@@ -3,6 +3,7 @@ fusion wiring, failure degradation, and the synthesis flow."""
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 from collections import Counter
@@ -324,6 +325,36 @@ def test_symlinked_output_is_rejected_and_never_copied(tmp_path, gli_subject, ov
         assert not path.is_file() or path.read_bytes() != private
 
 
+def test_kept_work_tree_publishes_no_link_and_reads_no_target(tmp_path, gli_subject, override_catalog, monkeypatch):
+    host_file = tmp_path / "host" / "private.nii.gz"
+    host_file.parent.mkdir()
+    write_mask(Volume(data=expected_candidate_masks()["mock-gli-1"], affine=e2e_affine()), host_file)
+
+    def plant_link(spec):
+        (Path(spec.output_dir) / "seg.nii.gz").symlink_to(host_file)
+
+    opened = []
+    real_open = open
+
+    def recording_open(file, *args, **kwargs):
+        if not isinstance(file, int):
+            opened.append(Path(file).resolve())  # through any link, while it exists
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", recording_open)
+    engine = engine_with({"example/mock-gli-1": {"outputs": (plant_link,)}})
+    inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
+    bundle = run_inference(inputs, gli_config(tmp_path, engine, override_catalog, keep_intermediate=True))
+    monkeypatch.undo()
+
+    assert host_file.resolve() not in opened
+    assert "work/jobs/mock-gli-1/seg.nii.gz: not a regular file; left out of the bundle" in bundle.manifest["warnings"]
+    assert "work/jobs/mock-gli-1/seg.nii.gz" not in bundle.manifest["files"]
+    assert (bundle.bundle_dir / "work" / "jobs" / "mock-gli-2" / "seg.nii.gz").is_file()
+    for path in bundle.bundle_dir.rglob("*"):
+        assert not path.is_symlink()
+
+
 def test_candidates_on_opposite_sides_of_the_grid_tolerance_fuse(tmp_path, gli_subject, override_catalog):
     def skewed(algo_id, scale):
         def write(spec):
@@ -381,6 +412,50 @@ def test_output_collision_and_force(tmp_path, gli_subject, override_catalog):
     )
     assert replaced.bundle_dir == first.bundle_dir
     assert replaced.consensus_path.is_file()
+
+
+def fail_swap(monkeypatch, before=None, error=errno.EIO):
+    """Make the rename of a staged bundle onto its target fail.
+
+    ``before(target)`` runs first, as another run would in the meantime.
+    """
+    real_replace = Path.replace
+
+    def replace(self, target):
+        if self.name == "bundle" and self.parent.name.startswith(".staging-"):
+            if before is not None:
+                before(Path(target))
+                return real_replace(self, target)
+            raise OSError(error, "injected failure", str(target))
+        return real_replace(self, target)
+
+    monkeypatch.setattr(Path, "replace", replace)
+
+
+def test_forced_publish_that_fails_keeps_the_old_bundle(tmp_path, gli_subject, override_catalog, monkeypatch):
+    inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
+    first = run_inference(inputs, gli_config(tmp_path, engine_with(), override_catalog))
+    before = {p: p.read_bytes() for p in first.bundle_dir.rglob("*") if p.is_file()}
+
+    fail_swap(monkeypatch)
+    with pytest.raises(OSError, match="injected failure"):
+        run_inference(inputs, gli_config(tmp_path, engine_with(), override_catalog, force=True))
+    assert {p: p.read_bytes() for p in first.bundle_dir.rglob("*") if p.is_file()} == before
+    assert not list((tmp_path / "bundles").glob(".staging-*"))
+
+
+def test_bundle_published_concurrently_is_an_output_collision(tmp_path, gli_subject, override_catalog, monkeypatch):
+    def other_run_publishes(target):
+        target.mkdir(parents=True)
+        (target / "manifest.json").write_text("{}\n")
+
+    fail_swap(monkeypatch, before=other_run_publishes)
+    inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
+    with pytest.raises(OutputCollision, match="another run"):
+        run_inference(inputs, gli_config(tmp_path, engine_with(), override_catalog))
+    target = tmp_path / "bundles" / "sub-01" / "gli-pre"
+    assert [p.name for p in target.iterdir()] == ["manifest.json"]
+    assert not list((tmp_path / "bundles").glob(".staging-*"))
 
 
 # -- native-space output -----------------------------------------------------------
