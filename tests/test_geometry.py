@@ -276,15 +276,16 @@ def full_map_image(image, world_map, target):
     return sampled.reshape(target.shape)
 
 
-def random_affine(rng, spacing_range):
-    """A rotation about all three axes, anisotropic scaling and a shift."""
+def random_affine(rng, spacing_range, shape=(1, 1, 1)):
+    """A rotation about all three axes and anisotropic scaling that puts the
+    centre of a grid of ``shape`` within 1 mm of the world origin."""
     a, b, c = rng.uniform(-np.pi, np.pi, size=3)
     rx = np.array([[1, 0, 0], [0, np.cos(a), -np.sin(a)], [0, np.sin(a), np.cos(a)]])
     ry = np.array([[np.cos(b), 0, np.sin(b)], [0, 1, 0], [-np.sin(b), 0, np.cos(b)]])
     rz = np.array([[np.cos(c), -np.sin(c), 0], [np.sin(c), np.cos(c), 0], [0, 0, 1]])
     affine = np.eye(4)
     affine[:3, :3] = rx @ ry @ rz @ np.diag(rng.uniform(*spacing_range, size=3))
-    affine[:3, 3] = rng.uniform(-3.0, 3.0, size=3)
+    affine[:3, 3] = rng.uniform(-1.0, 1.0, size=3) - affine[:3, :3] @ ((np.asarray(shape) - 1) / 2.0)
     return affine
 
 
@@ -312,9 +313,9 @@ def test_plane_wise_resampling_equals_the_full_grid_map(seed, source_shape, targ
         values = rng.integers(0, 6, size=source_shape)
     data = np.asarray(values.astype(dtype), order=order)
     assert data.dtype == dtype
-    source = Volume(data=data, affine=random_affine(rng, (0.5, 3.0)))
+    source = Volume(data=data, affine=random_affine(rng, (0.5, 3.0), source_shape))
     world_map = identity_transform(matrix=random_affine(rng, (0.8, 1.25)))
-    target = GridSpec(shape=target_shape, affine=random_affine(rng, (0.5, 3.0)))
+    target = GridSpec(shape=target_shape, affine=random_affine(rng, (0.5, 3.0), target_shape))
 
     image = resample_image(source, world_map, target)
     assert image.data.dtype == np.float64
