@@ -16,23 +16,30 @@ Every label is fused independently; voxels claimed by several labels resolve
 by fixed priority (ET > NETC > RC > SNFH / ED > CC, see the registry). Labels
 outside the named set rank below all named ones, lowest code first.
 
-Both methods run inside the candidates' foreground box
-(:func:`metrics.foreground_box`: the union bounding box of their nonzero
-voxels, padded by 1 voxel) and paste the consensus into a zero grid. This is
-exact: outside the box every candidate is background, so no label gets a
-vote there, and the Dice scores and convergence counts of SIMPLE only count
-voxels inside it. Label code 0 is background, so ``CandidateSet`` rejects a
-label with code 0 (``ValueError``); such a label would be voted outside the box.
+Each candidate mask is vetted once (:func:`vet_candidate`), and the vet
+reads codes only inside the mask's own foreground box
+(:func:`metrics.foreground_box`: the bounding box of its nonzero voxels,
+padded by 1 voxel). This is exact: every voxel outside the box is 0, which is
+always allowed. ``CandidateSet`` keeps each mask's box, and the union of the
+kept boxes is the candidates' foreground box, so nothing scans the masks
+again. Both methods run inside that box and paste the consensus into a zero
+grid. This is exact too: outside the box every candidate is background, so
+no label gets a vote there, and the Dice scores and convergence counts of
+SIMPLE only count voxels inside it. The consensus is background outside the
+box as well, so the pipeline scores each candidate against it inside the
+box. Label code 0 is background, so ``CandidateSet`` rejects a label with
+code 0 (``ValueError``); such a label would be voted outside the box.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import EmptyCandidateSet, GridMismatch, UnknownLabel
-from .metrics import check_label_codes, dice, foreground_box
+from .metrics import box_union, check_label_codes, dice, foreground_box
 from .nifti import Volume
 from .registry import LABEL_PRIORITY, Label
 
@@ -58,8 +65,17 @@ class SimpleParams:
     convergence_epsilon: float = 1e-4
 
     def __post_init__(self):
+        # A float or a bool would reach range() or the JSON record only after
+        # every container has run.
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, int):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        # NaN fails every comparison, so it would pass the range checks below
+        # and be written to fusion.json as a bare NaN token, which is not JSON.
+        for name in ("drop_factor", "convergence_epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.drop_factor < 0:
             raise ValueError(f"drop_factor must be >= 0, got {self.drop_factor}")
         if self.convergence_epsilon < 0:
@@ -83,7 +99,7 @@ def infer_label_set(masks) -> tuple[Label, ...]:
     codes: set[int] = set()
     for mask in masks:
         data = mask.data if isinstance(mask, Volume) else np.asarray(mask)
-        codes |= {int(v) for v in np.unique(data)}
+        codes |= {int(v) for v in np.unique(data[foreground_box([data])])}
     codes.discard(0)
     return tuple(Label(code, f"L{code}") for code in sorted(codes))
 
@@ -113,33 +129,45 @@ def grid_mismatch(vol: Volume, shape, affine, grid: str) -> str | None:
     return None
 
 
-def check_candidate_codes(data: np.ndarray, labels, name: str) -> None:
-    """The rule every candidate mask obeys: an integer dtype holding only
-    background and the codes of ``labels``.
+def vet_candidate(data: np.ndarray, labels, name: str) -> tuple[slice, ...]:
+    """Check the rule every candidate mask obeys and return the mask's
+    foreground box (:func:`metrics.foreground_box`).
 
-    Raises ``ValueError`` for a non-integer dtype and :class:`UnknownLabel`
-    for stray codes; ``name`` opens the message.
+    The rule: an integer dtype holding only background and the codes of
+    ``labels``. Raises ``ValueError`` for a non-integer dtype and
+    :class:`UnknownLabel` for stray codes; ``name`` opens the message. Only
+    the box is searched for codes: outside it every voxel is 0.
     """
     if not np.issubdtype(data.dtype, np.integer):
         raise ValueError(f"{name} has non-integer dtype {data.dtype}")
+    box = foreground_box([data])
     allowed = {lb.code for lb in labels} | {0}
-    stray = {int(v) for v in np.unique(data)} - allowed
+    stray = {int(v) for v in np.unique(data[box])} - allowed
     if stray:
         raise UnknownLabel(
             f"{name} holds label codes {sorted(stray)} outside the task's set "
             f"{sorted(allowed - {0})}"
         )
+    return box
 
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Candidate masks on one shared grid with a declared label set."""
+    """Candidate masks on one shared grid with a declared label set.
+
+    Each mask is vetted (:func:`vet_candidate`) and its foreground box kept
+    in ``boxes``. A caller that has vetted every mask against ``labels``
+    already passes the boxes as ``_vetted_boxes``, and no mask is scanned
+    again; the grid and id checks run either way.
+    """
 
     masks: tuple[Volume, ...]
     source_ids: tuple[str, ...]
     labels: tuple[Label, ...]
+    boxes: tuple[tuple[slice, ...], ...] = field(init=False, repr=False, compare=False)
+    _vetted_boxes: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _vetted_boxes):
         masks = tuple(self.masks)
         source_ids = tuple(str(s) for s in self.source_ids)
         labels = check_label_codes(self.labels)
@@ -151,15 +179,20 @@ class CandidateSet:
             )
         if len(set(source_ids)) != len(source_ids):
             raise ValueError(f"duplicate source ids in {source_ids}")
+        if _vetted_boxes is not None and len(_vetted_boxes) != len(masks):
+            raise ValueError(f"{len(masks)} masks but {len(_vetted_boxes)} vetted boxes")
         ref = masks[0]
+        boxes = []
         for sid, mask in zip(source_ids, masks):
             problem = grid_mismatch(mask, ref.shape, ref.affine, "the set's grid")
             if problem is not None:
                 raise GridMismatch(f"candidate {sid!r} {problem}")
-            check_candidate_codes(mask.data, labels, f"candidate {sid!r}")
+            if _vetted_boxes is None:
+                boxes.append(vet_candidate(mask.data, labels, f"candidate {sid!r}"))
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "source_ids", source_ids)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "boxes", tuple(boxes if _vetted_boxes is None else _vetted_boxes))
 
     @classmethod
     def from_volumes(cls, masks, source_ids=None, labels=None) -> "CandidateSet":
@@ -173,6 +206,13 @@ class CandidateSet:
     @property
     def grid_affine(self) -> np.ndarray:
         return self.masks[0].affine
+
+    @property
+    def box(self) -> tuple[slice, ...]:
+        """The candidates' foreground box: the union of ``boxes``, which is
+        ``foreground_box`` of all the masks. Every candidate, and so every
+        consensus, is background outside it."""
+        return box_union(self.boxes)
 
 
 @dataclass(frozen=True)
@@ -219,9 +259,8 @@ def _boxed_stack(candidates: CandidateSet) -> tuple[np.ndarray, tuple[slice, ...
 
     All-empty candidates give a zero-size box.
     """
-    data = [m.data for m in candidates.masks]
-    box = foreground_box(data)
-    return np.stack([d[box] for d in data]), box
+    box = candidates.box
+    return np.stack([m.data[box] for m in candidates.masks]), box
 
 
 def _overlay(per_label_masks: dict[int, np.ndarray], candidates: CandidateSet, box) -> np.ndarray:

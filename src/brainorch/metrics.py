@@ -25,7 +25,12 @@ here once and shared by every caller:
   voxels cut away are background in every mask, so they add nothing to
   Dice or to lesion-wise counts. That last step needs every scored label to
   have a nonzero code, so a label with code 0 (background) raises
-  ``ValueError`` (``check_label_codes``).
+  ``ValueError`` (``check_label_codes``). The box of several masks is the
+  union (``box_union``) of their single-mask boxes, so a caller that kept
+  each mask's box, as fusion does from vetting, gets it without a scan.
+- Lesion-wise Dice reads lesion sizes, overlapping prediction components,
+  union sizes and intersections from one sparse contingency table of the two
+  component maps, and keeps the integer arithmetic of ``dice``.
 """
 
 from __future__ import annotations
@@ -83,6 +88,35 @@ def surface_voxels(mask: np.ndarray) -> np.ndarray:
     return mask & ~interior
 
 
+def _padded_box(mask) -> tuple[slice, ...]:
+    """One mask's nonzero bounding box widened by 1 voxel and clipped to the
+    grid; size 0 when the mask is empty."""
+    nonzero = np.asarray(mask) != 0
+    if not nonzero.any():
+        return (slice(0, 0),) * nonzero.ndim
+    axes = range(nonzero.ndim)
+    box = []
+    for axis in axes:
+        hits = np.flatnonzero(nonzero.any(axis=tuple(a for a in axes if a != axis)))
+        box.append(slice(max(int(hits[0]) - 1, 0), min(int(hits[-1]) + 2, nonzero.shape[axis])))
+    return tuple(box)
+
+
+def box_union(boxes) -> tuple[slice, ...]:
+    """The smallest box holding every box of nonzero size in ``boxes``.
+
+    There is at least one box, and all have one rank. When every box has
+    size 0 the union has size 0. The union of the boxes ``foreground_box``
+    finds for single masks is the box it finds for all of them: padding and
+    clipping commute with taking the union, and empty masks add nothing.
+    """
+    boxes = list(boxes)
+    full = [box for box in boxes if all(s.stop > s.start for s in box)]
+    if not full:
+        return (slice(0, 0),) * len(boxes[0])
+    return tuple(slice(min(s.start for s in axis), max(s.stop for s in axis)) for axis in zip(*full))
+
+
 def foreground_box(masks) -> tuple[slice, ...]:
     """Slices of the union bounding box of the masks' nonzero voxels,
     widened by 1 voxel on each side and clipped to the grid.
@@ -90,20 +124,7 @@ def foreground_box(masks) -> tuple[slice, ...]:
     There is at least one mask, and all share one shape. When every mask is
     empty the box has size 0.
     """
-    masks = [np.asarray(m) for m in masks]
-    lo = hi = None
-    for mask in masks:
-        nonzero = mask != 0
-        if not nonzero.any():
-            continue
-        axes = range(nonzero.ndim)
-        hits = [np.flatnonzero(nonzero.any(axis=tuple(a for a in axes if a != axis))) for axis in axes]
-        first, last = [int(h[0]) for h in hits], [int(h[-1]) for h in hits]
-        lo = first if lo is None else [min(a, b) for a, b in zip(lo, first)]
-        hi = last if hi is None else [max(a, b) for a, b in zip(hi, last)]
-    if lo is None:
-        return (slice(0, 0),) * masks[0].ndim
-    return tuple(slice(max(a - 1, 0), min(b + 2, n)) for a, b, n in zip(lo, hi, masks[0].shape))
+    return box_union(_padded_box(mask) for mask in masks)
 
 
 def check_label_codes(labels) -> tuple:
@@ -290,22 +311,35 @@ def lesionwise_dice(
     _check_same_grid(reference, prediction)
     ref_cc = connected_components(reference, connectivity)
     pred_cc = connected_components(prediction, connectivity)
+    ref_ids, pred_ids = ref_cc.component_map, pred_cc.component_map
+
+    # A sparse contingency table of lesions against prediction components.
+    # A lesion's intersection with the union of the components overlapping
+    # it is its voxels under any prediction, and that union's size is the sum
+    # of their sizes. The dense (lesions x components) table would grow with
+    # the product of the two counts, which a speckled mask makes huge.
+    lesion_sizes = np.bincount(ref_ids.ravel(), minlength=ref_cc.count + 1)
+    pred_sizes = np.bincount(pred_ids.ravel(), minlength=pred_cc.count + 1)
+    both = (ref_ids != 0) & (pred_ids != 0)
+    ref_hit, pred_hit = ref_ids[both], pred_ids[both]
+    intersections = np.bincount(ref_hit, minlength=ref_cc.count + 1)
+    pairs = np.unique(ref_hit.astype(np.int64) * (pred_cc.count + 1) + pred_hit)
+    pair_lesion, pair_pred = np.divmod(pairs, pred_cc.count + 1)
+    # Pairs sort by lesion; lesion i owns pairs starts[i]:starts[i + 1].
+    starts = np.searchsorted(pair_lesion, np.arange(ref_cc.count + 2))
 
     entries: list[LesionMatch] = []
     matched_pred_ids: set[int] = set()
     for lesion_id in range(1, ref_cc.count + 1):
-        lesion = ref_cc.component_mask(lesion_id)
-        size = int(lesion.sum())
+        size = int(lesion_sizes[lesion_id])
         if size < min_lesion_voxels:
             continue
-        overlapping = set(np.unique(pred_cc.component_map[lesion])) - {0}
-        overlapping_ids = {int(v) for v in overlapping}
-        matched_pred_ids |= overlapping_ids
-        if overlapping_ids:
-            union = np.isin(pred_cc.component_map, sorted(overlapping_ids))
-            entries.append(
-                LesionMatch(lesion_id=lesion_id, size_voxels=size, dsc=dice(lesion, union), matched=True)
-            )
+        overlapping = pair_pred[starts[lesion_id] : starts[lesion_id + 1]]
+        matched_pred_ids.update(overlapping.tolist())
+        if overlapping.size:
+            union = int(pred_sizes[overlapping].sum())
+            dsc = 2.0 * int(intersections[lesion_id]) / (size + union)
+            entries.append(LesionMatch(lesion_id=lesion_id, size_voxels=size, dsc=dsc, matched=True))
         else:
             entries.append(LesionMatch(lesion_id=lesion_id, size_voxels=size, dsc=0.0, matched=False))
 

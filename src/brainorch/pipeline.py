@@ -63,10 +63,10 @@ from .fusion import (
     METHOD_MAJORITY,
     CandidateSet,
     SimpleParams,
-    check_candidate_codes,
     check_fusion_method,
     fuse,
     grid_mismatch,
+    vet_candidate,
 )
 from .geometry import (
     AffineTransform,
@@ -431,10 +431,11 @@ def _collect(run: _Run, outcomes, stem: str, noun: str, vet=None):
     """Read and vet each job's output; failures degrade to warnings.
 
     ``vet(volume)`` raises ``ValueError`` or :class:`UnknownLabel` to reject
-    an output. Raises when no output is accepted.
+    an output; what it returns is kept with the accepted output (None
+    without ``vet``). Raises when no output is accepted.
     """
     job_rows: list[dict] = []
-    accepted: list[tuple[AlgorithmEntry, Volume, Path]] = []
+    accepted: list[tuple[AlgorithmEntry, Volume, Path, object]] = []
     for entry, outcome, out_dir in outcomes:
         row = {"id": entry.id, "image_reference": entry.image_reference}
         job_rows.append(row)
@@ -467,16 +468,17 @@ def _collect(run: _Run, outcomes, stem: str, noun: str, vet=None):
             run.warnings.append(f"{entry.id}: unreadable {noun} {path.name}: {exc}")
             continue
         problem = grid_mismatch(vol, run.grid.shape, run.grid.affine, "the input grid")
+        vetted = None
         if problem is None and vet is not None:
             try:
-                vet(vol)
+                vetted = vet(vol)
             except (ValueError, UnknownLabel) as exc:
                 problem = str(exc)
         if problem is not None:
             run.warnings.append(f"{entry.id}: rejected candidate: {problem}")
             continue
         row["candidate"] = True
-        accepted.append((entry, vol, path))
+        accepted.append((entry, vol, path, vetted))
     if not accepted:
         exceptions = [o for _, o, _ in outcomes if isinstance(o, Exception)]
         if exceptions and len(exceptions) == len(outcomes) and all(
@@ -611,24 +613,33 @@ def _task_of_kind(config: PipelineConfig, kind: str) -> TaskSpec:
 
 
 def _produce_segmentation(run: _Run, outcomes) -> _Product:
-    """Keep each accepted mask, fuse them, and score each against the consensus."""
+    """Keep each accepted mask, fuse them, and score each against the consensus.
+
+    Each mask is vetted once, in :func:`_collect`, which finds its
+    foreground box; fusion and scoring work inside the union of those boxes.
+    """
     task, bundle = run.task, run.bundle
     job_rows, collected = _collect(
-        run, outcomes, "seg", "mask", vet=lambda vol: check_candidate_codes(vol.data, task.labels, "mask")
+        run, outcomes, "seg", "mask", vet=lambda vol: vet_candidate(vol.data, task.labels, "mask")
     )
     candidates_dir = bundle / "candidates"
     candidates_dir.mkdir(parents=True, exist_ok=True)
     per_algorithm: dict[str, str] = {}
-    for entry, _, mask_path in collected:
+    for entry, _, mask_path, _ in collected:
         dest = candidates_dir / f"{entry.id}{_nifti_suffix(mask_path)}"
         shutil.copyfile(mask_path, dest, follow_symlinks=False)
         per_algorithm[entry.id] = dest.relative_to(bundle).as_posix()
-    ids = [entry.id for entry, _, _ in collected]
+    ids = [entry.id for entry, _, _, _ in collected]
     # Each accepted mask matched the input grid within tolerance, so the set
     # takes that grid exactly: two masks on opposite sides of it still agree.
-    volumes = [Volume(data=vol.data, affine=run.grid.affine) for _, vol, _ in collected]
+    volumes = [Volume(data=vol.data, affine=run.grid.affine) for _, vol, _, _ in collected]
 
-    candidate_set = CandidateSet(masks=tuple(volumes), source_ids=tuple(ids), labels=task.labels)
+    candidate_set = CandidateSet(
+        masks=tuple(volumes),
+        source_ids=tuple(ids),
+        labels=task.labels,
+        _vetted_boxes=tuple(box for _, _, _, box in collected),
+    )
     result = fuse(candidate_set, run.config.fusion_method, run.config.fusion_params)
     write_mask(result.consensus, bundle / CONSENSUS_NAME)
 
@@ -639,9 +650,12 @@ def _produce_segmentation(run: _Run, outcomes) -> _Product:
 
     metrics_rel = None
     if len(volumes) > 1:
+        # Outside the candidates' box every candidate and the consensus are
+        # background (see the fusion module), so scoring inside it is exact.
+        box = candidate_set.box
         scores = {
             algo_id: compute_metric_report(
-                result.consensus.data, vol.data, task.labels, result.consensus.spacing
+                result.consensus.data[box], vol.data[box], task.labels, result.consensus.spacing
             ).to_json_dict()
             for algo_id, vol in zip(ids, volumes)
         }
@@ -680,7 +694,7 @@ def run_inference(inputs: SubjectInputs, config: PipelineConfig) -> OutputBundle
 
 def _produce_synthesis(run: _Run, outcomes) -> _Product:
     """Keep the one synthesized image."""
-    job_rows, [(entry, image, produced)] = _collect(run, outcomes, SYNTHESIS_STEM, "volume")
+    job_rows, [(entry, image, produced, _)] = _collect(run, outcomes, SYNTHESIS_STEM, "volume")
     out_name = f"{SYNTHESIS_STEM}{_nifti_suffix(produced)}"
     shutil.copyfile(produced, run.bundle / out_name, follow_symlinks=False)
     if run.task.task_id == TaskId.INPAINT:

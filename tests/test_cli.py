@@ -381,6 +381,21 @@ def test_fuse_files_from_disk(capsys, tmp_path):
     assert (out_dir / "fusion.json").is_file()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_fuse_non_finite_simple_params_exit_2(capsys, tmp_path, value):
+    paths = []
+    for algo_id in ALGO_IDS:
+        path = tmp_path / f"{algo_id}.nii.gz"
+        write_mask(Volume(data=expected_candidate_masks()[algo_id], affine=e2e_affine()), path)
+        paths.append(str(path))
+    out_dir = tmp_path / "fused"
+    argv = ["fuse", *paths, "-o", str(out_dir), "--fusion", "simple", "--drop-factor", value, "--epsilon", value]
+    code, _, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert "must be finite" in err
+    assert not out_dir.exists()
+
+
 def test_fuse_disambiguates_identical_basenames(capsys, tmp_path):
     mask = np.zeros((4, 4, 4), dtype=np.uint8)
     mask[1:3, 1:3, 1:3] = 1

@@ -1,12 +1,16 @@
-"""The foreground box that metrics and fusion crop to.
+"""The foreground box that vetting, metrics and fusion crop to.
 
 Cropping must not change a single output byte. Embedding the masks into a
 larger all-background grid moves every voxel outside the original box, so
 the reports, distances and consensus of the embedded masks must equal those
-of the originals exactly.
+of the originals exactly. A candidate is vetted inside its own box, which
+must accept and reject exactly what a scan of the whole grid does.
 """
 
 from __future__ import annotations
+
+import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,10 +18,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from brainorch.fusion import CandidateSet, fuse
+import brainorch.fusion
+import brainorch.pipeline
+from brainorch.errors import GridMismatch, UnknownLabel
+from brainorch.fusion import CandidateSet, fuse, vet_candidate
 from brainorch.metrics import compute_metric_report, foreground_box, hausdorff, nsd
 from brainorch.nifti import Volume
-from brainorch.registry import LABEL_ET, LABEL_NETC, LABEL_SNFH, Label
+from brainorch.pipeline import PipelineConfig, discover_subject_inputs, run_inference
+from brainorch.registry import LABEL_ET, LABEL_NETC, LABEL_SNFH, Label, TaskId, load_catalog
+from brainorch.runtime import MockBehavior, MockEngine
+
+from fixtures_e2e import E2E_SHAPE, behaviors_payload, catalog_override_payload, fake_digest
 
 GLI_LABELS = (LABEL_ET, LABEL_NETC, LABEL_SNFH)
 
@@ -115,3 +126,148 @@ def test_embedding_in_a_larger_grid_changes_no_output(case):
         assert big.consensus.data[inner].tobytes() == small.consensus.data.tobytes()
         assert np.count_nonzero(big.consensus.data) == np.count_nonzero(small.consensus.data)
         assert big.to_json_dict() == small.to_json_dict()
+
+
+# -- vetting a candidate inside its own box -------------------------------------
+
+
+def _full_grid_vet(data, labels, name):
+    """The vet as it ran before boxes: one ``np.unique`` over every voxel."""
+    if not np.issubdtype(data.dtype, np.integer):
+        raise ValueError(f"{name} has non-integer dtype {data.dtype}")
+    allowed = {lb.code for lb in labels} | {0}
+    stray = {int(v) for v in np.unique(data)} - allowed
+    if stray:
+        raise UnknownLabel(
+            f"{name} holds label codes {sorted(stray)} outside the task's set "
+            f"{sorted(allowed - {0})}"
+        )
+
+
+def _outcome(vet, data):
+    try:
+        return "accepted", vet(data, GLI_LABELS, "mask")
+    except (ValueError, UnknownLabel) as exc:
+        return type(exc), str(exc)
+
+
+_VET_DTYPES = (np.uint8, np.int16, np.dtype(">i2"), np.int32, np.uint16)
+
+
+@st.composite
+def vet_cases(draw):
+    """Small masks of integer dtypes, mostly background and task codes, with
+    an occasional stray code (negative ones only where the dtype is signed)."""
+    dtype = np.dtype(draw(st.sampled_from(_VET_DTYPES)))
+    shape = draw(st.tuples(*[st.integers(1, 6)] * 3))
+    stray = [5, 9, 200] + ([-1, -300] if dtype.kind == "i" else [])
+    codes = st.sampled_from([0] * 6 + [LABEL_NETC.code, LABEL_SNFH.code, LABEL_ET.code] + stray)
+    return draw(arrays(dtype, shape, elements=codes))
+
+
+def _vet_case(dtype, shape, *filled):
+    data = np.zeros(shape, dtype=dtype)
+    for index, code in filled:
+        data[index] = code
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=vet_cases())
+@example(data=_vet_case(np.uint8, (5, 6, 7)))  # all background
+@example(data=_vet_case(np.uint8, (5, 6, 7), ((1, 2, 3), 2), ((4, 5, 6), 7)))  # stray code at a grid corner
+@example(data=_vet_case(np.uint8, (5, 6, 7), ((0, 0, 0), 9), ((2, 2, 2), 1)))  # stray code at the origin
+@example(data=_vet_case(np.int16, (4, 4, 4), ((1, 1, 1), 3), ((3, 0, 3), -2)))  # negative code
+@example(data=_vet_case(np.dtype(">i2"), (4, 3, 2), ((1, 1, 1), 2), ((0, 2, 1), 300)))  # big-endian
+@example(data=_vet_case(np.dtype(">i2"), (4, 3, 2), ((1, 1, 1), 2)))
+@example(data=_vet_case(np.float32, (3, 3, 3), ((1, 1, 1), 1)))  # non-integer dtype
+@example(data=_vet_case(np.float64, (3, 3, 3)))
+def test_boxed_vet_accepts_and_rejects_what_a_full_grid_scan_does(data):
+    want = _outcome(_full_grid_vet, data)
+    got = _outcome(vet_candidate, data)
+    if want[0] == "accepted":
+        assert got == ("accepted", foreground_box([data]))
+    else:
+        assert got == want
+
+
+def test_vetted_boxes_skip_only_the_code_scan():
+    mask = np.zeros((4, 4, 4), dtype=np.uint8)
+    mask[1, 2, 3] = LABEL_ET.code
+    box = vet_candidate(mask, GLI_LABELS, "mask")
+    public = CandidateSet(masks=(Volume(data=mask, affine=np.eye(4)),) * 2, source_ids=("a", "b"), labels=GLI_LABELS)
+    trusted = CandidateSet(
+        masks=(Volume(data=mask, affine=np.eye(4)),) * 2, source_ids=("a", "b"), labels=GLI_LABELS,
+        _vetted_boxes=(box, box),
+    )
+    assert public.boxes == trusted.boxes == (box, box)
+    off_grid = Volume(data=np.zeros((4, 4, 5), dtype=np.uint8), affine=np.eye(4))
+    with pytest.raises(GridMismatch):
+        CandidateSet(masks=(Volume(data=mask, affine=np.eye(4)), off_grid), source_ids=("a", "b"),
+                     labels=GLI_LABELS, _vetted_boxes=(box, box))
+    with pytest.raises(ValueError, match="duplicate source ids"):
+        CandidateSet(masks=(Volume(data=mask, affine=np.eye(4)),) * 2, source_ids=("a", "a"),
+                     labels=GLI_LABELS, _vetted_boxes=(box, box))
+    with pytest.raises(ValueError, match="2 masks but 1 vetted boxes"):
+        CandidateSet(masks=(Volume(data=mask, affine=np.eye(4)),) * 2, source_ids=("a", "b"),
+                     labels=GLI_LABELS, _vetted_boxes=(box,))
+
+
+def _five_candidate_run(tmp_path):
+    """A gli-pre run over the three stock mock algorithms plus a fourth and a
+    fifth whose mask holds a stray code, so the vet rejects it."""
+    catalog = catalog_override_payload()
+    behaviors = behaviors_payload()["images"]
+    extra = {
+        "mock-gli-4": [(3, (15, 16, 10), 4), (1, (10, 11, 8), 3), (2, (22, 20, 11), 3)],
+        "mock-gli-5": [(3, (16, 16, 10), 4), (9, (10, 10, 8), 2)],
+    }
+    for rank, (algo_id, blobs) in enumerate(extra.items(), start=4):
+        catalog["algorithms"].append(
+            dict(catalog["algorithms"][0], id=algo_id, rank=rank, team_reference=f"{algo_id} stub",
+                 image_reference=f"example/{algo_id}@sha256:{fake_digest(algo_id)}")
+        )
+        behaviors[f"example/{algo_id}"] = dict(
+            behaviors["example/mock-gli-1"],
+            content_digest="sha256:" + fake_digest(algo_id),
+            outputs=[dict(behaviors["example/mock-gli-1"]["outputs"][0],
+                          blobs=[{"label": c, "center": list(x), "radius": r} for c, x, r in blobs])],
+        )
+    engine = MockEngine(max_concurrent_jobs=2)
+    for image, raw in behaviors.items():
+        engine.register(image, MockBehavior(content_digest=raw["content_digest"], outputs=tuple(raw["outputs"])))
+    catalog_path = tmp_path / "catalog5.json"
+    catalog_path.write_text(json.dumps(catalog))
+    return engine, load_catalog(catalog_path), tuple(a["id"] for a in catalog["algorithms"])
+
+
+def test_each_candidate_is_vetted_once_and_never_over_the_full_grid(tmp_path, gli_subject, monkeypatch):
+    engine, catalog, algo_ids = _five_candidate_run(tmp_path)
+    vetted = Counter()
+    held = []  # keeps every vetted array alive, so no two share an id()
+
+    def counting_vet(data, labels, name):
+        held.append(data)
+        vetted[id(data)] += 1
+        return vet_candidate(data, labels, name)
+
+    unique_sizes = []
+    real_unique = np.unique
+
+    def recording_unique(ar, *args, **kwargs):
+        unique_sizes.append(np.asarray(ar).size)
+        return real_unique(ar, *args, **kwargs)
+
+    monkeypatch.setattr(brainorch.pipeline, "vet_candidate", counting_vet)
+    monkeypatch.setattr(brainorch.fusion, "vet_candidate", counting_vet)
+    monkeypatch.setattr(np, "unique", recording_unique)
+    bundle = run_inference(
+        discover_subject_inputs(gli_subject, TaskId.GLI_PRE),
+        PipelineConfig(task=TaskId.GLI_PRE, engine=engine, output_dir=tmp_path / "out",
+                       algorithm_selectors=algo_ids, fusion_method="simple", catalog=catalog),
+    )
+    assert len(algo_ids) == 5
+    assert set(bundle.per_algorithm_paths) == set(algo_ids) - {"mock-gli-5"}
+    assert any("mock-gli-5: rejected candidate: mask holds label codes [9]" in w for w in bundle.manifest["warnings"])
+    assert sorted(vetted.values()) == [1] * 5  # every mask reached the vet, and once
+    assert unique_sizes and max(unique_sizes) < np.prod(E2E_SHAPE)

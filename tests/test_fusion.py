@@ -320,6 +320,28 @@ def test_simple_params_validation():
         SimpleParams(convergence_epsilon=-1e-9)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"drop_factor": float("nan")},
+        {"drop_factor": float("inf")},
+        {"convergence_epsilon": float("nan")},
+        {"convergence_epsilon": float("inf")},
+        {"convergence_epsilon": float("-inf")},
+        {"max_iterations": 2.5},
+        {"max_iterations": 3.0},
+        {"max_iterations": True},
+        {"max_iterations": "3"},
+    ],
+    ids=repr,
+)
+def test_simple_params_reject_non_finite_and_non_integer_values(kwargs):
+    # NaN passes every range check and reaches fusion.json as a bare NaN
+    # token; a float cap fails in range() only after the containers ran.
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        SimpleParams(**kwargs)
+
+
 def test_simple_params_defaults():
     params = SimpleParams()
     assert params.max_iterations == 25

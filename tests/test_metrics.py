@@ -4,6 +4,7 @@ against the pairwise/BFS oracles on random small grids."""
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,18 +310,44 @@ def test_lesionwise_empty_reference():
     assert report.false_positive_components == 1
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_lesionwise_matches_oracle(seed):
+def _assert_lesionwise_equals_oracle(seed, connectivity, min_lesion_voxels=0):
     ref = random_mask(seed, density=0.2)
     pred = random_mask(seed + 500, density=0.2)
-    report = lesionwise_dice(ref, pred, connectivity=26)
-    rows, fps = oracles.brute_lesionwise(ref, pred, 26)
-    assert [(e.size_voxels, e.matched) for e in report.entries] == [
-        (size, matched) for size, _, matched in rows
-    ]
-    for entry, (_, dsc, _) in zip(report.entries, rows):
-        assert entry.dsc == pytest.approx(dsc, abs=1e-12)
+    report = lesionwise_dice(ref, pred, connectivity=connectivity, min_lesion_voxels=min_lesion_voxels)
+    rows, fps = oracles.brute_lesionwise(ref, pred, connectivity, min_lesion_voxels)
+    assert [(e.size_voxels, e.dsc, e.matched) for e in report.entries] == rows
     assert report.false_positive_components == fps
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lesionwise_matches_oracle(seed):
+    _assert_lesionwise_equals_oracle(seed, 26)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("connectivity, min_lesion_voxels", [(18, 0), (6, 0), (26, 2), (6, 3)])
+def test_lesionwise_matches_oracle_at_each_connectivity_and_size_filter(seed, connectivity, min_lesion_voxels):
+    _assert_lesionwise_equals_oracle(seed, connectivity, min_lesion_voxels)
+
+
+def test_lesionwise_memory_follows_the_grid_not_the_component_counts():
+    # A 6-connected checkerboard is all one-voxel lesions: 2048 on this
+    # grid, so a dense lesion-by-component table would hold 2049**2 cells.
+    ref = np.indices((16, 16, 16)).sum(axis=0) % 2 == 0
+    pred = ref.copy()
+    pred[0, 0, 0] = False
+    tracemalloc.start()
+    try:
+        report = lesionwise_dice(ref, pred, connectivity=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.entries) == 2048
+    assert [e.dsc for e in report.entries] == [0.0] + [1.0] * 2047
+    assert report.false_positive_components == 0
+    # The dense table alone would take 33.6 MB; the report's own entries
+    # take about 0.4 MB of the bound.
+    assert peak < 512 * ref.size
 
 
 # -- report assembly -----------------------------------------------------------
