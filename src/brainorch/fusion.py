@@ -39,11 +39,10 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import EmptyCandidateSet, GridMismatch, UnknownLabel
+from .geometry import GRID_ATOL_MM
 from .metrics import box_union, check_label_codes, dice, foreground_box
 from .nifti import Volume
 from .registry import LABEL_PRIORITY, Label
-
-GRID_ATOL_MM = 1e-3
 
 METHOD_MAJORITY = "majority"
 METHOD_SIMPLE = "simple"
@@ -129,6 +128,11 @@ def grid_mismatch(vol: Volume, shape, affine, grid: str) -> str | None:
     return None
 
 
+def _check_integer_dtype(data: np.ndarray, name: str) -> None:
+    if not np.issubdtype(data.dtype, np.integer):
+        raise ValueError(f"{name} has non-integer dtype {data.dtype}")
+
+
 def vet_candidate(data: np.ndarray, labels, name: str) -> tuple[slice, ...]:
     """Check the rule every candidate mask obeys and return the mask's
     foreground box (:func:`metrics.foreground_box`).
@@ -138,8 +142,7 @@ def vet_candidate(data: np.ndarray, labels, name: str) -> tuple[slice, ...]:
     :class:`UnknownLabel` for stray codes; ``name`` opens the message. Only
     the box is searched for codes: outside it every voxel is 0.
     """
-    if not np.issubdtype(data.dtype, np.integer):
-        raise ValueError(f"{name} has non-integer dtype {data.dtype}")
+    _check_integer_dtype(data, name)
     box = foreground_box([data])
     allowed = {lb.code for lb in labels} | {0}
     stray = {int(v) for v in np.unique(data[box])} - allowed
@@ -200,6 +203,9 @@ class CandidateSet:
         if source_ids is None:
             source_ids = tuple(f"candidate-{i}" for i in range(len(masks)))
         if labels is None:
+            # Check the dtype before codes are read: int(NaN) raises untyped.
+            for sid, mask in zip(source_ids, masks):
+                _check_integer_dtype(mask.data, f"candidate {str(sid)!r}")
             labels = infer_label_set(masks)
         return cls(masks=masks, source_ids=tuple(source_ids), labels=tuple(labels))
 

@@ -38,12 +38,10 @@ from .errors import (
     SingularTransform,
     SpaceMismatch,
 )
-from .nifti import Volume
+from .nifti import Volume, checked_affine
 
 SPACES = ("native", "SRI24", "MNI152")
 ATLAS_SPACES = ("SRI24", "MNI152")
-
-_DET_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,14 +56,7 @@ class AffineTransform:
         for tag in (self.source_space, self.target_space):
             if tag not in SPACES:
                 raise SpaceMismatch(f"unknown space tag {tag!r}; expected one of {SPACES}")
-        matrix = np.array(self.matrix, dtype=np.float64, copy=True)
-        if matrix.shape != (4, 4):
-            raise MalformedTransform(f"transform matrix must be 4x4, got {matrix.shape}")
-        if not np.allclose(matrix[3], (0.0, 0.0, 0.0, 1.0), atol=1e-9):
-            raise MalformedTransform(f"transform bottom row must be (0,0,0,1), got {matrix[3]}")
-        matrix[3] = (0.0, 0.0, 0.0, 1.0)
-        if abs(np.linalg.det(matrix[:3, :3])) <= _DET_FLOOR:
-            raise SingularTransform("transform linear part is singular")
+        matrix = checked_affine(self.matrix, "transform matrix", MalformedTransform, SingularTransform)
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 
@@ -101,6 +92,11 @@ def compose(outer: AffineTransform, inner: AffineTransform) -> AffineTransform:
     )
 
 
+# Two grids' spacings and affine entries that differ by at most this many mm
+# count as equal.
+GRID_ATOL_MM = 1e-3
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """A sampling grid: integer extents plus a voxel-to-world affine."""
@@ -114,12 +110,7 @@ class GridSpec:
             raise DegenerateGrid(f"grid shape must have 3 extents, got {shape}")
         if any(n < 1 for n in shape):
             raise DegenerateGrid(f"grid extents must be positive, got {shape}")
-        affine = np.array(self.affine, dtype=np.float64, copy=True)
-        if affine.shape != (4, 4) or not np.allclose(affine[3], (0, 0, 0, 1), atol=1e-9):
-            raise DegenerateGrid("grid affine must be 4x4 with bottom row (0,0,0,1)")
-        affine[3] = (0.0, 0.0, 0.0, 1.0)
-        if abs(np.linalg.det(affine[:3, :3])) <= _DET_FLOOR:
-            raise DegenerateGrid("grid affine is singular")
+        affine = checked_affine(self.affine, "grid affine", DegenerateGrid, DegenerateGrid)
         affine.setflags(write=False)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "affine", affine)
@@ -255,16 +246,13 @@ def read_transform(path: str | Path) -> AffineTransform:
     matrix = np.asarray(doc["matrix"], dtype=np.float64)
     if matrix.size != 16:
         raise MalformedTransform(f"{path}: matrix must hold 16 numbers, got {matrix.size}")
-    matrix = matrix.reshape(4, 4)
-    if not np.allclose(matrix[3], (0, 0, 0, 1), atol=1e-9):
-        raise MalformedTransform(f"{path}: bottom row {matrix[3].tolist()} is not affine")
     try:
         return AffineTransform(
-            matrix=matrix,
+            matrix=matrix.reshape(4, 4),
             source_space=str(doc["source_space"]),
             target_space=str(doc["target_space"]),
         )
-    except SpaceMismatch as exc:
+    except (SpaceMismatch, MalformedTransform) as exc:
         raise MalformedTransform(f"{path}: {exc}") from exc
 
 

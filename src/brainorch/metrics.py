@@ -384,18 +384,16 @@ def compute_metric_report(
     prediction: np.ndarray,
     labels,
     spacing,
-    hausdorff_percentile: float = DEFAULT_HAUSDORFF_PERCENTILE,
-    nsd_tolerance_mm: float = DEFAULT_NSD_TOLERANCE_MM,
-    connectivity: int = DEFAULT_CONNECTIVITY,
-    min_lesion_voxels: int = 0,
 ) -> MetricReport:
     """Score a multi-label prediction against a reference mask.
 
     ``labels`` is an iterable of objects with ``code`` and ``name`` (the
     registry's label type); code 0 is background and raises ``ValueError``.
-    Per-label metrics binarize on the code; the lesion-wise report runs on
-    any-foreground masks. Everything runs inside the masks' foreground box;
-    two empty masks crop to a zero-size box.
+    Per-label metrics binarize on the code and report HD95 and NSD at
+    1 mm (the ``DEFAULT_*`` constants); the lesion-wise report runs on
+    any-foreground masks with 26-connectivity and counts every lesion.
+    Everything runs inside the masks' foreground box; two empty masks crop
+    to a zero-size box.
     """
     reference = np.asarray(reference)
     prediction = np.asarray(prediction)
@@ -414,12 +412,10 @@ def compute_metric_report(
         ref_bin = reference == label.code
         pred_bin = prediction == label.code
         hd_mm, surface_dice = _surface_scores(
-            ref_bin, pred_bin, sp, hausdorff_percentile, nsd_tolerance_mm
+            ref_bin, pred_bin, sp, DEFAULT_HAUSDORFF_PERCENTILE, DEFAULT_NSD_TOLERANCE_MM
         )
         per_label[label.name] = LabelMetrics(dsc=dice(ref_bin, pred_bin), hd_mm=hd_mm, nsd=surface_dice)
-    report = lesionwise_dice(
-        reference != 0, prediction != 0, connectivity=connectivity, min_lesion_voxels=min_lesion_voxels
-    )
+    report = lesionwise_dice(reference != 0, prediction != 0)
     return MetricReport(
         per_label=per_label,
         lesionwise=report,

@@ -241,6 +241,24 @@ class NiftiHeader:
         return NiftiHeader(self.raw.copy(), self.byte_order, self.extension_bytes)
 
 
+def checked_affine(matrix, what: str, malformed: type, singular: type) -> np.ndarray:
+    """A float64 copy of ``matrix`` if it is a voxel-to-world affine.
+
+    The rule: 4x4, bottom row (0,0,0,1) within 1e-9 (stored exactly), and
+    an invertible upper-left 3x3. ``what`` opens each message; a wrong
+    shape or bottom row raises ``malformed``, a singular part ``singular``.
+    """
+    affine = np.array(matrix, dtype=np.float64, copy=True)
+    if affine.shape != (4, 4):
+        raise malformed(f"{what} must be 4x4, got {affine.shape}")
+    if not np.allclose(affine[3], (0.0, 0.0, 0.0, 1.0), atol=1e-9):
+        raise malformed(f"{what} bottom row must be (0,0,0,1), got {affine[3].tolist()}")
+    affine[3] = (0.0, 0.0, 0.0, 1.0)
+    if abs(np.linalg.det(affine[:3, :3])) <= 1e-12:
+        raise singular(f"{what} linear part is singular (not invertible)")
+    return affine
+
+
 @dataclass(frozen=True)
 class Volume:
     """A 3-D array bound to a voxel-to-world affine.
@@ -259,14 +277,7 @@ class Volume:
         data = np.asarray(self.data)
         if data.ndim != 3:
             raise ValueError(f"volume data must be 3-D, got shape {data.shape}")
-        affine = np.array(self.affine, dtype=np.float64, copy=True)
-        if affine.shape != (4, 4):
-            raise ValueError(f"affine must be 4x4, got {affine.shape}")
-        if not np.allclose(affine[3], (0.0, 0.0, 0.0, 1.0), atol=1e-9):
-            raise ValueError(f"affine bottom row must be (0,0,0,1), got {affine[3]}")
-        affine[3] = (0.0, 0.0, 0.0, 1.0)
-        if abs(np.linalg.det(affine[:3, :3])) <= 1e-12:
-            raise ValueError("affine upper-left 3x3 is not invertible")
+        affine = checked_affine(self.affine, "affine", ValueError, ValueError)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "affine", affine)
 

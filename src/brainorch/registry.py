@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -370,15 +370,8 @@ def resolve_algorithm(
     return (catalog or _BUILTIN_CATALOG).resolve(task, selector)
 
 
-_OVERRIDE_REQUIRED = ("id", "task_id", "year", "rank", "team_reference", "image_reference")
-_OVERRIDE_OPTIONAL = {
-    "architecture_tags": (),
-    "requires_gpu": True,
-    "shm_bytes": 2 * 1024**3,
-    "timeout_seconds": 1800,
-    "input_mount_path": "/mlcube_io0",
-    "output_mount_path": "/mlcube_io1",
-}
+_OVERRIDE_REQUIRED = tuple(f.name for f in fields(AlgorithmEntry) if f.default is MISSING)
+_OVERRIDE_OPTIONAL = {f.name: f.default for f in fields(AlgorithmEntry) if f.default is not MISSING}
 
 
 def _entry_from_json(doc: dict, where: str) -> AlgorithmEntry:

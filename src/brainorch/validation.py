@@ -6,8 +6,13 @@ error. Warnings (odd grids, suspicious intensities, stray files) leave the
 verdict at ``pass`` so desk-scale experiments are not blocked by data that
 is merely unusual.
 
-Grid agreement tolerances: shapes exact, spacing within 1e-3 mm, affine
-entries within 1e-3.
+Each expected input is read once, in one pass: its grid is kept, its
+content is checked, and its voxels are dropped before the next read, so at
+most one decoded input is held at a time. The grids are then compared and
+handed on in the report, so a run need not decode any input again.
+
+Grid agreement: shapes exact, spacings and affine entries within
+``geometry.GRID_ATOL_MM`` (1e-3 mm).
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BrainorchError
-from .geometry import GridSpec
-from .nifti import Volume, read_volume
+from .geometry import GRID_ATOL_MM, GridSpec
+from .nifti import read_volume
 from .registry import (
     CANONICAL_ATLAS_SHAPE,
     CANONICAL_ATLAS_SPACING,
@@ -30,9 +35,6 @@ from .registry import (
     TaskId,
     TaskSpec,
 )
-
-SPACING_ATOL_MM = 1e-3
-AFFINE_ATOL = 1e-3
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -134,19 +136,20 @@ def _affine_digest(affine: np.ndarray) -> str:
     return hashlib.sha256(rounded.tobytes()).hexdigest()[:16]
 
 
-def _geometry_record(vol: Volume) -> dict:
+def _geometry_record(grid: GridSpec) -> dict:
     return {
-        "shape": list(vol.shape),
-        "spacing_mm": [float(s) for s in np.round(vol.spacing, 6)],
-        "affine_digest": _affine_digest(vol.affine),
+        "shape": list(grid.shape),
+        "spacing_mm": [float(s) for s in np.round(grid.spacing, 6)],
+        "affine_digest": _affine_digest(grid.affine),
     }
 
 
-def check_grid_consistency(volumes: dict[str, Volume]) -> list[Finding]:
-    """Compare every volume against the first; one finding per deviation.
+def check_grid_consistency(volumes: dict) -> list[Finding]:
+    """Compare every grid against the first; one finding per deviation.
 
-    The most specific mismatch wins per volume: shape, then spacing, then
-    the full affine.
+    ``volumes`` maps tags to objects with ``shape``, ``spacing`` and
+    ``affine``: :class:`GridSpec` or :class:`Volume`. The most specific
+    mismatch wins per grid: shape, then spacing, then the full affine.
     """
     findings: list[Finding] = []
     items = list(volumes.items())
@@ -162,7 +165,7 @@ def check_grid_consistency(volumes: dict[str, Volume]) -> list[Finding]:
                     f"{tag} shape {vol.shape} != {ref_tag} shape {ref.shape}",
                 )
             )
-        elif not np.allclose(vol.spacing, ref.spacing, atol=SPACING_ATOL_MM):
+        elif not np.allclose(vol.spacing, ref.spacing, atol=GRID_ATOL_MM):
             findings.append(
                 Finding(
                     SEVERITY_ERROR,
@@ -171,15 +174,38 @@ def check_grid_consistency(volumes: dict[str, Volume]) -> list[Finding]:
                     f"{ref_tag} spacing {np.round(ref.spacing, 4).tolist()}",
                 )
             )
-        elif not np.allclose(vol.affine, ref.affine, atol=AFFINE_ATOL):
+        elif not np.allclose(vol.affine, ref.affine, atol=GRID_ATOL_MM):
             findings.append(
                 Finding(
                     SEVERITY_ERROR,
                     AFFINE_MISMATCH,
-                    f"{tag} affine deviates from {ref_tag} affine by more than {AFFINE_ATOL}",
+                    f"{tag} affine deviates from {ref_tag} affine by more than {GRID_ATOL_MM}",
                 )
             )
     return findings
+
+
+def _content_finding(tag: str, data: np.ndarray) -> Finding | None:
+    """The inpainting mask must be binary; an image should vary and hold
+    no negative intensity."""
+    if tag == INPAINT_MASK:
+        stray = set(np.unique(data).tolist()) - {0, 1}
+        if stray:
+            return Finding(
+                SEVERITY_ERROR,
+                MASK_NOT_BINARY,
+                f"MASK holds values {sorted(stray)} outside {{0, 1}}",
+            )
+        return None
+    lo = float(data.min())
+    hi = float(data.max())
+    if lo == hi:
+        return Finding(SEVERITY_WARNING, INTENSITY_SUSPECT, f"{tag} is constant (value {lo})")
+    if lo < 0:
+        return Finding(
+            SEVERITY_WARNING, INTENSITY_SUSPECT, f"{tag} holds negative intensities (min {lo})"
+        )
+    return None
 
 
 def _required_tags(task: TaskSpec, inputs: SubjectInputs) -> tuple[list[str], list[Finding]]:
@@ -217,8 +243,6 @@ def validate_subject(inputs: SubjectInputs, task: TaskSpec) -> ValidationReport:
     error severity.
     """
     findings: list[Finding] = []
-    geometry: dict[str, dict] = {}
-    grids: dict[str, GridSpec] = {}
 
     if inputs.declared_space is not None and inputs.declared_space != task.spatial_space:
         findings.append(
@@ -250,7 +274,10 @@ def validate_subject(inputs: SubjectInputs, task: TaskSpec) -> ValidationReport:
             Finding(SEVERITY_WARNING, UNEXPECTED_FILE, f"unrecognized file {path.name}")
         )
 
-    volumes: dict[str, Volume] = {}
+    # One pass: each input is read, its grid kept and its content checked,
+    # then its voxels are dropped before the next read.
+    grids: dict[str, GridSpec] = {}
+    content_findings: list[Finding | None] = []
     for tag in expected_tags:
         path = inputs.files[tag]
         try:
@@ -260,48 +287,17 @@ def validate_subject(inputs: SubjectInputs, task: TaskSpec) -> ValidationReport:
                 Finding(SEVERITY_ERROR, UNREADABLE_INPUT, f"{tag} ({path.name}): {exc}")
             )
             continue
-        volumes[tag] = vol
-        geometry[tag] = _geometry_record(vol)
         grids[tag] = GridSpec.from_volume(vol)
+        content_findings.append(_content_finding(tag, vol.data))
+        del vol
 
-    findings.extend(check_grid_consistency(volumes))
+    findings.extend(check_grid_consistency(grids))
+    findings.extend(f for f in content_findings if f is not None)
 
-    for tag, vol in volumes.items():
-        if tag == INPAINT_MASK:
-            stray = set(np.unique(vol.data).tolist()) - {0, 1}
-            if stray:
-                findings.append(
-                    Finding(
-                        SEVERITY_ERROR,
-                        MASK_NOT_BINARY,
-                        f"MASK holds values {sorted(stray)} outside {{0, 1}}",
-                    )
-                )
-            continue
-        data = vol.data
-        lo = float(data.min())
-        hi = float(data.max())
-        if lo == hi:
-            findings.append(
-                Finding(
-                    SEVERITY_WARNING,
-                    INTENSITY_SUSPECT,
-                    f"{tag} is constant (value {lo})",
-                )
-            )
-        elif lo < 0:
-            findings.append(
-                Finding(
-                    SEVERITY_WARNING,
-                    INTENSITY_SUSPECT,
-                    f"{tag} holds negative intensities (min {lo})",
-                )
-            )
-
-    if task.spatial_space in ("SRI24", "MNI152") and volumes:
-        ref = next(iter(volumes.values()))
+    if task.spatial_space in ("SRI24", "MNI152") and grids:
+        ref = next(iter(grids.values()))
         if ref.shape != CANONICAL_ATLAS_SHAPE or not np.allclose(
-            ref.spacing, CANONICAL_ATLAS_SPACING, atol=SPACING_ATOL_MM
+            ref.spacing, CANONICAL_ATLAS_SPACING, atol=GRID_ATOL_MM
         ):
             findings.append(
                 Finding(
@@ -318,6 +314,6 @@ def validate_subject(inputs: SubjectInputs, task: TaskSpec) -> ValidationReport:
         task_id=task.task_id,
         verdict=verdict,
         findings=tuple(findings),
-        per_modality_geometry=geometry,
+        per_modality_geometry={tag: _geometry_record(grid) for tag, grid in grids.items()},
         grids=grids,
     )

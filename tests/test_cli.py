@@ -10,7 +10,7 @@ import pytest
 
 from brainorch.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from brainorch.geometry import AffineTransform, write_transform
-from brainorch.nifti import Volume, read_volume, write_mask
+from brainorch.nifti import Volume, read_volume, write_mask, write_volume
 from brainorch.registry import TaskId
 
 from fixtures_e2e import (
@@ -408,6 +408,20 @@ def test_fuse_disambiguates_identical_basenames(capsys, tmp_path):
     code, out, _ = run(capsys, ["fuse", *paths, "-o", str(tmp_path / "out"), "--json"])
     assert code == EXIT_OK
     assert json.loads(out)["fusion"]["candidates"] == ["seg", "seg-2"]
+
+
+@pytest.mark.parametrize("task", [[], ["--task", "gli-pre"]])
+def test_fuse_float_mask_with_nan_is_non_integer_dtype(capsys, tmp_path, task):
+    good = np.zeros((4, 4, 4), dtype=np.uint8)
+    good[1:3, 1:3, 1:3] = 1
+    bad = good.astype(np.float32)
+    bad[0, 0, 0] = np.nan
+    write_volume(Volume(data=bad, affine=np.eye(4)), tmp_path / "a.nii.gz")
+    write_mask(Volume(data=good, affine=np.eye(4)), tmp_path / "b.nii.gz")
+    argv = ["fuse", str(tmp_path / "a.nii.gz"), str(tmp_path / "b.nii.gz"), "-o", str(tmp_path / "out"), *task]
+    code, _, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert "candidate 'a' has non-integer dtype float32" in err
 
 
 def test_fuse_single_mask_is_identity(capsys, tmp_path):

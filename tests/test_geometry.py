@@ -421,8 +421,9 @@ def test_malformed_sidecars_rejected(tmp_path, mutate, fragment):
     doc = json.loads(path.read_text())
     mutate(doc)
     path.write_text(json.dumps(doc))
-    with pytest.raises(MalformedTransform, match=fragment):
+    with pytest.raises(MalformedTransform, match=fragment) as info:
         read_transform(path)
+    assert str(path) in str(info.value)
 
 
 def test_non_json_sidecar_rejected(tmp_path):

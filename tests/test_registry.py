@@ -216,7 +216,13 @@ def test_override_appends_new_entry(tmp_path):
     cat = load_catalog(path)
     got = cat.resolve("gli-pre", "custom-1")
     assert got.year == 2025
-    assert got.requires_gpu is True  # default fills in
+    # every optional field falls back to its default
+    assert got.architecture_tags == ()
+    assert got.requires_gpu is True
+    assert got.shm_bytes == 2 * 1024**3
+    assert got.timeout_seconds == 1800
+    assert got.input_mount_path == "/mlcube_io0"
+    assert got.output_mount_path == "/mlcube_io1"
     # built-ins still present
     assert cat.resolve("gli-pre", "gli-pre-2023-1").team_reference == "Ferreira et al., 2024"
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,50 @@ def test_half_voxel_translation_is_affine_mismatch(tmp_path):
     assert AFFINE_MISMATCH in codes_of(report, SEVERITY_ERROR)
     assert SPACING_MISMATCH not in codes_of(report)
     assert SHAPE_MISMATCH not in codes_of(report)
+
+
+def test_findings_keep_their_order_unreadable_then_grid_then_content(tmp_path):
+    subj = write_subject(tmp_path, "sub-19")
+    (subj / "sub-19-t1c.nii.gz").write_bytes(b"not a volume at all")
+    write_volume(
+        Volume(data=np.full((32, 32, 20), -1.0, dtype=np.float32), affine=e2e_affine()),
+        subj / "sub-19-t1n.nii.gz",
+    )
+    replace_modality(subj, "sub-19", "T2w", shape=(32, 32, 21))
+    write_volume(
+        Volume(data=np.full((32, 32, 20), 7.0, dtype=np.float32), affine=e2e_affine()),
+        subj / "sub-19-fla.nii.gz",
+    )
+    report = validate_subject(inputs_for(subj, "sub-19"), get_task_spec("gli-pre"))
+    assert [(f.code, f.message.split()[0]) for f in report.findings] == [
+        (UNREADABLE_INPUT, "T1c"),
+        (SHAPE_MISMATCH, "T2w"),
+        (INTENSITY_SUSPECT, "T1n"),
+        (INTENSITY_SUSPECT, "FLA"),
+        (ATLAS_GRID_DEVIATION, "grid"),
+    ]
+    assert set(report.grids) == set(report.per_modality_geometry) == {"T1n", "T2w", "FLA"}
+    assert report.grids["T2w"].shape == (32, 32, 21)
+
+
+def test_validation_holds_one_decoded_input_at_a_time(tmp_path):
+    shape = (64, 64, 40)
+    rng = np.random.default_rng(3)
+    files = {}
+    for tag in ("T1c", "T1n", "T2w", "FLA"):
+        data = rng.gamma(2.0, 50.0, size=shape).astype(np.float32)
+        files[tag] = write_volume(Volume(data=data, affine=e2e_affine()), tmp_path / f"{tag}.nii")
+    one_input = 4 * shape[0] * shape[1] * shape[2]
+    inputs = SubjectInputs(subject_id="sub-20", files=files)
+    spec = get_task_spec("gli-pre")
+    tracemalloc.start()
+    try:
+        report = validate_subject(inputs, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 2 * one_input, f"peak {peak / one_input:.2f}x one input"
 
 
 def test_check_grid_consistency_trivial_cases():
