@@ -36,7 +36,7 @@ from .errors import (
 )
 from .fusion import FUSION_METHODS, METHOD_MAJORITY, CandidateSet, SimpleParams, fuse
 from .geometry import GridSpec, invert_affine, read_transform, resample_image, resample_mask
-from .nifti import read_volume, write_mask, write_volume
+from .nifti import read_grid, read_volume, write_mask, write_volume
 from .pipeline import PipelineConfig, discover_subject_inputs, run_inference, run_synthesis
 from .registry import (
     LATEST_WINNER,
@@ -249,7 +249,7 @@ def _cmd_warp(args) -> int:
     if args.invert:
         transform = invert_affine(transform)
     if args.like:
-        grid = GridSpec.from_volume(read_volume(args.like))
+        grid = GridSpec(*read_grid(args.like))
     else:
         grid = GridSpec.from_volume(volume)
     out_path = Path(args.output)

@@ -20,6 +20,23 @@ already (a NIfTI read never needs one), and a few (3, X·Y) float64 planes
 of coordinates and indices. Lookups within a plane then walk the source's
 memory forward, and on grids of BraTS size one plane keeps each matmul
 small enough that OpenBLAS runs it on the calling thread.
+
+Only the target voxels whose source neighbours can be nonzero are looked
+up or interpolated; every other voxel of the output stays 0. Within a
+plane, a voxel is evaluated when its source coordinates lie within one
+voxel of the source's :func:`brainorch.metrics.foreground_box` on every
+axis (``[box.start - 1, box.stop]``). This tests the very coordinates the
+lookup would use, so it is exact without a rounding margin:
+
+- a nearest lookup outside that range reads a voxel that is 0, or none;
+- a trilinear sample there reads 8 neighbours that are 0 or -0.0, or off
+  the grid, and scipy's weighted sum of zeros is +0.0, as is its value
+  off the grid (``cval``);
+- NaN != 0, so a NaN voxel is foreground and inside the box.
+
+Images are interpolated in float64, as from a float64 copy of the source,
+and scipy rounds each sample to the float32 output once: the result is
+bit-identical to a float64 map rounded to float32.
 """
 
 from __future__ import annotations
@@ -38,6 +55,7 @@ from .errors import (
     SingularTransform,
     SpaceMismatch,
 )
+from .metrics import foreground_box
 from .nifti import Volume, checked_affine
 
 SPACES = ("native", "SRI24", "MNI152")
@@ -124,23 +142,37 @@ class GridSpec:
         return cls(shape=vol.shape, affine=vol.affine)
 
 
-def _source_planes(source_affine: np.ndarray, world_map: np.ndarray, target: GridSpec):
-    """Source voxel coordinates of the target grid, one last-axis plane at a time.
+def _foreground_samples(data: np.ndarray, source_affine: np.ndarray, world_map: np.ndarray, target: GridSpec):
+    """The target voxels whose source neighbours can be nonzero, one
+    last-axis plane at a time.
 
-    Yields ``(k, coords)``: ``coords`` has shape (3, X·Y) and holds the
-    source coordinates of the target voxels ``[:, :, k]`` in Fortran order.
-    A target index v maps through target voxel->world, then the inverse
-    world map, then world->source voxel. Every column is computed by the
-    same matmul as in a full-grid (3, N) map, so the values are identical.
+    Yields ``(k, coords, idx)`` for each target plane ``[:, :, k]`` that
+    has such voxels: ``idx`` holds their columns in the plane's Fortran
+    order and ``coords`` (3, len(idx)) their source voxel coordinates. A
+    target index v maps through target voxel->world, then the inverse world
+    map, then world->source voxel; every column of a plane is computed by
+    the same matmul as in a full-grid (3, N) map, so the values are
+    identical. A column is kept when its coordinates lie within
+    ``[box.start - 1, box.stop]`` on every axis, where ``box`` is the
+    :func:`metrics.foreground_box` of the source ``data``. Every other
+    target voxel resamples to 0 (see the module docstring).
     """
+    box = foreground_box([data])
+    if any(s.stop == s.start for s in box):
+        return
+    lo = np.array([s.start - 1 for s in box], dtype=np.float64)[:, None]
+    hi = np.array([s.stop for s in box], dtype=np.float64)[:, None]
     m = np.linalg.inv(source_affine) @ np.linalg.inv(world_map) @ target.affine
     nx, ny, nz = target.shape
-    idx = np.empty((3, nx * ny))
-    idx[0] = np.tile(np.arange(nx), ny)
-    idx[1] = np.repeat(np.arange(ny), nx)
+    plane = np.empty((3, nx * ny))
+    plane[0] = np.tile(np.arange(nx), ny)
+    plane[1] = np.repeat(np.arange(ny), nx)
     for k in range(nz):
-        idx[2] = k
-        yield k, m[:3, :3] @ idx + m[:3, 3:4]
+        plane[2] = k
+        coords = m[:3, :3] @ plane + m[:3, 3:4]
+        idx = np.flatnonzero(((coords >= lo) & (coords <= hi)).all(axis=0))
+        if idx.size:
+            yield k, coords[:, idx], idx
 
 
 def resample_mask(mask: Volume, world_map: AffineTransform, target: GridSpec) -> Volume:
@@ -149,9 +181,10 @@ def resample_mask(mask: Volume, world_map: AffineTransform, target: GridSpec) ->
     ``world_map`` maps the mask's world coordinates into the target grid's
     world coordinates. Voxels that land outside the source grid become 0.
     The output label set is always a subset of the input's plus background.
-    Filled plane by plane (see the module docstring): beside the output and
-    a Fortran-order copy of a source not already in that order, memory
-    holds a few planes of coordinates, never a full-grid map.
+    Only target voxels near the mask's nonzero box are looked up, plane by
+    plane (see the module docstring): beside the output and a
+    Fortran-order copy of a source not already in that order, memory holds
+    a few planes of coordinates, never a full-grid map.
     """
     data = mask.data
     if not np.issubdtype(data.dtype, np.integer):
@@ -159,12 +192,12 @@ def resample_mask(mask: Volume, world_map: AffineTransform, target: GridSpec) ->
     data = np.asfortranarray(data)
     out = np.zeros(target.shape, dtype=data.dtype, order="F")
     planes = out.reshape(-1, target.shape[2], order="F")  # a view: column k is plane k
-    for k, coords in _source_planes(mask.affine, world_map.matrix, target):
+    for k, coords, idx in _foreground_samples(data, mask.affine, world_map.matrix, target):
         nearest = np.rint(coords).astype(np.int64)
         inside = np.ones(nearest.shape[1], dtype=bool)
         for axis in range(3):
             inside &= (nearest[axis] >= 0) & (nearest[axis] < data.shape[axis])
-        planes[inside, k] = data[nearest[0, inside], nearest[1, inside], nearest[2, inside]]
+        planes[idx[inside], k] = data[nearest[0, inside], nearest[1, inside], nearest[2, inside]]
     out.setflags(write=False)
     return Volume(data=out, affine=target.affine)
 
@@ -172,15 +205,19 @@ def resample_mask(mask: Volume, world_map: AffineTransform, target: GridSpec) ->
 def resample_image(image: Volume, world_map: AffineTransform, target: GridSpec) -> Volume:
     """Trilinear resample of an intensity image onto ``target``.
 
-    Out-of-grid samples read as 0. Output is float64. Filled plane by plane
-    like :func:`resample_mask`; the source keeps its dtype and each sample
-    is interpolated in float64, as from a float64 copy of it.
+    Out-of-grid samples read as 0. Output is float32: each sample is
+    interpolated in float64 from the source in its own dtype, as from a
+    float64 copy of it, and rounded to float32 once. Only target voxels
+    near the image's nonzero box are interpolated, plane by plane like
+    :func:`resample_mask`; the rest stay +0.0.
     """
     data = np.asfortranarray(image.data)
-    out = np.empty(target.shape, order="F")
+    out = np.zeros(target.shape, dtype=np.float32, order="F")
     planes = out.reshape(-1, target.shape[2], order="F")  # a view: column k is plane k
-    for k, coords in _source_planes(image.affine, world_map.matrix, target):
-        ndimage.map_coordinates(data, coords, output=planes[:, k], order=1, mode="constant", cval=0.0)
+    for k, coords, idx in _foreground_samples(data, image.affine, world_map.matrix, target):
+        planes[idx, k] = ndimage.map_coordinates(
+            data, coords, output=np.float32, order=1, mode="constant", cval=0.0
+        )
     out.setflags(write=False)
     return Volume(data=out, affine=target.affine)
 

@@ -90,15 +90,29 @@ def surface_voxels(mask: np.ndarray) -> np.ndarray:
 
 def _padded_box(mask) -> tuple[slice, ...]:
     """One mask's nonzero bounding box widened by 1 voxel and clipped to the
-    grid; size 0 when the mask is empty."""
-    nonzero = np.asarray(mask) != 0
-    if not nonzero.any():
-        return (slice(0, 0),) * nonzero.ndim
-    axes = range(nonzero.ndim)
+    grid; size 0 when the mask is empty.
+
+    One pass in memory order: the mask is walked plane by plane along its
+    slowest axis (the largest stride: the last axis of a Fortran-order
+    array, the first of a C-order one), holding one plane's ``!= 0`` at a
+    time, and each plane with a hit adds its projections onto the other
+    axes to the box's."""
+    arr = np.asarray(mask)
+    slow = int(np.argmax(np.abs(arr.strides)))
+    others = [axis for axis in range(arr.ndim) if axis != slow]
+    hits = [np.zeros(n, dtype=bool) for n in arr.shape]
+    for i, plane in enumerate(np.moveaxis(arr, slow, 0)):
+        nonzero = plane != 0
+        if nonzero.any():
+            hits[slow][i] = True
+            for j, axis in enumerate(others):
+                hits[axis] |= nonzero.any(axis=tuple(a for a in range(nonzero.ndim) if a != j))
     box = []
-    for axis in axes:
-        hits = np.flatnonzero(nonzero.any(axis=tuple(a for a in axes if a != axis)))
-        box.append(slice(max(int(hits[0]) - 1, 0), min(int(hits[-1]) + 2, nonzero.shape[axis])))
+    for axis, axis_hits in enumerate(hits):
+        where = np.flatnonzero(axis_hits)
+        if not where.size:
+            return (slice(0, 0),) * arr.ndim
+        box.append(slice(max(int(where[0]) - 1, 0), min(int(where[-1]) + 2, arr.shape[axis])))
     return tuple(box)
 
 

@@ -12,12 +12,15 @@ little-endian with ``vox_offset`` 352 and an empty extension block.
 
 Gzip envelopes are detected by magic bytes, not by file extension, and
 written with a zeroed mtime so identical volumes produce identical files.
+:func:`read_grid` reads only a file's grid: it inflates and counts the
+payload in bounded pieces instead of decoding it.
 """
 
 from __future__ import annotations
 
 import gzip
 import io
+import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -305,9 +308,36 @@ def _decompress_if_gzip(blob: bytes, path: Path) -> bytes:
         raise IoFailure(f"cannot decompress {path}: {exc}") from exc
 
 
-def _parse_header(blob: bytes, path: Path) -> NiftiHeader:
-    if len(blob) < HEADER_SIZE:
-        raise MalformedHeader(f"{path}: file holds {len(blob)} bytes, header needs {HEADER_SIZE}")
+# Largest piece :func:`read_grid` inflates at once.
+_CHUNK = 1 << 20
+
+
+def _inflated_head_and_size(f, path: Path) -> tuple[bytes, int]:
+    """The first ``HEADER_SIZE`` decoded bytes of the gzip file ``f`` and its
+    decoded size, inflating at most ``_CHUNK`` bytes at a time.
+
+    :class:`gzip.GzipFile` reads members, the NUL padding between them and
+    the checksums as :func:`gzip.decompress` does, so a stream fails here
+    exactly when :func:`_decompress_if_gzip` refuses it.
+    """
+    head, size = b"", 0
+    try:
+        with gzip.GzipFile(fileobj=f) as stream:
+            while piece := stream.read(_CHUNK):
+                if len(head) < HEADER_SIZE:
+                    head += piece[: HEADER_SIZE - len(head)]
+                size += len(piece)
+    except (OSError, EOFError, zlib.error) as exc:
+        raise IoFailure(f"cannot decompress {path}: {exc}") from exc
+    return head, size
+
+
+def _parse_header(blob: bytes, size: int, path: Path) -> NiftiHeader:
+    """The header of a decoded file of ``size`` bytes whose first bytes,
+    at least ``HEADER_SIZE`` of them when it has that many, are ``blob``.
+    ``extension_bytes`` is left empty."""
+    if size < HEADER_SIZE:
+        raise MalformedHeader(f"{path}: file holds {size} bytes, header needs {HEADER_SIZE}")
     size_le = int.from_bytes(blob[:4], "little", signed=True)
     size_be = int.from_bytes(blob[:4], "big", signed=True)
     if size_le == HEADER_SIZE:
@@ -350,10 +380,49 @@ def _parse_header(blob: bytes, path: Path) -> NiftiHeader:
     vox_offset = header.vox_offset
     if vox_offset < MIN_VOX_OFFSET:
         raise MalformedHeader(f"{path}: vox_offset {vox_offset} below minimum {MIN_VOX_OFFSET}")
-    if len(blob) < vox_offset:
+    if size < vox_offset:
         raise TruncatedData(f"{path}: file ends before vox_offset {vox_offset}")
-    header.extension_bytes = bytes(blob[HEADER_SIZE:vox_offset])
     return header
+
+
+def _checked_layout(header: NiftiHeader, size: int, path: Path):
+    """Shape, voxel dtype and affine of a parsed header.
+
+    Raises :class:`TruncatedData` when the decoded file's ``size`` bytes
+    cannot hold the payload, and :class:`MalformedHeader` naming the path
+    when the affine breaks the affine rule (:func:`checked_affine`).
+    """
+    shape = header.shape3()
+    dtype = header.data_dtype()
+    need = shape[0] * shape[1] * shape[2] * dtype.itemsize
+    if size < header.vox_offset + need:
+        raise TruncatedData(
+            f"{path}: voxel payload needs {need} bytes at offset {header.vox_offset}, file holds {size}"
+        )
+    affine = checked_affine(header.affine(), f"{path}: header affine", MalformedHeader, MalformedHeader)
+    return shape, dtype, affine
+
+
+def read_grid(path: str | Path) -> tuple[tuple[int, int, int], np.ndarray]:
+    """The ``(shape, affine)`` of a single-file NIfTI-1 volume, without
+    decoding its voxels.
+
+    Raises what :func:`read_volume` raises for the same file. A gzip file is
+    inflated in pieces of at most 1 MiB, which are counted to check the
+    payload length and dropped; of an uncompressed file only the header is
+    read.
+    """
+    path = Path(path)
+    try:
+        with path.open("rb") as f:
+            head, size = f.read(HEADER_SIZE), os.fstat(f.fileno()).st_size
+            if head[:2] == GZIP_MAGIC:
+                f.seek(0)
+                head, size = _inflated_head_and_size(f, path)
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    shape, _, affine = _checked_layout(_parse_header(head, size, path), size, path)
+    return shape, affine
 
 
 def read_volume(path: str | Path) -> Volume:
@@ -370,18 +439,10 @@ def read_volume(path: str | Path) -> Volume:
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     blob = _decompress_if_gzip(blob, path)
-    header = _parse_header(blob, path)
-
-    shape = header.shape3()
-    count = shape[0] * shape[1] * shape[2]
-    dtype = header.data_dtype()
-    vox_offset = header.vox_offset
-    if len(blob) < vox_offset + count * dtype.itemsize:
-        raise TruncatedData(
-            f"{path}: voxel payload needs {count * dtype.itemsize} bytes at offset "
-            f"{vox_offset}, file holds {len(blob)}"
-        )
-    flat = np.frombuffer(blob, dtype=dtype, count=count, offset=vox_offset)
+    header = _parse_header(blob, len(blob), path)
+    header.extension_bytes = bytes(blob[HEADER_SIZE : header.vox_offset])
+    shape, dtype, affine = _checked_layout(header, len(blob), path)
+    flat = np.frombuffer(blob, dtype=dtype, count=shape[0] * shape[1] * shape[2], offset=header.vox_offset)
     data = flat.reshape(shape, order="F")
     if header.byte_order == ">":
         data = data.astype(dtype.newbyteorder("="))
@@ -394,7 +455,7 @@ def read_volume(path: str | Path) -> Volume:
 
     if data.flags.writeable:
         data.setflags(write=False)
-    return Volume(data=data, affine=header.affine(), header=header)
+    return Volume(data=data, affine=affine, header=header)
 
 
 def _check_representable(data: np.ndarray, target: np.dtype) -> None:

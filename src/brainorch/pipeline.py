@@ -76,7 +76,7 @@ from .geometry import (
     read_transform,
 )
 from .metrics import compute_metric_report
-from .nifti import Volume, read_volume, write_mask, write_volume
+from .nifti import Volume, read_grid, read_volume, write_mask, write_volume
 from .registry import (
     LATEST_WINNER,
     MODALITIES,
@@ -524,7 +524,7 @@ def _atomic_publish(bundle_staging: Path, target: Path, force: bool) -> None:
 def _warp_to_native(run: _Run, product: _Product) -> str:
     """Write the native-space derivative next to the atlas-space output."""
     forward = _find_forward_transform(run.inputs, run.task)
-    native_grid = GridSpec.from_volume(read_volume(run.inputs.native_reference))
+    native_grid = GridSpec(*read_grid(run.inputs.native_reference))
     rel = f"native/{product.native_name}-native.nii.gz"
     (run.bundle / "native").mkdir(parents=True, exist_ok=True)
     product.write_native(forward, native_grid, run.bundle / rel)

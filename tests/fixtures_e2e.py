@@ -7,6 +7,7 @@ manifests and acceptance thresholds were derived from them.
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import json
 from pathlib import Path
@@ -71,6 +72,14 @@ def write_subject(
         vol = Volume(data=data, affine=affine)
         write_volume(vol, subj_dir / f"{subject}-{tag.lower()}{suffix}")
     return subj_dir
+
+
+def zero_srow_x(path):
+    """Zero the first sform row of a written .nii.gz (its sform_code is 1),
+    which makes the header affine singular."""
+    blob = bytearray(gzip.decompress(path.read_bytes()))
+    blob[280:296] = bytes(16)  # srow_x: four float32 at byte 280
+    path.write_bytes(gzip.compress(bytes(blob), mtime=0))
 
 
 def catalog_override_payload(requires_gpu: bool = False) -> dict:

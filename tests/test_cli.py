@@ -21,6 +21,7 @@ from fixtures_e2e import (
     expected_candidate_masks,
     fake_digest,
     write_subject,
+    zero_srow_x,
 )
 from oracles import brute_majority, shift_mask
 
@@ -335,6 +336,16 @@ def test_validate_failure_is_a_report_not_an_exception(capsys, workspace):
     assert payload["command"] == "validate"
     assert payload["report"]["verdict"] == "fail"
     assert "MISSING_MODALITY" in err
+
+
+def test_validate_reports_a_singular_header_affine(capsys, workspace):
+    subj = write_subject(workspace["root"], "sub-04")
+    zero_srow_x(subj / "sub-04-t1c.nii.gz")
+    code, out, err = run(capsys, ["validate", "--task", "gli-pre", "-i", str(subj), "--json"])
+    assert code == EXIT_VALIDATION
+    assert "error:" not in err
+    assert "UNREADABLE_INPUT" in err
+    assert json.loads(out)["report"]["verdict"] == "fail"
 
 
 def test_validate_declared_space_mismatch(capsys, workspace):

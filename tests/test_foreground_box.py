@@ -49,6 +49,41 @@ def test_foreground_box_skips_empty_masks_and_has_size_zero_when_all_are():
     assert foreground_box([empty, empty]) == (slice(0, 0),) * 3
 
 
+def _full_grid_box(mask):
+    """The box from one full-grid ``!= 0`` and a projection onto each axis."""
+    nonzero = np.asarray(mask) != 0
+    if not nonzero.any():
+        return (slice(0, 0),) * nonzero.ndim
+    axes = range(nonzero.ndim)
+    box = []
+    for axis in axes:
+        hits = np.flatnonzero(nonzero.any(axis=tuple(a for a in axes if a != axis)))
+        box.append(slice(max(int(hits[0]) - 1, 0), min(int(hits[-1]) + 2, nonzero.shape[axis])))
+    return tuple(box)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(*[st.integers(1, 9)] * 3),
+    density=st.sampled_from((0.0, 0.01, 0.05, 0.3)),
+    dtype=st.sampled_from(("u1", ">i2", "<f4", ">f8")),
+    layout=st.sampled_from(("C", "F", "C-crop", "F-crop")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_pass_box_equals_the_full_grid_projections(shape, density, dtype, layout, seed):
+    # The box is found plane by plane along the slowest axis in memory
+    # order; it must be the box of the full-grid projections in every layout.
+    rng = np.random.default_rng(seed)
+    values = np.where(rng.random(shape) < density, rng.integers(1, 4, shape), 0)
+    if dtype[-2] == "f":
+        values = np.where(rng.random(shape) < 0.5, -0.0, values.astype(float))  # -0.0 is background
+        values[rng.random(shape) < density / 4] = np.nan  # NaN is foreground
+    mask = np.asarray(values.astype(dtype), order=layout[0])
+    if layout.endswith("crop"):
+        mask = mask[::2, 1:, :-1] if min(shape[1:]) > 1 else mask[::2]
+    assert foreground_box([mask]) == _full_grid_box(mask)
+
+
 def test_a_label_with_the_background_code_is_rejected():
     # Outside the box every mask is background, so only nonzero codes may be
     # scored or voted.

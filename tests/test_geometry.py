@@ -235,7 +235,7 @@ def test_trilinear_half_voxel_shift_averages():
     out = resample_image(vol, translation((0.5, 0.0, 0.0)), GridSpec.from_volume(vol))
     # interior voxel x=2 samples the ramp at 1.5
     np.testing.assert_allclose(out.data[2, 1:3, 1:3], 1.5)
-    assert out.data.dtype == np.float64
+    assert out.data.dtype == np.float32
 
 
 def test_trilinear_identity_preserves_values():
@@ -269,7 +269,8 @@ def full_map_mask(mask, world_map, target):
 
 
 def full_map_image(image, world_map, target):
-    """Trilinear resampling of a float64 copy through one full-grid map."""
+    """Trilinear resampling of a float64 copy through one full-grid map, in
+    float64."""
     coords = full_map_coords(image.affine, world_map.matrix, target)
     data = image.data.astype(np.float64, copy=False)
     sampled = ndimage.map_coordinates(data, coords, order=1, mode="constant", cval=0.0)
@@ -317,14 +318,63 @@ def test_plane_wise_resampling_equals_the_full_grid_map(seed, source_shape, targ
     world_map = identity_transform(matrix=random_affine(rng, (0.8, 1.25)))
     target = GridSpec(shape=target_shape, affine=random_affine(rng, (0.5, 3.0), target_shape))
 
+    assert_resampled_like_the_full_grid_map(source, world_map, target)
+
+
+def assert_resampled_like_the_full_grid_map(source, world_map, target):
+    """The image resamples to the full-grid map rounded once to float32, bit
+    for bit; an integer source also resamples as a mask to the full-grid
+    nearest-neighbour map."""
     image = resample_image(source, world_map, target)
-    assert image.data.dtype == np.float64
-    assert np.array_equal(image.data, full_map_image(source, world_map, target))
-    if dtype.kind != "f":
+    assert image.data.dtype == np.float32
+    expected = full_map_image(source, world_map, target).astype(np.float32)
+    assert np.array_equal(image.data.view(np.uint32), expected.view(np.uint32))
+    if source.data.dtype.kind != "f":
         mask = resample_mask(source, world_map, target)
         expected = full_map_mask(source, world_map, target)
         assert mask.data.dtype == expected.dtype
         assert np.array_equal(mask.data, expected)
+
+
+@st.composite
+def sparse_sources(draw):
+    """A source that is background but for a drawn sub-box of random values:
+    empty, a single voxel on a grid face, or a box reaching any face, in a
+    float background of +0.0 or -0.0 with an optional NaN inside the box."""
+    shape = draw(st.tuples(extent, extent, extent))
+    dtype = np.dtype(draw(st.sampled_from(["u1", ">i2", "<f4", ">f4", "<f8"])))
+    background = -0.0 if dtype.kind == "f" and draw(st.booleans()) else 0.0
+    data = np.full(shape, background)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["empty", "face", "box"]))
+    if kind == "face":
+        voxel = [draw(st.integers(0, n - 1)) for n in shape]
+        axis = draw(st.integers(0, 2))
+        voxel[axis] = draw(st.sampled_from([0, shape[axis] - 1]))
+        data[tuple(voxel)] = draw(st.sampled_from([1.0, 3.0]))
+    elif kind == "box":
+        starts = [draw(st.integers(0, n - 1)) for n in shape]
+        box = tuple(slice(lo, draw(st.integers(lo + 1, n))) for lo, n in zip(starts, shape))
+        part = data[box]
+        part[...] = rng.normal(0.0, 100.0, part.shape) if dtype.kind == "f" else rng.integers(0, 6, part.shape)
+        if dtype.kind == "f" and draw(st.booleans()):
+            part[tuple(draw(st.integers(0, n - 1)) for n in part.shape)] = np.nan
+    data = np.asarray(data.astype(dtype), order=draw(st.sampled_from("CF")))
+    return Volume(data=data, affine=random_affine(rng, (0.5, 3.0), shape)), rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sparse_sources(), target_shape=st.tuples(extent, extent, extent))
+def test_foreground_bounded_resampling_of_sparse_sources_equals_the_full_grid_map(case, target_shape):
+    # Only target voxels near the source's nonzero box are evaluated; the
+    # rest must be exactly what the full-grid map gives there: +0.0 or 0.
+    source, rng = case
+    world_map = identity_transform(matrix=random_affine(rng, (0.8, 1.25)))
+    target = GridSpec(shape=target_shape, affine=random_affine(rng, (0.5, 3.0), target_shape))
+    assert_resampled_like_the_full_grid_map(source, world_map, target)
+    if not np.any(source.data):
+        assert not resample_image(source, world_map, target).data.view(np.uint32).any()
 
 
 @pytest.mark.parametrize(

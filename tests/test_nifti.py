@@ -23,7 +23,7 @@ from brainorch.errors import (
     UnrepresentableData,
     UnsupportedDatatype,
 )
-from brainorch.nifti import Volume, read_volume, write_mask, write_volume
+from brainorch.nifti import Volume, read_grid, read_volume, write_mask, write_volume
 
 OFF_SIZEOF_HDR = 0
 OFF_DIM = 40
@@ -360,6 +360,181 @@ def test_corrupt_gzip_reported_as_io_failure(tmp_path):
 def test_missing_file_is_io_failure(tmp_path):
     with pytest.raises(IoFailure):
         read_volume(tmp_path / "absent.nii")
+
+
+def _singular_sform(path):
+    patch(path, OFF_SFORM_CODE, "<h", 1)
+    patch(path, OFF_SROW_X, "<4f", 0.0, 0.0, 0.0, 0.0)
+
+
+def test_singular_header_affine_is_a_malformed_header(tmp_path):
+    path = write_volume(simple_volume(), tmp_path / "sing.nii")
+    _singular_sform(path)
+    with pytest.raises(MalformedHeader, match="singular") as info:
+        read_volume(path)
+    assert str(path) in str(info.value)
+
+
+# -- grid-only reads -----------------------------------------------------------
+
+
+def _nifti_bytes(tmp_path, mutate=None):
+    """The bytes of a written volume after ``mutate(path)`` edits the file."""
+    path = write_volume(simple_volume(np.int16), tmp_path / "src.nii")
+    if mutate is not None:
+        mutate(path)
+    return path.read_bytes()
+
+
+def _patched(offset, fmt, *values):
+    return lambda path: patch(path, offset, fmt, *values)
+
+
+def _replace_magic(magic):
+    def mutate(path):
+        blob = bytearray(path.read_bytes())
+        blob[OFF_MAGIC : OFF_MAGIC + 4] = magic
+        path.write_bytes(bytes(blob))
+
+    return mutate
+
+
+def _bad_qfac(path):
+    patch(path, OFF_SFORM_CODE, "<h", 0)
+    patch(path, OFF_QFORM_CODE, "<h", 1)
+    patch(path, OFF_PIXDIM, "<f", 0.5)
+
+
+# Every malformed-file case above, as the decoded bytes of the file.
+MALFORMED_FILES = {
+    "sizeof_hdr": lambda tmp: _nifti_bytes(tmp, _patched(OFF_SIZEOF_HDR, "<i", 300)),
+    "nifti2": lambda tmp: _nifti_bytes(tmp, _patched(OFF_SIZEOF_HDR, "<i", 540)),
+    "pair_magic": lambda tmp: _nifti_bytes(tmp, _replace_magic(b"ni1\x00")),
+    "garbage_magic": lambda tmp: _nifti_bytes(tmp, _replace_magic(b"xyz\x00")),
+    "datatype": lambda tmp: _nifti_bytes(tmp, _patched(OFF_DATATYPE, "<h", 256)),
+    "bitpix": lambda tmp: _nifti_bytes(tmp, _patched(OFF_BITPIX, "<h", 8)),
+    "vox_offset_low": lambda tmp: _nifti_bytes(tmp, _patched(OFF_VOX_OFFSET, "<f", 348.0)),
+    "vox_offset_past_end": lambda tmp: _nifti_bytes(tmp, _patched(OFF_VOX_OFFSET, "<f", 4096.0)),
+    "truncated_payload": lambda tmp: _nifti_bytes(tmp)[:-10],
+    "truncated_header": lambda tmp: b"\x00" * 100,
+    "empty": lambda tmp: b"",
+    "nonpositive_extent": lambda tmp: _nifti_bytes(tmp, _patched(OFF_DIM, "<8h", 3, 0, 4, 5, 1, 1, 1, 1)),
+    "rank": lambda tmp: _nifti_bytes(tmp, _patched(OFF_DIM, "<h", 0)),
+    "four_d": lambda tmp: _nifti_bytes(tmp, _patched(OFF_DIM, "<8h", 4, 3, 4, 5, 2, 1, 1, 1)),
+    "bad_qfac": lambda tmp: _nifti_bytes(tmp, _bad_qfac),
+    "singular_sform": lambda tmp: _nifti_bytes(tmp, _singular_sform),
+}
+
+
+def _outcome(read, path):
+    try:
+        read(path)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc), str(exc)
+    return None, None
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["nii", "gz"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_grid_read_raises_what_the_volume_read_raises(tmp_path, case, compress):
+    blob = MALFORMED_FILES[case](tmp_path)
+    path = tmp_path / ("case.nii.gz" if compress else "case.nii")
+    path.write_bytes(gzip.compress(blob, mtime=0) if compress else blob)
+    expected = _outcome(read_volume, path)
+    assert expected[0] is not None
+    assert _outcome(read_grid, path) == expected
+
+
+# Ways to damage a good gzip file, each refused by gzip.decompress.
+GZIP_DAMAGE = {
+    "cut_in_header": lambda good: good[:40],
+    "cut_in_payload": lambda good: good[: len(good) // 2],
+    "cut_in_trailer": lambda good: good[:-3],
+    "bad_crc": lambda good: good[:-8] + bytes([good[-8] ^ 0xFF]) + good[-7:],
+    "bad_size": lambda good: good[:-4] + bytes([good[-4] ^ 0x01]) + good[-3:],
+    "bad_method": lambda good: good[:2] + b"\x07" + good[3:],
+    "trailing_garbage": lambda good: good + b"not gzip",
+    "trailing_magic_byte": lambda good: good + b"\x1f",
+    "second_member_cut": lambda good: good + good[:30],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GZIP_DAMAGE))
+def test_grid_read_refuses_a_damaged_gzip_stream_as_the_volume_read_does(tmp_path, case):
+    path = tmp_path / "damaged.nii.gz"
+    path.write_bytes(GZIP_DAMAGE[case](gzip.compress(_nifti_bytes(tmp_path), mtime=0)))
+    with pytest.raises(IoFailure, match="cannot decompress"):
+        read_volume(path)
+    with pytest.raises(IoFailure, match="cannot decompress") as info:
+        read_grid(path)
+    assert str(path) in str(info.value)
+
+
+def test_grid_read_of_a_missing_file_or_a_directory_is_an_io_failure(tmp_path):
+    for path in (tmp_path / "absent.nii.gz", tmp_path):
+        with pytest.raises(IoFailure, match="cannot read"):
+            read_volume(path)
+        with pytest.raises(IoFailure, match="cannot read"):
+            read_grid(path)
+
+
+def _assert_same_grid(path):
+    vol = read_volume(path)
+    shape, affine = read_grid(path)
+    assert shape == vol.shape
+    assert np.array_equal(affine, vol.affine)
+
+
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+def test_grid_read_matches_the_volume_read(tmp_path, suffix):
+    rng = np.random.default_rng(3)
+    affine = np.eye(4)
+    affine[:3, :3] = np.diag([0.9, 1.1, 2.5])
+    affine[:3, 3] = (-10.0, 4.0, 7.5)
+    # A noisy float64 payload spans several 1 MiB pieces of input and output;
+    # a constant uint8 one inflates to many output pieces per input piece.
+    for name, data in (
+        ("noise", rng.normal(size=(64, 64, 40))),
+        ("flat", np.ones((160, 160, 120), dtype=np.uint8)),
+        ("tiny", np.zeros((1, 1, 1), dtype=np.int16)),
+    ):
+        _assert_same_grid(write_volume(Volume(data=data, affine=affine), tmp_path / f"{name}{suffix}"))
+    _assert_same_grid(craft_big_endian(tmp_path / "be.nii"))
+    path = write_volume(simple_volume(np.int16), tmp_path / "qform.nii")
+    _bad_qfac(path)
+    patch(path, OFF_PIXDIM, "<f", -1.0)
+    _assert_same_grid(path)
+
+
+def test_grid_read_reads_every_gzip_member_as_the_volume_read_does(tmp_path):
+    blob = _nifti_bytes(tmp_path)
+    # Two members with NUL padding between and after them, as gzip allows.
+    split = 400  # inside the 120-byte payload that starts at byte 352
+    parts = gzip.compress(blob[:split], mtime=0) + b"\x00" * 3 + gzip.compress(blob[split:], mtime=0) + b"\x00"
+    path = tmp_path / "members.nii.gz"
+    path.write_bytes(parts)
+    assert np.array_equal(read_volume(path).data, simple_volume(np.int16).data)
+    _assert_same_grid(path)
+    # Cut after the first member, the payload is short for both readers.
+    path.write_bytes(gzip.compress(blob[:split], mtime=0))
+    assert _outcome(read_grid, path) == _outcome(read_volume, path)
+    assert _outcome(read_grid, path)[0] is TruncatedData
+
+
+@pytest.mark.parametrize("quirk", ["reserved_flag_bits", "wrong_header_crc"])
+def test_grid_read_accepts_the_gzip_headers_the_volume_read_accepts(tmp_path, quirk):
+    # Python's gzip reader ignores reserved FLG bits and does not check the
+    # optional header CRC; zlib's own gzip mode refuses both.
+    member = bytearray(gzip.compress(_nifti_bytes(tmp_path), mtime=0))
+    if quirk == "reserved_flag_bits":
+        member[3] |= 0x20
+    else:
+        member[3] |= 0x02  # FHCRC: a 2-byte CRC follows the 10-byte header
+        member[10:10] = b"\x00\x00"
+    path = tmp_path / "quirk.nii.gz"
+    path.write_bytes(bytes(member))
+    assert np.array_equal(read_volume(path).data, simple_volume(np.int16).data)
+    _assert_same_grid(path)
 
 
 # -- rank handling -----------------------------------------------------------

@@ -80,8 +80,9 @@ def test_traced_runs_record_every_layer():
     assert calls["geometry.inverse_warp"] == 2  # one mask, one image
     assert calls["nifti.write_volume"] == 3  # consensus, native mask, native image
     assert calls["validation.validate_subject"] == 2
-    # 4 + 2 inputs once each, 3 masks, 1 image, the native reference of each run
-    assert calls["nifti.read_volume"] == 12
+    # 4 + 2 inputs once each, 3 masks, 1 image; the native reference of each
+    # run is read for its grid only (nifti.read_grid), never decoded
+    assert calls["nifti.read_volume"] == 10
     for name in ("fusion.CandidateSet", "fusion.fuse", "metrics.compute_metric_report",
                  "metrics.edt", "metrics.label", "runtime.pull_image", "runtime.run_job"):
         assert calls.get(name, 0) > 0, name

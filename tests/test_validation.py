@@ -29,7 +29,7 @@ from brainorch.validation import (
     validate_subject,
 )
 
-from fixtures_e2e import e2e_affine, write_subject
+from fixtures_e2e import e2e_affine, write_subject, zero_srow_x
 
 
 def inputs_for(subj_dir, subject="sub-01", task=TaskId.GLI_PRE, **kw):
@@ -317,6 +317,17 @@ def test_unreadable_input_degrades_to_finding(tmp_path):
     assert "T1c" in errors[0].message
     assert not report.passed
     # the other three still validated
+    assert set(report.per_modality_geometry) == {"T1n", "T2w", "FLA"}
+
+
+def test_singular_header_affine_degrades_to_finding(tmp_path):
+    subj = write_subject(tmp_path, "sub-16")
+    zero_srow_x(subj / "sub-16-t1c.nii.gz")
+    report = validate_subject(inputs_for(subj, "sub-16"), get_task_spec("gli-pre"))
+    errors = [f for f in report.errors if f.code == UNREADABLE_INPUT]
+    assert len(errors) == 1
+    assert "T1c" in errors[0].message and "singular" in errors[0].message
+    assert not report.passed
     assert set(report.per_modality_geometry) == {"T1n", "T2w", "FLA"}
 
 
