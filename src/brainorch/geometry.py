@@ -280,7 +280,10 @@ def read_transform(path: str | Path) -> AffineTransform:
             raise MalformedTransform(f"{path}: missing key {key!r}")
     if doc["units"] != "mm":
         raise MalformedTransform(f"{path}: units must be 'mm', got {doc['units']!r}")
-    matrix = np.asarray(doc["matrix"], dtype=np.float64)
+    try:
+        matrix = np.asarray(doc["matrix"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise MalformedTransform(f"{path}: matrix must hold 16 numbers: {exc}") from exc
     if matrix.size != 16:
         raise MalformedTransform(f"{path}: matrix must hold 16 numbers, got {matrix.size}")
     try:

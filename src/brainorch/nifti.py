@@ -10,10 +10,17 @@ fields this package does not own (descrip, intent, quaternion, extensions)
 byte-for-byte, along with the source byte order. Fresh volumes are written
 little-endian with ``vox_offset`` 352 and an empty extension block.
 
-Gzip envelopes are detected by magic bytes, not by file extension, and
-written with a zeroed mtime so identical volumes produce identical files.
-:func:`read_grid` reads only a file's grid: it inflates and counts the
-payload in bounded pieces instead of decoding it.
+Both readers make one pass over one stream, at most 1 MiB at a time: a
+gzip envelope (found by magic bytes, not by extension) through one
+:class:`gzip.GzipFile`, any other file as it is. The header is parsed first;
+the extension block and the payload go straight into their buffers; the rest
+of a gzip stream is inflated and counted, so every member's CRC is checked.
+Before anything is allocated, the declared payload must be at most
+``MAX_PAYLOAD_BYTES`` and ``vox_offset`` plus the payload must fit in what
+the file can decode to: its size, or 1032 times it for gzip (deflate's
+ceiling). :func:`read_grid` keeps no voxels; of an uncompressed file it
+reads only the header. Gzip output has a zeroed mtime, so identical volumes
+produce identical files.
 """
 
 from __future__ import annotations
@@ -247,13 +254,16 @@ class NiftiHeader:
 def checked_affine(matrix, what: str, malformed: type, singular: type) -> np.ndarray:
     """A float64 copy of ``matrix`` if it is a voxel-to-world affine.
 
-    The rule: 4x4, bottom row (0,0,0,1) within 1e-9 (stored exactly), and
-    an invertible upper-left 3x3. ``what`` opens each message; a wrong
-    shape or bottom row raises ``malformed``, a singular part ``singular``.
+    The rule: 4x4, every entry finite, bottom row (0,0,0,1) within 1e-9
+    (stored exactly), and an invertible upper-left 3x3. ``what`` opens each
+    message; a wrong shape, a non-finite entry or a wrong bottom row raises
+    ``malformed``, a singular part ``singular``.
     """
     affine = np.array(matrix, dtype=np.float64, copy=True)
     if affine.shape != (4, 4):
         raise malformed(f"{what} must be 4x4, got {affine.shape}")
+    if not np.isfinite(affine).all():
+        raise malformed(f"{what} must be finite, got {affine.tolist()}")
     if not np.allclose(affine[3], (0.0, 0.0, 0.0, 1.0), atol=1e-9):
         raise malformed(f"{what} bottom row must be (0,0,0,1), got {affine[3].tolist()}")
     affine[3] = (0.0, 0.0, 0.0, 1.0)
@@ -299,45 +309,30 @@ class Volume:
         return Volume(data=data, affine=self.affine)
 
 
-def _decompress_if_gzip(blob: bytes, path: Path) -> bytes:
-    if blob[:2] != GZIP_MAGIC:
-        return blob
-    try:
-        return gzip.decompress(blob)
-    except (OSError, EOFError, zlib.error) as exc:
-        raise IoFailure(f"cannot decompress {path}: {exc}") from exc
-
-
-# Largest piece :func:`read_grid` inflates at once.
+# Largest piece read at once, from the file or out of the inflater.
 _CHUNK = 1 << 20
+# Deflate's ceiling: no gzip file decodes to more than this many times its
+# own size (1028.7 measured for a stream of zeros).
+_GZIP_MAX_RATIO = 1032
+# Largest voxel payload a read allocates.
+MAX_PAYLOAD_BYTES = 1 << 31
 
 
-def _inflated_head_and_size(f, path: Path) -> tuple[bytes, int]:
-    """The first ``HEADER_SIZE`` decoded bytes of the gzip file ``f`` and its
-    decoded size, inflating at most ``_CHUNK`` bytes at a time.
-
-    :class:`gzip.GzipFile` reads members, the NUL padding between them and
-    the checksums as :func:`gzip.decompress` does, so a stream fails here
-    exactly when :func:`_decompress_if_gzip` refuses it.
-    """
-    head, size = b"", 0
-    try:
-        with gzip.GzipFile(fileobj=f) as stream:
-            while piece := stream.read(_CHUNK):
-                if len(head) < HEADER_SIZE:
-                    head += piece[: HEADER_SIZE - len(head)]
-                size += len(piece)
-    except (OSError, EOFError, zlib.error) as exc:
-        raise IoFailure(f"cannot decompress {path}: {exc}") from exc
-    return head, size
+def _fill(stream, buf) -> int:
+    """Read ``stream`` into ``buf`` until it is full or the stream ends, at
+    most ``_CHUNK`` bytes at a time; the number of bytes read."""
+    view = memoryview(buf).cast("B")
+    got = 0
+    while got < len(view) and (n := stream.readinto(view[got : got + _CHUNK])):
+        got += n
+    return got
 
 
-def _parse_header(blob: bytes, size: int, path: Path) -> NiftiHeader:
-    """The header of a decoded file of ``size`` bytes whose first bytes,
-    at least ``HEADER_SIZE`` of them when it has that many, are ``blob``.
-    ``extension_bytes`` is left empty."""
-    if size < HEADER_SIZE:
-        raise MalformedHeader(f"{path}: file holds {size} bytes, header needs {HEADER_SIZE}")
+def _parse_header(blob: bytes, path: Path) -> NiftiHeader:
+    """The header whose bytes are ``blob``: its ``HEADER_SIZE`` bytes, or
+    every byte of a shorter file. ``extension_bytes`` is left empty."""
+    if len(blob) < HEADER_SIZE:
+        raise MalformedHeader(f"{path}: file holds {len(blob)} bytes, header needs {HEADER_SIZE}")
     size_le = int.from_bytes(blob[:4], "little", signed=True)
     size_be = int.from_bytes(blob[:4], "big", signed=True)
     if size_le == HEADER_SIZE:
@@ -350,7 +345,7 @@ def _parse_header(blob: bytes, size: int, path: Path) -> NiftiHeader:
         raise MalformedHeader(f"{path}: sizeof_hdr is {size_le}, expected {HEADER_SIZE}")
     # Kept as a 0-d structured array: field reads and writes work uniformly
     # and tobytes() reproduces the exact 348-byte block.
-    raw = np.frombuffer(blob[:HEADER_SIZE], dtype=_header_dtype(order), count=1).copy().reshape(())
+    raw = np.frombuffer(blob, dtype=_header_dtype(order), count=1).copy().reshape(())
     header = NiftiHeader(raw=raw, byte_order=order, extension_bytes=b"")
 
     magic = header.magic
@@ -377,52 +372,70 @@ def _parse_header(blob: bytes, size: int, path: Path) -> NiftiHeader:
             f"(expected {_BITPIX[code]})"
         )
 
-    vox_offset = header.vox_offset
-    if vox_offset < MIN_VOX_OFFSET:
-        raise MalformedHeader(f"{path}: vox_offset {vox_offset} below minimum {MIN_VOX_OFFSET}")
-    if size < vox_offset:
-        raise TruncatedData(f"{path}: file ends before vox_offset {vox_offset}")
+    if not np.isfinite(header._get("vox_offset")):
+        raise MalformedHeader(f"{path}: vox_offset {header._get('vox_offset')} is not finite")
+    if header.vox_offset < MIN_VOX_OFFSET:
+        raise MalformedHeader(f"{path}: vox_offset {header.vox_offset} below minimum {MIN_VOX_OFFSET}")
     return header
 
 
-def _checked_layout(header: NiftiHeader, size: int, path: Path):
-    """Shape, voxel dtype and affine of a parsed header.
-
-    Raises :class:`TruncatedData` when the decoded file's ``size`` bytes
-    cannot hold the payload, and :class:`MalformedHeader` naming the path
-    when the affine breaks the affine rule (:func:`checked_affine`).
-    """
-    shape = header.shape3()
-    dtype = header.data_dtype()
-    need = shape[0] * shape[1] * shape[2] * dtype.itemsize
+def _check_extent(header: NiftiHeader, need: int, size: int, path: Path, holds: str = "holds") -> None:
+    """Raise :class:`TruncatedData` unless ``size`` decoded bytes reach past
+    ``vox_offset`` and the ``need``-byte voxel payload that starts there."""
+    if size < header.vox_offset:
+        raise TruncatedData(f"{path}: file ends before vox_offset {header.vox_offset}")
     if size < header.vox_offset + need:
         raise TruncatedData(
-            f"{path}: voxel payload needs {need} bytes at offset {header.vox_offset}, file holds {size}"
+            f"{path}: voxel payload needs {need} bytes at offset {header.vox_offset}, file {holds} {size}"
         )
+
+
+def _read(path: str | Path, voxels: bool) -> tuple[NiftiHeader, np.ndarray, np.ndarray | None]:
+    """The header, checked affine and, with ``voxels``, flat native-order
+    payload of a single-file NIfTI-1 volume. Errors come in this order:
+    header fields, payload ceiling, ``vox_offset``, payload length, affine."""
+    path = Path(path)
+    gz = False
+    try:
+        with path.open("rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            gz = f.read(2) == GZIP_MAGIC
+            f.seek(0)
+            with gzip.GzipFile(fileobj=f) if gz else f as stream:
+                head = bytearray(HEADER_SIZE)
+                header = _parse_header(head[: _fill(stream, head)], path)
+                count, dtype = int(np.prod(header.shape3())), header.data_dtype()
+                need = count * dtype.itemsize
+                if need > MAX_PAYLOAD_BYTES:
+                    raise UnsupportedDatatype(f"{path}: {need}-byte payload exceeds {MAX_PAYLOAD_BYTES} bytes")
+                # Before any allocation: the most the file can decode to.
+                most, holds = (_GZIP_MAX_RATIO * size, "can decode to at most") if gz else (size, "holds")
+                _check_extent(header, need, most, path, holds)
+                decoded, flat = (HEADER_SIZE if gz or voxels else size), None
+                if voxels:
+                    extension = bytearray(header.vox_offset - HEADER_SIZE)
+                    flat = np.empty(count, dtype)
+                    decoded += _fill(stream, extension) + _fill(stream, flat.view(np.uint8))
+                    header.extension_bytes = bytes(extension)
+                if gz:  # inflate the rest, so every member's checksum is checked
+                    scratch = bytearray(_CHUNK)
+                    while n := _fill(stream, scratch):
+                        decoded += n
+    except (OSError, EOFError, zlib.error) as exc:
+        raise IoFailure(f"cannot {'decompress' if gz else 'read'} {path}: {exc}") from exc
+    _check_extent(header, need, decoded, path)
     affine = checked_affine(header.affine(), f"{path}: header affine", MalformedHeader, MalformedHeader)
-    return shape, dtype, affine
+    if flat is not None and not dtype.isnative:
+        flat = flat.byteswap(inplace=True).view(dtype.newbyteorder("="))
+    return header, affine, flat
 
 
 def read_grid(path: str | Path) -> tuple[tuple[int, int, int], np.ndarray]:
     """The ``(shape, affine)`` of a single-file NIfTI-1 volume, without
-    decoding its voxels.
-
-    Raises what :func:`read_volume` raises for the same file. A gzip file is
-    inflated in pieces of at most 1 MiB, which are counted to check the
-    payload length and dropped; of an uncompressed file only the header is
-    read.
-    """
-    path = Path(path)
-    try:
-        with path.open("rb") as f:
-            head, size = f.read(HEADER_SIZE), os.fstat(f.fileno()).st_size
-            if head[:2] == GZIP_MAGIC:
-                f.seek(0)
-                head, size = _inflated_head_and_size(f, path)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    shape, _, affine = _checked_layout(_parse_header(head, size, path), size, path)
-    return shape, affine
+    keeping its voxels. Raises what :func:`read_volume` raises for the same
+    file."""
+    header, affine, _ = _read(path, voxels=False)
+    return header.shape3(), affine
 
 
 def read_volume(path: str | Path) -> Volume:
@@ -431,30 +444,16 @@ def read_volume(path: str | Path) -> Volume:
     Returns a :class:`Volume` whose data has intensity scaling applied
     whenever the header carries a real transform (slope outside {0, 1}, or
     slope 1 with a nonzero intercept); scaled data comes back as float64.
-    The parsed header rides along for faithful rewrites.
+    The data is read-only; the parsed header rides along for rewrites.
     """
-    path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    blob = _decompress_if_gzip(blob, path)
-    header = _parse_header(blob, len(blob), path)
-    header.extension_bytes = bytes(blob[HEADER_SIZE : header.vox_offset])
-    shape, dtype, affine = _checked_layout(header, len(blob), path)
-    flat = np.frombuffer(blob, dtype=dtype, count=shape[0] * shape[1] * shape[2], offset=header.vox_offset)
-    data = flat.reshape(shape, order="F")
-    if header.byte_order == ">":
-        data = data.astype(dtype.newbyteorder("="))
-
+    header, affine, flat = _read(path, voxels=True)
+    data = flat.reshape(header.shape3(), order="F")
     slope, inter = header.scl_slope, header.scl_inter
     if slope not in (0.0, 1.0):
         data = data.astype(np.float64) * slope + inter
     elif slope == 1.0 and inter != 0.0:
         data = data.astype(np.float64) + inter
-
-    if data.flags.writeable:
-        data.setflags(write=False)
+    data.setflags(write=False)
     return Volume(data=data, affine=affine, header=header)
 
 

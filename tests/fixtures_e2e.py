@@ -10,6 +10,7 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,14 @@ def zero_srow_x(path):
     which makes the header affine singular."""
     blob = bytearray(gzip.decompress(path.read_bytes()))
     blob[280:296] = bytes(16)  # srow_x: four float32 at byte 280
+    path.write_bytes(gzip.compress(bytes(blob), mtime=0))
+
+
+def set_vox_offset(path, value: float):
+    """Overwrite the vox_offset field (float32 at byte 108) of a written
+    .nii.gz, e.g. with NaN."""
+    blob = bytearray(gzip.decompress(path.read_bytes()))
+    struct.pack_into("<f", blob, 108, value)
     path.write_bytes(gzip.compress(bytes(blob), mtime=0))
 
 

@@ -521,6 +521,21 @@ def test_warp_trilinear_writes_float(capsys, tmp_path):
     np.testing.assert_allclose(got.data, vol.data, atol=1e-6)
 
 
+@pytest.mark.parametrize("matrix", ["abc", [[1, 2], [3]]], ids=["str", "ragged"])
+def test_warp_with_a_malformed_sidecar_exits_3(capsys, tmp_path, matrix):
+    src = write_mask(Volume(data=np.ones((4, 4, 4), dtype=np.uint8), affine=np.eye(4)), tmp_path / "m.nii.gz")
+    sidecar = tmp_path / "sub_native2SRI24.json"
+    write_transform(AffineTransform(matrix=np.eye(4), source_space="native", target_space="SRI24"), sidecar)
+    doc = json.loads(sidecar.read_text())
+    doc["matrix"] = matrix
+    sidecar.write_text(json.dumps(doc))
+    argv = ["warp", "-i", str(src), "-t", str(sidecar), "-o", str(tmp_path / "o.nii.gz"), "--json"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_RUNTIME
+    assert json.loads(out)["error"]["type"] == "MalformedTransform"
+    assert not (tmp_path / "o.nii.gz").exists()
+
+
 # -- catalog -------------------------------------------------------------------
 
 

@@ -133,6 +133,17 @@ def test_grid_rejects_singular_affine():
         GridSpec(shape=(4, 4, 4), affine=affine)
 
 
+@pytest.mark.parametrize("entry", [(0, 3), (1, 1), (2, 0)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_grid_and_transform_reject_non_finite_affines(entry, value):
+    affine = np.eye(4)
+    affine[entry] = value
+    with pytest.raises(DegenerateGrid, match="grid affine must be finite"):
+        GridSpec(shape=(4, 4, 4), affine=affine)
+    with pytest.raises(MalformedTransform, match="transform matrix must be finite"):
+        identity_transform(matrix=affine)
+
+
 def test_grid_from_volume():
     vol = Volume(data=np.zeros((3, 4, 5), dtype=np.uint8), affine=np.diag([2.0, 2.0, 2.0, 1.0]))
     grid = GridSpec.from_volume(vol)
@@ -472,6 +483,30 @@ def test_malformed_sidecars_rejected(tmp_path, mutate, fragment):
     mutate(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(MalformedTransform, match=fragment) as info:
+        read_transform(path)
+    assert str(path) in str(info.value)
+
+
+def test_sidecar_with_a_nan_translation_is_rejected(tmp_path):
+    path = write_transform(translation((1.0, 2.0, 3.0)), tmp_path / "t.json")
+    doc = json.loads(path.read_text())
+    doc["matrix"][3] = float("nan")
+    path.write_text(json.dumps(doc))  # written as the bare NaN token json.loads accepts
+    assert "NaN" in path.read_text()
+    with pytest.raises(MalformedTransform, match="must be finite") as info:
+        read_transform(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "matrix", ["abc", ["a"] * 16, [[1, 2], [3]], {"x": 1}], ids=["str", "strs", "ragged", "dict"]
+)
+def test_sidecar_matrix_that_is_not_numbers_is_rejected(tmp_path, matrix):
+    path = write_transform(translation((1.0, 2.0, 3.0)), tmp_path / "t.json")
+    doc = json.loads(path.read_text())
+    doc["matrix"] = matrix
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MalformedTransform, match="matrix must hold 16 numbers") as info:
         read_transform(path)
     assert str(path) in str(info.value)
 

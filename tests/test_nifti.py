@@ -10,20 +10,24 @@ from __future__ import annotations
 
 import gzip
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from brainorch import nifti
 from brainorch.errors import (
+    BrainorchError,
     IoFailure,
     MalformedHeader,
     TruncatedData,
     UnrepresentableData,
     UnsupportedDatatype,
 )
-from brainorch.nifti import Volume, read_grid, read_volume, write_mask, write_volume
+from brainorch.nifti import MAX_PAYLOAD_BYTES, Volume, read_grid, read_volume, write_mask, write_volume
 
 OFF_SIZEOF_HDR = 0
 OFF_DIM = 40
@@ -161,20 +165,24 @@ def test_scl_noop_forms_leave_data_untouched(tmp_path, slope, inter):
 # -- crafted big-endian file -------------------------------------------------
 
 
-def craft_big_endian(path):
+def crafted_bytes(order):
+    """A 2x2x2 int16 volume holding 0..7, in byte order ``order``."""
     blob = bytearray(352)
-    struct.pack_into(">i", blob, OFF_SIZEOF_HDR, 348)
-    struct.pack_into(">8h", blob, OFF_DIM, 3, 2, 2, 2, 1, 1, 1, 1)
-    struct.pack_into(">2h", blob, OFF_DATATYPE, 4, 16)  # int16
-    struct.pack_into(">8f", blob, OFF_PIXDIM, 0, 1, 1, 1, 0, 0, 0, 0)
-    struct.pack_into(">f", blob, OFF_VOX_OFFSET, 352.0)
-    struct.pack_into(">h", blob, OFF_SFORM_CODE, 1)
-    struct.pack_into(">4f", blob, OFF_SROW_X, 1, 0, 0, 0)
-    struct.pack_into(">4f", blob, OFF_SROW_X + 16, 0, 1, 0, 0)
-    struct.pack_into(">4f", blob, OFF_SROW_X + 32, 0, 0, 1, 0)
+    struct.pack_into(order + "i", blob, OFF_SIZEOF_HDR, 348)
+    struct.pack_into(order + "8h", blob, OFF_DIM, 3, 2, 2, 2, 1, 1, 1, 1)
+    struct.pack_into(order + "2h", blob, OFF_DATATYPE, 4, 16)  # int16
+    struct.pack_into(order + "8f", blob, OFF_PIXDIM, 0, 1, 1, 1, 0, 0, 0, 0)
+    struct.pack_into(order + "f", blob, OFF_VOX_OFFSET, 352.0)
+    struct.pack_into(order + "h", blob, OFF_SFORM_CODE, 1)
+    struct.pack_into(order + "4f", blob, OFF_SROW_X, 1, 0, 0, 0)
+    struct.pack_into(order + "4f", blob, OFF_SROW_X + 16, 0, 1, 0, 0)
+    struct.pack_into(order + "4f", blob, OFF_SROW_X + 32, 0, 0, 1, 0)
     blob[OFF_MAGIC : OFF_MAGIC + 4] = b"n+1\x00"
-    payload = np.arange(8, dtype=">i2").tobytes()
-    path.write_bytes(bytes(blob) + payload)
+    return bytes(blob) + np.arange(8, dtype=order + "i2").tobytes()
+
+
+def craft_big_endian(path):
+    path.write_bytes(crafted_bytes(">"))
     return path
 
 
@@ -375,6 +383,24 @@ def test_singular_header_affine_is_a_malformed_header(tmp_path):
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize("read", [read_volume, read_grid])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_vox_offset_is_a_malformed_header(tmp_path, read, value):
+    path = write_volume(simple_volume(), tmp_path / "vo.nii")
+    patch(path, OFF_VOX_OFFSET, "<f", value)
+    with pytest.raises(MalformedHeader, match="vox_offset .* is not finite"):
+        read(path)
+
+
+@pytest.mark.parametrize("read", [read_volume, read_grid])
+def test_non_finite_header_affine_is_a_malformed_header(tmp_path, read):
+    path = write_volume(simple_volume(), tmp_path / "nan.nii")
+    patch(path, OFF_SROW_X + 12, "<f", float("nan"))  # srow_x[3], the x offset
+    with pytest.raises(MalformedHeader, match="header affine must be finite") as info:
+        read(path)
+    assert str(path) in str(info.value)
+
+
 # -- grid-only reads -----------------------------------------------------------
 
 
@@ -423,6 +449,9 @@ MALFORMED_FILES = {
     "four_d": lambda tmp: _nifti_bytes(tmp, _patched(OFF_DIM, "<8h", 4, 3, 4, 5, 2, 1, 1, 1)),
     "bad_qfac": lambda tmp: _nifti_bytes(tmp, _bad_qfac),
     "singular_sform": lambda tmp: _nifti_bytes(tmp, _singular_sform),
+    "vox_offset_nan": lambda tmp: _nifti_bytes(tmp, _patched(OFF_VOX_OFFSET, "<f", float("nan"))),
+    "vox_offset_inf": lambda tmp: _nifti_bytes(tmp, _patched(OFF_VOX_OFFSET, "<f", float("inf"))),
+    "nan_sform_offset": lambda tmp: _nifti_bytes(tmp, _patched(OFF_SROW_X + 12, "<f", float("nan"))),
 }
 
 
@@ -535,6 +564,161 @@ def test_grid_read_accepts_the_gzip_headers_the_volume_read_accepts(tmp_path, qu
     path.write_bytes(bytes(member))
     assert np.array_equal(read_volume(path).data, simple_volume(np.int16).data)
     _assert_same_grid(path)
+
+
+def test_a_bad_header_in_a_damaged_stream_is_reported_as_the_header_error(tmp_path):
+    # The header is parsed before the rest of the stream is inflated.
+    noise = np.random.default_rng(0).integers(0, 256, size=(64, 64, 16), dtype=np.uint8)
+    path = write_volume(Volume(data=noise, affine=np.eye(4)), tmp_path / "noise.nii")
+    _replace_magic(b"xyz\x00")(path)
+    member = gzip.compress(path.read_bytes(), mtime=0)
+    path.write_bytes(member[: len(member) // 2])
+    for read in (read_volume, read_grid):
+        with pytest.raises(MalformedHeader, match="magic"):
+            read(path)
+
+
+# -- hostile inputs ------------------------------------------------------------
+
+
+def _traced_peak(call):
+    """What ``call()`` returns and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_small_gzip_declaring_a_large_payload_fails_before_allocating(tmp_path):
+    # A 240x240x155 float64 header over 10 MB of zeros, 9.8 KB of gzip: the
+    # 71 MB payload cannot fit in what the file can inflate to.
+    header = bytearray(_nifti_bytes(tmp_path, _patched(OFF_DIM, "<8h", 3, 240, 240, 155, 1, 1, 1, 1))[:352])
+    struct.pack_into("<2h", header, OFF_DATATYPE, 64, 64)
+    path = tmp_path / "bomb.nii.gz"
+    path.write_bytes(gzip.compress(bytes(header) + bytes(10_000_000), mtime=0))
+    assert 9_000 < path.stat().st_size < 10_000
+    for read in (read_volume, read_grid):
+        (kind, message), peak = _traced_peak(lambda: _outcome(read, path))
+        assert kind is TruncatedData
+        assert peak < 1 << 20
+        assert "needs 71424000 bytes" in message and "can decode to at most" in message
+
+
+def _gzip_member_of_zeros(mib: int) -> bytes:
+    """A gzip member that inflates to ``mib`` MiB of zeros: one compressed
+    MiB, ended by a full flush so it references nothing before it, repeated,
+    then an empty last block and the trailer."""
+    zeros = bytes(1 << 20)
+    deflate = zlib.compressobj(9, zlib.DEFLATED, -15)
+    block = deflate.compress(zeros) + deflate.flush(zlib.Z_FULL_FLUSH)
+    crc = 0
+    for _ in range(mib):
+        crc = zlib.crc32(zeros, crc)
+    last = zlib.compressobj(9, zlib.DEFLATED, -15).flush()
+    header = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\xff"
+    return header + block * mib + last + struct.pack("<II", crc, (mib << 20) & 0xFFFFFFFF)
+
+
+def test_trailing_zeros_after_the_payload_are_inflated_in_bounded_pieces(tmp_path):
+    # 1 MB of gzip: a valid 4 KB volume, then a member holding 1 GiB of zeros.
+    vol = Volume(data=np.arange(1024, dtype=np.float32).reshape((16, 16, 4)), affine=np.eye(4))
+    path = tmp_path / "trailing.nii.gz"
+    member = gzip.compress(write_volume(vol, tmp_path / "v.nii").read_bytes(), mtime=0)
+    path.write_bytes(member + _gzip_member_of_zeros(1024))
+    assert path.stat().st_size < 1_100_000
+    back, peak = _traced_peak(lambda: read_volume(path))
+    np.testing.assert_array_equal(back.data, vol.data)
+    assert peak < 8_000_000
+
+
+def test_gzip_read_peaks_at_the_payload_plus_a_few_pieces(tmp_path):
+    data = np.zeros((128, 128, 80), dtype=np.float32)
+    data[32:96, 32:96, 16:64] = np.random.default_rng(2).normal(100.0, 20.0, size=(64, 64, 48))
+    path = write_volume(Volume(data=data, affine=np.eye(4)), tmp_path / "c.nii.gz")
+    back, peak = _traced_peak(lambda: read_volume(path))
+    np.testing.assert_array_equal(back.data, data)
+    assert peak <= data.nbytes + (4 << 20)
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["nii", "gz"])
+def test_payload_over_the_ceiling_is_refused_before_allocating(tmp_path, compress):
+    blob = _nifti_bytes(tmp_path, _patched(OFF_DIM, "<8h", 3, 2048, 1024, 1025, 1, 1, 1, 1))
+    assert 2048 * 1024 * 1025 * 2 > MAX_PAYLOAD_BYTES  # int16 voxels
+    path = tmp_path / "huge.nii"
+    path.write_bytes(gzip.compress(blob, mtime=0) if compress else blob)
+    for read in (read_volume, read_grid):
+        (kind, message), peak = _traced_peak(lambda: _outcome(read, path))
+        assert kind is UnsupportedDatatype
+        assert f"exceeds {MAX_PAYLOAD_BYTES} bytes" in message
+        assert peak < 1 << 20
+
+
+def test_the_payload_ceiling_is_inclusive(tmp_path, monkeypatch):
+    path = write_volume(simple_volume(np.int16), tmp_path / "v.nii")  # 120-byte payload
+    monkeypatch.setattr(nifti, "MAX_PAYLOAD_BYTES", 120)
+    np.testing.assert_array_equal(read_volume(path).data, simple_volume(np.int16).data)
+    monkeypatch.setattr(nifti, "MAX_PAYLOAD_BYTES", 119)
+    with pytest.raises(UnsupportedDatatype, match="120-byte payload exceeds 119 bytes"):
+        read_volume(path)
+
+
+_F32 = st.floats(width=32)
+_I16 = st.integers(-(2**15), 2**15 - 1)
+_HEADER_FIELDS = {  # offset, format, strategy of the values
+    "dim": (OFF_DIM, "<8h", st.tuples(st.integers(-1, 8), *[st.integers(1, 4) | _I16] * 7)),
+    "datatype_bitpix": (
+        OFF_DATATYPE,
+        "<2h",
+        st.sampled_from([(2, 8), (4, 16), (8, 32), (16, 32), (64, 64)]) | st.tuples(_I16, _I16),
+    ),
+    "pixdim": (OFF_PIXDIM, "<8f", st.tuples(*[_F32] * 8)),
+    "vox_offset": (
+        OFF_VOX_OFFSET, "<f", st.sampled_from([348.0, 352.0, 356.0, 1e9, np.nan, np.inf, -np.inf]) | _F32
+    ),
+    "scl": (OFF_SCL_SLOPE, "<2f", st.tuples(_F32, _F32)),
+    "codes": (OFF_QFORM_CODE, "<2h", st.tuples(st.integers(-1, 3), st.integers(-1, 3))),
+    "quatern": (OFF_QUATERN_B, "<6f", st.tuples(*[_F32] * 6)),
+    "srow": (OFF_SROW_X, "<12f", st.tuples(*[_F32] * 12)),
+}
+
+
+@st.composite
+def hostile_files(draw):
+    """A small valid volume with some header fields redrawn, then maybe
+    gzipped, and maybe cut short or with one byte flipped."""
+    blob = bytearray(crafted_bytes("<"))
+    for name in draw(st.sets(st.sampled_from(sorted(_HEADER_FIELDS)), max_size=3)):
+        offset, fmt, values = _HEADER_FIELDS[name]
+        value = draw(values)
+        struct.pack_into(fmt, blob, offset, *(value if isinstance(value, tuple) else (value,)))
+    if draw(st.booleans()):
+        blob = bytearray(gzip.compress(bytes(blob), mtime=0))
+    damage = draw(st.sampled_from(["none", "none", "cut", "flip"]))
+    at = draw(st.integers(0, len(blob) - 1))
+    if damage == "cut":
+        blob = blob[:at]
+    elif damage == "flip":
+        blob[at] ^= draw(st.integers(1, 255))
+    return bytes(blob)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 while scaling a hostile slope
+# No explain phase: explaining a failure of this test takes minutes.
+@settings(max_examples=200, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(blob=hostile_files())
+def test_hostile_files_raise_a_typed_error_or_read_a_valid_volume(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "hostile.nii"
+    path.write_bytes(blob)
+    expected = _outcome(read_volume, path)
+    assert expected[0] is None or issubclass(expected[0], BrainorchError), expected
+    assert _outcome(read_grid, path) == expected
+    if expected[0] is None:
+        vol = read_volume(path)
+        shape, affine = read_grid(path)
+        assert vol.shape == shape and np.array_equal(vol.affine, affine)
+        assert np.isfinite(affine).all() and not vol.data.flags.writeable
 
 
 # -- rank handling -----------------------------------------------------------
@@ -661,6 +845,15 @@ def test_volume_rejects_singular_affine():
     affine = np.eye(4)
     affine[0, 0] = 0.0
     with pytest.raises(ValueError, match="invertible"):
+        Volume(data=np.zeros((2, 2, 2)), affine=affine)
+
+
+@pytest.mark.parametrize("entry", [(0, 3), (2, 2), (3, 3)])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_volume_rejects_non_finite_affine(entry, value):
+    affine = np.eye(4)
+    affine[entry] = value
+    with pytest.raises(ValueError, match="affine must be finite"):
         Volume(data=np.zeros((2, 2, 2)), affine=affine)
 
 

@@ -39,6 +39,7 @@ from fixtures_e2e import (
     e2e_affine,
     expected_candidate_masks,
     fake_digest,
+    set_vox_offset,
     write_subject,
 )
 from oracles import brute_dice, brute_majority, shift_mask
@@ -305,6 +306,21 @@ def test_off_grid_candidate_is_rejected(tmp_path, gli_subject, override_catalog)
     assert any("does not match the input grid" in w for w in bundle.manifest["warnings"])
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_candidate_with_a_non_finite_vox_offset_is_rejected(tmp_path, gli_subject, override_catalog, value):
+    def bad_offset(spec):
+        path = Path(spec.output_dir) / "seg.nii.gz"
+        write_mask(Volume(data=expected_candidate_masks()["mock-gli-1"], affine=e2e_affine()), path)
+        set_vox_offset(path, value)
+
+    engine = engine_with({"example/mock-gli-1": {"outputs": (bad_offset,)}})
+    inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
+    bundle = run_inference(inputs, gli_config(tmp_path, engine, override_catalog))
+    assert set(bundle.per_algorithm_paths) == {"mock-gli-2", "mock-gli-3"}
+    warnings = [w for w in bundle.manifest["warnings"] if w.startswith("mock-gli-1: unreadable")]
+    assert len(warnings) == 1 and "vox_offset" in warnings[0] and "not finite" in warnings[0]
+
+
 def test_symlinked_output_is_rejected_and_never_copied(tmp_path, gli_subject, override_catalog):
     # A valid mask on the input grid, so only the link itself can reject it.
     host_file = tmp_path / "host" / "private.nii.gz"
@@ -495,6 +511,24 @@ def test_native_space_needs_transform_and_reference(tmp_path, gli_subject, mock_
         run_inference(inputs, config)
     codes = [f.code for f in excinfo.value.report.findings if f.severity == "error"]
     assert codes.count("MISSING_TRANSFORM") == 2  # no sidecar and no reference grid
+
+
+@pytest.mark.parametrize("damage", ["not_numbers", "nan_translation"])
+def test_unusable_sidecar_is_a_missing_transform(tmp_path, gli_subject, mock_engine, override_catalog, damage):
+    add_native_context(gli_subject, "sub-01")
+    sidecar = gli_subject / "sub-01_native2SRI24.json"
+    doc = json.loads(sidecar.read_text())
+    if damage == "not_numbers":
+        doc["matrix"] = "abc"
+    else:
+        doc["matrix"][3] = float("nan")
+    sidecar.write_text(json.dumps(doc))
+    inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
+    config = gli_config(tmp_path, mock_engine, override_catalog, native_space_output=True)
+    with pytest.raises(ValidationFailed) as excinfo:
+        run_inference(inputs, config)
+    codes = [f.code for f in excinfo.value.report.findings if f.severity == "error"]
+    assert codes == ["MISSING_TRANSFORM"]  # the sidecar is skipped; the reference grid is there
 
 
 # -- synthesis ---------------------------------------------------------------------

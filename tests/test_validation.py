@@ -29,7 +29,7 @@ from brainorch.validation import (
     validate_subject,
 )
 
-from fixtures_e2e import e2e_affine, write_subject, zero_srow_x
+from fixtures_e2e import e2e_affine, set_vox_offset, write_subject, zero_srow_x
 
 
 def inputs_for(subj_dir, subject="sub-01", task=TaskId.GLI_PRE, **kw):
@@ -327,6 +327,18 @@ def test_singular_header_affine_degrades_to_finding(tmp_path):
     errors = [f for f in report.errors if f.code == UNREADABLE_INPUT]
     assert len(errors) == 1
     assert "T1c" in errors[0].message and "singular" in errors[0].message
+    assert not report.passed
+    assert set(report.per_modality_geometry) == {"T1n", "T2w", "FLA"}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_vox_offset_degrades_to_finding(tmp_path, value):
+    subj = write_subject(tmp_path, "sub-17")
+    set_vox_offset(subj / "sub-17-t1c.nii.gz", value)
+    report = validate_subject(inputs_for(subj, "sub-17"), get_task_spec("gli-pre"))
+    errors = [f for f in report.errors if f.code == UNREADABLE_INPUT]
+    assert len(errors) == 1
+    assert "T1c" in errors[0].message and "vox_offset" in errors[0].message
     assert not report.passed
     assert set(report.per_modality_geometry) == {"T1n", "T2w", "FLA"}
 
