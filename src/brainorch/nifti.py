@@ -19,14 +19,21 @@ Before anything is allocated, the declared payload must be at most
 ``MAX_PAYLOAD_BYTES`` and ``vox_offset`` plus the payload must fit in what
 the file can decode to: its size, or 1032 times it for gzip (deflate's
 ceiling). :func:`read_grid` keeps no voxels; of an uncompressed file it
-reads only the header. Gzip output has a zeroed mtime, so identical volumes
-produce identical files.
+reads only the header.
+
+The writer mirrors the readers: it opens the target once (through one
+:class:`gzip.GzipFile` when the name ends in ``.gz``) and writes the header,
+the extension block, then the payload in Fortran order, one last-axis plane
+at a time, each plane converted to the stored dtype and byte order as it
+goes, so no full-size copy of the payload is made. The gzip header carries
+no file name (``filename=""``; given a named file object, GzipFile would
+store its name) and a zeroed mtime, so identical volumes produce identical
+files whatever they are called.
 """
 
 from __future__ import annotations
 
 import gzip
-import io
 import os
 import zlib
 from dataclasses import dataclass
@@ -132,12 +139,13 @@ class NiftiHeader:
 
     ``raw`` is a zero-dimensional structured array kept in the file's byte
     order; ``extension_bytes`` holds everything between the header and the
-    voxel data (at minimum the 4-byte extender).
+    voxel data (at minimum the 4-byte extender), read from disk into one
+    ``bytearray`` that is not copied again.
     """
 
     raw: np.ndarray
     byte_order: str
-    extension_bytes: bytes
+    extension_bytes: bytes | bytearray
 
     def _get(self, name: str):
         return self.raw[name][()]
@@ -412,11 +420,10 @@ def _read(path: str | Path, voxels: bool) -> tuple[NiftiHeader, np.ndarray, np.n
                 most, holds = (_GZIP_MAX_RATIO * size, "can decode to at most") if gz else (size, "holds")
                 _check_extent(header, need, most, path, holds)
                 decoded, flat = (HEADER_SIZE if gz or voxels else size), None
-                if voxels:
-                    extension = bytearray(header.vox_offset - HEADER_SIZE)
+                if voxels:  # the extension block is kept in the buffer it is read into
+                    header.extension_bytes = bytearray(header.vox_offset - HEADER_SIZE)
                     flat = np.empty(count, dtype)
-                    decoded += _fill(stream, extension) + _fill(stream, flat.view(np.uint8))
-                    header.extension_bytes = bytes(extension)
+                    decoded += _fill(stream, header.extension_bytes) + _fill(stream, flat.view(np.uint8))
                 if gz:  # inflate the rest, so every member's checksum is checked
                     scratch = bytearray(_CHUNK)
                     while n := _fill(stream, scratch):
@@ -511,20 +518,15 @@ def _build_header(vol: Volume, code: int, byte_order: str) -> tuple[np.ndarray, 
     return raw, ext
 
 
-def write_volume(
-    vol: Volume,
-    path: str | Path,
-    compress: bool | None = None,
-    *,
-    dtype: np.dtype | type | None = None,
-) -> Path:
-    """Write a volume as single-file NIfTI-1.
+def write_volume(vol: Volume, path: str | Path, *, dtype: np.dtype | type | None = None) -> Path:
+    """Write a volume as single-file NIfTI-1, gzipped when ``path`` ends in
+    ``.gz``.
 
-    ``compress=None`` infers gzip from a ``.gz`` suffix. ``dtype`` overrides
-    the stored datatype; values that cannot be represented losslessly in an
-    integer target raise :class:`UnrepresentableData`. Volumes read from disk
-    are written back in their source byte order with unowned header fields
-    and extension bytes intact; integer round trips are bit-exact.
+    ``dtype`` overrides the stored datatype; values that cannot be represented
+    losslessly in an integer target raise :class:`UnrepresentableData`, and
+    no file is written. Volumes read from disk are written back in their
+    source byte order with unowned header fields and extension bytes intact;
+    integer round trips are bit-exact.
     """
     path = Path(path)
     target = np.dtype(dtype) if dtype is not None else vol.data.dtype
@@ -534,28 +536,23 @@ def write_volume(
             f"{sorted(d.name for d in _DTYPE_TO_CODE)}"
         )
     _check_representable(vol.data, target)
-    code = _DTYPE_TO_CODE[target]
-
     byte_order = vol.header.byte_order if vol.header is not None else "<"
-    raw, ext = _build_header(vol, code, byte_order)
-    payload = vol.data.astype(target.newbyteorder(byte_order)).tobytes(order="F")
-    blob = raw.tobytes() + ext + payload
-
-    if compress is None:
-        compress = path.name.endswith(".gz")
-    if compress:
-        buf = io.BytesIO()
-        # mtime=0 keeps byte-identical output for identical volumes.
-        with gzip.GzipFile(fileobj=buf, mode="wb", compresslevel=6, mtime=0) as gz:
-            gz.write(blob)
-        blob = buf.getvalue()
+    raw, ext = _build_header(vol, _DTYPE_TO_CODE[target], byte_order)
+    stored = target.newbyteorder(byte_order)
+    gz = path.name.endswith(".gz")
     try:
-        path.write_bytes(blob)
+        with path.open("wb") as f:
+            # filename="": given a named file object, GzipFile writes its name into the gzip header.
+            with gzip.GzipFile(filename="", fileobj=f, mode="wb", compresslevel=6, mtime=0) if gz else f as out:
+                out.write(raw.tobytes())
+                out.write(ext)
+                for k in range(vol.shape[2]):  # Fortran order: one last-axis plane at a time
+                    out.write(vol.data[:, :, k].astype(stored).tobytes(order="F"))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
     return path
 
 
-def write_mask(vol: Volume, path: str | Path, compress: bool | None = None) -> Path:
+def write_mask(vol: Volume, path: str | Path) -> Path:
     """Write a label mask: always uint8, slope 1, intercept 0."""
-    return write_volume(vol, path, compress, dtype=np.uint8)
+    return write_volume(vol, path, dtype=np.uint8)

@@ -28,7 +28,9 @@ refuse a collision, stage, run the jobs, produce, warp to native space,
 hash and publish. Each kind adds only a produce step. Segmentation vets
 and fuses candidate masks and scores them against the consensus; synthesis
 runs exactly one algorithm and keeps its image. Validation decodes every
-input once and hands its grids on, so the run decodes no input again.
+input once and hands its grids on, so the run decodes no input again; for
+native-space output it also reads the native reference's grid and the
+forward transform once, before any container runs, and the warp reuses them.
 """
 
 from __future__ import annotations
@@ -94,6 +96,7 @@ from .runtime import JobResult, JobSpec
 from .validation import (
     MISSING_TRANSFORM,
     SEVERITY_ERROR,
+    UNREADABLE_INPUT,
     Finding,
     SubjectInputs,
     ValidationReport,
@@ -275,11 +278,16 @@ def _find_forward_transform(inputs: SubjectInputs, task: TaskSpec):
     return None
 
 
-def _native_preflight(inputs: SubjectInputs, task: TaskSpec) -> list[Finding]:
+def _native_preflight(
+    inputs: SubjectInputs, task: TaskSpec
+) -> tuple[list[Finding], tuple[AffineTransform, GridSpec] | None]:
+    """The findings against a native-space output, and what the warp needs:
+    ``(forward transform, native grid)``, or None when anything is missing."""
     findings: list[Finding] = []
     if task.spatial_space == "native":
-        return findings
-    if _find_forward_transform(inputs, task) is None:
+        return findings, None
+    forward = _find_forward_transform(inputs, task)
+    if forward is None:
         findings.append(
             Finding(
                 SEVERITY_ERROR,
@@ -287,7 +295,8 @@ def _native_preflight(inputs: SubjectInputs, task: TaskSpec) -> list[Finding]:
                 f"native-space output needs a native->{task.spatial_space} transform sidecar",
             )
         )
-    if inputs.native_reference is None:
+    reference = inputs.native_reference
+    if reference is None:
         findings.append(
             Finding(
                 SEVERITY_ERROR,
@@ -295,17 +304,28 @@ def _native_preflight(inputs: SubjectInputs, task: TaskSpec) -> list[Finding]:
                 "native-space output needs a native reference volume for the target grid",
             )
         )
-    return findings
+    else:
+        try:
+            native_grid = GridSpec(*read_grid(reference))
+        except BrainorchError as exc:
+            findings.append(
+                Finding(SEVERITY_ERROR, UNREADABLE_INPUT, f"native reference ({reference.name}): {exc}")
+            )
+    return findings, (None if findings else (forward, native_grid))
 
 
-def _validate(inputs: SubjectInputs, task: TaskSpec, config: PipelineConfig) -> ValidationReport:
+def _validate(
+    inputs: SubjectInputs, task: TaskSpec, config: PipelineConfig
+) -> tuple[ValidationReport, tuple[AffineTransform, GridSpec] | None]:
+    """The passing report and what a native-space warp needs (None when no
+    warp is asked for); raises :class:`ValidationFailed` otherwise."""
     report = validate_subject(inputs, task)
-    extra = _native_preflight(inputs, task) if config.native_space_output else []
+    extra, native = _native_preflight(inputs, task) if config.native_space_output else ([], None)
     if extra:  # preflight findings are all errors
         report = dataclasses.replace(report, findings=report.findings + tuple(extra), verdict="fail")
     if not report.passed:
         raise ValidationFailed(report)
-    return report
+    return report, native
 
 
 def _stage_inputs(
@@ -333,6 +353,8 @@ class _Run:
     bundle: Path  # the bundle being assembled in the staging directory
     grid: GridSpec  # every accepted output sits on this input grid
     warnings: list[str]
+    # (forward transform, native grid) when native-space output is asked for
+    native: tuple[AffineTransform, GridSpec] | None
 
 
 @dataclass(frozen=True)
@@ -523,11 +545,9 @@ def _atomic_publish(bundle_staging: Path, target: Path, force: bool) -> None:
 
 def _warp_to_native(run: _Run, product: _Product) -> str:
     """Write the native-space derivative next to the atlas-space output."""
-    forward = _find_forward_transform(run.inputs, run.task)
-    native_grid = GridSpec(*read_grid(run.inputs.native_reference))
     rel = f"native/{product.native_name}-native.nii.gz"
     (run.bundle / "native").mkdir(parents=True, exist_ok=True)
-    product.write_native(forward, native_grid, run.bundle / rel)
+    product.write_native(*run.native, run.bundle / rel)
     return rel
 
 
@@ -540,7 +560,7 @@ def _staged_run(
 ) -> OutputBundle:
     """Validate, stage, run the jobs, let ``produce`` make the outputs, warp
     them to native space on request, and publish one hashed bundle."""
-    report = _validate(inputs, task, config)
+    report, native = _validate(inputs, task, config)
     target = config.output_dir / inputs.subject_id / task.task_id.value
     _refuse_collision(target, config.force)  # before any container runs
 
@@ -552,7 +572,7 @@ def _staged_run(
         stage_dir = bundle / "work" / "input"
         # A passing report decoded exactly the inputs this task consumes.
         staged = _stage_inputs(inputs, report.grids, stage_dir)
-        run = _Run(inputs, task, config, bundle, report.grids[min(staged)], warnings)
+        run = _Run(inputs, task, config, bundle, report.grids[min(staged)], warnings, native)
 
         logger.info(
             "running %d algorithm(s) for %s/%s", len(entries), inputs.subject_id, task.task_id.value
@@ -560,7 +580,7 @@ def _staged_run(
         product = produce(run, _run_jobs(run, entries, stage_dir))
 
         native_rel: dict[str, str] = {}
-        if config.native_space_output and task.spatial_space != "native":
+        if native is not None:
             native_rel[product.native_name] = _warp_to_native(run, product)
 
         if config.keep_intermediate:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from brainorch.geometry import AffineTransform, write_transform
 from brainorch.nifti import Volume, write_volume
 from brainorch.registry import TaskId, get_task_spec
 from brainorch.runtime import MockBehavior, MockEngine
@@ -73,6 +74,18 @@ def write_subject(
         vol = Volume(data=data, affine=affine)
         write_volume(vol, subj_dir / f"{subject}-{tag.lower()}{suffix}")
     return subj_dir
+
+
+def add_native_context(subj_dir: Path, subject: str, offset=(2.0, 0.0, 0.0)) -> None:
+    """Identity registration plus a native grid whose origin is shifted."""
+    write_transform(
+        AffineTransform(matrix=np.eye(4), source_space="native", target_space="SRI24"),
+        subj_dir / f"{subject}_native2SRI24.json",
+    )
+    native_affine = e2e_affine()
+    native_affine[:3, 3] += np.asarray(offset)
+    ref = Volume(data=np.zeros((32, 32, 20), dtype=np.float32), affine=native_affine)
+    write_volume(ref, subj_dir / f"{subject}-native.nii.gz")
 
 
 def zero_srow_x(path):

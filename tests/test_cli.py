@@ -15,6 +15,7 @@ from brainorch.registry import TaskId
 
 from fixtures_e2e import (
     E2E_ALGOS,
+    add_native_context,
     behaviors_payload,
     catalog_override_payload,
     e2e_affine,
@@ -190,6 +191,19 @@ def test_segment_validation_failure_exits_1(capsys, workspace):
     codes = [f["code"] for f in payload["report"]["findings"]]
     assert "MISSING_MODALITY" in codes
     assert "validation failed" in err
+
+
+def test_segment_native_with_a_damaged_reference_exits_1(capsys, workspace):
+    add_native_context(workspace["subject"], "sub-01")
+    reference = workspace["subject"] / "sub-01-native.nii.gz"
+    reference.write_bytes(reference.read_bytes()[:40])
+    argv = ["segment", "--task", "gli-pre", "-i", str(workspace["subject"]), "-o", str(workspace["output"])]
+    code, out, err = run(capsys, mock_args(workspace, *argv, "--native", "--json"))
+    assert code == EXIT_VALIDATION
+    findings = json.loads(out)["report"]["findings"]
+    assert [f["code"] for f in findings if f["severity"] == "error"] == ["UNREADABLE_INPUT"]
+    assert "native reference (sub-01-native.nii.gz)" in err
+    assert not (workspace["output"] / "sub-01").exists()
 
 
 def test_segment_unknown_algorithm_exits_2(capsys, workspace):

@@ -9,6 +9,7 @@ of the reader's own header layout.
 from __future__ import annotations
 
 import gzip
+import io
 import struct
 import tracemalloc
 import zlib
@@ -93,7 +94,8 @@ def test_gzip_output_is_byte_stable(tmp_path):
 
 def test_gzip_detected_by_magic_not_extension(tmp_path):
     vol = simple_volume(np.uint8)
-    path = write_volume(vol, tmp_path / "misnamed.nii", compress=True)
+    path = tmp_path / "misnamed.nii"
+    path.write_bytes(gzip.compress(write_volume(vol, tmp_path / "plain.nii").read_bytes(), mtime=0))
     assert path.read_bytes()[:2] == b"\x1f\x8b"
     np.testing.assert_array_equal(read_volume(path).data, vol.data)
 
@@ -684,11 +686,11 @@ _HEADER_FIELDS = {  # offset, format, strategy of the values
 }
 
 
-@st.composite
-def hostile_files(draw):
-    """A small valid volume with some header fields redrawn, then maybe
-    gzipped, and maybe cut short or with one byte flipped."""
-    blob = bytearray(crafted_bytes("<"))
+def draw_damage(draw, blob: bytes) -> bytes:
+    """``blob``, the bytes of an uncompressed volume, with some header fields
+    redrawn, then maybe gzipped, and maybe cut short or with one byte
+    flipped. ``draw`` is Hypothesis's draw function."""
+    blob = bytearray(blob)
     for name in draw(st.sets(st.sampled_from(sorted(_HEADER_FIELDS)), max_size=3)):
         offset, fmt, values = _HEADER_FIELDS[name]
         value = draw(values)
@@ -702,6 +704,12 @@ def hostile_files(draw):
     elif damage == "flip":
         blob[at] ^= draw(st.integers(1, 255))
     return bytes(blob)
+
+
+@st.composite
+def hostile_files(draw):
+    """A small valid volume, damaged by :func:`draw_damage`."""
+    return draw_damage(draw, crafted_bytes("<"))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 while scaling a hostile slope
@@ -772,6 +780,101 @@ def test_descrip_field_survives_round_trip(tmp_path):
     path.write_bytes(bytes(blob))
     out = write_volume(read_volume(path), tmp_path / "d2.nii")
     assert out.read_bytes()[148 : 148 + len(note)] == note
+
+
+def test_a_large_extension_block_is_held_once_and_round_trips(tmp_path):
+    # A 64 MiB extension block in a gzip of about 66 KB; real blocks are a few KB.
+    size = (64 << 20) + 4  # keeps vox_offset exact in float32
+    crafted = bytearray(crafted_bytes("<"))
+    struct.pack_into("<f", crafted, OFF_VOX_OFFSET, 348.0 + size)
+    extension = bytearray(size)
+    extension[:20] = b"\x01\x00\x00\x00" + struct.pack("<2i", 16, 4) + b"payload!"
+    extension[-4:] = b"tail"
+    path = tmp_path / "ext.nii.gz"
+    with gzip.GzipFile(path, "wb", mtime=0) as gz:
+        gz.write(crafted[:348])
+        gz.write(extension)
+        gz.write(crafted[352:])
+    assert path.stat().st_size < 100_000
+    vol, peak = _traced_peak(lambda: read_volume(path))
+    assert peak <= size + vol.data.nbytes + (4 << 20)
+    assert vol.header.extension_bytes == extension
+    np.testing.assert_array_equal(vol.data, np.arange(8, dtype=np.int16).reshape((2, 2, 2), order="F"))
+    out = write_volume(vol, tmp_path / "ext2.nii")
+    with out.open("rb") as f:
+        f.seek(348)
+        assert f.read(size) == extension
+
+
+# -- streaming writes ----------------------------------------------------------
+
+
+def _one_shot(vol, path, dtype=None):
+    """What :func:`write_volume` must write to ``path``: header, extension and
+    the whole payload in one piece, gzipped in one call for a ``.gz`` name."""
+    target = np.dtype(dtype) if dtype is not None else vol.data.dtype
+    order = vol.header.byte_order if vol.header is not None else "<"
+    raw, ext = nifti._build_header(vol, nifti._DTYPE_TO_CODE[target], order)
+    blob = raw.tobytes() + bytes(ext) + vol.data.astype(target.newbyteorder(order)).tobytes(order="F")
+    if not path.name.endswith(".gz"):
+        return blob
+    buf = io.BytesIO()
+    with gzip.GzipFile(fileobj=buf, mode="wb", compresslevel=6, mtime=0) as gz:
+        gz.write(blob)
+    return buf.getvalue()
+
+
+def _big_endian_with_extension(tmp_path):
+    blob = bytearray(crafted_bytes(">"))
+    extension = b"\x01\x00\x00\x00" + struct.pack(">2i", 16, 4) + b"payload!"
+    struct.pack_into(">f", blob, OFF_VOX_OFFSET, 348.0 + len(extension))
+    path = tmp_path / "be-ext.nii"
+    path.write_bytes(bytes(blob[:348]) + extension + bytes(blob[352:]))
+    vol = read_volume(path)
+    assert vol.header.byte_order == ">" and vol.header.extension_bytes == extension
+    return vol, None
+
+
+_NOISE = np.random.default_rng(5).normal(100.0, 20.0, size=(40, 30, 12))
+_LABELS = np.random.default_rng(6).integers(0, 4, size=(40, 30, 12), dtype=np.uint8)
+# (volume, dtype override) to write, each built from a temporary directory.
+WRITE_CASES = {
+    "float32_c_order": lambda tmp: (Volume(data=_NOISE.astype(np.float32), affine=np.eye(4)), None),
+    "float32_f_order": lambda tmp: (Volume(data=np.asfortranarray(_NOISE, dtype=np.float32), affine=np.eye(4)), None),
+    "float64_as_float32": lambda tmp: (Volume(data=_NOISE, affine=np.eye(4)), np.float32),
+    "uint8_mask_c_order": lambda tmp: (Volume(data=_LABELS, affine=np.eye(4)), np.uint8),
+    "int16_strided_view": lambda tmp: (Volume(data=_LABELS.astype(np.int16)[::2, ::-1, 1::3], affine=np.eye(4)), None),
+    "big_endian_rewrite_with_extension": _big_endian_with_extension,
+}
+
+
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+@pytest.mark.parametrize("case", sorted(WRITE_CASES))
+def test_streamed_write_equals_the_one_shot_bytes(tmp_path, case, suffix):
+    vol, dtype = WRITE_CASES[case](tmp_path)
+    path = write_volume(vol, tmp_path / f"out{suffix}", dtype=dtype)
+    assert path.read_bytes() == _one_shot(vol, path, dtype)
+    np.testing.assert_array_equal(read_volume(path).data, vol.data.astype(dtype or vol.data.dtype))
+
+
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+def test_a_canonical_float32_write_peaks_below_4_mib(tmp_path, suffix):
+    data = np.zeros((240, 240, 155), dtype=np.float32)
+    data[60:180, 60:180, 40:120] = np.random.default_rng(4).normal(100.0, 20.0, size=(120, 120, 80))
+    vol = Volume(data=data, affine=np.eye(4))
+    path, peak = _traced_peak(lambda: write_volume(vol, tmp_path / f"big{suffix}"))
+    assert peak <= 4 << 20
+    np.testing.assert_array_equal(read_volume(path).data, data)
+
+
+def test_a_refused_write_leaves_no_file(tmp_path):
+    vol = Volume(data=np.full((2, 2, 2), 0.5), affine=np.eye(4))
+    for name in ("x.nii", "x.nii.gz"):
+        with pytest.raises(UnrepresentableData):
+            write_volume(vol, tmp_path / name, dtype=np.uint8)
+        assert not (tmp_path / name).exists()
+    with pytest.raises(IoFailure, match="cannot write"):
+        write_volume(vol, tmp_path / "absent" / "x.nii.gz")
 
 
 # -- unrepresentable writes --------------------------------------------------

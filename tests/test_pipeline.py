@@ -4,6 +4,7 @@ fusion wiring, failure degradation, and the synthesis flow."""
 from __future__ import annotations
 
 import errno
+import gzip
 import hashlib
 import json
 from collections import Counter
@@ -11,7 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from brainorch import pipeline
 from brainorch.errors import (
     AllJobsFailed,
     EngineUnreachable,
@@ -20,8 +24,7 @@ from brainorch.errors import (
     ValidationFailed,
 )
 from brainorch.fusion import METHOD_SIMPLE
-from brainorch.geometry import AffineTransform, write_transform
-from brainorch.nifti import Volume, read_volume, write_mask, write_volume
+from brainorch.nifti import Volume, read_volume, write_mask
 from brainorch.pipeline import (
     PipelineConfig,
     canonical_json,
@@ -35,14 +38,17 @@ from brainorch.runtime import MockBehavior, MockEngine
 
 from fixtures_e2e import (
     E2E_ALGOS,
+    add_native_context,
     behaviors_payload,
     e2e_affine,
     expected_candidate_masks,
     fake_digest,
     set_vox_offset,
+    write_catalog_override,
     write_subject,
 )
 from oracles import brute_dice, brute_majority, shift_mask
+from test_nifti import draw_damage
 
 ALGO_IDS = tuple(algo_id for algo_id, _, _ in E2E_ALGOS)
 GLI_CODES = (3, 1, 2)  # ET, NETC, SNFH in priority order
@@ -321,6 +327,30 @@ def test_candidate_with_a_non_finite_vox_offset_is_rejected(tmp_path, gli_subjec
     assert len(warnings) == 1 and "vox_offset" in warnings[0] and "not finite" in warnings[0]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 while scaling a hostile slope
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_damaged_candidate_is_published_verbatim_or_warned_about_once(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("damaged")
+    valid = write_mask(Volume(data=expected_candidate_masks()["mock-gli-1"], affine=e2e_affine()), tmp / "seg.nii.gz")
+    blob = draw_damage(data.draw, gzip.decompress(valid.read_bytes()))
+
+    def write_damaged(spec):
+        (Path(spec.output_dir) / "seg.nii.gz").write_bytes(blob)
+
+    engine = engine_with({"example/mock-gli-1": {"outputs": (write_damaged,)}})
+    inputs = discover_subject_inputs(write_subject(tmp, "sub-01"), TaskId.GLI_PRE)
+    catalog = load_catalog(write_catalog_override(tmp / "catalog.json"))
+    bundle = run_inference(inputs, gli_config(tmp, engine, catalog))
+    warnings = [w for w in bundle.manifest["warnings"] if w.startswith("mock-gli-1:")]
+    if "mock-gli-1" in bundle.per_algorithm_paths:
+        assert bundle.per_algorithm_paths["mock-gli-1"].read_bytes() == blob
+        assert not warnings
+    else:
+        assert len(warnings) == 1, warnings
+        assert set(bundle.per_algorithm_paths) == {"mock-gli-2", "mock-gli-3"}
+
+
 def test_symlinked_output_is_rejected_and_never_copied(tmp_path, gli_subject, override_catalog):
     # A valid mask on the input grid, so only the link itself can reject it.
     host_file = tmp_path / "host" / "private.nii.gz"
@@ -477,18 +507,6 @@ def test_bundle_published_concurrently_is_an_output_collision(tmp_path, gli_subj
 # -- native-space output -----------------------------------------------------------
 
 
-def add_native_context(subj_dir: Path, subject: str, offset=(2.0, 0.0, 0.0)) -> None:
-    """Identity registration plus a native grid whose origin is shifted."""
-    write_transform(
-        AffineTransform(matrix=np.eye(4), source_space="native", target_space="SRI24"),
-        subj_dir / f"{subject}_native2SRI24.json",
-    )
-    native_affine = e2e_affine()
-    native_affine[:3, 3] += np.asarray(offset)
-    ref = Volume(data=np.zeros((32, 32, 20), dtype=np.float32), affine=native_affine)
-    write_volume(ref, subj_dir / f"{subject}-native.nii.gz")
-
-
 def test_native_space_output_round_trips(tmp_path, gli_subject, mock_engine, override_catalog):
     add_native_context(gli_subject, "sub-01")
     inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
@@ -529,6 +547,41 @@ def test_unusable_sidecar_is_a_missing_transform(tmp_path, gli_subject, mock_eng
         run_inference(inputs, config)
     codes = [f.code for f in excinfo.value.report.findings if f.severity == "error"]
     assert codes == ["MISSING_TRANSFORM"]  # the sidecar is skipped; the reference grid is there
+
+
+def test_a_damaged_native_reference_fails_validation_before_any_container_runs(tmp_path, gli_subject, override_catalog):
+    add_native_context(gli_subject, "sub-01")
+    reference = gli_subject / "sub-01-native.nii.gz"
+    reference.write_bytes(reference.read_bytes()[:40])
+    engine = engine_with()
+    inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
+    with pytest.raises(ValidationFailed) as excinfo:
+        run_inference(inputs, gli_config(tmp_path, engine, override_catalog, native_space_output=True))
+    assert engine.containers_created == 0
+    errors = [f for f in excinfo.value.report.findings if f.severity == "error"]
+    assert [f.code for f in errors] == ["UNREADABLE_INPUT"]
+    assert errors[0].message.startswith("native reference (sub-01-native.nii.gz): ")
+
+
+def test_a_native_run_reads_each_sidecar_and_the_reference_grid_once(
+    tmp_path, gli_subject, mock_engine, override_catalog, monkeypatch
+):
+    add_native_context(gli_subject, "sub-01")
+    reads = Counter()
+
+    def counted(name, real):
+        def call(path):
+            reads[(name, Path(path).name)] += 1
+            return real(path)
+
+        return call
+
+    monkeypatch.setattr(pipeline, "read_transform", counted("transform", pipeline.read_transform))
+    monkeypatch.setattr(pipeline, "read_grid", counted("grid", pipeline.read_grid))
+    inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
+    bundle = run_inference(inputs, gli_config(tmp_path, mock_engine, override_catalog, native_space_output=True))
+    assert set(bundle.native_space_paths) == {"consensus"}
+    assert reads == {("transform", "sub-01_native2SRI24.json"): 1, ("grid", "sub-01-native.nii.gz"): 1}
 
 
 # -- synthesis ---------------------------------------------------------------------
