@@ -139,6 +139,23 @@ def _print_findings(report) -> None:
         _say(f"  [{finding.severity}] {finding.code}: {finding.message}")
 
 
+def _report_bundle(args, command: str, bundle) -> int:
+    """Say where a published bundle went and what its manifest warns about."""
+    _say(f"bundle written to {bundle.bundle_dir}")
+    for warning in bundle.manifest.get("warnings", []):
+        _say(f"  warning: {warning}")
+    _emit(
+        args,
+        {
+            "command": command,
+            "exit_code": EXIT_OK,
+            "bundle_dir": str(bundle.bundle_dir),
+            "manifest": bundle.manifest,
+        },
+    )
+    return EXIT_OK
+
+
 def _cmd_segment(args) -> int:
     inputs = discover_subject_inputs(args.input, args.task)
     if args.declared_space:
@@ -158,20 +175,7 @@ def _cmd_segment(args) -> int:
         force=args.force,
         catalog=_load_cli_catalog(args),
     )
-    bundle = run_inference(inputs, config)
-    _say(f"bundle written to {bundle.bundle_dir}")
-    for warning in bundle.manifest.get("warnings", []):
-        _say(f"  warning: {warning}")
-    _emit(
-        args,
-        {
-            "command": "segment",
-            "exit_code": EXIT_OK,
-            "bundle_dir": str(bundle.bundle_dir),
-            "manifest": bundle.manifest,
-        },
-    )
-    return EXIT_OK
+    return _report_bundle(args, "segment", run_inference(inputs, config))
 
 
 def _cmd_synthesize(args) -> int:
@@ -187,18 +191,7 @@ def _cmd_synthesize(args) -> int:
         force=args.force,
         catalog=_load_cli_catalog(args),
     )
-    bundle = run_synthesis(inputs, config)
-    _say(f"bundle written to {bundle.bundle_dir}")
-    _emit(
-        args,
-        {
-            "command": "synthesize",
-            "exit_code": EXIT_OK,
-            "bundle_dir": str(bundle.bundle_dir),
-            "manifest": bundle.manifest,
-        },
-    )
-    return EXIT_OK
+    return _report_bundle(args, "synthesize", run_synthesis(inputs, config))
 
 
 def _candidate_id(path: Path, seen: set[str]) -> str:

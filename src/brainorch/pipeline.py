@@ -414,17 +414,14 @@ def _run_jobs(
     ]
 
 
-def _pick_output_file(out_dir: Path, preferred_stems: tuple[str, ...]) -> Path | None:
+def _pick_output_file(result: JobResult, preferred_stems: tuple[str, ...]) -> Path | None:
     """The mask/volume a job produced: a preferred name, else the only NIfTI.
 
-    A symlink with a NIfTI name counts as produced, so that
-    :func:`_unsafe_output` rejects it rather than another file standing in.
+    The engine lists symlinks among the produced files, so a symlink with a
+    NIfTI name is picked and :func:`_unsafe_output` rejects it, rather than
+    another file standing in.
     """
-    produced = [
-        p
-        for p in sorted(out_dir.rglob("*"))
-        if (p.is_symlink() or p.is_file()) and any(p.name.endswith(s) for s in _NIFTI_SUFFIXES)
-    ]
+    produced = [p for p in result.produced_files if p.name.endswith(_NIFTI_SUFFIXES)]
     for stem in preferred_stems:
         for suffix in _NIFTI_SUFFIXES:
             for p in produced:
@@ -476,7 +473,7 @@ def _collect(run: _Run, outcomes, stem: str, noun: str, vet=None):
             detail = f" ({tail[-1]})" if tail else ""
             run.warnings.append(f"{entry.id}: job {outcome.status}{detail}")
             continue
-        path = _pick_output_file(out_dir, preferred_stems=(stem,))
+        path = _pick_output_file(outcome, preferred_stems=(stem,))
         if path is None:
             run.warnings.append(f"{entry.id}: job succeeded but produced no unambiguous {noun}")
             continue
@@ -487,7 +484,9 @@ def _collect(run: _Run, outcomes, stem: str, noun: str, vet=None):
         try:
             vol = read_volume(path)
         except BrainorchError as exc:
-            run.warnings.append(f"{entry.id}: unreadable {noun} {path.name}: {exc}")
+            # Name the file within the bundle: the staging path is the host's and new each run.
+            reason = str(exc).replace(str(path), path.relative_to(run.bundle).as_posix())
+            run.warnings.append(f"{entry.id}: unreadable {noun} {path.name}: {reason}")
             continue
         problem = grid_mismatch(vol, run.grid.shape, run.grid.affine, "the input grid")
         vetted = None

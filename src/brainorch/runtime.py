@@ -1,25 +1,26 @@
 """Container execution: one job in, one result out, no leaked containers.
 
-Two engines share the same surface:
+Two engines share one job lifecycle, ``run_job``: a GPU job on an engine
+without GPU support fails fast with a distinct result before any container
+exists, a semaphore caps concurrent admissions, and the result, its log
+bounded to the last 64 KiB, is built in one place. Each engine adds only
+its container step:
 
 - :class:`MockEngine` runs scripted behaviors in-process. Tests and offline
   runs use it; durations come from the script, not the wall clock, so
   results are deterministic.
 - :class:`DockerEngine` speaks the Docker HTTP API (v1.41+) over a unix
   socket or TCP endpoint, touching only create/start/wait/logs/remove and
-  images/create. The endpoint comes from the constructor or the
-  ``ORCH_ENGINE_ENDPOINT`` environment variable.
-
-Every run removes its container in a ``finally`` block, logs are bounded to
-the last 64 KiB, and an engine-level semaphore caps concurrent admissions.
-GPU needs are declarative: asking a GPU job of an engine without GPU support
-fails fast with a distinct result, before any container exists.
+  images/create; the endpoint comes from the constructor or the
+  ``ORCH_ENGINE_ENDPOINT`` environment variable. It removes its container
+  in a ``finally`` block and streams the logs, keeping only a bounded tail.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import math
 import os
 import socket
 import threading
@@ -53,14 +54,6 @@ _CONTAINER_LABEL = "brainorch.managed"
 _WAIT_SLACK_S = 5.0
 
 
-def _bound_excerpt(text: str) -> str:
-    """Keep the trailing 64 KiB of a log stream."""
-    raw = text.encode("utf-8", errors="replace")
-    if len(raw) <= LOG_EXCERPT_BYTES:
-        return text
-    return raw[-LOG_EXCERPT_BYTES:].decode("utf-8", errors="replace")
-
-
 @dataclass(frozen=True)
 class JobSpec:
     """One containerized run: image, two mounts, env, resources."""
@@ -91,7 +84,11 @@ class JobSpec:
 
 @dataclass(frozen=True)
 class JobResult:
-    """Terminal outcome of one job; the engine never half-reports."""
+    """Terminal outcome of one job; the engine never half-reports.
+
+    ``produced_files`` lists the regular files and symlinks (never followed)
+    under the job's output directory; it is empty unless the job exited.
+    """
 
     image_reference: str
     status: str
@@ -115,22 +112,46 @@ class JobResult:
         }
 
 
-def _no_gpu_result(spec: JobSpec) -> JobResult:
-    """Declarative fail-fast for a GPU job on an engine without GPU support:
-    no container is created."""
-    return JobResult(
-        image_reference=spec.image_reference,
-        status=STATUS_ENGINE_ERROR,
-        exit_code=None,
-        duration_seconds=0.0,
-        log_excerpt="",
-        produced_files=(),
-        error="job requires a GPU but the engine has no GPU support",
-    )
+class _Engine:
+    """The job lifecycle both engines share. Each engine adds its container
+    step, ``_run_container(spec)``: run one admitted job and return its exit
+    code (None on timeout), its duration in seconds and its log text."""
 
+    def __init__(self, supports_gpu: bool, max_concurrent_jobs: int):
+        if max_concurrent_jobs < 1:
+            raise ValueError(f"max_concurrent_jobs must be >= 1, got {max_concurrent_jobs}")
+        self.supports_gpu = supports_gpu
+        self.max_concurrent_jobs = max_concurrent_jobs
+        self._admission = threading.Semaphore(max_concurrent_jobs)
 
-def _walk_outputs(output_dir: Path) -> tuple[Path, ...]:
-    return tuple(sorted(p for p in output_dir.rglob("*") if p.is_file()))
+    def run_job(self, spec: JobSpec) -> JobResult:
+        """Run one job. See the module docstring for guarantees."""
+        exit_code, duration, log, produced = None, 0.0, "", ()
+        if spec.requires_gpu and not self.supports_gpu:
+            status, error = STATUS_ENGINE_ERROR, "job requires a GPU but the engine has no GPU support"
+        else:
+            with self._admission:
+                exit_code, duration, log = self._run_container(spec)
+            if exit_code is None:
+                status, error = STATUS_TIMED_OUT, f"timed out after {spec.timeout_seconds}s"
+            else:
+                status = STATUS_SUCCEEDED if exit_code == 0 else STATUS_NONZERO_EXIT
+                error = None if exit_code == 0 else f"exit code {exit_code}"
+                produced = tuple(
+                    sorted(p for p in spec.output_dir.rglob("*") if p.is_symlink() or p.is_file())
+                )
+        raw = log.encode("utf-8", errors="replace")  # the log is bounded to its last 64 KiB
+        if len(raw) > LOG_EXCERPT_BYTES:
+            log = raw[-LOG_EXCERPT_BYTES:].decode("utf-8", errors="replace")
+        return JobResult(
+            image_reference=spec.image_reference,
+            status=status,
+            exit_code=exit_code,
+            duration_seconds=float(duration),
+            log_excerpt=log,
+            produced_files=produced,
+            error=error,
+        )
 
 
 def _split_image_reference(ref: str) -> tuple[str, str | None]:
@@ -236,7 +257,7 @@ def load_behaviors(path: str | Path) -> dict[str, MockBehavior]:
     return behaviors
 
 
-class MockEngine:
+class MockEngine(_Engine):
     """In-process engine driven by a behavior table.
 
     Instrumentation counters (created, removed, live, peak concurrency) let
@@ -244,13 +265,9 @@ class MockEngine:
     """
 
     def __init__(self, supports_gpu: bool = False, max_concurrent_jobs: int = 1):
-        if max_concurrent_jobs < 1:
-            raise ValueError(f"max_concurrent_jobs must be >= 1, got {max_concurrent_jobs}")
-        self.supports_gpu = supports_gpu
-        self.max_concurrent_jobs = max_concurrent_jobs
+        super().__init__(supports_gpu, max_concurrent_jobs)
         self._behaviors: dict[str, MockBehavior] = {}
         self._pulled: set[str] = set()
-        self._admission = threading.Semaphore(max_concurrent_jobs)
         self._lock = threading.Lock()
         self.containers_created = 0
         self.containers_removed = 0
@@ -291,72 +308,41 @@ class MockEngine:
                 )
         self._pulled.add(image_reference)
 
-    def _enter_container(self) -> None:
-        with self._lock:
-            self.containers_created += 1
-            self.live_containers += 1
-            self.max_concurrent_observed = max(self.max_concurrent_observed, self.live_containers)
-
-    def _exit_container(self) -> None:
-        with self._lock:
-            self.live_containers -= 1
-            self.containers_removed += 1
-
-    def run_job(self, spec: JobSpec) -> JobResult:
-        """Run one scripted job. See the module docstring for guarantees."""
+    def _run_container(self, spec: JobSpec) -> tuple[int | None, float, str]:
+        """Play the scripted behavior; its durations are scripted, not
+        measured, which keeps bundles byte-stable."""
         if spec.image_reference not in self._pulled:
             raise ImageNotFound(f"image {spec.image_reference!r} was not pulled")
         name, _ = _split_image_reference(spec.image_reference)
         behavior = self._behaviors[name]
-
-        if spec.requires_gpu and not self.supports_gpu:
-            return _no_gpu_result(spec)
-
-        with self._admission:
-            self._enter_container()
-            try:
-                if behavior.fail_engine:
-                    raise EngineUnreachable(f"engine crashed while running {name!r} (scripted)")
-                if behavior.sleep_s >= spec.timeout_seconds:
-                    time.sleep(spec.timeout_seconds)
-                    return JobResult(
-                        image_reference=spec.image_reference,
-                        status=STATUS_TIMED_OUT,
-                        exit_code=None,
-                        duration_seconds=float(spec.timeout_seconds),
-                        log_excerpt=_bound_excerpt(behavior.stdout + behavior.stderr),
-                        produced_files=(),
-                        error=f"timed out after {spec.timeout_seconds}s",
-                    )
-                if behavior.sleep_s:
-                    time.sleep(behavior.sleep_s)
-                for script in behavior.outputs:
-                    if callable(script):
-                        script(spec)
-                        continue
-                    out_path = spec.output_dir / script["path"]
-                    out_path.parent.mkdir(parents=True, exist_ok=True)
-                    _GENERATORS[script["generator"]](spec, out_path, script)
-                status = STATUS_SUCCEEDED if behavior.exit_code == 0 else STATUS_NONZERO_EXIT
-                return JobResult(
-                    image_reference=spec.image_reference,
-                    status=status,
-                    exit_code=behavior.exit_code,
-                    # Scripted, not measured: keeps bundles byte-stable.
-                    duration_seconds=float(behavior.sleep_s),
-                    log_excerpt=_bound_excerpt(behavior.stdout + behavior.stderr),
-                    produced_files=_walk_outputs(spec.output_dir),
-                    error=None if status == STATUS_SUCCEEDED else f"exit code {behavior.exit_code}",
-                )
-            finally:
-                self._exit_container()
+        log = behavior.stdout + behavior.stderr
+        with self._lock:
+            self.containers_created += 1
+            self.live_containers += 1
+            self.max_concurrent_observed = max(self.max_concurrent_observed, self.live_containers)
+        try:
+            if behavior.fail_engine:
+                raise EngineUnreachable(f"engine crashed while running {name!r} (scripted)")
+            if behavior.sleep_s >= spec.timeout_seconds:
+                time.sleep(spec.timeout_seconds)
+                return None, spec.timeout_seconds, log
+            if behavior.sleep_s:
+                time.sleep(behavior.sleep_s)
+            for script in behavior.outputs:
+                if callable(script):
+                    script(spec)
+                    continue
+                out_path = spec.output_dir / script["path"]
+                out_path.parent.mkdir(parents=True, exist_ok=True)
+                _GENERATORS[script["generator"]](spec, out_path, script)
+            return behavior.exit_code, behavior.sleep_s, log
+        finally:
+            with self._lock:
+                self.live_containers -= 1
+                self.containers_removed += 1
 
 
 # --- docker engine --------------------------------------------------------
-
-
-class _RequestTimeout(Exception):
-    """Internal: the engine request hit its read timeout."""
 
 
 class _UnixHTTPConnection(http.client.HTTPConnection):
@@ -371,23 +357,59 @@ class _UnixHTTPConnection(http.client.HTTPConnection):
         self.sock = sock
 
 
+class _LogDemuxer:
+    """Docker's log stream, demultiplexed as it arrives in pieces, keeping
+    only the last ``keep`` bytes of what the container wrote.
+
+    A stream that does not open with a frame header (stream byte 0, 1 or 2,
+    three zero bytes, u32 size) is a TTY stream: one endless frame. A frame
+    header may straddle two pieces; a cut final frame keeps what arrived, a
+    cut final header is dropped.
+    """
+
+    def __init__(self, keep: int):
+        self.keep = keep
+        self._tail = bytearray()
+        self._header = bytearray()  # the stream's head, then a partial frame header
+        self._due: float | None = None  # payload due in this frame; None until 4 bytes came
+
+    def feed(self, piece: bytes) -> None:
+        if self._due is None:
+            self._header += piece
+            if len(self._header) < 4:
+                return
+            piece, self._header = bytes(self._header), bytearray()
+            self._due = 0 if piece[0] in (0, 1, 2) and piece[1:4] == b"\x00\x00\x00" else math.inf
+        view = memoryview(piece)
+        while view:
+            if self._due:
+                n = min(self._due, len(view))
+                self._tail += view[:n]
+                self._due -= n
+                if len(self._tail) > 2 * self.keep:  # trimmed in batches: each byte moves about once
+                    del self._tail[: -self.keep]
+            else:
+                n = min(8 - len(self._header), len(view))
+                self._header += view[:n]
+                if len(self._header) == 8:
+                    self._due = int.from_bytes(self._header[4:], "big")
+                    self._header.clear()
+            view = view[n:]
+
+    def text(self) -> str:
+        # Fewer than four bytes never make a frame header: a TTY stream.
+        raw = self._tail if self._due is not None else self._header
+        return raw[max(len(raw) - self.keep, 0) :].decode("utf-8", errors="replace")
+
+
 def demux_docker_logs(raw: bytes) -> str:
-    """Decode Docker's multiplexed log stream (8-byte frame headers).
+    """Decode a whole multiplexed Docker log stream (8-byte frame headers).
 
     Falls back to a plain decode for TTY streams, which are not framed.
     """
-    if not raw:
-        return ""
-    # Frame header: stream byte in {0,1,2}, three zero bytes, u32 size.
-    if raw[0] not in (0, 1, 2) or raw[1:4] != b"\x00\x00\x00":
-        return raw.decode("utf-8", errors="replace")
-    chunks: list[bytes] = []
-    i = 0
-    while i + 8 <= len(raw):
-        size = int.from_bytes(raw[i + 4 : i + 8], "big")
-        chunks.append(raw[i + 8 : i + 8 + size])
-        i += 8 + size
-    return b"".join(chunks).decode("utf-8", errors="replace")
+    demuxer = _LogDemuxer(keep=len(raw))
+    demuxer.feed(raw)
+    return demuxer.text()
 
 
 ENGINE_ENDPOINT_ENV = "ORCH_ENGINE_ENDPOINT"
@@ -395,7 +417,7 @@ DEFAULT_ENGINE_ENDPOINT = "unix:///var/run/docker.sock"
 _API = "/v1.41"
 
 
-class DockerEngine:
+class DockerEngine(_Engine):
     """Minimal Docker HTTP API client: pull, create, start, wait, logs,
     remove. Nothing else, so the whole surface stays mockable."""
 
@@ -406,12 +428,8 @@ class DockerEngine:
         supports_gpu: bool = False,
         connect_timeout: float = 10.0,
     ):
-        if max_concurrent_jobs < 1:
-            raise ValueError(f"max_concurrent_jobs must be >= 1, got {max_concurrent_jobs}")
+        super().__init__(supports_gpu, max_concurrent_jobs)
         self.endpoint = endpoint or os.environ.get(ENGINE_ENDPOINT_ENV) or DEFAULT_ENGINE_ENDPOINT
-        self.supports_gpu = supports_gpu
-        self.max_concurrent_jobs = max_concurrent_jobs
-        self._admission = threading.Semaphore(max_concurrent_jobs)
         self._connect_timeout = connect_timeout
 
     def _connection(self, timeout: float) -> http.client.HTTPConnection:
@@ -429,7 +447,11 @@ class DockerEngine:
         body: dict | None = None,
         read_timeout: float | None = None,
         timeout_ok: bool = False,
-    ) -> tuple[int, bytes]:
+        sink=None,
+    ) -> tuple[int | None, bytes]:
+        """The response's status and body, or ``(None, b"")`` on a read
+        timeout with ``timeout_ok``; with ``sink``, the body goes to it in
+        pieces instead and comes back empty."""
         timeout = read_timeout if read_timeout is not None else self._connect_timeout
         conn = self._connection(timeout)
         payload = None
@@ -440,10 +462,15 @@ class DockerEngine:
         try:
             conn.request(method, _API + path, body=payload, headers=headers)
             response = conn.getresponse()
-            return response.status, response.read()
+            pieces: list[bytes] = []
+            while piece := response.read(1 << 16):
+                (sink or pieces.append)(piece)
+            if response.length:  # the body was cut short
+                raise http.client.IncompleteRead(b"".join(pieces), response.length)
+            return response.status, b"".join(pieces)
         except socket.timeout as exc:
             if timeout_ok:
-                raise _RequestTimeout() from exc
+                return None, b""
             raise EngineUnreachable(f"engine timed out on {method} {path}: {exc}") from exc
         except (OSError, http.client.HTTPException) as exc:
             raise EngineUnreachable(f"cannot reach engine at {self.endpoint}: {exc}") from exc
@@ -503,76 +530,45 @@ class DockerEngine:
             )
         return json.loads(payload)["Id"]
 
-    def _remove_container(self, container_id: str) -> None:
+    def _best_effort(self, method: str, path: str) -> None:
         try:
-            self._request("DELETE", f"/containers/{container_id}?force=1&v=1")
+            self._request(method, path)
         except EngineUnreachable:
-            # Removal is best-effort on an engine that just vanished.
+            # Kill and removal are best-effort on an engine that just vanished.
             pass
 
-    def _fetch_logs(self, container_id: str) -> str:
+    def _run_container(self, spec: JobSpec) -> tuple[int | None, float, str]:
+        """Create, start, wait (bounded), kill on timeout, log, always remove."""
+        started = time.monotonic()
+        container_id = self._create_container(spec)
         try:
-            status, body = self._request(
-                "GET", f"/containers/{container_id}/logs?stdout=1&stderr=1"
-            )
-        except EngineUnreachable as exc:
-            return f"<logs unavailable: {exc}>"
-        if status >= 400:
-            return f"<logs unavailable: HTTP {status}>"
-        return _bound_excerpt(demux_docker_logs(body))
-
-    def run_job(self, spec: JobSpec) -> JobResult:
-        """Create, start, wait (bounded), log, and always remove."""
-        if spec.requires_gpu and not self.supports_gpu:
-            return _no_gpu_result(spec)
-        with self._admission:
-            started = time.monotonic()
-            container_id = self._create_container(spec)
-            try:
-                status, payload = self._request("POST", f"/containers/{container_id}/start")
-                if status not in (204, 304):
-                    raise EngineUnreachable(
-                        f"container start failed with HTTP {status}: {payload[:200]!r}"
-                    )
-                timed_out = False
-                exit_code: int | None = None
-                try:
-                    status, payload = self._request(
-                        "POST",
-                        f"/containers/{container_id}/wait",
-                        read_timeout=spec.timeout_seconds + _WAIT_SLACK_S,
-                        timeout_ok=True,
-                    )
-                    if status != 200:
-                        raise EngineUnreachable(f"container wait failed with HTTP {status}")
-                    exit_code = int(json.loads(payload).get("StatusCode", -1))
-                except _RequestTimeout:
-                    timed_out = True
-                    try:
-                        self._request("POST", f"/containers/{container_id}/kill")
-                    except EngineUnreachable:
-                        pass
-                logs = self._fetch_logs(container_id)
-                duration = time.monotonic() - started
-                if timed_out:
-                    return JobResult(
-                        image_reference=spec.image_reference,
-                        status=STATUS_TIMED_OUT,
-                        exit_code=None,
-                        duration_seconds=duration,
-                        log_excerpt=logs,
-                        produced_files=(),
-                        error=f"timed out after {spec.timeout_seconds}s",
-                    )
-                ok = exit_code == 0
-                return JobResult(
-                    image_reference=spec.image_reference,
-                    status=STATUS_SUCCEEDED if ok else STATUS_NONZERO_EXIT,
-                    exit_code=exit_code,
-                    duration_seconds=duration,
-                    log_excerpt=logs,
-                    produced_files=_walk_outputs(spec.output_dir),
-                    error=None if ok else f"exit code {exit_code}",
+            status, payload = self._request("POST", f"/containers/{container_id}/start")
+            if status not in (204, 304):
+                raise EngineUnreachable(
+                    f"container start failed with HTTP {status}: {payload[:200]!r}"
                 )
-            finally:
-                self._remove_container(container_id)
+            status, payload = self._request(
+                "POST",
+                f"/containers/{container_id}/wait",
+                read_timeout=spec.timeout_seconds + _WAIT_SLACK_S,
+                timeout_ok=True,
+            )
+            if status is None:  # the job outlived its timeout
+                self._best_effort("POST", f"/containers/{container_id}/kill")
+            elif status != 200:
+                raise EngineUnreachable(f"container wait failed with HTTP {status}")
+            exit_code = None if status is None else int(json.loads(payload).get("StatusCode", -1))
+            # A tail 3 bytes longer than the excerpt gives the excerpt of the
+            # whole log: UTF-8 decoding resynchronizes within 3 bytes, and no
+            # byte re-encodes to fewer than one.
+            demuxer = _LogDemuxer(keep=LOG_EXCERPT_BYTES + 3)
+            try:
+                status, _ = self._request(
+                    "GET", f"/containers/{container_id}/logs?stdout=1&stderr=1", sink=demuxer.feed
+                )
+                logs = demuxer.text() if status < 400 else f"<logs unavailable: HTTP {status}>"
+            except EngineUnreachable as exc:
+                logs = f"<logs unavailable: {exc}>"
+            return exit_code, time.monotonic() - started, logs
+        finally:
+            self._best_effort("DELETE", f"/containers/{container_id}?force=1&v=1")

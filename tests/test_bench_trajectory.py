@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -30,3 +31,10 @@ def test_trajectory_entries_name_benchmark_workloads_and_metrics():
             assert name in units
             assert figures["unit"] == units[name]
             assert all(math.isfinite(figures[side]) and figures[side] > 0 for side in ("parent", "change"))
+
+
+def test_trajectory_entries_name_their_commits():
+    entries = json.loads((REPO / "BENCH_1.json").read_text())["entries"]
+    for entry in entries:
+        for key in ("parent_commit", "commit"):
+            assert isinstance(entry[key], str) and re.fullmatch(r"[0-9a-f]{7,40}", entry[key]), (key, entry[key])

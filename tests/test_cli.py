@@ -4,6 +4,8 @@ and environment overrides. Everything runs in-process through main()."""
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from fixtures_e2e import (
     zero_srow_x,
 )
 from oracles import brute_majority, shift_mask
+from readme_quickstart import write_quick_start
 
 ALGO_IDS = tuple(algo_id for algo_id, _, _ in E2E_ALGOS)
 
@@ -326,6 +329,31 @@ def test_synthesize_inpaint(capsys, workspace):
     assert (workspace["output"] / "sub-09" / "inpaint" / "synthesis.nii.gz").is_file()
 
 
+def test_synthesize_shows_the_manifest_warnings(capsys, workspace):
+    code, out, err = run(
+        capsys,
+        mock_args(
+            workspace,
+            "synthesize",
+            "--task",
+            "inpaint",
+            "-i",
+            str(workspace["inpaint_subject"]),
+            "-o",
+            str(workspace["output"]),
+            "--algo",
+            "mock-inpaint-2025-1",
+        ),
+    )
+    assert code == EXIT_OK
+    bundle = workspace["output"] / "sub-09" / "inpaint"
+    warnings = json.loads((bundle / "manifest.json").read_text())["warnings"]
+    assert any(w.startswith("ATLAS_GRID_DEVIATION") for w in warnings)
+    for warning in warnings:
+        assert f"  warning: {warning}" in err.splitlines()
+    assert out == ""
+
+
 # -- validate ------------------------------------------------------------------
 
 
@@ -619,3 +647,16 @@ def test_missing_input_directory_exits_2(capsys, workspace):
     )
     assert code == EXIT_USAGE
     assert json.loads(out)["error"]["type"] == "FileNotFoundError"
+
+
+# -- the README quick start ----------------------------------------------------
+
+
+def test_the_readme_quick_start_runs_as_written(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(write_quick_start(Path(__file__).resolve().parent.parent / "README.md"))
+    assert argv[:2] == ["orch", "segment"]
+    code, out, _ = run(capsys, argv[1:])
+    assert code == EXIT_OK
+    consensus = read_volume(Path(json.loads(out)["bundle_dir"]) / "consensus.nii.gz")
+    assert (consensus.data == 3).any()

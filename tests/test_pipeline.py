@@ -300,6 +300,35 @@ def test_stray_label_candidate_is_rejected(tmp_path, gli_subject, override_catal
     assert any("outside the task's set" in w for w in bundle.manifest["warnings"])
 
 
+def test_a_manifest_with_rejected_candidates_does_not_depend_on_the_output_directory(
+    tmp_path, gli_subject, override_catalog
+):
+    def unreadable(spec):
+        (Path(spec.output_dir) / "seg.nii.gz").write_bytes(b"not a NIfTI file")
+
+    stray_label = {
+        "path": "seg.nii.gz",
+        "generator": "label_blobs",
+        "like": "*-t1c.nii*",
+        "blobs": [{"label": 9, "center": [16, 16, 10], "radius": 4}],
+    }
+    texts = []
+    for name in ("run-a", "elsewhere/run-b"):
+        engine = engine_with(
+            {"example/mock-gli-1": {"outputs": (unreadable,)}, "example/mock-gli-2": {"outputs": (stray_label,)}}
+        )
+        config = gli_config(tmp_path / name, engine, override_catalog)
+        bundle = run_inference(discover_subject_inputs(gli_subject, TaskId.GLI_PRE), config)
+        text = bundle.manifest_path.read_text()
+        assert str(config.output_dir) not in text
+        assert "mock-gli-1: unreadable mask seg.nii.gz: work/jobs/mock-gli-1/seg.nii.gz: " in text
+        assert set(bundle.per_algorithm_paths) == {"mock-gli-3"}
+        manifest = json.loads(text)
+        del manifest["created_at"]
+        texts.append(json.dumps(manifest, indent=2, sort_keys=True))
+    assert texts[0] == texts[1]
+
+
 def test_off_grid_candidate_is_rejected(tmp_path, gli_subject, override_catalog):
     def tiny_mask(spec):
         vol = Volume(data=np.ones((8, 8, 8), dtype=np.uint8), affine=np.eye(4))

@@ -6,12 +6,15 @@ from __future__ import annotations
 import json
 import threading
 import time
+import tracemalloc
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brainorch import runtime
 from brainorch.errors import (
@@ -613,3 +616,161 @@ def test_docker_endpoint_from_environment(monkeypatch, docker_stub):
     assert engine.endpoint == stub.endpoint
     engine.pull_image("example/algo")
     assert stub.paths() == ["POST /v1.41/images/create"]
+
+
+# -- one lifecycle for both engines ---------------------------------------------
+
+
+@pytest.mark.parametrize("outcome", [STATUS_SUCCEEDED, STATUS_NONZERO_EXIT, STATUS_TIMED_OUT, "no_gpu"])
+def test_both_engines_report_one_result_per_outcome(tmp_path, docker_stub, monkeypatch, outcome):
+    monkeypatch.setattr(runtime, "_WAIT_SLACK_S", 0.2)
+    timed_out, exit_code = outcome == STATUS_TIMED_OUT, 7 if outcome == STATUS_NONZERO_EXIT else 0
+    spec = make_spec(tmp_path, timeout_seconds=0.05 if timed_out else 5.0, requires_gpu=outcome == "no_gpu")
+    (spec.output_dir / "partial.txt").write_text("left by an earlier step")
+
+    def write_outputs(spec):
+        (spec.output_dir / "sub").mkdir()
+        (spec.output_dir / "sub" / "seg.nii.gz").write_bytes(b"mask")
+        (spec.output_dir / "link.nii.gz").symlink_to(tmp_path / "host.nii.gz")
+
+    behavior = MockBehavior(exit_code=exit_code, sleep_s=10.0 if timed_out else 0.0, outputs=(write_outputs,))
+    mock = pulled_engine(behavior).run_job(spec)
+    stub = docker_stub(wait_status_code=exit_code, wait_delay=0.8 if timed_out else 0.0)
+    engine = DockerEngine(endpoint=stub.endpoint)
+    engine.pull_image("example/algo")
+    docker = engine.run_job(spec)  # the same output directory the mock job wrote to
+    fields = ("status", "exit_code", "error", "produced_files")
+    assert [getattr(docker, f) for f in fields] == [getattr(mock, f) for f in fields]
+    assert mock.status == (STATUS_ENGINE_ERROR if outcome == "no_gpu" else outcome)
+    if outcome in (STATUS_SUCCEEDED, STATUS_NONZERO_EXIT):
+        assert [p.relative_to(spec.output_dir).as_posix() for p in mock.produced_files] == [
+            "link.nii.gz",
+            "partial.txt",
+            "sub/seg.nii.gz",
+        ]
+    else:
+        assert mock.produced_files == ()
+
+
+def test_produced_files_list_symlinks_without_following_them(tmp_path):
+    def plant(spec):
+        (spec.output_dir / "seg.nii.gz").symlink_to(tmp_path / "missing.nii.gz")  # dangling
+        (spec.output_dir / "linked_dir").symlink_to(tmp_path, target_is_directory=True)
+        (spec.output_dir / "real.txt").write_text("x")
+        (spec.output_dir / "empty_dir").mkdir()
+
+    result = pulled_engine(MockBehavior(outputs=(plant,))).run_job(make_spec(tmp_path))
+    assert [p.name for p in result.produced_files] == ["linked_dir", "real.txt", "seg.nii.gz"]
+
+
+# -- streamed, bounded log tail ------------------------------------------------
+
+
+def reference_excerpt(raw: bytes) -> str:
+    """The excerpt of a whole log body decoded in one go: the one-shot
+    demultiplexer and the 64 KiB bound, written out independently."""
+    if not raw:
+        text = ""
+    elif raw[0] not in (0, 1, 2) or raw[1:4] != b"\x00\x00\x00":
+        text = raw.decode("utf-8", errors="replace")
+    else:
+        chunks, i = [], 0
+        while i + 8 <= len(raw):
+            size = int.from_bytes(raw[i + 4 : i + 8], "big")
+            chunks.append(raw[i + 8 : i + 8 + size])
+            i += 8 + size
+        text = b"".join(chunks).decode("utf-8", errors="replace")
+    encoded = text.encode("utf-8", errors="replace")
+    if len(encoded) <= LOG_EXCERPT_BYTES:
+        return text
+    return encoded[-LOG_EXCERPT_BYTES:].decode("utf-8", errors="replace")
+
+
+def bound(text: str) -> str:
+    encoded = text.encode("utf-8")
+    return text if len(encoded) <= LOG_EXCERPT_BYTES else encoded[-LOG_EXCERPT_BYTES:].decode("utf-8", errors="replace")
+
+
+def filler(unit: str, size: int) -> bytes:
+    """``size`` bytes of a repeated character, cut wherever ``size`` falls."""
+    encoded = unit.encode()
+    return (encoded * (size // len(encoded) + 1))[:size]
+
+
+@st.composite
+def log_bodies(draw):
+    unit = draw(st.sampled_from(["a", "é", "€", "😀"]))
+    size = draw(
+        st.sampled_from([0, 1, 3, 100])
+        | st.integers(LOG_EXCERPT_BYTES - 8, LOG_EXCERPT_BYTES + 16)
+        | st.integers(2 * LOG_EXCERPT_BYTES - 4, 2 * LOG_EXCERPT_BYTES + 4)
+    )
+    payload = draw(st.binary(max_size=6)) + filler(unit, size) + draw(st.binary(max_size=6))
+    if draw(st.booleans()):  # a TTY stream (framed after all if it opens like a header)
+        return payload
+    cuts = sorted(draw(st.lists(st.integers(0, len(payload)), max_size=4)))
+    parts = [payload[a:b] for a, b in zip([0, *cuts], [*cuts, len(payload)])]
+    raw = b"".join(frame(draw(st.sampled_from([1, 2])), part) for part in parts)
+    ending = draw(st.sampled_from(["whole", "cut frame", "cut header"]))
+    if ending == "cut frame":
+        raw += bytes([1, 0, 0, 0]) + (10).to_bytes(4, "big") + b"cut"
+    elif ending == "cut header":
+        raw += bytes([2, 0, 0, 0, 0])
+    return raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=log_bodies(), data=st.data())
+def test_streamed_tail_gives_the_excerpt_of_the_whole_log(raw, data):
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(raw)), max_size=6)))
+    demuxer = runtime._LogDemuxer(keep=LOG_EXCERPT_BYTES + 3)
+    for a, b in zip([0, *cuts], [*cuts, len(raw)]):
+        demuxer.feed(raw[a:b])
+    assert bound(demuxer.text()) == reference_excerpt(raw)
+    assert bound(demux_docker_logs(raw)) == reference_excerpt(raw)
+
+
+# Bodies served whole by the stub; the engine reads them in 64 KiB pieces.
+_PIECE = 1 << 16
+LOG_CASES = {
+    "framed streams": frame(1, b"out1 ") + frame(2, b"err1 ") + frame(1, b"out2"),
+    "empty": b"",
+    "short tty": b"ok",
+    "long tty": filler("€", 3 * LOG_EXCERPT_BYTES + 1),
+    "header across a piece boundary": frame(1, b"a" * (_PIECE - 12)) + frame(2, "é".encode() * 40_000),
+    "cut final frame": frame(1, b"x" * 70_000) + bytes([1, 0, 0, 0]) + (99).to_bytes(4, "big") + b"cut",
+    "cut final header": frame(1, b"y" * 70_000) + bytes([1, 0, 0]),
+    "emoji split at the cut": frame(1, b"z" * 10 + "😀".encode() + b"w" * (LOG_EXCERPT_BYTES - 2)),
+    "stray bytes at the cut": frame(1, b"\xff\x80\xbf" * 30_000 + "😀".encode()[:3]),
+    "tty emoji split at the cut": b"q" * 5 + "😀".encode() + b"r" * (LOG_EXCERPT_BYTES - 1),
+}
+
+
+def test_docker_log_excerpt_matches_the_whole_log(tmp_path, docker_stub):
+    stub = docker_stub()
+    engine = DockerEngine(endpoint=stub.endpoint)
+    engine.pull_image("example/algo")
+    spec = make_spec(tmp_path)
+    wrong = []
+    for name, raw in LOG_CASES.items():
+        stub.logs_raw = raw
+        expected = reference_excerpt(raw)
+        if engine.run_job(spec).log_excerpt != expected or bound(demux_docker_logs(raw)) != expected:
+            wrong.append(name)
+    assert wrong == []
+
+
+def test_a_64_mib_log_is_read_in_bounded_memory(tmp_path, docker_stub):
+    payload = b"0123456789abcdef" * (1 << 16)  # 1 MiB
+    raw = b"".join(frame(1 + i % 2, payload) for i in range(63)) + frame(1, payload[:-4] + b"TAIL")
+    stub = docker_stub(logs_raw=raw)
+    engine = DockerEngine(endpoint=stub.endpoint)
+    engine.pull_image("example/algo")
+    tracemalloc.start()
+    try:
+        result = engine.run_job(make_spec(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.log_excerpt == (payload[:-4] + b"TAIL")[-LOG_EXCERPT_BYTES:].decode()
+    assert peak < 4 * 1024 * 1024, f"peak {peak / 2**20:.1f} MiB"
