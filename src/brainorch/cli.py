@@ -17,6 +17,7 @@ used when ``--catalog`` is absent.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -156,12 +157,16 @@ def _report_bundle(args, command: str, bundle) -> int:
     return EXIT_OK
 
 
-def _cmd_segment(args) -> int:
+def _declared_subject(args):
+    """The subject directory's inputs, with the space ``--declared-space`` names."""
     inputs = discover_subject_inputs(args.input, args.task)
     if args.declared_space:
-        import dataclasses
-
         inputs = dataclasses.replace(inputs, declared_space=args.declared_space)
+    return inputs
+
+
+def _cmd_segment(args) -> int:
+    inputs = _declared_subject(args)
     config = PipelineConfig(
         task=args.task,
         engine=_build_engine(args),
@@ -267,11 +272,7 @@ def _cmd_warp(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    inputs = discover_subject_inputs(args.input, args.task)
-    if args.declared_space:
-        import dataclasses
-
-        inputs = dataclasses.replace(inputs, declared_space=args.declared_space)
+    inputs = _declared_subject(args)
     report = validate_subject(inputs, get_task_spec(args.task))
     _say(f"{report.subject_id} / {report.task_id.value}: {report.verdict}")
     _print_findings(report)
@@ -390,6 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_error(args, code: int, exc: Exception, message: str) -> int:
+    """Say ``message``, emit the error payload and return ``code``."""
+    _say(message)
+    _emit(args, {"exit_code": code, "error": {"type": type(exc).__name__, "message": str(exc)}})
+    return code
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -409,23 +417,15 @@ def main(argv=None) -> int:
              "report": exc.report.to_json_dict()},
         )
         return EXIT_VALIDATION
-    except (UnknownTask, UnknownAlgorithm, NoAlgorithmForTask, CatalogError) as exc:
-        _say(f"error: {exc}")
-        _emit(args, {"exit_code": EXIT_USAGE, "error": {"type": type(exc).__name__, "message": str(exc)}})
-        return EXIT_USAGE
-    except (FileNotFoundError, ValueError) as exc:
-        _say(f"error: {exc}")
-        _emit(args, {"exit_code": EXIT_USAGE, "error": {"type": type(exc).__name__, "message": str(exc)}})
-        return EXIT_USAGE
+    except (
+        UnknownTask, UnknownAlgorithm, NoAlgorithmForTask, CatalogError, FileNotFoundError, ValueError
+    ) as exc:
+        return _report_error(args, EXIT_USAGE, exc, f"error: {exc}")
     except BrainorchError as exc:
-        _say(f"error: {exc}")
-        _emit(args, {"exit_code": EXIT_RUNTIME, "error": {"type": type(exc).__name__, "message": str(exc)}})
-        return EXIT_RUNTIME
+        return _report_error(args, EXIT_RUNTIME, exc, f"error: {exc}")
     except Exception as exc:  # the CLI reports, it does not crash
         logger.exception("unexpected failure")
-        _say(f"unexpected error: {exc!r}")
-        _emit(args, {"exit_code": EXIT_RUNTIME, "error": {"type": type(exc).__name__, "message": str(exc)}})
-        return EXIT_RUNTIME
+        return _report_error(args, EXIT_RUNTIME, exc, f"unexpected error: {exc!r}")
 
 
 def entrypoint() -> None:

@@ -248,18 +248,6 @@ class FusionResult:
         }
 
 
-def binarize(mask: "Volume | np.ndarray", label: Label, labels=None) -> np.ndarray:
-    """Boolean map of voxels carrying ``label``'s code.
-
-    When ``labels`` is given, asks for a label outside it raise
-    :class:`UnknownLabel` instead of silently returning all-background.
-    """
-    if labels is not None and label.code not in {lb.code for lb in labels}:
-        raise UnknownLabel(f"label {label.name!r} (code {label.code}) not in the declared set")
-    data = mask.data if isinstance(mask, Volume) else np.asarray(mask)
-    return data == label.code
-
-
 def _boxed_stack(candidates: CandidateSet) -> tuple[np.ndarray, tuple[slice, ...]]:
     """The candidates' data stacked inside their foreground box, and the box.
 

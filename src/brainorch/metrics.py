@@ -12,8 +12,9 @@ here once and shared by every caller:
 - A surface voxel is a foreground voxel with at least one background
   6-neighbor; positions outside the grid count as background, so foreground
   touching the grid edge is surface.
-- Connected-component ids are assigned by first-voxel scan order
-  (lexicographic (i, j, k)), independent of the labeling backend.
+- Connected-component ids follow first-voxel scan order (lexicographic
+  (i, j, k)): ``scipy.ndimage.label`` numbers components that way for any
+  memory layout, so its labels are used as they come.
 - Work runs inside the foreground box (``foreground_box``): the union
   bounding box of the masks' nonzero voxels, widened by 1 voxel and clipped
   to the grid. ``compute_metric_report`` crops both masks to it once, and
@@ -229,11 +230,6 @@ class ComponentLabeling:
     count: int
     connectivity: int
 
-    def component_mask(self, component_id: int) -> np.ndarray:
-        if not 1 <= component_id <= self.count:
-            raise ValueError(f"component id {component_id} outside 1..{self.count}")
-        return self.component_map == component_id
-
     def sizes(self) -> dict[int, int]:
         counts = np.bincount(self.component_map.ravel(), minlength=self.count + 1)
         return {cid: int(counts[cid]) for cid in range(1, self.count + 1)}
@@ -242,25 +238,14 @@ class ComponentLabeling:
 def connected_components(mask: np.ndarray, connectivity: int = DEFAULT_CONNECTIVITY) -> ComponentLabeling:
     """Label 3-D connected components under 6, 18, or 26 connectivity.
 
-    Ids are renumbered so component 1 contains the first foreground voxel in
-    scan order, component 2 the first voxel not in component 1, and so on.
+    Component 1 contains the first foreground voxel in scan order,
+    component 2 the first voxel not in component 1, and so on.
     """
     mask = _as_bool(mask, "mask")
     if connectivity not in CONNECTIVITIES:
         raise ValueError(f"connectivity must be one of {CONNECTIVITIES}, got {connectivity}")
     struct = ndimage.generate_binary_structure(3, _STRUCT_RANK[connectivity])
     labeled, count = ndimage.label(mask, structure=struct)
-    labeled = labeled.astype(np.int32, copy=False)
-    if count:
-        # The backend's id order is an implementation detail; renumber by
-        # each component's first voxel in C scan order.
-        flat = labeled.ravel(order="C")
-        ids, first_index = np.unique(flat, return_index=True)
-        keep = ids != 0
-        order = ids[keep][np.argsort(first_index[keep], kind="stable")]
-        remap = np.zeros(count + 1, dtype=np.int32)
-        remap[order] = np.arange(1, count + 1, dtype=np.int32)
-        labeled = remap[labeled]
     labeled.setflags(write=False)
     return ComponentLabeling(component_map=labeled, count=int(count), connectivity=connectivity)
 

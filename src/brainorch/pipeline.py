@@ -28,14 +28,11 @@ refuse a collision, stage, run the jobs, produce, warp to native space,
 hash and publish. Each kind adds only a produce step. Segmentation vets
 and fuses candidate masks and scores them against the consensus; synthesis
 runs exactly one algorithm and keeps its image. Validation decodes every
-input once and hands its grids on, so the run decodes no input again; for
-native-space output it also reads the native reference's grid and the
-forward transform once, before any container runs, and the warp reuses them.
+input once and hands its grids on, so the run decodes no input again.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import errno
 import hashlib
 import json
@@ -75,10 +72,9 @@ from .geometry import (
     GridSpec,
     inverse_warp_image_to_native,
     inverse_warp_to_native,
-    read_transform,
 )
 from .metrics import compute_metric_report
-from .nifti import Volume, read_grid, read_volume, write_mask, write_volume
+from .nifti import Volume, read_volume, write_mask, write_volume
 from .registry import (
     LATEST_WINNER,
     MODALITIES,
@@ -93,15 +89,7 @@ from .registry import (
     normalize_task_id,
 )
 from .runtime import JobResult, JobSpec
-from .validation import (
-    MISSING_TRANSFORM,
-    SEVERITY_ERROR,
-    UNREADABLE_INPUT,
-    Finding,
-    SubjectInputs,
-    ValidationReport,
-    validate_subject,
-)
+from .validation import SubjectInputs, validate_subject
 
 logger = logging.getLogger("brainorch.pipeline")
 
@@ -264,68 +252,6 @@ def _resolve_entries(config: PipelineConfig, task: TaskSpec) -> list[AlgorithmEn
         seen.add(entry.id)
         entries.append(entry)
     return entries
-
-
-def _find_forward_transform(inputs: SubjectInputs, task: TaskSpec):
-    """The stored native->task-space registration, if any sidecar matches."""
-    for path in inputs.transform_sidecars:
-        try:
-            transform = read_transform(path)
-        except BrainorchError:
-            continue
-        if transform.source_space == "native" and transform.target_space == task.spatial_space:
-            return transform
-    return None
-
-
-def _native_preflight(
-    inputs: SubjectInputs, task: TaskSpec
-) -> tuple[list[Finding], tuple[AffineTransform, GridSpec] | None]:
-    """The findings against a native-space output, and what the warp needs:
-    ``(forward transform, native grid)``, or None when anything is missing."""
-    findings: list[Finding] = []
-    if task.spatial_space == "native":
-        return findings, None
-    forward = _find_forward_transform(inputs, task)
-    if forward is None:
-        findings.append(
-            Finding(
-                SEVERITY_ERROR,
-                MISSING_TRANSFORM,
-                f"native-space output needs a native->{task.spatial_space} transform sidecar",
-            )
-        )
-    reference = inputs.native_reference
-    if reference is None:
-        findings.append(
-            Finding(
-                SEVERITY_ERROR,
-                MISSING_TRANSFORM,
-                "native-space output needs a native reference volume for the target grid",
-            )
-        )
-    else:
-        try:
-            native_grid = GridSpec(*read_grid(reference))
-        except BrainorchError as exc:
-            findings.append(
-                Finding(SEVERITY_ERROR, UNREADABLE_INPUT, f"native reference ({reference.name}): {exc}")
-            )
-    return findings, (None if findings else (forward, native_grid))
-
-
-def _validate(
-    inputs: SubjectInputs, task: TaskSpec, config: PipelineConfig
-) -> tuple[ValidationReport, tuple[AffineTransform, GridSpec] | None]:
-    """The passing report and what a native-space warp needs (None when no
-    warp is asked for); raises :class:`ValidationFailed` otherwise."""
-    report = validate_subject(inputs, task)
-    extra, native = _native_preflight(inputs, task) if config.native_space_output else ([], None)
-    if extra:  # preflight findings are all errors
-        report = dataclasses.replace(report, findings=report.findings + tuple(extra), verdict="fail")
-    if not report.passed:
-        raise ValidationFailed(report)
-    return report, native
 
 
 def _stage_inputs(
@@ -559,7 +485,9 @@ def _staged_run(
 ) -> OutputBundle:
     """Validate, stage, run the jobs, let ``produce`` make the outputs, warp
     them to native space on request, and publish one hashed bundle."""
-    report, native = _validate(inputs, task, config)
+    report = validate_subject(inputs, task, config.native_space_output)
+    if not report.passed:
+        raise ValidationFailed(report)
     target = config.output_dir / inputs.subject_id / task.task_id.value
     _refuse_collision(target, config.force)  # before any container runs
 
@@ -571,7 +499,7 @@ def _staged_run(
         stage_dir = bundle / "work" / "input"
         # A passing report decoded exactly the inputs this task consumes.
         staged = _stage_inputs(inputs, report.grids, stage_dir)
-        run = _Run(inputs, task, config, bundle, report.grids[min(staged)], warnings, native)
+        run = _Run(inputs, task, config, bundle, report.grids[min(staged)], warnings, report.native)
 
         logger.info(
             "running %d algorithm(s) for %s/%s", len(entries), inputs.subject_id, task.task_id.value
@@ -579,7 +507,7 @@ def _staged_run(
         product = produce(run, _run_jobs(run, entries, stage_dir))
 
         native_rel: dict[str, str] = {}
-        if native is not None:
+        if run.native is not None:
             native_rel[product.native_name] = _warp_to_native(run, product)
 
         if config.keep_intermediate:

@@ -11,6 +11,12 @@ content is checked, and its voxels are dropped before the next read, so at
 most one decoded input is held at a time. The grids are then compared and
 handed on in the report, so a run need not decode any input again.
 
+When native-space output is asked for and the task works in an atlas space,
+validation also reads the stored ``native-><atlas>`` transform and the
+native reference's grid, once and before any container runs; a missing or
+unreadable one is an error like any other, and a passing report hands both
+on, so the warp reads nothing again.
+
 Grid agreement: shapes exact, spacings and affine entries within
 ``geometry.GRID_ATOL_MM`` (1e-3 mm).
 """
@@ -25,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BrainorchError
-from .geometry import GRID_ATOL_MM, GridSpec
-from .nifti import read_volume
+from .geometry import GRID_ATOL_MM, AffineTransform, GridSpec, read_transform
+from .nifti import read_grid, read_volume
 from .registry import (
     CANONICAL_ATLAS_SHAPE,
     CANONICAL_ATLAS_SPACING,
@@ -108,6 +114,9 @@ class ValidationReport:
     # The grid of every input decoded here, so a run need not decode it again.
     # Not part of the JSON report.
     grids: dict[str, GridSpec] = field(default_factory=dict, repr=False, compare=False)
+    # (forward transform, native grid) for a native-space output, else None.
+    # Not part of the JSON report.
+    native: tuple[AffineTransform, GridSpec] | None = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -236,11 +245,62 @@ def _required_tags(task: TaskSpec, inputs: SubjectInputs) -> tuple[list[str], li
     return [t for t in required if t in inputs.files], findings
 
 
-def validate_subject(inputs: SubjectInputs, task: TaskSpec) -> ValidationReport:
+def _forward_transform(inputs: SubjectInputs, task: TaskSpec) -> AffineTransform | None:
+    """The stored native->task-space registration, if any sidecar matches;
+    an unreadable sidecar is skipped."""
+    for path in inputs.transform_sidecars:
+        try:
+            transform = read_transform(path)
+        except BrainorchError:
+            continue
+        if transform.source_space == "native" and transform.target_space == task.spatial_space:
+            return transform
+    return None
+
+
+def _native_context(
+    inputs: SubjectInputs, task: TaskSpec
+) -> tuple[list[Finding], tuple[AffineTransform, GridSpec] | None]:
+    """The errors against a native-space output, and what the warp needs:
+    ``(forward transform, native grid)``, or None when anything is missing."""
+    findings: list[Finding] = []
+    forward = _forward_transform(inputs, task)
+    if forward is None:
+        findings.append(
+            Finding(
+                SEVERITY_ERROR,
+                MISSING_TRANSFORM,
+                f"native-space output needs a native->{task.spatial_space} transform sidecar",
+            )
+        )
+    reference = inputs.native_reference
+    if reference is None:
+        findings.append(
+            Finding(
+                SEVERITY_ERROR,
+                MISSING_TRANSFORM,
+                "native-space output needs a native reference volume for the target grid",
+            )
+        )
+    else:
+        try:
+            native_grid = GridSpec(*read_grid(reference))
+        except BrainorchError as exc:
+            findings.append(
+                Finding(SEVERITY_ERROR, UNREADABLE_INPUT, f"native reference ({reference.name}): {exc}")
+            )
+    return findings, (None if findings else (forward, native_grid))
+
+
+def validate_subject(
+    inputs: SubjectInputs, task: TaskSpec, native_space_output: bool = False
+) -> ValidationReport:
     """Validate one subject's inputs against a task contract.
 
     Always returns a report; the verdict is ``fail`` iff any finding has
-    error severity.
+    error severity. With ``native_space_output`` and an atlas-space task,
+    the native context is checked last and, when whole, rides on the
+    report's ``native``.
     """
     findings: list[Finding] = []
 
@@ -308,6 +368,11 @@ def validate_subject(inputs: SubjectInputs, task: TaskSpec) -> ValidationReport:
                 )
             )
 
+    native = None
+    if native_space_output and task.spatial_space != "native":
+        native_findings, native = _native_context(inputs, task)
+        findings.extend(native_findings)
+
     verdict = "fail" if any(f.severity == SEVERITY_ERROR for f in findings) else "pass"
     return ValidationReport(
         subject_id=inputs.subject_id,
@@ -316,4 +381,5 @@ def validate_subject(inputs: SubjectInputs, task: TaskSpec) -> ValidationReport:
         findings=tuple(findings),
         per_modality_geometry={tag: _geometry_record(grid) for tag, grid in grids.items()},
         grids=grids,
+        native=native,
     )

@@ -13,7 +13,6 @@ from brainorch.fusion import (
     CandidateSet,
     FUSION_METHODS,
     SimpleParams,
-    binarize,
     fuse,
     identity_result,
     infer_label_set,
@@ -118,15 +117,6 @@ def test_priority_order_named_labels():
 def test_priority_order_unnamed_labels_rank_last():
     ordered = label_priority_order((Label(9, "L9"), LABEL_ET, Label(5, "L5")))
     assert [lb.name for lb in ordered] == ["ET", "L5", "L9"]
-
-
-def test_binarize_guards_declared_set():
-    mask = np.zeros((4, 4, 4), dtype=np.uint8)
-    mask[0, 0, 0] = 3
-    out = binarize(mask, LABEL_ET, labels=GLI_LABELS)
-    assert out.sum() == 1
-    with pytest.raises(UnknownLabel):
-        binarize(mask, LABEL_RC, labels=GLI_LABELS)
 
 
 # -- majority voting ----------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brainorch import pipeline
+from brainorch import pipeline, validation
 from brainorch.errors import (
     AllJobsFailed,
     EngineUnreachable,
@@ -605,8 +605,8 @@ def test_a_native_run_reads_each_sidecar_and_the_reference_grid_once(
 
         return call
 
-    monkeypatch.setattr(pipeline, "read_transform", counted("transform", pipeline.read_transform))
-    monkeypatch.setattr(pipeline, "read_grid", counted("grid", pipeline.read_grid))
+    monkeypatch.setattr(validation, "read_transform", counted("transform", validation.read_transform))
+    monkeypatch.setattr(validation, "read_grid", counted("grid", validation.read_grid))
     inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
     bundle = run_inference(inputs, gli_config(tmp_path, mock_engine, override_catalog, native_space_output=True))
     assert set(bundle.native_space_paths) == {"consensus"}

@@ -8,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from brainorch.nifti import Volume, write_volume
+from brainorch.geometry import GridSpec, read_transform
+from brainorch.nifti import Volume, read_grid, write_volume
 from brainorch.registry import TaskId, get_task_spec
 from brainorch.validation import (
     AFFINE_MISMATCH,
@@ -16,6 +17,7 @@ from brainorch.validation import (
     INTENSITY_SUSPECT,
     MASK_NOT_BINARY,
     MISSING_MODALITY,
+    MISSING_TRANSFORM,
     SEVERITY_ERROR,
     SHAPE_MISMATCH,
     SPACE_MISMATCH,
@@ -29,7 +31,7 @@ from brainorch.validation import (
     validate_subject,
 )
 
-from fixtures_e2e import e2e_affine, set_vox_offset, write_subject, zero_srow_x
+from fixtures_e2e import add_native_context, e2e_affine, set_vox_offset, write_subject, zero_srow_x
 
 
 def inputs_for(subj_dir, subject="sub-01", task=TaskId.GLI_PRE, **kw):
@@ -378,3 +380,71 @@ def test_missing_everything_fails_loudly():
     assert len([f for f in report.errors if f.code == MISSING_MODALITY]) == 4
     assert not report.passed
     assert_verdict_consistent(report)
+
+
+# -- native-space context -----------------------------------------------------
+
+
+def native_inputs(tmp_path, subject="sub-01", task=TaskId.GLI_PRE):
+    """A subject with an identity native->SRI24 sidecar and a native reference."""
+    subj = write_subject(tmp_path, subject, task=task)
+    add_native_context(subj, subject)
+    return inputs_for(
+        subj,
+        subject,
+        task,
+        transform_sidecars=(subj / f"{subject}_native2SRI24.json",),
+        native_reference=subj / f"{subject}-native.nii.gz",
+    )
+
+
+def test_native_context_rides_on_a_passing_report(tmp_path):
+    inputs = native_inputs(tmp_path)
+    report = validate_subject(inputs, get_task_spec("gli-pre"), native_space_output=True)
+    assert report.passed
+    assert codes_of(report) == [ATLAS_GRID_DEVIATION]
+    forward, grid = report.native
+    expected_forward = read_transform(inputs.transform_sidecars[0])
+    expected_grid = GridSpec(*read_grid(inputs.native_reference))
+    assert np.array_equal(forward.matrix, expected_forward.matrix)
+    assert (forward.source_space, forward.target_space) == ("native", "SRI24")
+    assert grid.shape == expected_grid.shape
+    assert np.array_equal(grid.affine, expected_grid.affine)
+
+
+def test_missing_sidecar_is_a_missing_transform(tmp_path):
+    inputs = native_inputs(tmp_path)
+    inputs.transform_sidecars[0].unlink()
+    report = validate_subject(inputs, get_task_spec("gli-pre"), native_space_output=True)
+    assert codes_of(report, SEVERITY_ERROR) == [MISSING_TRANSFORM]
+    assert report.findings[-1].code == MISSING_TRANSFORM  # after every other finding
+    assert report.native is None
+    assert_verdict_consistent(report)
+
+
+def test_cut_native_reference_is_one_unreadable_input(tmp_path):
+    inputs = native_inputs(tmp_path)
+    reference = inputs.native_reference
+    reference.write_bytes(reference.read_bytes()[:40])
+    report = validate_subject(inputs, get_task_spec("gli-pre"), native_space_output=True)
+    errors = report.errors
+    assert [f.code for f in errors] == [UNREADABLE_INPUT]
+    assert errors[0].message.startswith("native reference (")
+    assert not report.passed
+    assert report.native is None
+
+
+def test_native_space_task_needs_no_native_context(tmp_path):
+    inputs = native_inputs(tmp_path, "sub-03", TaskId.PED)
+    task = get_task_spec("ped")
+    report = validate_subject(inputs, task, native_space_output=True)
+    assert report.findings == validate_subject(inputs, task).findings
+    assert report.native is None
+
+
+def test_native_context_stays_out_of_the_json_report(tmp_path):
+    inputs = native_inputs(tmp_path)
+    task = get_task_spec("gli-pre")
+    with_native = validate_subject(inputs, task, native_space_output=True)
+    assert with_native.native is not None
+    assert with_native.to_json_dict() == validate_subject(inputs, task).to_json_dict()
