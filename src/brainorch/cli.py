@@ -37,7 +37,7 @@ from .errors import (
 )
 from .fusion import FUSION_METHODS, METHOD_MAJORITY, CandidateSet, SimpleParams, fuse
 from .geometry import GridSpec, invert_affine, read_transform, resample_image, resample_mask
-from .nifti import read_grid, read_volume, write_mask, write_volume
+from .nifti import nifti_suffix, read_grid, read_volume, write_mask, write_volume
 from .pipeline import PipelineConfig, discover_subject_inputs, run_inference, run_synthesis
 from .registry import (
     LATEST_WINNER,
@@ -200,11 +200,7 @@ def _cmd_synthesize(args) -> int:
 
 
 def _candidate_id(path: Path, seen: set[str]) -> str:
-    stem = path.name
-    for suffix in (".nii.gz", ".nii"):
-        if stem.endswith(suffix):
-            stem = stem[: -len(suffix)]
-            break
+    stem = path.name.removesuffix(nifti_suffix(path))
     candidate = stem
     bump = 1
     while candidate in seen:

@@ -1,34 +1,44 @@
 """Consensus fusion of candidate segmentations.
 
-Two methods over per-label binary decompositions:
+Two methods over per-label binary decompositions, run by one per-label
+vote loop over the candidates' stacked masks:
 
 - ``majority``: a voxel keeps a label iff strictly more than half of the
   candidates assign it. An even split is not a majority, so the voxel stays
-  background.
-- ``simple``: iterative performance weighting. Start from the majority
-  consensus, score each candidate's label mask against it with Dice, drop
-  candidates scoring below mean - drop_factor * std (never the top scorer;
-  nobody when the scores have zero variance), then re-vote with Dice weights
-  until the consensus changes by less than ``convergence_epsilon`` (fraction
-  of the old-union-new foreground) or the iteration cap is hit.
+  background. Every candidate reports weight 1.0 and one iteration.
+- ``simple`` (SIMPLE: Langerak et al., IEEE TMI 2010): iterative
+  performance weighting. Start from the majority consensus, score each
+  candidate's label mask against it with Dice, drop candidates scoring
+  below mean - drop_factor * std (never the top scorer; nobody when the
+  scores have zero variance), then re-vote with Dice weights until the
+  consensus changes by less than ``convergence_epsilon`` (fraction of the
+  old-union-new foreground) or the iteration cap is hit.
+
+:func:`fuse` gives a set of one mask its majority vote under either
+method, reported as method ``identity``: the vote of one mask is the mask.
 
 Every label is fused independently; voxels claimed by several labels resolve
 by fixed priority (ET > NETC > RC > SNFH / ED > CC, see the registry). Labels
 outside the named set rank below all named ones, lowest code first.
 
-Each candidate mask is vetted once (:func:`vet_candidate`), and the vet
-reads codes only inside the mask's own foreground box
-(:func:`metrics.foreground_box`: the bounding box of its nonzero voxels,
-padded by 1 voxel). This is exact: every voxel outside the box is 0, which is
-always allowed. ``CandidateSet`` keeps each mask's box, and the union of the
-kept boxes is the candidates' foreground box, so nothing scans the masks
-again. Both methods run inside that box and paste the consensus into a zero
-grid. This is exact too: outside the box every candidate is background, so
-no label gets a vote there, and the Dice scores and convergence counts of
-SIMPLE only count voxels inside it. The consensus is background outside the
-box as well, so the pipeline scores each candidate against it inside the
-box. Label code 0 is background, so ``CandidateSet`` rejects a label with
-code 0 (``ValueError``); such a label would be voted outside the box.
+Each candidate mask is scanned once (:func:`metrics.foreground_values`:
+the distinct values inside the mask's foreground box, the bounding box of
+its nonzero voxels padded by 1 voxel). The scan vets the mask
+(:func:`vet_candidate`) or, when no task names the labels, finds them
+(``CandidateSet.from_volumes``). This is exact: every voxel outside the box
+is 0, which is always allowed. ``CandidateSet`` keeps each mask's box, and
+the union of the kept boxes is the candidates' foreground box, so nothing
+scans the masks again. The vote runs inside that box and pastes the
+consensus into a zero grid. This is exact too: outside the box every
+candidate is background, so no label gets a vote there, and the Dice
+scores and convergence counts of SIMPLE only count voxels inside it. The
+consensus is background outside the box as well, so the pipeline scores
+each candidate against it inside the box. ``CandidateSet`` rejects a label
+code outside 1..255 (``ValueError``): code 0 is background and would be
+voted outside the box, and the consensus is uint8.
+
+A candidate sits on the set's grid by :func:`geometry.grid_difference`, the
+rule validation applies to the inputs; :func:`grid_mismatch` phrases it.
 """
 
 from __future__ import annotations
@@ -39,8 +49,8 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import EmptyCandidateSet, GridMismatch, UnknownLabel
-from .geometry import GRID_ATOL_MM
-from .metrics import box_union, check_label_codes, dice, foreground_box
+from .geometry import grid_difference
+from .metrics import box_union, check_label_codes, dice, foreground_values
 from .nifti import Volume
 from .registry import LABEL_PRIORITY, Label
 
@@ -90,19 +100,6 @@ class SimpleParams:
         }
 
 
-def infer_label_set(masks) -> tuple[Label, ...]:
-    """Label objects for every nonzero code present in the masks.
-
-    Used when no task context names the labels; codes get generic names.
-    """
-    codes: set[int] = set()
-    for mask in masks:
-        data = mask.data if isinstance(mask, Volume) else np.asarray(mask)
-        codes |= {int(v) for v in np.unique(data[foreground_box([data])])}
-    codes.discard(0)
-    return tuple(Label(code, f"L{code}") for code in sorted(codes))
-
-
 def label_priority_order(labels) -> tuple[Label, ...]:
     """Labels sorted highest priority first; unnamed labels rank last."""
 
@@ -115,22 +112,26 @@ def label_priority_order(labels) -> tuple[Label, ...]:
     return tuple(sorted(labels, key=key))
 
 
-def grid_mismatch(vol: Volume, shape, affine, grid: str) -> str | None:
-    """Why ``vol`` does not sit on the grid ``(shape, affine)``, or None.
-
-    Shapes must match exactly, affine entries within ``GRID_ATOL_MM``;
-    ``grid`` names the grid in the reason.
-    """
-    if vol.shape != tuple(shape):
-        return f"shape {vol.shape} does not match {grid} {tuple(shape)}"
-    if not np.allclose(vol.affine, affine, atol=GRID_ATOL_MM):
+def grid_mismatch(vol: Volume, ref, grid: str) -> str | None:
+    """Why ``vol`` does not sit on the grid ``ref``, or None: the answer of
+    :func:`geometry.grid_difference`, phrased with ``grid`` naming the grid."""
+    difference = grid_difference(vol, ref)
+    if difference == "shape":
+        return f"shape {vol.shape} does not match {grid} {ref.shape}"
+    if difference == "spacing":
+        return f"spacing {np.round(vol.spacing, 4).tolist()} does not match {grid}"
+    if difference == "affine":
         return f"affine does not match {grid}"
     return None
 
 
-def _check_integer_dtype(data: np.ndarray, name: str) -> None:
+def _foreground_codes(data: np.ndarray, name: str) -> tuple[tuple[slice, ...], set[int]]:
+    """The mask's :func:`metrics.foreground_values` as (box, code set).
+    ``ValueError`` first for a non-integer dtype: ``int(NaN)`` is untyped."""
     if not np.issubdtype(data.dtype, np.integer):
         raise ValueError(f"{name} has non-integer dtype {data.dtype}")
+    box, values = foreground_values(data)
+    return box, {int(v) for v in values}
 
 
 def vet_candidate(data: np.ndarray, labels, name: str) -> tuple[slice, ...]:
@@ -142,10 +143,9 @@ def vet_candidate(data: np.ndarray, labels, name: str) -> tuple[slice, ...]:
     :class:`UnknownLabel` for stray codes; ``name`` opens the message. Only
     the box is searched for codes: outside it every voxel is 0.
     """
-    _check_integer_dtype(data, name)
-    box = foreground_box([data])
+    box, codes = _foreground_codes(data, name)
     allowed = {lb.code for lb in labels} | {0}
-    stray = {int(v) for v in np.unique(data[box])} - allowed
+    stray = codes - allowed
     if stray:
         raise UnknownLabel(
             f"{name} holds label codes {sorted(stray)} outside the task's set "
@@ -187,7 +187,7 @@ class CandidateSet:
         ref = masks[0]
         boxes = []
         for sid, mask in zip(source_ids, masks):
-            problem = grid_mismatch(mask, ref.shape, ref.affine, "the set's grid")
+            problem = grid_mismatch(mask, ref, "the set's grid")
             if problem is not None:
                 raise GridMismatch(f"candidate {sid!r} {problem}")
             if _vetted_boxes is None:
@@ -199,15 +199,24 @@ class CandidateSet:
 
     @classmethod
     def from_volumes(cls, masks, source_ids=None, labels=None) -> "CandidateSet":
+        """A set of ``masks``. Without ``labels``, every code found is a
+        label named ``L<code>``, and the one scan that found the codes also
+        vets each mask."""
         masks = tuple(masks)
         if source_ids is None:
             source_ids = tuple(f"candidate-{i}" for i in range(len(masks)))
+        vetted = None
         if labels is None:
-            # Check the dtype before codes are read: int(NaN) raises untyped.
-            for sid, mask in zip(source_ids, masks):
-                _check_integer_dtype(mask.data, f"candidate {str(sid)!r}")
-            labels = infer_label_set(masks)
-        return cls(masks=masks, source_ids=tuple(source_ids), labels=tuple(labels))
+            scans = [
+                _foreground_codes(mask.data, f"candidate {str(sid)!r}")
+                for sid, mask in zip(source_ids, masks)
+            ]
+            codes = set().union(*(found for _, found in scans)) - {0}
+            labels = tuple(Label(code, f"L{code}") for code in sorted(codes))
+            vetted = tuple(box for box, _ in scans)
+        return cls(
+            masks=masks, source_ids=tuple(source_ids), labels=tuple(labels), _vetted_boxes=vetted
+        )
 
     @property
     def grid_affine(self) -> np.ndarray:
@@ -248,44 +257,12 @@ class FusionResult:
         }
 
 
-def _boxed_stack(candidates: CandidateSet) -> tuple[np.ndarray, tuple[slice, ...]]:
-    """The candidates' data stacked inside their foreground box, and the box.
-
-    All-empty candidates give a zero-size box.
-    """
-    box = candidates.box
-    return np.stack([m.data[box] for m in candidates.masks]), box
-
-
-def _overlay(per_label_masks: dict[int, np.ndarray], candidates: CandidateSet, box) -> np.ndarray:
-    """Merge per-label binaries computed inside ``box`` into one read-only
-    mask on the candidates' grid, highest priority winning."""
-    out = np.zeros(candidates.masks[0].shape, dtype=np.uint8)
-    inside = out[box]  # a view: writes land in ``out``
-    for label in reversed(label_priority_order(candidates.labels)):
-        inside[per_label_masks[label.code]] = label.code
-    out.setflags(write=False)
-    return out
-
-
-def _strict_majority(binary_stack: np.ndarray) -> np.ndarray:
-    votes = binary_stack.sum(axis=0, dtype=np.int64)
-    return votes * 2 > binary_stack.shape[0]
-
-
-def majority_vote(candidates: CandidateSet) -> Volume:
-    """Per-label strict-majority consensus."""
-    stack, box = _boxed_stack(candidates)
-    per_label = {lb.code: _strict_majority(stack == lb.code) for lb in candidates.labels}
-    return Volume(data=_overlay(per_label, candidates, box), affine=candidates.grid_affine)
-
-
-def _simple_one_label(binary_stack: np.ndarray, params: SimpleParams):
-    """Iterative fusion of one label; returns (consensus, weights, dropped
-    index set, iterations, active-count trace)."""
+def _simple_one_label(binary_stack: np.ndarray, consensus: np.ndarray, params: SimpleParams):
+    """Iterative fusion of one label from its majority ``consensus``;
+    returns (consensus, weights, dropped index set, iterations,
+    active-count trace)."""
     n = binary_stack.shape[0]
     active = list(range(n))
-    consensus = _strict_majority(binary_stack)
     scores = np.zeros(n, dtype=np.float64)
     dropped: set[int] = set()
     trace: list[int] = []
@@ -325,33 +302,56 @@ def _simple_one_label(binary_stack: np.ndarray, params: SimpleParams):
     return consensus, weights_out, dropped, iterations, tuple(trace)
 
 
-def simple_fuse(candidates: CandidateSet, params: SimpleParams | None = None) -> FusionResult:
-    """Iterative performance-weighted fusion over all labels."""
-    params = params or SimpleParams()
-    stack, box = _boxed_stack(candidates)
-    per_label_masks: dict[int, np.ndarray] = {}
+def _vote(candidates: CandidateSet, method: str, params: SimpleParams | None = None) -> FusionResult:
+    """The one per-label vote over the candidates' masks inside their box.
+
+    Each label starts from its strict majority, every candidate weighted
+    1.0 in one iteration; with ``params`` (SIMPLE) it iterates from there.
+    Labels are voted lowest priority first and pasted into one read-only
+    uint8 grid, so the highest priority wins. ``method`` names the result.
+    """
+    box = candidates.box
+    stack = np.stack([m.data[box] for m in candidates.masks])
+    n = len(candidates.masks)
+    out = np.zeros(candidates.masks[0].shape, dtype=np.uint8)
+    inside = out[box]  # a view: writes land in ``out``
     weights: dict[str, dict[str, float]] = {sid: {} for sid in candidates.source_ids}
     dropped: dict[str, tuple[str, ...]] = {}
     iteration_log: dict[str, tuple[int, ...]] = {}
-    iterations_run = 0
-    for label in candidates.labels:
-        consensus, w, dropped_idx, iters, trace = _simple_one_label(stack == label.code, params)
-        per_label_masks[label.code] = consensus
+    iterations_run = 1
+    for label in reversed(label_priority_order(candidates.labels)):
+        binary_stack = stack == label.code
+        consensus = binary_stack.sum(axis=0, dtype=np.int64) * 2 > n
+        w, dropped_idx, iters, trace = np.ones(n), set(), 1, (n,)
+        if params is not None:
+            consensus, w, dropped_idx, iters, trace = _simple_one_label(binary_stack, consensus, params)
+        inside[consensus] = label.code
         for i, sid in enumerate(candidates.source_ids):
             weights[sid][label.name] = float(w[i])
         if dropped_idx:
             dropped[label.name] = tuple(candidates.source_ids[i] for i in sorted(dropped_idx))
         iteration_log[label.name] = trace
         iterations_run = max(iterations_run, iters)
+    out.setflags(write=False)
     return FusionResult(
-        consensus=Volume(data=_overlay(per_label_masks, candidates, box), affine=candidates.grid_affine),
-        method=METHOD_SIMPLE,
+        consensus=Volume(data=out, affine=candidates.grid_affine),
+        method=method,
         per_candidate_weights=weights,
-        iterations_run=max(iterations_run, 1) if candidates.labels else 1,
+        iterations_run=iterations_run,
         dropped=dropped,
         iteration_log=iteration_log,
-        params=params.to_json_dict(),
+        params={} if params is None else params.to_json_dict(),
     )
+
+
+def majority_vote(candidates: CandidateSet) -> Volume:
+    """Per-label strict-majority consensus."""
+    return _vote(candidates, METHOD_MAJORITY).consensus
+
+
+def simple_fuse(candidates: CandidateSet, params: SimpleParams | None = None) -> FusionResult:
+    """Iterative performance-weighted fusion over all labels."""
+    return _vote(candidates, METHOD_SIMPLE, params or SimpleParams())
 
 
 def fuse(
@@ -361,42 +361,14 @@ def fuse(
 ) -> FusionResult:
     """Dispatch to a fusion method.
 
-    A set of one mask is its own consensus (:func:`identity_result`) under
-    either method. Majority voting reports uniform weight 1.0 and a single
-    iteration, so downstream consumers see one result shape regardless of
-    method.
+    A set of one mask is its own consensus under either method: its
+    majority vote, reported as method ``"identity"``. Majority voting
+    reports uniform weight 1.0 and a single iteration, so downstream
+    consumers see one result shape regardless of method.
     """
     check_fusion_method(method)
     if len(candidates.masks) == 1:
-        return identity_result(candidates)
+        return _vote(candidates, "identity")
     if method == METHOD_MAJORITY:
-        consensus = majority_vote(candidates)
-        n = len(candidates.masks)
-        return FusionResult(
-            consensus=consensus,
-            method=METHOD_MAJORITY,
-            per_candidate_weights={
-                sid: {lb.name: 1.0 for lb in candidates.labels} for sid in candidates.source_ids
-            },
-            iterations_run=1,
-            iteration_log={lb.name: (n,) for lb in candidates.labels},
-            params={},
-        )
+        return _vote(candidates, METHOD_MAJORITY)
     return simple_fuse(candidates, params)
-
-
-def identity_result(candidates: CandidateSet) -> FusionResult:
-    """Single-candidate passthrough: the mask is its own consensus."""
-    if len(candidates.masks) != 1:
-        raise ValueError(f"identity fusion needs exactly 1 candidate, got {len(candidates.masks)}")
-    data = candidates.masks[0].data.astype(np.uint8, copy=True)
-    data.setflags(write=False)
-    sid = candidates.source_ids[0]
-    return FusionResult(
-        consensus=Volume(data=data, affine=candidates.grid_affine),
-        method="identity",
-        per_candidate_weights={sid: {lb.name: 1.0 for lb in candidates.labels}},
-        iterations_run=1,
-        iteration_log={lb.name: (1,) for lb in candidates.labels},
-        params={},
-    )

@@ -5,6 +5,10 @@ space tags (``native``, ``SRI24``, ``MNI152``) so compositions and warps can
 be checked instead of trusted. Transform sidecars are JSON files holding a
 row-major 4x4 matrix plus the two tags; units are always mm.
 
+Two grids agree by one rule, :func:`grid_difference`: shapes exactly, then
+spacings, then affine entries, each within ``GRID_ATOL_MM``. Validation and
+the pipeline's candidate checks only phrase its answer.
+
 Masks resample with nearest-neighbor lookup (labels never blend, voxels that
 map outside the source grid become background), images with trilinear
 interpolation.
@@ -140,6 +144,25 @@ class GridSpec:
     @classmethod
     def from_volume(cls, vol: Volume) -> "GridSpec":
         return cls(shape=vol.shape, affine=vol.affine)
+
+
+def grid_difference(grid, ref) -> str | None:
+    """The first way ``grid`` differs from ``ref``: ``"shape"``,
+    ``"spacing"`` or ``"affine"``, in that order; None when they agree.
+
+    Both have ``shape``, ``spacing`` and ``affine`` (:class:`GridSpec` or
+    :class:`Volume`). Shapes must match exactly, spacings and affine entries
+    within ``GRID_ATOL_MM``. Spacing is compared on its own: an oblique
+    column can move by less than the tolerance in every entry and still
+    change its length by more.
+    """
+    if grid.shape != ref.shape:
+        return "shape"
+    if not np.allclose(grid.spacing, ref.spacing, atol=GRID_ATOL_MM):
+        return "spacing"
+    if not np.allclose(grid.affine, ref.affine, atol=GRID_ATOL_MM):
+        return "affine"
+    return None
 
 
 def _foreground_samples(data: np.ndarray, source_affine: np.ndarray, world_map: np.ndarray, target: GridSpec):

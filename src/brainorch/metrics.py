@@ -25,10 +25,11 @@ here once and shared by every caller:
   full grid; cropping keeps the scan order that sets component ids; and the
   voxels cut away are background in every mask, so they add nothing to
   Dice or to lesion-wise counts. That last step needs every scored label to
-  have a nonzero code, so a label with code 0 (background) raises
-  ``ValueError`` (``check_label_codes``). The box of several masks is the
-  union (``box_union``) of their single-mask boxes, so a caller that kept
-  each mask's box, as fusion does from vetting, gets it without a scan.
+  have a nonzero code, so a label with code 0 (background), or outside
+  the uint8 consensus's 1..255, raises ``ValueError``
+  (``check_label_codes``). The box of several masks is the union
+  (``box_union``) of their single-mask boxes, so a caller that kept each
+  mask's box, as fusion does from vetting, gets it without a scan.
 - Lesion-wise Dice reads lesion sizes, overlapping prediction components,
   union sizes and intersections from one sparse contingency table of the two
   component maps, and keeps the integer arithmetic of ``dice``.
@@ -142,16 +143,25 @@ def foreground_box(masks) -> tuple[slice, ...]:
     return box_union(_padded_box(mask) for mask in masks)
 
 
+def foreground_values(mask) -> tuple[tuple[slice, ...], np.ndarray]:
+    """The mask's :func:`foreground_box` and ``np.unique`` of the box: every
+    nonzero value of the mask, and 0 unless the box holds none (every voxel
+    outside the box is 0)."""
+    box = foreground_box([mask])
+    return box, np.unique(np.asarray(mask)[box])
+
+
 def check_label_codes(labels) -> tuple:
-    """``labels`` as a tuple; ``ValueError`` if one has code 0.
+    """``labels`` as a tuple; ``ValueError`` if a code is outside 1..255.
 
     Code 0 is background. Metrics and fusion work inside the foreground box,
-    which is exact only because nothing is scored or voted outside it.
+    which is exact only because nothing is scored or voted outside it. The
+    consensus is uint8, so a larger or negative code would wrap.
     """
     labels = tuple(labels)
     for label in labels:
-        if label.code == 0:
-            raise ValueError(f"label {label.name!r} has code 0, which is background")
+        if not 1 <= label.code <= 255:
+            raise ValueError(f"label {label.name!r} has code {label.code}, outside 1..255")
     return labels
 
 
@@ -387,7 +397,7 @@ def compute_metric_report(
     """Score a multi-label prediction against a reference mask.
 
     ``labels`` is an iterable of objects with ``code`` and ``name`` (the
-    registry's label type); code 0 is background and raises ``ValueError``.
+    registry's label type); a code outside 1..255 raises ``ValueError``.
     Per-label metrics binarize on the code and report HD95 and NSD at
     1 mm (the ``DEFAULT_*`` constants); the lesion-wise report runs on
     any-foreground masks with 26-connectivity and counts every lesion.

@@ -54,6 +54,8 @@ HEADER_SIZE = 348
 MIN_VOX_OFFSET = 352
 GZIP_MAGIC = b"\x1f\x8b"
 _NIFTI2_SIZEOF_HDR = 540
+# File-name suffixes of a NIfTI file, the longer first.
+NIFTI_SUFFIXES = (".nii.gz", ".nii")
 
 # NIfTI-1 header, in field order. Numpy keeps structured dtypes packed, so
 # the offsets land exactly on the layout published with the format (dim at
@@ -324,6 +326,13 @@ _CHUNK = 1 << 20
 _GZIP_MAX_RATIO = 1032
 # Largest voxel payload a read allocates.
 MAX_PAYLOAD_BYTES = 1 << 31
+
+
+def nifti_suffix(path: str | Path) -> str:
+    """The suffix of :data:`NIFTI_SUFFIXES` that ends ``path``'s name, or
+    "" when none does."""
+    name = Path(path).name
+    return next((suffix for suffix in NIFTI_SUFFIXES if name.endswith(suffix)), "")
 
 
 def _fill(stream, buf) -> int:

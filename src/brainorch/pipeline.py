@@ -74,7 +74,7 @@ from .geometry import (
     inverse_warp_to_native,
 )
 from .metrics import compute_metric_report
-from .nifti import Volume, read_volume, write_mask, write_volume
+from .nifti import NIFTI_SUFFIXES, Volume, nifti_suffix, read_volume, write_mask, write_volume
 from .registry import (
     LATEST_WINNER,
     MODALITIES,
@@ -96,7 +96,6 @@ logger = logging.getLogger("brainorch.pipeline")
 MANIFEST_SCHEMA_VERSION = 1
 CONSENSUS_NAME = "consensus.nii.gz"
 SYNTHESIS_STEM = "synthesis"
-_NIFTI_SUFFIXES = (".nii.gz", ".nii")
 
 
 @dataclass
@@ -187,14 +186,6 @@ def _hash_tree(root: Path) -> dict[str, str]:
     }
 
 
-def _nifti_suffix(path: Path) -> str:
-    name = path.name
-    for suffix in _NIFTI_SUFFIXES:
-        if name.endswith(suffix):
-            return suffix
-    raise ValueError(f"{path} is not a .nii or .nii.gz file")
-
-
 def discover_subject_inputs(directory: str | Path, task: TaskId | str) -> SubjectInputs:
     """Build :class:`SubjectInputs` from a conventional subject directory.
 
@@ -213,14 +204,14 @@ def discover_subject_inputs(directory: str | Path, task: TaskId | str) -> Subjec
     files: dict[str, Path] = {}
     consumed: set[Path] = set()
     for tag in (*MODALITIES, "MASK"):
-        for suffix in _NIFTI_SUFFIXES:
+        for suffix in NIFTI_SUFFIXES:
             candidate = directory / f"{subject}-{tag.lower()}{suffix}"
             if candidate.is_file():
                 files[tag] = candidate
                 consumed.add(candidate)
                 break
     native_reference = None
-    for suffix in _NIFTI_SUFFIXES:
+    for suffix in NIFTI_SUFFIXES:
         candidate = directory / f"{subject}-native{suffix}"
         if candidate.is_file():
             native_reference = candidate
@@ -263,7 +254,10 @@ def _stage_inputs(
     staged: dict[str, Path] = {}
     for tag in tags:
         source = inputs.files[tag]
-        target = stage_dir / f"{inputs.subject_id}-{tag.lower()}{_nifti_suffix(source)}"
+        suffix = nifti_suffix(source)
+        if not suffix:
+            raise ValueError(f"{source} is not a .nii or .nii.gz file")
+        target = stage_dir / f"{inputs.subject_id}-{tag.lower()}{suffix}"
         shutil.copyfile(source, target)
         staged[tag] = target
     return staged
@@ -347,9 +341,9 @@ def _pick_output_file(result: JobResult, preferred_stems: tuple[str, ...]) -> Pa
     NIfTI name is picked and :func:`_unsafe_output` rejects it, rather than
     another file standing in.
     """
-    produced = [p for p in result.produced_files if p.name.endswith(_NIFTI_SUFFIXES)]
+    produced = [p for p in result.produced_files if nifti_suffix(p)]
     for stem in preferred_stems:
-        for suffix in _NIFTI_SUFFIXES:
+        for suffix in NIFTI_SUFFIXES:
             for p in produced:
                 if p.name == stem + suffix:
                     return p
@@ -414,7 +408,7 @@ def _collect(run: _Run, outcomes, stem: str, noun: str, vet=None):
             reason = str(exc).replace(str(path), path.relative_to(run.bundle).as_posix())
             run.warnings.append(f"{entry.id}: unreadable {noun} {path.name}: {reason}")
             continue
-        problem = grid_mismatch(vol, run.grid.shape, run.grid.affine, "the input grid")
+        problem = grid_mismatch(vol, run.grid, "the input grid")
         vetted = None
         if problem is None and vet is not None:
             try:
@@ -573,7 +567,7 @@ def _produce_segmentation(run: _Run, outcomes) -> _Product:
     candidates_dir.mkdir(parents=True, exist_ok=True)
     per_algorithm: dict[str, str] = {}
     for entry, _, mask_path, _ in collected:
-        dest = candidates_dir / f"{entry.id}{_nifti_suffix(mask_path)}"
+        dest = candidates_dir / f"{entry.id}{nifti_suffix(mask_path)}"
         shutil.copyfile(mask_path, dest, follow_symlinks=False)
         per_algorithm[entry.id] = dest.relative_to(bundle).as_posix()
     ids = [entry.id for entry, _, _, _ in collected]
@@ -642,7 +636,7 @@ def run_inference(inputs: SubjectInputs, config: PipelineConfig) -> OutputBundle
 def _produce_synthesis(run: _Run, outcomes) -> _Product:
     """Keep the one synthesized image."""
     job_rows, [(entry, image, produced, _)] = _collect(run, outcomes, SYNTHESIS_STEM, "volume")
-    out_name = f"{SYNTHESIS_STEM}{_nifti_suffix(produced)}"
+    out_name = f"{SYNTHESIS_STEM}{nifti_suffix(produced)}"
     shutil.copyfile(produced, run.bundle / out_name, follow_symlinks=False)
     if run.task.task_id == TaskId.INPAINT:
         synthesized = "T1n"

@@ -17,8 +17,10 @@ native reference's grid, once and before any container runs; a missing or
 unreadable one is an error like any other, and a passing report hands both
 on, so the warp reads nothing again.
 
-Grid agreement: shapes exact, spacings and affine entries within
-``geometry.GRID_ATOL_MM`` (1e-3 mm).
+Grid agreement is :func:`geometry.grid_difference`, which the pipeline
+applies to candidates too; validation only phrases its answer. The
+inpainting mask's values come from :func:`metrics.foreground_values`, the
+scan that vets candidate masks, so no whole grid is sorted.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BrainorchError
-from .geometry import GRID_ATOL_MM, AffineTransform, GridSpec, read_transform
+from .geometry import GRID_ATOL_MM, AffineTransform, GridSpec, grid_difference, read_transform
+from .metrics import foreground_values
 from .nifti import read_grid, read_volume
 from .registry import (
     CANONICAL_ATLAS_SHAPE,
@@ -61,6 +64,7 @@ INTENSITY_SUSPECT = "INTENSITY_SUSPECT"
 
 _SUBJECT_ID_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 _KNOWN_TAGS = set(MODALITIES) | {INPAINT_MASK}
+_CANONICAL_ATLAS_GRID = GridSpec(CANONICAL_ATLAS_SHAPE, np.diag([*CANONICAL_ATLAS_SPACING, 1.0]))
 
 
 @dataclass(frozen=True)
@@ -157,8 +161,9 @@ def check_grid_consistency(volumes: dict) -> list[Finding]:
     """Compare every grid against the first; one finding per deviation.
 
     ``volumes`` maps tags to objects with ``shape``, ``spacing`` and
-    ``affine``: :class:`GridSpec` or :class:`Volume`. The most specific
-    mismatch wins per grid: shape, then spacing, then the full affine.
+    ``affine``: :class:`GridSpec` or :class:`Volume`. Each grid gets the
+    first difference :func:`geometry.grid_difference` finds: shape, then
+    spacing, then the full affine.
     """
     findings: list[Finding] = []
     items = list(volumes.items())
@@ -166,39 +171,29 @@ def check_grid_consistency(volumes: dict) -> list[Finding]:
         return findings
     ref_tag, ref = items[0]
     for tag, vol in items[1:]:
-        if vol.shape != ref.shape:
-            findings.append(
-                Finding(
-                    SEVERITY_ERROR,
-                    SHAPE_MISMATCH,
-                    f"{tag} shape {vol.shape} != {ref_tag} shape {ref.shape}",
-                )
+        difference = grid_difference(vol, ref)
+        if difference == "shape":
+            code, message = SHAPE_MISMATCH, f"{tag} shape {vol.shape} != {ref_tag} shape {ref.shape}"
+        elif difference == "spacing":
+            code, message = SPACING_MISMATCH, (
+                f"{tag} spacing {np.round(vol.spacing, 4).tolist()} != "
+                f"{ref_tag} spacing {np.round(ref.spacing, 4).tolist()}"
             )
-        elif not np.allclose(vol.spacing, ref.spacing, atol=GRID_ATOL_MM):
-            findings.append(
-                Finding(
-                    SEVERITY_ERROR,
-                    SPACING_MISMATCH,
-                    f"{tag} spacing {np.round(vol.spacing, 4).tolist()} != "
-                    f"{ref_tag} spacing {np.round(ref.spacing, 4).tolist()}",
-                )
+        elif difference == "affine":
+            code, message = AFFINE_MISMATCH, (
+                f"{tag} affine deviates from {ref_tag} affine by more than {GRID_ATOL_MM}"
             )
-        elif not np.allclose(vol.affine, ref.affine, atol=GRID_ATOL_MM):
-            findings.append(
-                Finding(
-                    SEVERITY_ERROR,
-                    AFFINE_MISMATCH,
-                    f"{tag} affine deviates from {ref_tag} affine by more than {GRID_ATOL_MM}",
-                )
-            )
+        else:
+            continue
+        findings.append(Finding(SEVERITY_ERROR, code, message))
     return findings
 
 
 def _content_finding(tag: str, data: np.ndarray) -> Finding | None:
     """The inpainting mask must be binary; an image should vary and hold
-    no negative intensity."""
+    no negative intensity. Outside its foreground box the mask is 0."""
     if tag == INPAINT_MASK:
-        stray = set(np.unique(data).tolist()) - {0, 1}
+        stray = set(foreground_values(data)[1].tolist()) - {0, 1}
         if stray:
             return Finding(
                 SEVERITY_ERROR,
@@ -356,9 +351,8 @@ def validate_subject(
 
     if task.spatial_space in ("SRI24", "MNI152") and grids:
         ref = next(iter(grids.values()))
-        if ref.shape != CANONICAL_ATLAS_SHAPE or not np.allclose(
-            ref.spacing, CANONICAL_ATLAS_SPACING, atol=GRID_ATOL_MM
-        ):
+        # The canonical grid fixes extents and spacing, not orientation.
+        if grid_difference(ref, _CANONICAL_ATLAS_GRID) in ("shape", "spacing"):
             findings.append(
                 Finding(
                     SEVERITY_WARNING,

@@ -487,6 +487,25 @@ def test_fuse_single_mask_is_identity(capsys, tmp_path):
     assert json.loads(out)["fusion"]["method"] == "identity"
 
 
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("code", [300, -2])
+def test_fuse_label_code_outside_uint8_exits_2(capsys, tmp_path, code, count):
+    # uint8 holds the consensus: 300 would be written as 44, -2 as 254.
+    mask = np.zeros((4, 4, 4), dtype=np.int16)
+    mask[1, 1, 1] = 1
+    mask[2, 2, 2] = code
+    paths = [
+        str(write_volume(Volume(data=mask, affine=np.eye(4)), tmp_path / f"m{i}.nii.gz"))
+        for i in range(count)
+    ]
+    code_, out, _ = run(capsys, ["fuse", *paths, "-o", str(tmp_path / "out"), "--json"])
+    assert code_ == EXIT_USAGE
+    assert json.loads(out)["error"] == {
+        "type": "ValueError", "message": f"label 'L{code}' has code {code}, outside 1..255"
+    }
+    assert not (tmp_path / "out" / "consensus.nii.gz").exists()
+
+
 # -- warp ----------------------------------------------------------------------
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import brainorch.fusion
+import brainorch.metrics
 import brainorch.pipeline
 from brainorch.errors import GridMismatch, UnknownLabel
 from brainorch.fusion import CandidateSet, fuse, vet_candidate
@@ -246,6 +247,25 @@ def test_vetted_boxes_skip_only_the_code_scan():
     with pytest.raises(ValueError, match="2 masks but 1 vetted boxes"):
         CandidateSet(masks=(Volume(data=mask, affine=np.eye(4)),) * 2, source_ids=("a", "b"),
                      labels=GLI_LABELS, _vetted_boxes=(box,))
+
+
+def test_from_volumes_without_labels_scans_each_mask_once(monkeypatch):
+    scanned = Counter()
+    real_padded_box = brainorch.metrics._padded_box
+
+    def counting_padded_box(mask):
+        scanned[id(mask)] += 1
+        return real_padded_box(mask)
+
+    masks = [np.zeros((5, 6, 7), dtype=np.uint8) for _ in range(3)]
+    for i, mask in enumerate(masks):
+        mask[i, 2, 3] = i + 1
+    monkeypatch.setattr(brainorch.metrics, "_padded_box", counting_padded_box)
+    candidates = CandidateSet.from_volumes([Volume(data=m, affine=np.eye(4)) for m in masks])
+    assert [lb.code for lb in candidates.labels] == [1, 2, 3]
+    assert candidates.boxes == tuple(real_padded_box(m) for m in masks)
+    assert sorted(scanned.values()) == [1, 1, 1]
+    assert set(scanned) == {id(m) for m in masks}
 
 
 def _five_candidate_run(tmp_path):

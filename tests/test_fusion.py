@@ -14,8 +14,6 @@ from brainorch.fusion import (
     FUSION_METHODS,
     SimpleParams,
     fuse,
-    identity_result,
-    infer_label_set,
     label_priority_order,
     majority_vote,
     simple_fuse,
@@ -101,11 +99,24 @@ def test_default_source_ids():
 # -- label plumbing ---------------------------------------------------------
 
 
-def test_infer_label_set_names_codes_generically():
+def test_from_volumes_names_found_codes_generically():
     a = np.zeros((4, 4, 4), dtype=np.uint8)
     a[0, 0, 0] = 3
     a[1, 0, 0] = 1
-    assert infer_label_set([a]) == (Label(1, "L1"), Label(3, "L3"))
+    assert CandidateSet.from_volumes([vol(a)]).labels == (Label(1, "L1"), Label(3, "L3"))
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("code", [300, -2])
+def test_label_codes_must_fit_the_uint8_consensus(code, count):
+    mask = np.zeros((4, 4, 4), dtype=np.int16)
+    mask[1, 1, 1] = 1
+    mask[2, 2, 2] = code
+    volumes = [Volume(data=mask, affine=np.eye(4))] * count
+    with pytest.raises(ValueError, match=f"code {code}, outside 1..255"):
+        CandidateSet.from_volumes(volumes)
+    with pytest.raises(ValueError, match=f"code {code}, outside 1..255"):
+        CandidateSet.from_volumes(volumes, labels=(LABEL_NETC, Label(code, "X")))
 
 
 def test_priority_order_named_labels():
@@ -285,17 +296,14 @@ def test_identity_result_passthrough():
     mask = np.zeros((5, 5, 5), dtype=np.uint8)
     mask[2, 2, 2] = 3
     cs = candidate_set([mask], ids=["only"])
-    result = identity_result(cs)
-    assert result.method == "identity"
-    np.testing.assert_array_equal(result.consensus.data, mask)
-    assert result.per_candidate_weights == {"only": {"ET": 1.0, "NETC": 1.0, "SNFH": 1.0}}
-    assert result.iterations_run == 1
-
-
-def test_identity_requires_single_candidate():
-    arrays = random_candidates(5, 2)
-    with pytest.raises(ValueError, match="exactly 1"):
-        identity_result(candidate_set(arrays))
+    for method in FUSION_METHODS:
+        result = fuse(cs, method=method)
+        assert result.method == "identity"
+        np.testing.assert_array_equal(result.consensus.data, mask)
+        assert result.per_candidate_weights == {"only": {"ET": 1.0, "NETC": 1.0, "SNFH": 1.0}}
+        assert result.iterations_run == 1
+        assert result.iteration_log == {"ET": (1,), "NETC": (1,), "SNFH": (1,)}
+        assert result.params == {} and result.dropped == {}
 
 
 # -- parameters and dispatch --------------------------------------------------

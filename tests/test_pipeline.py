@@ -19,12 +19,13 @@ from brainorch import pipeline, validation
 from brainorch.errors import (
     AllJobsFailed,
     EngineUnreachable,
+    GridMismatch,
     OutputCollision,
     UnknownTask,
     ValidationFailed,
 )
-from brainorch.fusion import METHOD_SIMPLE
-from brainorch.nifti import Volume, read_volume, write_mask
+from brainorch.fusion import METHOD_SIMPLE, CandidateSet
+from brainorch.nifti import Volume, read_volume, write_mask, write_volume
 from brainorch.pipeline import (
     PipelineConfig,
     canonical_json,
@@ -33,11 +34,12 @@ from brainorch.pipeline import (
     run_inference,
     run_synthesis,
 )
-from brainorch.registry import TaskId, load_catalog
+from brainorch.registry import TaskId, get_task_spec, load_catalog
 from brainorch.runtime import MockBehavior, MockEngine
 
 from fixtures_e2e import (
     E2E_ALGOS,
+    E2E_SHAPE,
     add_native_context,
     behaviors_payload,
     e2e_affine,
@@ -339,6 +341,42 @@ def test_off_grid_candidate_is_rejected(tmp_path, gli_subject, override_catalog)
     bundle = run_inference(inputs, gli_config(tmp_path, engine, override_catalog))
     assert set(bundle.per_algorithm_paths) == {"mock-gli-2", "mock-gli-3"}
     assert any("does not match the input grid" in w for w in bundle.manifest["warnings"])
+
+
+def test_an_oblique_spacing_drift_is_refused_by_every_grid_check(tmp_path, override_catalog):
+    affine = e2e_affine()
+    affine[:3, :3] = np.column_stack(
+        [np.ones(3) / np.sqrt(3), np.array([1, -1, 0]) / np.sqrt(2), np.array([1, 1, -2]) / np.sqrt(6)]
+    )
+    drifted = affine.copy()
+    # Every entry moves by less than GRID_ATOL_MM; the column's length, the
+    # spacing, moves by 0.00099 * sqrt(3) = 0.0017 mm.
+    drifted[:3, 0] += 0.00099
+    mask = np.zeros(E2E_SHAPE, dtype=np.uint8)
+    mask[12:18, 12:18, 8:12] = 3
+
+    with pytest.raises(GridMismatch, match=r"spacing \[1.0017, 1.0, 1.0\] does not match the set's grid"):
+        CandidateSet.from_volumes([Volume(data=mask, affine=affine), Volume(data=mask, affine=drifted)])
+
+    def drifted_mask(spec):
+        write_mask(Volume(data=mask, affine=drifted), Path(spec.output_dir) / "seg.nii.gz")
+
+    subj = write_subject(tmp_path, "sub-01", affine=affine)
+    engine = engine_with({"example/mock-gli-1": {"outputs": (drifted_mask,)}})
+    inputs = discover_subject_inputs(subj, TaskId.GLI_PRE)
+    bundle = run_inference(inputs, gli_config(tmp_path, engine, override_catalog))
+    assert set(bundle.per_algorithm_paths) == {"mock-gli-2", "mock-gli-3"}
+    assert (
+        "mock-gli-1: rejected candidate: spacing [1.0017, 1.0, 1.0] does not match the input grid"
+        in bundle.manifest["warnings"]
+    )
+
+    image = np.arange(np.prod(E2E_SHAPE), dtype=np.float32).reshape(E2E_SHAPE)
+    write_volume(Volume(data=image, affine=drifted), inputs.files["FLA"])
+    report = validation.validate_subject(inputs, get_task_spec(TaskId.GLI_PRE))
+    assert [(f.code, f.message) for f in report.errors] == [
+        (validation.SPACING_MISMATCH, "FLA spacing [1.0017, 1.0, 1.0] != T1c spacing [1.0, 1.0, 1.0]")
+    ]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -188,6 +188,28 @@ def test_inpaint_nonbinary_mask_fails(tmp_path):
     assert not report.passed
 
 
+@pytest.mark.parametrize("dtype, stray", [(np.uint8, 7), (np.float32, 0.5)])
+def test_inpaint_mask_values_are_read_inside_its_box(tmp_path, monkeypatch, dtype, stray):
+    subj = write_subject(tmp_path, "sub-21", task=TaskId.INPAINT)
+    data = np.zeros((32, 32, 20), dtype=dtype)
+    data[8:14, 8:14, 6:12] = 1
+    data[0, 0, 0] = stray  # at the grid's corner
+    write_volume(Volume(data=data, affine=e2e_affine()), subj / "sub-21-mask.nii.gz")
+    sizes = []
+    real_unique = np.unique
+
+    def recording_unique(ar, *args, **kwargs):
+        sizes.append(np.asarray(ar).size)
+        return real_unique(ar, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", recording_unique)
+    report = validate_subject(inputs_for(subj, "sub-21", TaskId.INPAINT), get_task_spec("inpaint"))
+    monkeypatch.undo()
+    assert sizes and max(sizes) < data.size
+    whole_grid = sorted(set(np.unique(data).tolist()) - {0, 1})
+    assert [f.message for f in report.errors] == [f"MASK holds values {whole_grid} outside {{0, 1}}"]
+
+
 # -- grid consistency ---------------------------------------------------------
 
 
