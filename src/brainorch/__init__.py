@@ -29,6 +29,7 @@ from .metrics import (
     hausdorff,
     lesionwise_dice,
     nsd,
+    prepare_reference,
 )
 from .nifti import NiftiHeader, Volume, read_volume, write_mask, write_volume
 from .pipeline import (
@@ -93,6 +94,7 @@ __all__ = [
     "load_catalog",
     "majority_vote",
     "nsd",
+    "prepare_reference",
     "read_transform",
     "read_volume",
     "resample_image",

@@ -1,7 +1,7 @@
 """Consensus fusion of candidate segmentations.
 
 Two methods over per-label binary decompositions, run by one per-label
-vote loop over the candidates' stacked masks:
+vote loop over the candidates' vote patterns:
 
 - ``majority``: a voxel keeps a label iff strictly more than half of the
   candidates assign it. An even split is not a majority, so the voxel stays
@@ -21,6 +21,20 @@ Every label is fused independently; voxels claimed by several labels resolve
 by fixed priority (ET > NETC > RC > SNFH / ED > CC, see the registry). Labels
 outside the named set rank below all named ones, lowest code first.
 
+Each label is voted on a table of vote patterns. A voxel's pattern sets
+bit i when candidate i holds the label there, in the smallest unsigned
+dtype with a bit per candidate (so at most ``MAX_CANDIDATES`` = 64 masks).
+The distinct patterns are counted once, with each voxel's index among them
+(``np.unique`` with the inverse; up to 16 candidates one ``np.bincount``
+over the 2^n possible patterns gives the same table without a sort).
+Every step then runs on the pattern table with exact integer counts: the
+strict-majority start, SIMPLE's Dice scores (the voxel counts of
+:func:`metrics.dice`, through the same ``dice_from_counts``), the
+convergence counts, and the re-vote, still
+``np.tensordot`` of the weights with the active rows, but over at most
+2^n pattern columns instead of every voxel. The consensus flag of each
+pattern is pasted through the inverse, one lookup per label.
+
 Each candidate mask is scanned once (:func:`metrics.foreground_values`:
 the distinct values inside the mask's foreground box, the bounding box of
 its nonzero voxels padded by 1 voxel). The scan vets the mask
@@ -28,10 +42,9 @@ its nonzero voxels padded by 1 voxel). The scan vets the mask
 (``CandidateSet.from_volumes``). This is exact: every voxel outside the box
 is 0, which is always allowed. ``CandidateSet`` keeps each mask's box, and
 the union of the kept boxes is the candidates' foreground box, so nothing
-scans the masks again. The vote runs inside that box and pastes the
-consensus into a zero grid. This is exact too: outside the box every
-candidate is background, so no label gets a vote there, and the Dice
-scores and convergence counts of SIMPLE only count voxels inside it. The
+scans the masks again. The patterns are taken inside that box and the
+consensus is pasted into a zero grid. This is exact too: outside the box
+every candidate is background, so no label gets a vote there. The
 consensus is background outside the box as well, so the pipeline scores
 each candidate against it inside the box. ``CandidateSet`` rejects a label
 code outside 1..255 (``ValueError``): code 0 is background and would be
@@ -50,13 +63,15 @@ import numpy as np
 
 from .errors import EmptyCandidateSet, GridMismatch, UnknownLabel
 from .geometry import grid_difference
-from .metrics import box_union, check_label_codes, dice, foreground_values
+from .metrics import box_union, check_label_codes, dice_from_counts, foreground_values
 from .nifti import Volume
 from .registry import LABEL_PRIORITY, Label
 
 METHOD_MAJORITY = "majority"
 METHOD_SIMPLE = "simple"
 FUSION_METHODS = (METHOD_MAJORITY, METHOD_SIMPLE)
+# A voxel's votes for a label are one bit per candidate in an unsigned word.
+MAX_CANDIDATES = 64
 
 
 def check_fusion_method(method: str) -> None:
@@ -176,6 +191,8 @@ class CandidateSet:
         labels = check_label_codes(self.labels)
         if not masks:
             raise EmptyCandidateSet("candidate set holds no masks")
+        if len(masks) > MAX_CANDIDATES:
+            raise ValueError(f"{len(masks)} candidate masks; fusion takes at most {MAX_CANDIDATES}")
         if len(source_ids) != len(masks):
             raise ValueError(
                 f"{len(masks)} masks but {len(source_ids)} source ids"
@@ -257,11 +274,40 @@ class FusionResult:
         }
 
 
-def _simple_one_label(binary_stack: np.ndarray, consensus: np.ndarray, params: SimpleParams):
-    """Iterative fusion of one label from its majority ``consensus``;
-    returns (consensus, weights, dropped index set, iterations,
-    active-count trace)."""
-    n = binary_stack.shape[0]
+def _pattern_dtype(n: int) -> np.dtype:
+    """The smallest unsigned dtype with a bit for each of ``n`` <= 64 candidates."""
+    dtypes = (np.uint8, np.uint16, np.uint32, np.uint64)
+    return next(np.dtype(t) for t in dtypes if n <= 8 * np.dtype(t).itemsize)
+
+
+# Up to this many candidates the 2^n possible vote patterns are counted with
+# one bincount; above it, by np.unique's sort.
+_COUNTED_PATTERN_BITS = 16
+
+
+def _pattern_table(pattern: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(pattern, return_inverse=True, return_counts=True)``, with
+    the inverse in ``pattern``'s shape: the distinct patterns in ascending
+    order, each voxel's index among them, and their voxel counts."""
+    if n > _COUNTED_PATTERN_BITS:
+        patterns, inverse, counts = np.unique(pattern, return_inverse=True, return_counts=True)
+        return patterns, inverse.reshape(pattern.shape), counts
+    every_count = np.bincount(pattern.ravel(), minlength=1 << n)
+    patterns = np.flatnonzero(every_count)
+    rank = np.zeros(every_count.size, dtype=np.intp)
+    rank[patterns] = np.arange(patterns.size)
+    return patterns.astype(pattern.dtype), rank[pattern], every_count[patterns]
+
+
+def _simple_one_label(votes: np.ndarray, counts: np.ndarray, consensus: np.ndarray, params: SimpleParams):
+    """Iterative fusion of one label over its vote-pattern table, from the
+    majority ``consensus`` (one flag per pattern). ``votes[i, p]`` says
+    whether candidate i votes for the label in pattern p, and ``counts[p]``
+    is the number of voxels with pattern p. Returns (consensus, weights,
+    dropped index set, iterations, active-count trace)."""
+    n = votes.shape[0]
+    int_votes = votes.astype(np.int64)
+    sizes = int_votes @ counts
     active = list(range(n))
     scores = np.zeros(n, dtype=np.float64)
     dropped: set[int] = set()
@@ -269,8 +315,10 @@ def _simple_one_label(binary_stack: np.ndarray, consensus: np.ndarray, params: S
     iterations = 0
     for _ in range(params.max_iterations):
         iterations += 1
+        agree = int_votes @ np.where(consensus, counts, 0)
+        size = int(counts[consensus].sum())
         for i in active:
-            scores[i] = dice(binary_stack[i], consensus)
+            scores[i] = dice_from_counts(int(agree[i]), int(sizes[i]), size)
         if len(active) > 1:
             vals = scores[active]
             std = float(vals.std())
@@ -288,10 +336,10 @@ def _simple_one_label(binary_stack: np.ndarray, consensus: np.ndarray, params: S
         if total == 0:
             new_consensus = np.zeros_like(consensus)
         else:
-            affirm = np.tensordot(weights, binary_stack[active].astype(np.float64), axes=1)
+            affirm = np.tensordot(weights, votes[active].astype(np.float64), axes=1)
             new_consensus = affirm > total / 2.0
-        changed = int(np.logical_xor(new_consensus, consensus).sum())
-        union = int(np.logical_or(new_consensus, consensus).sum())
+        changed = int(counts[new_consensus != consensus].sum())
+        union = int(counts[new_consensus | consensus].sum())
         fraction = changed / max(1, union)
         consensus = new_consensus
         if fraction < params.convergence_epsilon:
@@ -305,27 +353,37 @@ def _simple_one_label(binary_stack: np.ndarray, consensus: np.ndarray, params: S
 def _vote(candidates: CandidateSet, method: str, params: SimpleParams | None = None) -> FusionResult:
     """The one per-label vote over the candidates' masks inside their box.
 
-    Each label starts from its strict majority, every candidate weighted
-    1.0 in one iteration; with ``params`` (SIMPLE) it iterates from there.
-    Labels are voted lowest priority first and pasted into one read-only
-    uint8 grid, so the highest priority wins. ``method`` names the result.
+    Per label, each voxel's vote pattern sets bit i when candidate i votes
+    for the label; the vote runs on the table of distinct patterns and
+    their voxel counts. Each label starts from its strict majority, every
+    candidate weighted 1.0 in one iteration; with ``params`` (SIMPLE) it
+    iterates from there. Labels are voted lowest priority first and pasted
+    into one read-only uint8 grid, so the highest priority wins. ``method``
+    names the result.
     """
     box = candidates.box
-    stack = np.stack([m.data[box] for m in candidates.masks])
-    n = len(candidates.masks)
+    crops = [m.data[box] for m in candidates.masks]
+    n = len(crops)
+    dtype = _pattern_dtype(n)
     out = np.zeros(candidates.masks[0].shape, dtype=np.uint8)
     inside = out[box]  # a view: writes land in ``out``
     weights: dict[str, dict[str, float]] = {sid: {} for sid in candidates.source_ids}
     dropped: dict[str, tuple[str, ...]] = {}
     iteration_log: dict[str, tuple[int, ...]] = {}
     iterations_run = 1
+    bits = np.arange(n, dtype=dtype)
+    flags = np.left_shift(1, bits, dtype=dtype)
     for label in reversed(label_priority_order(candidates.labels)):
-        binary_stack = stack == label.code
-        consensus = binary_stack.sum(axis=0, dtype=np.int64) * 2 > n
+        pattern = np.zeros(inside.shape, dtype=dtype)
+        for flag, crop in zip(flags, crops):
+            np.bitwise_or(pattern, flag, out=pattern, where=crop == label.code)
+        patterns, inverse, counts = _pattern_table(pattern, n)
+        votes = (patterns >> bits[:, None]) & 1 == 1
+        consensus = votes.sum(axis=0) * 2 > n
         w, dropped_idx, iters, trace = np.ones(n), set(), 1, (n,)
         if params is not None:
-            consensus, w, dropped_idx, iters, trace = _simple_one_label(binary_stack, consensus, params)
-        inside[consensus] = label.code
+            consensus, w, dropped_idx, iters, trace = _simple_one_label(votes, counts, consensus, params)
+        inside[consensus[inverse]] = label.code
         for i, sid in enumerate(candidates.source_ids):
             weights[sid][label.name] = float(w[i])
         if dropped_idx:

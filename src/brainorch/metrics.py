@@ -5,34 +5,54 @@ physical distances matter, the voxel spacing in mm. Conventions are pinned
 here once and shared by every caller:
 
 - Two empty masks agree perfectly: DSC and NSD are 1.0. Hausdorff is
-  undefined when either mask is empty and returns ``None``.
-- Hausdorff and NSD reduce the same two directed surface-distance arrays;
-  ``_surface_scores`` alone applies their checks and conventions and runs
-  the two EDTs, for ``hausdorff``, ``nsd`` and ``compute_metric_report``.
+  undefined when either mask is empty and returns ``None``. Every Dice is
+  ``dice_from_counts`` of integer voxel counts.
 - A surface voxel is a foreground voxel with at least one background
   6-neighbor; positions outside the grid count as background, so foreground
   touching the grid edge is surface.
+- Hausdorff and NSD reduce the same two directed surface-distance arrays;
+  ``_surface_scores`` alone applies their conventions. A mask's surface is
+  a point set (``LabelSurface``): its surface voxels in C scan order and a
+  ``cKDTree`` over their mm positions. A surface voxel's distance is the
+  distance to the nearest surface voxel of the other mask, computed from
+  the integer offset as sqrt(sum((offset * spacing)**2)), summed over the
+  axes in order: the formula of the EDT and of the test suite's oracles.
+  The KD query only finds the nearest. Its distances come from scaled
+  coordinates, so two voxels at one true distance can come back in either
+  order while their exact values differ in the last bit (at 1.2 mm, the
+  offsets (3, 0, 0) and (2, 2, 1) give 3.5999999999999996 and 3.6). So
+  every surface voxel within the nearest KD distance plus a relative
+  ``_TIE_RTOL`` is gathered, and the smallest exact value is the distance.
+  A voxel on both surfaces is at 0 and is not queried.
+- ``prepare_reference`` builds the reference side once: per label its
+  mask, voxel count, surface points and tree, and the connected components
+  of its foreground. ``compute_metric_report`` scores any number of
+  predictions against it, each at the cost of its own surfaces and of KD
+  queries from the two surface point sets. A plain reference mask is
+  prepared on the spot, so there is one path.
 - Connected-component ids follow first-voxel scan order (lexicographic
   (i, j, k)): ``scipy.ndimage.label`` numbers components that way for any
   memory layout, so its labels are used as they come.
 - Work runs inside the foreground box (``foreground_box``): the union
   bounding box of the masks' nonzero voxels, widened by 1 voxel and clipped
-  to the grid. ``compute_metric_report`` crops both masks to it once, and
-  ``_surface_scores`` crops each label pair to its own box. This is exact:
-  every surface voxel, and so every EDT distance, lies inside the box; the
-  1-voxel pad leaves background around foreground away from the grid edge,
-  so only the grid edge meets ``border_value=0`` in the erosion, as on the
-  full grid; cropping keeps the scan order that sets component ids; and the
-  voxels cut away are background in every mask, so they add nothing to
-  Dice or to lesion-wise counts. That last step needs every scored label to
-  have a nonzero code, so a label with code 0 (background), or outside
-  the uint8 consensus's 1..255, raises ``ValueError``
-  (``check_label_codes``). The box of several masks is the union
-  (``box_union``) of their single-mask boxes, so a caller that kept each
-  mask's box, as fusion does from vetting, gets it without a scan.
+  to the grid. ``compute_metric_report`` crops a plain reference and the
+  prediction to it; the pipeline crops the consensus and every candidate
+  to the candidates' box. This is exact: every surface voxel lies inside
+  the box; the 1-voxel pad leaves background around foreground away from
+  the grid edge, so only the grid edge meets ``border_value=0`` in the
+  erosion, as on the full grid; cropping keeps the scan order that sets
+  component ids and shifts every point alike; and the voxels cut away are
+  background in every mask, so they add nothing to Dice or to lesion-wise
+  counts. That last step needs every scored label to have a nonzero code,
+  so a label with code 0 (background), or outside the uint8 consensus's
+  1..255, raises ``ValueError`` (``check_label_codes``). The box of several
+  masks is the union (``box_union``) of their single-mask boxes, so a
+  caller that kept each mask's box, as fusion does from vetting, gets it
+  without a scan.
 - Lesion-wise Dice reads lesion sizes, overlapping prediction components,
   union sizes and intersections from one sparse contingency table of the two
-  component maps, and keeps the integer arithmetic of ``dice``.
+  component maps. A prepared reference hands over its component map, so it
+  is labelled once.
 """
 
 from __future__ import annotations
@@ -41,6 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from .errors import GridMismatch
 
@@ -72,10 +93,7 @@ def dice(a: np.ndarray, b: np.ndarray) -> float:
     a = _as_bool(a, "a")
     b = _as_bool(b, "b")
     _check_same_grid(a, b)
-    total = int(a.sum()) + int(b.sum())
-    if total == 0:
-        return 1.0
-    return 2.0 * int(np.logical_and(a, b).sum()) / total
+    return dice_from_counts(int(np.logical_and(a, b).sum()), int(a.sum()), int(b.sum()))
 
 
 def surface_voxels(mask: np.ndarray) -> np.ndarray:
@@ -172,30 +190,112 @@ def _spacing_array(spacing) -> np.ndarray:
     return arr
 
 
-def _surface_scores(
-    a: np.ndarray, b: np.ndarray, spacing, percentile: float, tolerance_mm: float
-) -> tuple[float | None, float]:
-    """(Hausdorff, NSD) of a same-grid boolean pair from one EDT per
-    direction: the mm distance of each surface voxel of one mask to the
-    nearest surface voxel of the other."""
+def dice_from_counts(intersection: int, size_a: int, size_b: int) -> float:
+    """Dice of two masks from integer voxel counts: 2|A n B| / (|A| + |B|),
+    and 1.0 when both are empty. Every Dice in the package is this one
+    expression, so equal counts give equal floats."""
+    total = size_a + size_b
+    if total == 0:
+        return 1.0
+    return 2.0 * intersection / total
+
+
+@dataclass(frozen=True)
+class LabelSurface:
+    """One binary mask, ready for scoring: the mask, its voxel count, its
+    surface map, the surface voxels in C scan order, and a KD-tree over
+    their mm positions (``None`` when the mask is empty)."""
+
+    mask: np.ndarray
+    count: int
+    surface: np.ndarray
+    points: np.ndarray
+    tree: cKDTree | None
+
+
+def _label_surface(mask: np.ndarray, sp: np.ndarray) -> LabelSurface:
+    """The :class:`LabelSurface` of a boolean mask at spacing ``sp``."""
+    surface = surface_voxels(mask)
+    points = np.argwhere(surface)
+    tree = cKDTree(points * sp) if len(points) else None
+    count = int(np.count_nonzero(mask))
+    return LabelSurface(mask=mask, count=count, surface=surface, points=points, tree=tree)
+
+
+# Surface voxels whose KD distance lies within this relative margin of the
+# nearest are near-ties: their exact distances may round either way.
+_TIE_RTOL = 1e-9
+# Neighbours fetched per query. On a grid most nearest distances are shared
+# by at most this many surface voxels; a point whose every fetched neighbour
+# is a near-tie gathers the rest by a ball query.
+_NEIGHBOURS = 4
+
+
+def _exact_distances(points: np.ndarray, targets: np.ndarray, sp: np.ndarray) -> np.ndarray:
+    """sqrt(sum((offset * spacing)**2)) of each integer offset between
+    ``points`` and ``targets``, summed over the axes in order."""
+    offset = (points - targets) * sp
+    return np.sqrt(offset[..., 0] ** 2 + offset[..., 1] ** 2 + offset[..., 2] ** 2)
+
+
+def _directed_distances(points: np.ndarray, target: LabelSurface, sp: np.ndarray) -> np.ndarray:
+    """The mm distance from each of ``points`` to the nearest surface voxel
+    of ``target``: 0 for a voxel on both surfaces, otherwise the smallest
+    exact distance (:func:`_exact_distances`) over every surface voxel whose
+    KD distance is within ``_TIE_RTOL`` of the nearest. A KD distance is
+    computed on scaled coordinates, so two offsets at one true distance (at
+    1.2 mm, (3, 0, 0) and (2, 2, 1)) can come back in either order; their
+    exact distances differ in the last bit, and the smaller one is the
+    answer."""
+    out = np.zeros(len(points))
+    away = np.flatnonzero(~target.surface[tuple(points.T)])
+    if not away.size:
+        return out
+    k = min(_NEIGHBOURS, len(target.points))
+    dist, idx = target.tree.query(points[away] * sp, k=k)
+    dist, idx = dist.reshape(away.size, k), idx.reshape(away.size, k)
+    near = dist <= dist[:, :1] * (1.0 + _TIE_RTOL)
+    exact = _exact_distances(points[away, None, :], target.points[idx], sp)
+    out[away] = np.where(near, exact, np.inf).min(axis=1)
+    crowded = np.flatnonzero(near[:, -1]) if k == _NEIGHBOURS else ()
+    if len(crowded):
+        rows = away[crowded]
+        hits = target.tree.query_ball_point(points[rows] * sp, dist[crowded, 0] * (1.0 + _TIE_RTOL))
+        for row, found in zip(rows, hits):
+            out[row] = _exact_distances(points[row], target.points[found], sp).min()
+    return out
+
+
+def _check_surface_params(percentile: float, tolerance_mm: float) -> None:
     if not 0 < percentile <= 100:
         raise ValueError(f"percentile must be in (0, 100], got {percentile}")
     if tolerance_mm < 0:
         raise ValueError(f"tolerance_mm must be >= 0, got {tolerance_mm}")
-    a_any, b_any = bool(a.any()), bool(b.any())
-    if not (a_any and b_any):
-        return None, 1.0 if a_any == b_any else 0.0
-    sp = _spacing_array(spacing)
-    box = foreground_box((a, b))
-    a, b = a[box], b[box]
-    surf_a, surf_b = surface_voxels(a), surface_voxels(b)
-    # EDT of a complement: each voxel gets its distance to the surface set.
-    d_ab = ndimage.distance_transform_edt(~surf_b, sampling=sp)[surf_a]
-    d_ba = ndimage.distance_transform_edt(~surf_a, sampling=sp)[surf_b]
+
+
+def _surface_scores(
+    a: LabelSurface, b: LabelSurface, sp: np.ndarray, percentile: float, tolerance_mm: float
+) -> tuple[float | None, float]:
+    """(Hausdorff, NSD) of two surfaces from the two directed distance arrays."""
+    if not (a.count and b.count):
+        return None, 1.0 if a.count == b.count else 0.0
+    d_ab = _directed_distances(a.points, b, sp)
+    d_ba = _directed_distances(b.points, a, sp)
     hd = float(max(np.percentile(d_ab, percentile), np.percentile(d_ba, percentile)))
     frac_ab = float(np.mean(d_ab <= tolerance_mm))
     frac_ba = float(np.mean(d_ba <= tolerance_mm))
     return hd, (frac_ab + frac_ba) / 2.0
+
+
+def _pair_scores(a, b, spacing, percentile: float, tolerance_mm: float) -> tuple[float | None, float]:
+    """(Hausdorff, NSD) of two binary masks, inside their foreground box."""
+    a = _as_bool(a, "a")
+    b = _as_bool(b, "b")
+    _check_same_grid(a, b)
+    _check_surface_params(percentile, tolerance_mm)
+    sp = _spacing_array(spacing)
+    box = foreground_box((a, b))
+    return _surface_scores(_label_surface(a[box], sp), _label_surface(b[box], sp), sp, percentile, tolerance_mm)
 
 
 def hausdorff(
@@ -209,10 +309,7 @@ def hausdorff(
     Returns ``None`` when either mask is empty (the distance is undefined).
     ``percentile=100`` is the classic maximum Hausdorff distance.
     """
-    a = _as_bool(a, "a")
-    b = _as_bool(b, "b")
-    _check_same_grid(a, b)
-    return _surface_scores(a, b, spacing, percentile, DEFAULT_NSD_TOLERANCE_MM)[0]
+    return _pair_scores(a, b, spacing, percentile, DEFAULT_NSD_TOLERANCE_MM)[0]
 
 
 def nsd(
@@ -226,10 +323,7 @@ def nsd(
     Computed in both directions and averaged. Two empty masks score 1.0; one
     empty mask scores 0.0.
     """
-    a = _as_bool(a, "a")
-    b = _as_bool(b, "b")
-    _check_same_grid(a, b)
-    return _surface_scores(a, b, spacing, DEFAULT_HAUSDORFF_PERCENTILE, tolerance_mm)[1]
+    return _pair_scores(a, b, spacing, DEFAULT_HAUSDORFF_PERCENTILE, tolerance_mm)[1]
 
 
 @dataclass(frozen=True)
@@ -302,7 +396,7 @@ class LesionwiseReport:
 
 
 def lesionwise_dice(
-    reference: np.ndarray,
+    reference: np.ndarray | ComponentLabeling,
     prediction: np.ndarray,
     connectivity: int = DEFAULT_CONNECTIVITY,
     min_lesion_voxels: int = 0,
@@ -314,11 +408,21 @@ def lesionwise_dice(
     0. Prediction components overlapping no counted lesion are tallied as
     false positives. Reference lesions below ``min_lesion_voxels`` are
     ignored entirely.
+
+    ``reference`` may be labelled already (:func:`connected_components` at
+    ``connectivity``), so one reference is labelled once for any number of
+    predictions.
     """
-    reference = _as_bool(reference, "reference")
     prediction = _as_bool(prediction, "prediction")
-    _check_same_grid(reference, prediction)
-    ref_cc = connected_components(reference, connectivity)
+    if isinstance(reference, ComponentLabeling):
+        if reference.connectivity != connectivity:
+            raise ValueError(
+                f"reference is labelled at connectivity {reference.connectivity}, not {connectivity}"
+            )
+        ref_cc = reference
+    else:
+        ref_cc = connected_components(_as_bool(reference, "reference"), connectivity)
+    _check_same_grid(ref_cc.component_map, prediction)
     pred_cc = connected_components(prediction, connectivity)
     ref_ids, pred_ids = ref_cc.component_map, pred_cc.component_map
 
@@ -347,7 +451,7 @@ def lesionwise_dice(
         matched_pred_ids.update(overlapping.tolist())
         if overlapping.size:
             union = int(pred_sizes[overlapping].sum())
-            dsc = 2.0 * int(intersections[lesion_id]) / (size + union)
+            dsc = dice_from_counts(int(intersections[lesion_id]), size, union)
             entries.append(LesionMatch(lesion_id=lesion_id, size_voxels=size, dsc=dsc, matched=True))
         else:
             entries.append(LesionMatch(lesion_id=lesion_id, size_voxels=size, dsc=0.0, matched=False))
@@ -388,8 +492,43 @@ class MetricReport:
         }
 
 
+@dataclass(frozen=True)
+class PreparedReference:
+    """A reference mask made ready to score predictions against: per label
+    code its :class:`LabelSurface`, and the lesions of its foreground."""
+
+    shape: tuple[int, ...]
+    spacing: tuple[float, float, float]
+    labels: dict[int, LabelSurface]
+    lesions: ComponentLabeling
+
+
+def _check_mask(mask: np.ndarray, name: str) -> np.ndarray:
+    mask = np.asarray(mask)
+    if mask.ndim != 3:
+        raise ValueError(f"{name} must be a 3-D array, got shape {mask.shape}")
+    return mask
+
+
+def prepare_reference(mask: np.ndarray, labels, spacing) -> PreparedReference:
+    """The reference side of :func:`compute_metric_report`, built once.
+
+    ``labels`` as for :func:`compute_metric_report`. The foreground is
+    labelled at ``DEFAULT_CONNECTIVITY`` for lesion-wise Dice.
+    """
+    mask = _check_mask(mask, "reference")
+    labels = check_label_codes(labels)
+    sp = _spacing_array(spacing)
+    return PreparedReference(
+        shape=mask.shape,
+        spacing=(float(sp[0]), float(sp[1]), float(sp[2])),
+        labels={label.code: _label_surface(mask == label.code, sp) for label in labels},
+        lesions=connected_components(mask != 0),
+    )
+
+
 def compute_metric_report(
-    reference: np.ndarray,
+    reference: np.ndarray | PreparedReference,
     prediction: np.ndarray,
     labels,
     spacing,
@@ -401,32 +540,38 @@ def compute_metric_report(
     Per-label metrics binarize on the code and report HD95 and NSD at
     1 mm (the ``DEFAULT_*`` constants); the lesion-wise report runs on
     any-foreground masks with 26-connectivity and counts every lesion.
-    Everything runs inside the masks' foreground box; two empty masks crop
-    to a zero-size box.
+
+    ``reference`` is a mask or a :class:`PreparedReference` of one, prepared
+    for every code of ``labels`` at ``spacing``; a caller scoring several
+    predictions against one reference prepares it once. A plain mask is
+    cropped with the prediction to their foreground box and prepared here.
     """
-    reference = np.asarray(reference)
     prediction = np.asarray(prediction)
+    if not isinstance(reference, PreparedReference):
+        reference = np.asarray(reference)
+        if reference.shape != prediction.shape:
+            raise GridMismatch(f"masks live on different grids: {reference.shape} vs {prediction.shape}")
+        box = foreground_box((_check_mask(reference, "reference"), prediction))
+        reference, prediction = prepare_reference(reference[box], labels, spacing), prediction[box]
     if reference.shape != prediction.shape:
-        raise GridMismatch(
-            f"masks live on different grids: {reference.shape} vs {prediction.shape}"
-        )
-    if reference.ndim != 3:
-        raise ValueError(f"reference must be a 3-D array, got shape {reference.shape}")
+        raise GridMismatch(f"masks live on different grids: {reference.shape} vs {prediction.shape}")
     labels = check_label_codes(labels)
     sp = _spacing_array(spacing)
-    box = foreground_box((reference, prediction))
-    reference, prediction = reference[box], prediction[box]
+    if tuple(sp) != reference.spacing:
+        raise ValueError(f"spacing {tuple(sp)} is not the reference's {reference.spacing}")
     per_label: dict[str, LabelMetrics] = {}
     for label in labels:
-        ref_bin = reference == label.code
-        pred_bin = prediction == label.code
+        if label.code not in reference.labels:
+            raise ValueError(f"label {label.name!r} (code {label.code}) was not prepared in the reference")
+        ref = reference.labels[label.code]
+        pred = _label_surface(prediction == label.code, sp)
         hd_mm, surface_dice = _surface_scores(
-            ref_bin, pred_bin, sp, DEFAULT_HAUSDORFF_PERCENTILE, DEFAULT_NSD_TOLERANCE_MM
+            ref, pred, sp, DEFAULT_HAUSDORFF_PERCENTILE, DEFAULT_NSD_TOLERANCE_MM
         )
-        per_label[label.name] = LabelMetrics(dsc=dice(ref_bin, pred_bin), hd_mm=hd_mm, nsd=surface_dice)
-    report = lesionwise_dice(reference != 0, prediction != 0)
+        dsc = dice_from_counts(int(np.count_nonzero(ref.mask & pred.mask)), ref.count, pred.count)
+        per_label[label.name] = LabelMetrics(dsc=dsc, hd_mm=hd_mm, nsd=surface_dice)
     return MetricReport(
         per_label=per_label,
-        lesionwise=report,
-        spacing_mm=(float(sp[0]), float(sp[1]), float(sp[2])),
+        lesionwise=lesionwise_dice(reference.lesions, prediction != 0),
+        spacing_mm=reference.spacing,
     )

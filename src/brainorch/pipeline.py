@@ -73,7 +73,7 @@ from .geometry import (
     inverse_warp_image_to_native,
     inverse_warp_to_native,
 )
-from .metrics import compute_metric_report
+from .metrics import compute_metric_report, prepare_reference
 from .nifti import NIFTI_SUFFIXES, Volume, nifti_suffix, read_volume, write_mask, write_volume
 from .registry import (
     LATEST_WINNER,
@@ -249,15 +249,13 @@ def _stage_inputs(
     inputs: SubjectInputs, tags, stage_dir: Path
 ) -> dict[str, Path]:
     """Copy inputs under the container naming contract:
-    ``<subject>-<tag>.nii[.gz]``, lowercase tags."""
+    ``<subject>-<tag>.nii[.gz]``, lowercase tags. Validation has checked
+    every input's suffix."""
     stage_dir.mkdir(parents=True, exist_ok=True)
     staged: dict[str, Path] = {}
     for tag in tags:
         source = inputs.files[tag]
-        suffix = nifti_suffix(source)
-        if not suffix:
-            raise ValueError(f"{source} is not a .nii or .nii.gz file")
-        target = stage_dir / f"{inputs.subject_id}-{tag.lower()}{suffix}"
+        target = stage_dir / f"{inputs.subject_id}-{tag.lower()}{nifti_suffix(source)}"
         shutil.copyfile(source, target)
         staged[tag] = target
     return staged
@@ -593,11 +591,11 @@ def _produce_segmentation(run: _Run, outcomes) -> _Product:
     if len(volumes) > 1:
         # Outside the candidates' box every candidate and the consensus are
         # background (see the fusion module), so scoring inside it is exact.
-        box = candidate_set.box
+        # The consensus side is prepared once and shared by every candidate.
+        box, spacing = candidate_set.box, result.consensus.spacing
+        consensus = prepare_reference(result.consensus.data[box], task.labels, spacing)
         scores = {
-            algo_id: compute_metric_report(
-                result.consensus.data[box], vol.data[box], task.labels, result.consensus.spacing
-            ).to_json_dict()
+            algo_id: compute_metric_report(consensus, vol.data[box], task.labels, spacing).to_json_dict()
             for algo_id, vol in zip(ids, volumes)
         }
         (bundle / "metrics.json").write_text(

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import BrainorchError
 from .geometry import GRID_ATOL_MM, AffineTransform, GridSpec, grid_difference, read_transform
 from .metrics import foreground_values
-from .nifti import read_grid, read_volume
+from .nifti import nifti_suffix, read_grid, read_volume
 from .registry import (
     CANONICAL_ATLAS_SHAPE,
     CANONICAL_ATLAS_SPACING,
@@ -335,6 +335,13 @@ def validate_subject(
     content_findings: list[Finding | None] = []
     for tag in expected_tags:
         path = inputs.files[tag]
+        if not nifti_suffix(path):
+            # Staging names each input by its suffix, and containers expect
+            # one; the bytes are not read.
+            findings.append(
+                Finding(SEVERITY_ERROR, UNREADABLE_INPUT, f"{tag} ({path.name}): not a .nii or .nii.gz file")
+            )
+            continue
         try:
             vol = read_volume(path)
         except BrainorchError as exc:

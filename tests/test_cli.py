@@ -3,6 +3,7 @@ and environment overrides. Everything runs in-process through main()."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import shlex
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from brainorch import cli as cli_module
 from brainorch.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from brainorch.geometry import AffineTransform, write_transform
 from brainorch.nifti import Volume, read_volume, write_mask, write_volume
@@ -194,6 +196,28 @@ def test_segment_validation_failure_exits_1(capsys, workspace):
     codes = [f["code"] for f in payload["report"]["findings"]]
     assert "MISSING_MODALITY" in codes
     assert "validation failed" in err
+
+
+def test_segment_input_without_a_nifti_suffix_exits_1(capsys, workspace, monkeypatch):
+    subject = workspace["subject"]
+    renamed = subject / "t1c-copy.img"
+    (subject / "sub-01-t1c.nii.gz").rename(renamed)
+    real_discover = cli_module.discover_subject_inputs
+
+    def discover(directory, task):
+        inputs = real_discover(directory, task)
+        return dataclasses.replace(inputs, files={**inputs.files, "T1c": renamed})
+
+    monkeypatch.setattr(cli_module, "discover_subject_inputs", discover)
+    argv = ["segment", "--task", "gli-pre", "-i", str(subject), "-o", str(workspace["output"]), "--json"]
+    code, out, err = run(capsys, mock_args(workspace, *argv))
+    assert code == EXIT_VALIDATION
+    findings = json.loads(out)["report"]["findings"]
+    assert [(f["code"], f["message"]) for f in findings if f["severity"] == "error"] == [
+        ("UNREADABLE_INPUT", "T1c (t1c-copy.img): not a .nii or .nii.gz file")
+    ]
+    assert "validation failed" in err
+    assert not (workspace["output"] / "sub-01").exists()
 
 
 def test_segment_native_with_a_damaged_reference_exits_1(capsys, workspace):
@@ -475,6 +499,19 @@ def test_fuse_float_mask_with_nan_is_non_integer_dtype(capsys, tmp_path, task):
     code, _, err = run(capsys, argv)
     assert code == EXIT_USAGE
     assert "candidate 'a' has non-integer dtype float32" in err
+
+
+def test_fuse_more_than_64_masks_exits_2(capsys, tmp_path):
+    mask = np.zeros((2, 2, 2), dtype=np.uint8)
+    mask[0, 0, 0] = 1
+    paths = []
+    for i in range(65):
+        paths.append(tmp_path / f"m{i}.nii.gz")
+        write_mask(Volume(data=mask, affine=np.eye(4)), paths[-1])
+    code, _, err = run(capsys, ["fuse", *map(str, paths), "-o", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "65 candidate masks; fusion takes at most 64" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_fuse_single_mask_is_identity(capsys, tmp_path):

@@ -13,11 +13,13 @@ from brainorch.fusion import (
     CandidateSet,
     FUSION_METHODS,
     SimpleParams,
+    _pattern_table,
     fuse,
     label_priority_order,
     majority_vote,
     simple_fuse,
 )
+from brainorch.metrics import dice
 from brainorch.nifti import Volume
 from brainorch.registry import (
     LABEL_CC,
@@ -361,3 +363,140 @@ def test_fusion_result_json_round_trip():
     assert set(doc["per_candidate_weights"]) == {"m1", "m2", "m3"}
     assert doc["params"]["drop_factor"] == 1.0
     assert isinstance(doc["iterations_run"], int)
+
+
+# -- the vote-pattern table against the per-voxel vote -----------------------------
+
+
+def _voxel_simple_one_label(binary_stack: np.ndarray, consensus: np.ndarray, params: SimpleParams):
+    """SIMPLE over one label's stacked per-voxel votes, as fusion ran it
+    before the vote-pattern table: the reference the table must equal."""
+    n = binary_stack.shape[0]
+    active = list(range(n))
+    scores = np.zeros(n, dtype=np.float64)
+    dropped: set[int] = set()
+    trace: list[int] = []
+    iterations = 0
+    for _ in range(params.max_iterations):
+        iterations += 1
+        for i in active:
+            scores[i] = dice(binary_stack[i], consensus)
+        if len(active) > 1:
+            vals = scores[active]
+            std = float(vals.std())
+            # Zero variance means no outlier to drop; the threshold would
+            # remove everyone or no one anyway.
+            if std > 0:
+                threshold = float(vals.mean()) - params.drop_factor * std
+                best = active[int(np.argmax(vals))]
+                surviving = [i for i in active if i == best or scores[i] >= threshold]
+                dropped |= set(active) - set(surviving)
+                active = surviving
+        trace.append(len(active))
+        weights = scores[active]
+        total = float(weights.sum())
+        if total == 0:
+            new_consensus = np.zeros_like(consensus)
+        else:
+            affirm = np.tensordot(weights, binary_stack[active].astype(np.float64), axes=1)
+            new_consensus = affirm > total / 2.0
+        changed = int(np.logical_xor(new_consensus, consensus).sum())
+        union = int(np.logical_or(new_consensus, consensus).sum())
+        fraction = changed / max(1, union)
+        consensus = new_consensus
+        if fraction < params.convergence_epsilon:
+            break
+    weights_out = np.zeros(n, dtype=np.float64)
+    for i in active:
+        weights_out[i] = scores[i]
+    return consensus, weights_out, dropped, iterations, tuple(trace)
+
+
+def _voxel_simple(arrays, labels=GLI_LABELS, params=SimpleParams()):
+    """Per label: the voxel stack's (consensus, weights, dropped, iterations,
+    trace) from the strict majority start."""
+    stack = np.stack(arrays)
+    out = {}
+    for label in labels:
+        binary_stack = stack == label.code
+        majority = binary_stack.sum(axis=0, dtype=np.int64) * 2 > len(arrays)
+        out[label.name] = _voxel_simple_one_label(binary_stack, majority, params)
+    return out
+
+
+def _assert_table_equals_voxel_vote(arrays, labels=GLI_LABELS):
+    ids = [f"c{i}" for i in range(len(arrays))]
+    result = simple_fuse(candidate_set(arrays, labels=labels, ids=ids))
+    want = _voxel_simple(arrays, labels)
+    expected = np.zeros(arrays[0].shape, dtype=np.uint8)
+    for label in reversed(label_priority_order(labels)):
+        consensus, weights, dropped, iterations, trace = want[label.name]
+        expected[consensus] = label.code
+        assert [result.per_candidate_weights[sid][label.name] for sid in ids] == weights.tolist()
+        assert result.dropped.get(label.name, ()) == tuple(ids[i] for i in sorted(dropped))
+        assert result.iteration_log[label.name] == trace
+    assert result.iterations_run == max(1, *(w[3] for w in want.values()))
+    assert result.consensus.data.tobytes() == expected.tobytes()
+
+
+def _noisy_copies(seed, n, shape=(9, 8, 7)):
+    """``n`` candidates: one truth with a different share of voxels redrawn
+    in each, so SIMPLE has outliers to weigh and drop."""
+    rng = np.random.default_rng(seed)
+    truth = rng.choice(np.array([0, 1, 2, 3], dtype=np.uint8), size=shape, p=[0.5, 0.15, 0.2, 0.15])
+    arrays = []
+    for _ in range(n):
+        noisy = truth.copy()
+        flip = rng.random(shape) < rng.uniform(0.0, 0.5)
+        noisy[flip] = rng.integers(0, 4, size=int(flip.sum()))
+        arrays.append(noisy)
+    return arrays
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", range(1, 11))  # 9 and 10 need a uint16 pattern
+def test_vote_pattern_table_equals_the_voxel_vote(seed, n):
+    _assert_table_equals_voxel_vote(_noisy_copies(seed * 100 + n, n))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 10])
+def test_vote_pattern_table_equals_the_voxel_vote_on_duplicates(n):
+    # Two masks, each repeated: equal weights, so affirm == total / 2 ties.
+    first, second = _noisy_copies(7, 2)
+    _assert_table_equals_voxel_vote([first if i % 2 else second for i in range(n)])
+
+
+@pytest.mark.parametrize("n", [17, 33])  # np.unique's table, in uint32 and uint64 patterns
+def test_vote_pattern_table_equals_the_voxel_vote_beyond_counted_patterns(n):
+    copies = _noisy_copies(17, 4, shape=(6, 5, 4))
+    _assert_table_equals_voxel_vote([copies[i % 4] for i in range(n)])
+
+
+@pytest.mark.parametrize("n", [1, 5, 16])
+def test_counted_pattern_table_is_the_unique_table(n):
+    pattern = np.random.default_rng(n).integers(0, 1 << n, size=(7, 6, 5)).astype(np.uint16)
+    pattern[0, 0, 0] = 0
+    patterns, inverse, counts = _pattern_table(pattern, n)
+    want = np.unique(pattern, return_inverse=True, return_counts=True)
+    assert patterns.dtype == pattern.dtype
+    assert np.array_equal(patterns, want[0]) and np.array_equal(counts, want[2])
+    assert np.array_equal(inverse, want[1].reshape(pattern.shape))
+
+
+def test_vote_pattern_table_equals_the_voxel_vote_with_an_empty_label():
+    arrays = [np.where(a == LABEL_ET.code, 0, a).astype(np.uint8) for a in _noisy_copies(11, 5)]
+    _assert_table_equals_voxel_vote(arrays)
+    assert not np.any(simple_fuse(candidate_set(arrays)).consensus.data == LABEL_ET.code)
+
+
+def test_vote_pattern_table_equals_the_voxel_vote_for_one_candidate():
+    [mask] = _noisy_copies(13, 1)
+    _assert_table_equals_voxel_vote([mask])
+    assert fuse(candidate_set([mask]), "simple").consensus.data.tobytes() == mask.tobytes()
+
+
+def test_more_than_64_candidates_are_refused():
+    mask = np.zeros((2, 2, 2), dtype=np.uint8)
+    candidate_set([mask] * 64)
+    with pytest.raises(ValueError, match="65 candidate masks; fusion takes at most 64"):
+        candidate_set([mask] * 65)

@@ -5,9 +5,13 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from brainorch import metrics as metrics_module
 from brainorch.errors import GridMismatch
@@ -148,7 +152,7 @@ def test_hausdorff_matches_pairwise_oracle(seed, percentile):
     spacing = (1.0, 0.8, 1.5)
     got = hausdorff(a, b, spacing, percentile=percentile)
     want = oracles.brute_hausdorff(a, b, spacing, percentile)
-    assert got == pytest.approx(want, abs=1e-9)
+    assert got == want
 
 
 # -- nsd -------------------------------------------------------------------
@@ -191,7 +195,7 @@ def test_nsd_matches_pairwise_oracle(seed):
     spacing = (1.0, 1.2, 0.7)
     got = nsd(a, b, spacing, tolerance_mm=1.0)
     want = oracles.brute_nsd(a, b, spacing, 1.0)
-    assert got == pytest.approx(want, abs=1e-9)
+    assert got == want
 
 
 # -- connected components ---------------------------------------------------
@@ -391,28 +395,45 @@ def test_metric_report_grid_mismatch():
         )
 
 
-def test_metric_report_runs_two_edts_per_label_with_both_masks(monkeypatch):
-    edt = metrics_module.ndimage.distance_transform_edt
-    calls = []
+def test_scoring_against_one_prepared_reference_labels_and_builds_its_side_once(monkeypatch):
+    calls = {"label": 0}
+    label = metrics_module.ndimage.label
 
-    def counting_edt(*args, **kwargs):
-        calls.append(args[0].shape)
-        return edt(*args, **kwargs)
+    def counting_label(*args, **kwargs):
+        calls["label"] += 1
+        return label(*args, **kwargs)
 
-    monkeypatch.setattr(metrics_module.ndimage, "distance_transform_edt", counting_edt)
+    def no_edt(*args, **kwargs):
+        raise AssertionError("distance_transform_edt called")
+
+    trees = []
+    real_tree = metrics_module.cKDTree
+
+    def recording_tree(data, *args, **kwargs):
+        trees.append(np.array(data))
+        return real_tree(data, *args, **kwargs)
+
+    monkeypatch.setattr(metrics_module.ndimage, "label", counting_label)
+    monkeypatch.setattr(metrics_module.ndimage, "distance_transform_edt", no_edt)
+    monkeypatch.setattr(metrics_module, "cKDTree", recording_tree)
     labels = (Label(1, "NETC"), Label(2, "SNFH"), Label(3, "ET"), Label(4, "RC"))
+    spacing = (1.0, 1.2, 0.8)
     ref = np.zeros((8, 8, 8), dtype=np.uint8)
-    pred = np.zeros_like(ref)
-    ref[0:3, 0:3, 0:3] = 1  # NETC in both masks
-    pred[1:4, 0:3, 0:3] = 1
-    ref[5:7, 5:7, 5:7] = 2  # SNFH in the reference only
-    pred[5:7, 0:2, 5:7] = 3  # ET in the prediction only; RC in neither
-    compute_metric_report(ref, pred, labels, spacing=(1.0, 1.0, 1.0))
-    assert calls == [(5, 4, 4)] * 2  # NETC's box: rows 0-3, columns and slices 0-2, padded by 1
-    calls.clear()
-    ref[5:7, 0:2, 0:2] = 3  # now ET is in both masks too
-    compute_metric_report(ref, pred, labels, spacing=(1.0, 1.0, 1.0))
-    assert len(calls) == 4
+    ref[0:3, 0:3, 0:3] = 1
+    ref[5:7, 5:7, 5:7] = 2
+    ref[5:7, 0:2, 0:2] = 3  # RC in no mask
+    preds = [np.roll(ref, shift, axis=0) for shift in (0, 1, 2)]
+    prepared = metrics_module.prepare_reference(ref, labels, spacing)
+    assert calls["label"] == 1
+    assert len(trees) == 3  # one per label present in the reference
+    reports = [compute_metric_report(prepared, pred, labels, spacing) for pred in preds]
+    assert calls["label"] == 1 + len(preds)
+    # Each report builds one tree per label of its prediction, none for the
+    # reference: the prepared trees are shared.
+    assert len(trees) == 3 + 3 * len(preds)
+    # The prepared side gives the reports a plain mask gets.
+    for pred, report in zip(preds, reports):
+        assert report == compute_metric_report(ref, pred, labels, spacing)
 
 
 def _report_case(case):
@@ -452,5 +473,71 @@ def test_metric_report_surface_metrics_match_oracles(case):
         if want_hd is None:
             assert got.hd_mm is None
         else:
-            assert got.hd_mm == pytest.approx(want_hd, abs=1e-9)
-        assert got.nsd == pytest.approx(oracles.brute_nsd(a, b, spacing, 1.0), abs=1e-9)
+            assert got.hd_mm == want_hd
+        assert got.nsd == oracles.brute_nsd(a, b, spacing, 1.0)
+
+
+# -- exactness at near-ties ------------------------------------------------------
+
+# Two offsets at the same true distance whose computed distances differ in
+# the last bit: at 1.2 mm, (3, 0, 0) gives 3.5999999999999996 and (2, 2, 1)
+# gives 3.6. The nearest surface voxel is the one with the smaller value.
+NEAR_TIES = [
+    ((1.2, 1.2, 1.2), (3, 0, 0), (2, 2, 1)),
+    ((1.1, 1.1, 1.1), (1, 1, 2), (2, 1, 1)),
+    ((0.7, 1.4, 2.1), (0, 0, 1), (3, 0, 0)),
+    ((1.2, 0.9, 1.5), (0, 4, 0), (3, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("neighbours", [1, 4])  # 1: every point takes the ball query
+@pytest.mark.parametrize("spacing, first, second", NEAR_TIES)
+def test_near_ties_resolve_to_the_oracles_distance(monkeypatch, neighbours, spacing, first, second):
+    monkeypatch.setattr(metrics_module, "_NEIGHBOURS", neighbours)
+    exact = [oracles._pairwise_min_distances([offset], [(0, 0, 0)], spacing)[0] for offset in (first, second)]
+    true = [sum((o * Fraction(str(s))) ** 2 for o, s in zip(offset, spacing)) for offset in (first, second)]
+    assert true[0] == true[1] and exact[0] != exact[1]  # a real near-tie
+    origin = np.array([1, 1, 1])
+    a = np.zeros((7, 7, 7), dtype=bool)
+    a[tuple(origin)] = True
+    b = np.zeros_like(a)
+    b[tuple(origin + first)] = b[tuple(origin + second)] = True
+    for percentile in (50.0, 95.0, 100.0):
+        assert hausdorff(a, b, spacing, percentile) == oracles.brute_hausdorff(a, b, spacing, percentile)
+    for tolerance in (min(exact), max(exact)):
+        assert nsd(a, b, spacing, tolerance) == oracles.brute_nsd(a, b, spacing, tolerance)
+    # At the smaller distance as tolerance, a's one point is within it.
+    assert nsd(a, b, spacing, min(exact)) == 0.75
+    report = compute_metric_report(a.astype(np.uint8), b.astype(np.uint8), (Label(1, "NETC"),), spacing)
+    assert report.per_label["NETC"].hd_mm == oracles.brute_hausdorff(a, b, spacing, 95.0)
+
+
+_SPACINGS = (0.5, 0.7, 1.0, 1.1, 1.2, 1.4, 2.1, 2.5)
+
+
+@st.composite
+def labelled_pairs(draw):
+    """Two small label maps with codes 1 and 2, and an isotropic or
+    anisotropic spacing."""
+    shape = draw(st.tuples(*[st.integers(1, 6)] * 3))
+    codes = st.sampled_from((0, 0, 1, 2))
+    ref, pred = (draw(arrays(np.uint8, shape, elements=codes)) for _ in range(2))
+    if draw(st.booleans()):
+        spacing = (draw(st.sampled_from(_SPACINGS)),) * 3
+    else:
+        spacing = draw(st.tuples(*[st.sampled_from(_SPACINGS)] * 3))
+    return ref, pred, spacing
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=labelled_pairs())
+def test_surface_metrics_equal_the_oracles_on_random_masks(case):
+    ref, pred, spacing = case
+    labels = (Label(1, "NETC"), Label(2, "SNFH"))
+    report = compute_metric_report(ref, pred, labels, spacing)
+    for label in labels:
+        a, b = ref == label.code, pred == label.code
+        assert report.per_label[label.name].hd_mm == oracles.brute_hausdorff(a, b, spacing, 95.0)
+        assert report.per_label[label.name].nsd == oracles.brute_nsd(a, b, spacing, 1.0)
+        assert hausdorff(a, b, spacing, 100.0) == oracles.brute_hausdorff(a, b, spacing, 100.0)
+        assert nsd(a, b, spacing, 2.2) == oracles.brute_nsd(a, b, spacing, 2.2)

@@ -84,5 +84,9 @@ def test_traced_runs_record_every_layer():
     # run is read for its grid only (nifti.read_grid), never decoded
     assert calls["nifti.read_volume"] == 10
     for name in ("fusion.CandidateSet", "fusion.fuse", "metrics.compute_metric_report",
-                 "metrics.edt", "metrics.label", "runtime.pull_image", "runtime.run_job"):
+                 "metrics.label", "runtime.pull_image", "runtime.run_job"):
         assert calls.get(name, 0) > 0, name
+    # Surface distances come from KD queries; the consensus is labelled once
+    # and each of the 3 candidates once.
+    assert calls.get("metrics.edt", 0) == 0
+    assert calls["metrics.label"] == 1 + 3

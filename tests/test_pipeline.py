@@ -259,6 +259,28 @@ def test_validation_failure_aborts_before_any_job(tmp_path, override_catalog):
     assert not (tmp_path / "bundles" / "sub-02").exists()
 
 
+def test_an_input_without_a_nifti_suffix_fails_validation_unread(tmp_path, gli_subject, override_catalog, monkeypatch):
+    # A valid NIfTI under another name: staging could not name it for the
+    # containers, so validation refuses it without decoding it.
+    inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
+    renamed = gli_subject / "t1c-copy.img"
+    inputs.files["T1c"].rename(renamed)
+    inputs.files["T1c"] = renamed
+    decoded = []
+    real_read = validation.read_volume
+    monkeypatch.setattr(validation, "read_volume", lambda path: decoded.append(Path(path).name) or real_read(path))
+    engine = engine_with()
+    with pytest.raises(ValidationFailed) as excinfo:
+        run_inference(inputs, gli_config(tmp_path, engine, override_catalog))
+    errors = [f for f in excinfo.value.report.findings if f.severity == "error"]
+    assert [(f.code, f.message) for f in errors] == [
+        ("UNREADABLE_INPUT", "T1c (t1c-copy.img): not a .nii or .nii.gz file")
+    ]
+    assert "t1c-copy.img" not in decoded and len(decoded) == 3
+    assert engine.containers_created == 0
+    assert not (tmp_path / "bundles" / "sub-01").exists()
+
+
 def test_one_failed_job_degrades_to_a_warning(tmp_path, gli_subject, override_catalog):
     engine = engine_with({"example/mock-gli-2": {"exit_code": 1, "outputs": ()}})
     inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
