@@ -58,12 +58,15 @@ here once and shared by every caller:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .errors import GridMismatch
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 CONNECTIVITIES = (6, 18, 26)
 _STRUCT_RANK = {6: 1, 18: 2, 26: 3}
@@ -213,11 +216,20 @@ class LabelSurface:
     tree: cKDTree | None
 
 
+def _kd_tree(positions: np.ndarray) -> cKDTree:
+    """A ``cKDTree`` over ``positions``. ``scipy.spatial`` is imported on
+    first use: it adds about 0.1 s to every process that imports the
+    package, and only scoring needs it."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(positions)
+
+
 def _label_surface(mask: np.ndarray, sp: np.ndarray) -> LabelSurface:
     """The :class:`LabelSurface` of a boolean mask at spacing ``sp``."""
     surface = surface_voxels(mask)
     points = np.argwhere(surface)
-    tree = cKDTree(points * sp) if len(points) else None
+    tree = _kd_tree(points * sp) if len(points) else None
     count = int(np.count_nonzero(mask))
     return LabelSurface(mask=mask, count=count, surface=surface, points=points, tree=tree)
 

@@ -9,7 +9,9 @@ is merely unusual.
 Each expected input is read once, in one pass: its grid is kept, its
 content is checked, and its voxels are dropped before the next read, so at
 most one decoded input is held at a time. The grids are then compared and
-handed on in the report, so a run need not decode any input again.
+handed on in the report, so a run need not decode any input again. An
+input whose name has no ``.nii``/``.nii.gz`` suffix is an error and is not
+read: staging names each input by its suffix.
 
 When native-space output is asked for and the task works in an atlas space,
 validation also reads the stored ``native-><atlas>`` transform and the
@@ -336,8 +338,6 @@ def validate_subject(
     for tag in expected_tags:
         path = inputs.files[tag]
         if not nifti_suffix(path):
-            # Staging names each input by its suffix, and containers expect
-            # one; the bytes are not read.
             findings.append(
                 Finding(SEVERITY_ERROR, UNREADABLE_INPUT, f"{tag} ({path.name}): not a .nii or .nii.gz file")
             )

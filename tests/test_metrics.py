@@ -407,15 +407,15 @@ def test_scoring_against_one_prepared_reference_labels_and_builds_its_side_once(
         raise AssertionError("distance_transform_edt called")
 
     trees = []
-    real_tree = metrics_module.cKDTree
+    real_tree = metrics_module._kd_tree
 
-    def recording_tree(data, *args, **kwargs):
-        trees.append(np.array(data))
-        return real_tree(data, *args, **kwargs)
+    def recording_tree(positions):
+        trees.append(positions)
+        return real_tree(positions)
 
     monkeypatch.setattr(metrics_module.ndimage, "label", counting_label)
     monkeypatch.setattr(metrics_module.ndimage, "distance_transform_edt", no_edt)
-    monkeypatch.setattr(metrics_module, "cKDTree", recording_tree)
+    monkeypatch.setattr(metrics_module, "_kd_tree", recording_tree)
     labels = (Label(1, "NETC"), Label(2, "SNFH"), Label(3, "ET"), Label(4, "RC"))
     spacing = (1.0, 1.2, 0.8)
     ref = np.zeros((8, 8, 8), dtype=np.uint8)
