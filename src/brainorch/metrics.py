@@ -254,11 +254,8 @@ def _directed_distances(points: np.ndarray, target: LabelSurface, sp: np.ndarray
     """The mm distance from each of ``points`` to the nearest surface voxel
     of ``target``: 0 for a voxel on both surfaces, otherwise the smallest
     exact distance (:func:`_exact_distances`) over every surface voxel whose
-    KD distance is within ``_TIE_RTOL`` of the nearest. A KD distance is
-    computed on scaled coordinates, so two offsets at one true distance (at
-    1.2 mm, (3, 0, 0) and (2, 2, 1)) can come back in either order; their
-    exact distances differ in the last bit, and the smaller one is the
-    answer."""
+    KD distance is within ``_TIE_RTOL`` of the nearest (the tie rule of the
+    module docstring)."""
     out = np.zeros(len(points))
     away = np.flatnonzero(~target.surface[tuple(points.T)])
     if not away.size:
@@ -276,13 +273,6 @@ def _directed_distances(points: np.ndarray, target: LabelSurface, sp: np.ndarray
         for row, found in zip(rows, hits):
             out[row] = _exact_distances(points[row], target.points[found], sp).min()
     return out
-
-
-def _check_surface_params(percentile: float, tolerance_mm: float) -> None:
-    if not 0 < percentile <= 100:
-        raise ValueError(f"percentile must be in (0, 100], got {percentile}")
-    if tolerance_mm < 0:
-        raise ValueError(f"tolerance_mm must be >= 0, got {tolerance_mm}")
 
 
 def _surface_scores(
@@ -304,7 +294,10 @@ def _pair_scores(a, b, spacing, percentile: float, tolerance_mm: float) -> tuple
     a = _as_bool(a, "a")
     b = _as_bool(b, "b")
     _check_same_grid(a, b)
-    _check_surface_params(percentile, tolerance_mm)
+    if not 0 < percentile <= 100:
+        raise ValueError(f"percentile must be in (0, 100], got {percentile}")
+    if tolerance_mm < 0:
+        raise ValueError(f"tolerance_mm must be >= 0, got {tolerance_mm}")
     sp = _spacing_array(spacing)
     box = foreground_box((a, b))
     return _surface_scores(_label_surface(a[box], sp), _label_surface(b[box], sp), sp, percentile, tolerance_mm)

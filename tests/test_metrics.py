@@ -436,6 +436,18 @@ def test_scoring_against_one_prepared_reference_labels_and_builds_its_side_once(
         assert report == compute_metric_report(ref, pred, labels, spacing)
 
 
+def test_a_prepared_reference_refuses_another_spacing_or_an_unprepared_label():
+    ref = np.zeros((5, 5, 5), dtype=np.uint8)
+    ref[1:3, 1:3, 1:3] = 1
+    prepared = metrics_module.prepare_reference(ref, (Label(1, "NETC"),), (1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="spacing"):
+        compute_metric_report(prepared, ref, (Label(1, "NETC"),), (1.0, 1.0, 2.0))
+    with pytest.raises(ValueError, match="'ET' \\(code 3\\) was not prepared"):
+        compute_metric_report(prepared, ref, (Label(1, "NETC"), Label(3, "ET")), (1.0, 1.0, 1.0))
+    with pytest.raises(GridMismatch):
+        compute_metric_report(prepared, ref[:4], (Label(1, "NETC"),), (1.0, 1.0, 1.0))
+
+
 def _report_case(case):
     """Labelled (reference, prediction, spacing) pairs the report path must
     score exactly like the pairwise oracles."""
