@@ -24,16 +24,17 @@ outside the named set rank below all named ones, lowest code first.
 Each label is voted on a table of vote patterns. A voxel's pattern sets
 bit i when candidate i holds the label there, in the smallest unsigned
 dtype with a bit per candidate (so at most ``MAX_CANDIDATES`` = 64 masks).
-The distinct patterns are counted once, with each voxel's index among them
-(``np.unique`` with the inverse; up to 16 candidates one ``np.bincount``
-over the 2^n possible patterns gives the same table without a sort).
-Every step then runs on the pattern table with exact integer counts: the
-strict-majority start, SIMPLE's Dice scores (the voxel counts of
-:func:`metrics.dice`, through the same ``dice_from_counts``), the
-convergence counts, and the re-vote, still
-``np.tensordot`` of the weights with the active rows, but over at most
-2^n pattern columns instead of every voxel. The consensus flag of each
-pattern is pasted through the inverse, one lookup per label.
+The distinct patterns are counted once (``np.unique`` with the counts; up to
+16 candidates one ``np.bincount`` over the 2^n possible patterns gives the
+same table without a sort). Every step then runs on the pattern table with
+exact integer counts: the strict-majority start, SIMPLE's Dice scores (the
+voxel counts of :func:`metrics.dice`, through the same
+``dice_from_counts``) and the convergence counts. SIMPLE's re-vote adds
+each active candidate's weight to the patterns it votes in, in candidate
+order, so a pattern's flag follows from its own votes and the weights
+alone, wherever it sits in the table. A label is pasted where a voxel's
+pattern is one the consensus flags (``np.isin``); no voxel-sized index
+into the table is built.
 
 Each candidate mask is scanned once (:func:`metrics.foreground_values`:
 the distinct values inside the mask's foreground box, the bounding box of
@@ -285,18 +286,14 @@ def _pattern_dtype(n: int) -> np.dtype:
 _COUNTED_PATTERN_BITS = 16
 
 
-def _pattern_table(pattern: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``np.unique(pattern, return_inverse=True, return_counts=True)``, with
-    the inverse in ``pattern``'s shape: the distinct patterns in ascending
-    order, each voxel's index among them, and their voxel counts."""
+def _pattern_table(pattern: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(pattern, return_counts=True)``: the distinct patterns in
+    ascending order and their voxel counts."""
     if n > _COUNTED_PATTERN_BITS:
-        patterns, inverse, counts = np.unique(pattern, return_inverse=True, return_counts=True)
-        return patterns, inverse.reshape(pattern.shape), counts
+        return np.unique(pattern, return_counts=True)
     every_count = np.bincount(pattern.ravel(), minlength=1 << n)
     patterns = np.flatnonzero(every_count)
-    rank = np.zeros(every_count.size, dtype=np.intp)
-    rank[patterns] = np.arange(patterns.size)
-    return patterns.astype(pattern.dtype), rank[pattern], every_count[patterns]
+    return patterns.astype(pattern.dtype), every_count[patterns]
 
 
 def _simple_one_label(votes: np.ndarray, counts: np.ndarray, consensus: np.ndarray, params: SimpleParams):
@@ -331,13 +328,11 @@ def _simple_one_label(votes: np.ndarray, counts: np.ndarray, consensus: np.ndarr
                 dropped |= set(active) - set(surviving)
                 active = surviving
         trace.append(len(active))
-        weights = scores[active]
-        total = float(weights.sum())
-        if total == 0:
-            new_consensus = np.zeros_like(consensus)
-        else:
-            affirm = np.tensordot(weights, votes[active].astype(np.float64), axes=1)
-            new_consensus = affirm > total / 2.0
+        # In candidate order per pattern, so no flag depends on the layout.
+        affirm = np.zeros(counts.size, dtype=np.float64)
+        for i in active:
+            affirm[votes[i]] += scores[i]
+        new_consensus = affirm > float(scores[active].sum()) / 2.0
         changed = int(counts[new_consensus != consensus].sum())
         union = int(counts[new_consensus | consensus].sum())
         fraction = changed / max(1, union)
@@ -345,8 +340,7 @@ def _simple_one_label(votes: np.ndarray, counts: np.ndarray, consensus: np.ndarr
         if fraction < params.convergence_epsilon:
             break
     weights_out = np.zeros(n, dtype=np.float64)
-    for i in active:
-        weights_out[i] = scores[i]
+    weights_out[active] = scores[active]
     return consensus, weights_out, dropped, iterations, tuple(trace)
 
 
@@ -377,13 +371,13 @@ def _vote(candidates: CandidateSet, method: str, params: SimpleParams | None = N
         pattern = np.zeros(inside.shape, dtype=dtype)
         for flag, crop in zip(flags, crops):
             np.bitwise_or(pattern, flag, out=pattern, where=crop == label.code)
-        patterns, inverse, counts = _pattern_table(pattern, n)
+        patterns, counts = _pattern_table(pattern, n)
         votes = (patterns >> bits[:, None]) & 1 == 1
         consensus = votes.sum(axis=0) * 2 > n
         w, dropped_idx, iters, trace = np.ones(n), set(), 1, (n,)
         if params is not None:
             consensus, w, dropped_idx, iters, trace = _simple_one_label(votes, counts, consensus, params)
-        inside[consensus[inverse]] = label.code
+        inside[np.isin(pattern, patterns[consensus])] = label.code
         for i, sid in enumerate(candidates.source_ids):
             weights[sid][label.name] = float(w[i])
         if dropped_idx:

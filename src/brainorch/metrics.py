@@ -83,7 +83,7 @@ def _as_bool(mask: np.ndarray, name: str) -> np.ndarray:
     return arr.astype(bool, copy=False)
 
 
-def _check_same_grid(a: np.ndarray, b: np.ndarray) -> None:
+def _check_same_grid(a: np.ndarray | PreparedReference, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise GridMismatch(f"masks live on different grids: {a.shape} vs {b.shape}")
 
@@ -554,12 +554,10 @@ def compute_metric_report(
     prediction = np.asarray(prediction)
     if not isinstance(reference, PreparedReference):
         reference = np.asarray(reference)
-        if reference.shape != prediction.shape:
-            raise GridMismatch(f"masks live on different grids: {reference.shape} vs {prediction.shape}")
+    _check_same_grid(reference, prediction)
+    if isinstance(reference, np.ndarray):
         box = foreground_box((_check_mask(reference, "reference"), prediction))
         reference, prediction = prepare_reference(reference[box], labels, spacing), prediction[box]
-    if reference.shape != prediction.shape:
-        raise GridMismatch(f"masks live on different grids: {reference.shape} vs {prediction.shape}")
     labels = check_label_codes(labels)
     sp = _spacing_array(spacing)
     if tuple(sp) != reference.spacing:

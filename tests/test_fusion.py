@@ -14,6 +14,7 @@ from brainorch.fusion import (
     FUSION_METHODS,
     SimpleParams,
     _pattern_table,
+    _simple_one_label,
     fuse,
     label_priority_order,
     majority_vote,
@@ -370,7 +371,8 @@ def test_fusion_result_json_round_trip():
 
 def _voxel_simple_one_label(binary_stack: np.ndarray, consensus: np.ndarray, params: SimpleParams):
     """SIMPLE over one label's stacked per-voxel votes, as fusion ran it
-    before the vote-pattern table: the reference the table must equal."""
+    before the vote-pattern table, with the re-vote summed in candidate
+    order: the reference the table must equal."""
     n = binary_stack.shape[0]
     active = list(range(n))
     scores = np.zeros(n, dtype=np.float64)
@@ -393,13 +395,10 @@ def _voxel_simple_one_label(binary_stack: np.ndarray, consensus: np.ndarray, par
                 dropped |= set(active) - set(surviving)
                 active = surviving
         trace.append(len(active))
-        weights = scores[active]
-        total = float(weights.sum())
-        if total == 0:
-            new_consensus = np.zeros_like(consensus)
-        else:
-            affirm = np.tensordot(weights, binary_stack[active].astype(np.float64), axes=1)
-            new_consensus = affirm > total / 2.0
+        affirm = np.zeros(consensus.shape, dtype=np.float64)
+        for i in active:
+            affirm[binary_stack[i]] += scores[i]
+        new_consensus = affirm > float(scores[active].sum()) / 2.0
         changed = int(np.logical_xor(new_consensus, consensus).sum())
         union = int(np.logical_or(new_consensus, consensus).sum())
         fraction = changed / max(1, union)
@@ -476,11 +475,59 @@ def test_vote_pattern_table_equals_the_voxel_vote_beyond_counted_patterns(n):
 def test_counted_pattern_table_is_the_unique_table(n):
     pattern = np.random.default_rng(n).integers(0, 1 << n, size=(7, 6, 5)).astype(np.uint16)
     pattern[0, 0, 0] = 0
-    patterns, inverse, counts = _pattern_table(pattern, n)
-    want = np.unique(pattern, return_inverse=True, return_counts=True)
+    patterns, counts = _pattern_table(pattern, n)
+    want = np.unique(pattern, return_counts=True)
     assert patterns.dtype == pattern.dtype
-    assert np.array_equal(patterns, want[0]) and np.array_equal(counts, want[2])
-    assert np.array_equal(inverse, want[1].reshape(pattern.shape))
+    assert np.array_equal(patterns, want[0]) and np.array_equal(counts, want[1])
+
+
+def _seeded_vote_table(rng, twins: bool):
+    """A label's (votes, counts, majority consensus) table, 2-16 candidates
+    by 1-64 columns. With ``twins`` the candidates come in pairs that swap
+    the votes of twin columns (equal counts), so each pair scores an equal
+    weight at every iteration; in a column where one side of every pair
+    votes and the other does not, the affirming sum is exactly half the
+    total, and only its rounding decides the flag."""
+    if twins:
+        k, m = int(rng.integers(1, 9)), int(rng.integers(1, 33))
+        v, u = (rng.random((k, m)) < rng.uniform(0.2, 0.8) for _ in range(2))
+        split = rng.random(m) < 0.5
+        v[:, split], u[:, split] = True, False
+        votes = np.block([[v, u], [u, v]])
+        counts = np.tile(rng.integers(1, 5000, size=m), 2)
+    else:
+        n, width = int(rng.integers(2, 17)), int(rng.integers(1, 65))
+        rows = rng.random((int(rng.integers(1, n + 1)), width)) < rng.uniform(0.2, 0.8)
+        votes = rows[rng.integers(0, rows.shape[0], size=n)]
+        counts = rng.integers(0, 50, size=width)
+    return votes, counts, votes.sum(axis=0) * 2 > votes.shape[0]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_simple_vote_ignores_the_table_layout(seed):
+    # The flag of a pattern must follow from its votes and the weights
+    # alone: not from its column's place in the table, nor from columns
+    # no voxel has.
+    rng = np.random.default_rng(seed)
+    for twins in (False, True) * 4:
+        votes, counts, consensus = _seeded_vote_table(rng, twins)
+        n, width = votes.shape
+        params = SimpleParams(drop_factor=float(rng.choice([0.0, 0.5, 1.0, 2.0])))
+        want = _simple_one_label(votes, counts, consensus, params)
+        perm = rng.permutation(width)
+        extra = rng.random((n, int(rng.integers(1, 9)))) < 0.5
+        for table in (
+            (votes[:, perm], counts[perm], consensus[perm]),
+            (
+                np.concatenate([votes[:, perm], extra], axis=1),
+                np.concatenate([counts[perm], np.zeros(extra.shape[1], dtype=counts.dtype)]),
+                np.concatenate([consensus[perm], extra.sum(axis=0) * 2 > n]),
+            ),
+        ):
+            got = _simple_one_label(*table, params)
+            assert np.array_equal(got[0][:width], want[0][perm])
+            assert got[1].tolist() == want[1].tolist()
+            assert got[2:] == want[2:]
 
 
 def test_vote_pattern_table_equals_the_voxel_vote_with_an_empty_label():

@@ -386,7 +386,7 @@ def test_metric_report_absent_label_conventions():
 
 
 def test_metric_report_grid_mismatch():
-    with pytest.raises(GridMismatch):
+    with pytest.raises(GridMismatch, match=r"^masks live on different grids: \(4, 4, 4\) vs \(4, 4, 5\)$"):
         compute_metric_report(
             np.zeros((4, 4, 4), dtype=np.uint8),
             np.zeros((4, 4, 5), dtype=np.uint8),
@@ -444,7 +444,7 @@ def test_a_prepared_reference_refuses_another_spacing_or_an_unprepared_label():
         compute_metric_report(prepared, ref, (Label(1, "NETC"),), (1.0, 1.0, 2.0))
     with pytest.raises(ValueError, match="'ET' \\(code 3\\) was not prepared"):
         compute_metric_report(prepared, ref, (Label(1, "NETC"), Label(3, "ET")), (1.0, 1.0, 1.0))
-    with pytest.raises(GridMismatch):
+    with pytest.raises(GridMismatch, match=r"^masks live on different grids: \(5, 5, 5\) vs \(4, 5, 5\)$"):
         compute_metric_report(prepared, ref[:4], (Label(1, "NETC"),), (1.0, 1.0, 1.0))
 
 
