@@ -124,8 +124,7 @@ class ValidationFailed(BrainorchError):
 
     def __init__(self, report):
         self.report = report
-        errors = [f for f in report.findings if f.severity == "error"]
-        summary = "; ".join(f"{f.code}: {f.message}" for f in errors) or "validation failed"
+        summary = "; ".join(f"{f.code}: {f.message}" for f in report.errors) or "validation failed"
         super().__init__(summary)
 
 

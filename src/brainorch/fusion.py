@@ -24,9 +24,10 @@ outside the named set rank below all named ones, lowest code first.
 Each label is voted on a table of vote patterns. A voxel's pattern sets
 bit i when candidate i holds the label there, in the smallest unsigned
 dtype with a bit per candidate (so at most ``MAX_CANDIDATES`` = 64 masks).
-The distinct patterns are counted once (``np.unique`` with the counts; up to
-16 candidates one ``np.bincount`` over the 2^n possible patterns gives the
-same table without a sort). Every step then runs on the pattern table with
+The distinct patterns are counted once, by one ``np.unique`` over the
+voxels where some candidate votes, with the silent voxels counted as
+pattern 0: the table of ``np.unique(pattern, return_counts=True)`` for any
+number of candidates. Every step then runs on the pattern table with
 exact integer counts: the strict-majority start, SIMPLE's Dice scores (the
 voxel counts of :func:`metrics.dice`, through the same
 ``dice_from_counts``) and the convergence counts. SIMPLE's re-vote adds
@@ -45,7 +46,9 @@ is 0, which is always allowed. ``CandidateSet`` keeps each mask's box, and
 the union of the kept boxes is the candidates' foreground box, so nothing
 scans the masks again. The patterns are taken inside that box and the
 consensus is pasted into a zero grid. This is exact too: outside the box
-every candidate is background, so no label gets a vote there. The
+every candidate is background, so no label gets a vote there. The grid and
+the patterns take the first mask's memory order (Fortran for a NIfTI
+read), so the vote, the writer and the warp walk them forward. The
 consensus is background outside the box as well, so the pipeline scores
 each candidate against it inside the box. ``CandidateSet`` rejects a label
 code outside 1..255 (``ValueError``): code 0 is background and would be
@@ -281,19 +284,18 @@ def _pattern_dtype(n: int) -> np.dtype:
     return next(np.dtype(t) for t in dtypes if n <= 8 * np.dtype(t).itemsize)
 
 
-# Up to this many candidates the 2^n possible vote patterns are counted with
-# one bincount; above it, by np.unique's sort.
-_COUNTED_PATTERN_BITS = 16
-
-
-def _pattern_table(pattern: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _pattern_table(pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(pattern, return_counts=True)``: the distinct patterns in
-    ascending order and their voxel counts."""
-    if n > _COUNTED_PATTERN_BITS:
-        return np.unique(pattern, return_counts=True)
-    every_count = np.bincount(pattern.ravel(), minlength=1 << n)
-    patterns = np.flatnonzero(every_count)
-    return patterns.astype(pattern.dtype), every_count[patterns]
+    ascending order and their voxel counts. Only the voting voxels are
+    sorted; the silent ones, usually most of the box, are counted as
+    pattern 0. The voxels are read in memory order."""
+    flat = pattern.ravel(order="K")
+    patterns, counts = np.unique(flat[flat != 0], return_counts=True)
+    silent = flat.size - int(counts.sum())
+    if silent:
+        patterns = np.concatenate([np.zeros(1, dtype=pattern.dtype), patterns])
+        counts = np.concatenate([[silent], counts])
+    return patterns, counts
 
 
 def _simple_one_label(votes: np.ndarray, counts: np.ndarray, consensus: np.ndarray, params: SimpleParams):
@@ -359,7 +361,7 @@ def _vote(candidates: CandidateSet, method: str, params: SimpleParams | None = N
     crops = [m.data[box] for m in candidates.masks]
     n = len(crops)
     dtype = _pattern_dtype(n)
-    out = np.zeros(candidates.masks[0].shape, dtype=np.uint8)
+    out = np.zeros_like(candidates.masks[0].data, dtype=np.uint8)
     inside = out[box]  # a view: writes land in ``out``
     weights: dict[str, dict[str, float]] = {sid: {} for sid in candidates.source_ids}
     dropped: dict[str, tuple[str, ...]] = {}
@@ -368,10 +370,10 @@ def _vote(candidates: CandidateSet, method: str, params: SimpleParams | None = N
     bits = np.arange(n, dtype=dtype)
     flags = np.left_shift(1, bits, dtype=dtype)
     for label in reversed(label_priority_order(candidates.labels)):
-        pattern = np.zeros(inside.shape, dtype=dtype)
+        pattern = np.zeros_like(inside, dtype=dtype)
         for flag, crop in zip(flags, crops):
             np.bitwise_or(pattern, flag, out=pattern, where=crop == label.code)
-        patterns, counts = _pattern_table(pattern, n)
+        patterns, counts = _pattern_table(pattern)
         votes = (patterns >> bits[:, None]) & 1 == 1
         consensus = votes.sum(axis=0) * 2 > n
         w, dropped_idx, iters, trace = np.ones(n), set(), 1, (n,)

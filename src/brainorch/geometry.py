@@ -15,15 +15,17 @@ interpolation.
 
 Resampling evaluates the target grid one plane at a time along its last
 axis, the slowest axis of the Fortran order in which NIfTI stores voxels
-and :func:`brainorch.nifti.read_volume` returns them. It is exact: each
-plane's source coordinates come from the same BLAS matmul, column by
-column, as a full-grid (3, N) coordinate map, so the output is
-byte-identical to one made from such a map. Memory holds the output, a
+and :func:`brainorch.nifti.read_volume` returns them. A target voxel
+(i, j, k) maps to the source coordinates ``m[:, 0] * i + m[:, 1] * j +
+m[:, 2] * k + m[:, 3]`` of the composed voxel-to-voxel matrix ``m``, summed
+elementwise left to right: the same IEEE operations on every CPU, with no
+BLAS kernel to pick a summation order, so a sample at a rounding boundary
+does not depend on the machine's kernel. The first two terms are one
+(3, X·Y) plane shared by every k. Memory holds the output, a
 Fortran-order copy of the source only when it is not in that order
 already (a NIfTI read never needs one), and a few (3, X·Y) float64 planes
 of coordinates and indices. Lookups within a plane then walk the source's
-memory forward, and on grids of BraTS size one plane keeps each matmul
-small enough that OpenBLAS runs it on the calling thread.
+memory forward.
 
 Only the target voxels whose source neighbours can be nonzero are looked
 up or interpolated; every other voxel of the output stays 0. Within a
@@ -172,10 +174,11 @@ def _foreground_samples(data: np.ndarray, source_affine: np.ndarray, world_map: 
     Yields ``(k, coords, idx)`` for each target plane ``[:, :, k]`` that
     has such voxels: ``idx`` holds their columns in the plane's Fortran
     order and ``coords`` (3, len(idx)) their source voxel coordinates. A
-    target index v maps through target voxel->world, then the inverse world
-    map, then world->source voxel; every column of a plane is computed by
-    the same matmul as in a full-grid (3, N) map, so the values are
-    identical. A column is kept when its coordinates lie within
+    target index (i, j, k) maps through target voxel->world, then the
+    inverse world map, then world->source voxel, by the elementwise rule
+    of the module docstring: ``base = m[:3, 0:1] * i + m[:3, 1:2] * j``
+    once, then ``base + m[:3, 2:3] * k + m[:3, 3:4]`` per plane, the same
+    sum left to right. A column is kept when its coordinates lie within
     ``[box.start - 1, box.stop]`` on every axis, where ``box`` is the
     :func:`metrics.foreground_box` of the source ``data``. Every other
     target voxel resamples to 0 (see the module docstring).
@@ -187,12 +190,12 @@ def _foreground_samples(data: np.ndarray, source_affine: np.ndarray, world_map: 
     hi = np.array([s.stop for s in box], dtype=np.float64)[:, None]
     m = np.linalg.inv(source_affine) @ np.linalg.inv(world_map) @ target.affine
     nx, ny, nz = target.shape
-    plane = np.empty((3, nx * ny))
-    plane[0] = np.tile(np.arange(nx), ny)
-    plane[1] = np.repeat(np.arange(ny), nx)
+    base = (
+        m[:3, 0:1] * np.tile(np.arange(nx, dtype=np.float64), ny)
+        + m[:3, 1:2] * np.repeat(np.arange(ny, dtype=np.float64), nx)
+    )
     for k in range(nz):
-        plane[2] = k
-        coords = m[:3, :3] @ plane + m[:3, 3:4]
+        coords = base + m[:3, 2:3] * k + m[:3, 3:4]
         idx = np.flatnonzero(((coords >= lo) & (coords <= hi)).all(axis=0))
         if idx.size:
             yield k, coords[:, idx], idx
@@ -317,8 +320,3 @@ def read_transform(path: str | Path) -> AffineTransform:
         )
     except (SpaceMismatch, MalformedTransform) as exc:
         raise MalformedTransform(f"{path}: {exc}") from exc
-
-
-def transform_sidecar_name(subject_id: str, source_space: str, target_space: str) -> str:
-    """Conventional sidecar filename, e.g. ``sub-01_native2SRI24.json``."""
-    return f"{subject_id}_{source_space}2{target_space}.json"

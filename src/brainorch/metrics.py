@@ -77,10 +77,7 @@ DEFAULT_CONNECTIVITY = 26
 
 
 def _as_bool(mask: np.ndarray, name: str) -> np.ndarray:
-    arr = np.asarray(mask)
-    if arr.ndim != 3:
-        raise ValueError(f"{name} must be a 3-D array, got shape {arr.shape}")
-    return arr.astype(bool, copy=False)
+    return _check_mask(mask, name).astype(bool, copy=False)
 
 
 def _check_same_grid(a: np.ndarray | PreparedReference, b: np.ndarray) -> None:

@@ -88,7 +88,7 @@ from .registry import (
     get_task_spec,
     normalize_task_id,
 )
-from .runtime import JobResult, JobSpec
+from .runtime import STATUS_ENGINE_ERROR, JobResult, JobSpec
 from .validation import SubjectInputs, validate_subject
 
 logger = logging.getLogger("brainorch.pipeline")
@@ -374,18 +374,13 @@ def _collect(run: _Run, outcomes, stem: str, noun: str, vet=None):
     job_rows: list[dict] = []
     accepted: list[tuple[AlgorithmEntry, Volume, Path, object]] = []
     for entry, outcome, out_dir in outcomes:
-        row = {"id": entry.id, "image_reference": entry.image_reference}
-        job_rows.append(row)
         if isinstance(outcome, Exception):
-            row.update(status="engine_error", exit_code=None, duration_seconds=0.0, error=str(outcome))
+            job_rows.append(dict(id=entry.id, image_reference=entry.image_reference, status=STATUS_ENGINE_ERROR,
+                                 exit_code=None, duration_seconds=0.0, error=str(outcome)))
             run.warnings.append(f"{entry.id}: {outcome}")
             continue
-        row.update(
-            status=outcome.status,
-            exit_code=outcome.exit_code,
-            duration_seconds=outcome.duration_seconds,
-            error=outcome.error,
-        )
+        row = {"id": entry.id, **outcome.to_json_dict()}
+        job_rows.append(row)
         if not outcome.ok:
             tail = outcome.log_excerpt.strip().splitlines()
             detail = f" ({tail[-1]})" if tail else ""

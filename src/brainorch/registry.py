@@ -92,10 +92,6 @@ class TaskSpec:
     # three of the four modalities (MISSING_MRI synthesizes the fourth).
     input_policy: str = "all"
 
-    @property
-    def label_codes(self) -> tuple[int, ...]:
-        return tuple(lb.code for lb in self.labels)
-
 
 _FULL_PREP = (PREP_COREG, PREP_SKULL_STRIP, PREP_ATLAS_REG)
 

@@ -402,16 +402,6 @@ class _LogDemuxer:
         return raw[max(len(raw) - self.keep, 0) :].decode("utf-8", errors="replace")
 
 
-def demux_docker_logs(raw: bytes) -> str:
-    """Decode a whole multiplexed Docker log stream (8-byte frame headers).
-
-    Falls back to a plain decode for TTY streams, which are not framed.
-    """
-    demuxer = _LogDemuxer(keep=len(raw))
-    demuxer.feed(raw)
-    return demuxer.text()
-
-
 ENGINE_ENDPOINT_ENV = "ORCH_ENGINE_ENDPOINT"
 DEFAULT_ENGINE_ENDPOINT = "unix:///var/run/docker.sock"
 _API = "/v1.41"

@@ -13,6 +13,7 @@ from brainorch.fusion import (
     CandidateSet,
     FUSION_METHODS,
     SimpleParams,
+    _pattern_dtype,
     _pattern_table,
     _simple_one_label,
     fuse,
@@ -465,20 +466,35 @@ def test_vote_pattern_table_equals_the_voxel_vote_on_duplicates(n):
     _assert_table_equals_voxel_vote([first if i % 2 else second for i in range(n)])
 
 
-@pytest.mark.parametrize("n", [17, 33])  # np.unique's table, in uint32 and uint64 patterns
-def test_vote_pattern_table_equals_the_voxel_vote_beyond_counted_patterns(n):
+@pytest.mark.parametrize("n", [17, 33])  # uint32 and uint64 patterns
+def test_vote_pattern_table_equals_the_voxel_vote_in_wide_patterns(n):
     copies = _noisy_copies(17, 4, shape=(6, 5, 4))
     _assert_table_equals_voxel_vote([copies[i % 4] for i in range(n)])
 
 
-@pytest.mark.parametrize("n", [1, 5, 16])
-def test_counted_pattern_table_is_the_unique_table(n):
-    pattern = np.random.default_rng(n).integers(0, 1 << n, size=(7, 6, 5)).astype(np.uint16)
-    pattern[0, 0, 0] = 0
-    patterns, counts = _pattern_table(pattern, n)
+def _assert_unique_table(pattern):
+    patterns, counts = _pattern_table(pattern)
     want = np.unique(pattern, return_counts=True)
-    assert patterns.dtype == pattern.dtype
+    assert patterns.dtype == want[0].dtype and counts.dtype == want[1].dtype
     assert np.array_equal(patterns, want[0]) and np.array_equal(counts, want[1])
+
+
+@pytest.mark.parametrize("n", [1, 5, 16, 17, 33, 64])
+def test_counted_pattern_table_is_the_unique_table(n):
+    dtype = _pattern_dtype(n)
+    rng = np.random.default_rng(n)
+    # A few voting patterns over mostly silent voxels, as in a label's box.
+    drawn = rng.integers(0, np.iinfo(dtype).max, size=(7, 6, 5), dtype=dtype, endpoint=True) >> (
+        8 * dtype.itemsize - n
+    )
+    pattern = np.where(rng.random(drawn.shape) < 0.6, 0, drawn).astype(dtype)
+    pattern[0, 0, 0] = 0
+    _assert_unique_table(pattern)
+    _assert_unique_table(np.asfortranarray(pattern))  # the order of a NIfTI read
+    pattern[pattern == 0] = 1  # no silent voxel
+    _assert_unique_table(pattern)
+    _assert_unique_table(np.zeros_like(pattern))  # every voxel silent
+    _assert_unique_table(pattern[:0])  # an empty box
 
 
 def _seeded_vote_table(rng, twins: bool):

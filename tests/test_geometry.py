@@ -20,6 +20,7 @@ from brainorch.errors import (
 from brainorch.geometry import (
     AffineTransform,
     GridSpec,
+    _foreground_samples,
     compose,
     invert_affine,
     inverse_warp_image_to_native,
@@ -27,7 +28,6 @@ from brainorch.geometry import (
     read_transform,
     resample_image,
     resample_mask,
-    transform_sidecar_name,
     write_transform,
 )
 from brainorch.nifti import Volume
@@ -261,10 +261,11 @@ def test_trilinear_identity_preserves_values():
 
 
 def full_map_coords(source_affine, world_map, target):
-    """Source coordinates of every target voxel at once, shape (3, N)."""
+    """Source coordinates of every target voxel at once, shape (3, N), by
+    the elementwise rule summed left to right."""
     m = np.linalg.inv(source_affine) @ np.linalg.inv(world_map) @ target.affine
-    idx = np.indices(target.shape, dtype=np.float64).reshape(3, -1)
-    return m[:3, :3] @ idx + m[:3, 3:4]
+    i, j, k = np.indices(target.shape, dtype=np.float64).reshape(3, -1)
+    return m[:3, 0:1] * i + m[:3, 1:2] * j + m[:3, 2:3] * k + m[:3, 3:4]
 
 
 def full_map_mask(mask, world_map, target):
@@ -388,6 +389,27 @@ def test_foreground_bounded_resampling_of_sparse_sources_equals_the_full_grid_ma
         assert not resample_image(source, world_map, target).data.view(np.uint32).any()
 
 
+def test_warp_coordinates_follow_the_elementwise_rule_on_a_brats_plane():
+    # A BLAS matmul picks its summation order by CPU kernel, and on planes
+    # of this size it gives other last bits than the rule for part of them.
+    shape = (220, 230, 3)
+    rng = np.random.default_rng(11)
+    target = GridSpec(shape=shape, affine=random_affine(rng, (0.8, 1.3), shape))
+    world_map = random_affine(rng, (0.9, 1.1))
+    source_affine = np.diag([50.0, 50.0, 50.0, 1.0])
+    source_affine[:3, 3] = -275.0  # voxels -1..12 span -325..325 mm
+    data = np.ones((12, 12, 12), dtype=np.uint8)
+    m = np.linalg.inv(source_affine) @ np.linalg.inv(world_map) @ target.affine
+    seen = 0
+    for k, coords, idx in _foreground_samples(data, source_affine, world_map, target):
+        i, j = idx % shape[0], idx // shape[0]
+        rule = m[:3, 0:1] * i + m[:3, 1:2] * j + m[:3, 2:3] * k + m[:3, 3:4]
+        differ = np.count_nonzero(coords.view(np.uint64) != rule.view(np.uint64))
+        assert differ == 0, f"plane {k}: {differ} of {coords.size} coordinates differ"
+        seen += idx.size
+    assert seen == np.prod(shape)
+
+
 @pytest.mark.parametrize(
     "resample, dtype", [(resample_mask, np.uint8), (resample_image, np.float32)]
 )
@@ -459,10 +481,6 @@ def test_sidecar_layout_is_row_major_mm(tmp_path):
     assert doc["units"] == "mm"
     assert len(doc["matrix"]) == 16
     assert doc["matrix"][3] == 7.0  # row-major: [0,3] is the 4th element
-
-
-def test_sidecar_name_convention():
-    assert transform_sidecar_name("sub-01", "native", "SRI24") == "sub-01_native2SRI24.json"
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,6 @@ from brainorch.runtime import (
     JobSpec,
     MockBehavior,
     MockEngine,
-    demux_docker_logs,
     load_behaviors,
 )
 
@@ -361,22 +360,29 @@ def frame(stream: int, payload: bytes) -> bytes:
     return bytes([stream, 0, 0, 0]) + len(payload).to_bytes(4, "big") + payload
 
 
+def demux_whole(raw: bytes) -> str:
+    """The demultiplexer over a whole log, keeping all of it."""
+    demuxer = runtime._LogDemuxer(keep=len(raw))
+    demuxer.feed(raw)
+    return demuxer.text()
+
+
 def test_demux_interleaved_streams():
     raw = frame(1, b"out1 ") + frame(2, b"err1 ") + frame(1, b"out2")
-    assert demux_docker_logs(raw) == "out1 err1 out2"
+    assert demux_whole(raw) == "out1 err1 out2"
 
 
 def test_demux_tty_fallback():
-    assert demux_docker_logs(b"plain tty text") == "plain tty text"
+    assert demux_whole(b"plain tty text") == "plain tty text"
 
 
 def test_demux_empty():
-    assert demux_docker_logs(b"") == ""
+    assert demux_whole(b"") == ""
 
 
 def test_demux_truncated_final_frame():
     raw = frame(1, b"whole") + bytes([1, 0, 0, 0]) + (10).to_bytes(4, "big") + b"cut"
-    assert demux_docker_logs(raw) == "wholecut"
+    assert demux_whole(raw) == "wholecut"
 
 
 # -- docker engine vs stub server ---------------------------------------------
@@ -731,7 +737,7 @@ def test_streamed_tail_gives_the_excerpt_of_the_whole_log(raw, data):
     for a, b in zip([0, *cuts], [*cuts, len(raw)]):
         demuxer.feed(raw[a:b])
     assert bound(demuxer.text()) == reference_excerpt(raw)
-    assert bound(demux_docker_logs(raw)) == reference_excerpt(raw)
+    assert bound(demux_whole(raw)) == reference_excerpt(raw)
 
 
 # Bodies served whole by the stub; the engine reads them in 64 KiB pieces.
@@ -759,7 +765,7 @@ def test_docker_log_excerpt_matches_the_whole_log(tmp_path, docker_stub):
     for name, raw in LOG_CASES.items():
         stub.logs_raw = raw
         expected = reference_excerpt(raw)
-        if engine.run_job(spec).log_excerpt != expected or bound(demux_docker_logs(raw)) != expected:
+        if engine.run_job(spec).log_excerpt != expected or bound(demux_whole(raw)) != expected:
             wrong.append(name)
     assert wrong == []
 
