@@ -104,7 +104,7 @@ def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
         "--gpu", action="store_true", help="declare that the engine can satisfy GPU jobs"
     )
     sub.add_argument("--catalog", default=None, help="catalog override JSON file")
-    sub.add_argument("--parallel", type=int, default=1, help="max concurrent algorithm jobs")
+    sub.add_argument("--parallel", type=int, default=1, help="max concurrent algorithm jobs and worker threads")
 
 
 def _add_fusion_flags(sub: argparse.ArgumentParser) -> None:

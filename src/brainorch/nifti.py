@@ -407,10 +407,11 @@ def _check_extent(header: NiftiHeader, need: int, size: int, path: Path, holds: 
         )
 
 
-def _read(path: str | Path, voxels: bool) -> tuple[NiftiHeader, np.ndarray, np.ndarray | None]:
+def _read(path: str | Path, voxels: bool, check_grid=None) -> tuple[NiftiHeader, np.ndarray, np.ndarray | None]:
     """The header, checked affine and, with ``voxels``, flat native-order
     payload of a single-file NIfTI-1 volume. Errors come in this order:
-    header fields, payload ceiling, ``vox_offset``, payload length, affine."""
+    header fields, payload ceiling, ``vox_offset``, ``check_grid``, payload
+    length, affine."""
     path = Path(path)
     gz = False
     try:
@@ -428,6 +429,8 @@ def _read(path: str | Path, voxels: bool) -> tuple[NiftiHeader, np.ndarray, np.n
                 # Before any allocation: the most the file can decode to.
                 most, holds = (_GZIP_MAX_RATIO * size, "can decode to at most") if gz else (size, "holds")
                 _check_extent(header, need, most, path, holds)
+                if check_grid is not None:
+                    check_grid(header.shape3(), header.affine())
                 decoded, flat = (HEADER_SIZE if gz or voxels else size), None
                 if voxels:  # the extension block is kept in the buffer it is read into
                     header.extension_bytes = bytearray(header.vox_offset - HEADER_SIZE)
@@ -454,15 +457,17 @@ def read_grid(path: str | Path) -> tuple[tuple[int, int, int], np.ndarray]:
     return header.shape3(), affine
 
 
-def read_volume(path: str | Path) -> Volume:
+def read_volume(path: str | Path, check_grid=None) -> Volume:
     """Read a single-file NIfTI-1 volume.
 
     Returns a :class:`Volume` whose data has intensity scaling applied
     whenever the header carries a real transform (slope outside {0, 1}, or
     slope 1 with a nonzero intercept); scaled data comes back as float64.
     The data is read-only; the parsed header rides along for rewrites.
+    ``check_grid(shape, affine)``, when given, sees the header's grid before
+    any voxel is allocated or read; what it raises propagates.
     """
-    header, affine, flat = _read(path, voxels=True)
+    header, affine, flat = _read(path, voxels=True, check_grid=check_grid)
     data = flat.reshape(header.shape3(), order="F")
     slope, inter = header.scl_slope, header.scl_inter
     if slope not in (0.0, 1.0):

@@ -29,6 +29,11 @@ hash and publish. Each kind adds only a produce step. Segmentation vets
 and fuses candidate masks and scores them against the consensus; synthesis
 runs exactly one algorithm and keeps its image. Validation decodes every
 input once and hands its grids on, so the run decodes no input again.
+
+One pool of ``parallel_jobs`` threads per run decodes the inputs, runs the
+jobs, reads each job's output, scores each candidate and hashes the files;
+results fold back in input order, so no bundle byte depends on the thread
+count. The warp and every write stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from .errors import (
     AllJobsFailed,
     BrainorchError,
     EngineUnreachable,
+    GridMismatch,
     OutputCollision,
     UnknownLabel,
     ValidationFailed,
@@ -178,12 +184,9 @@ def _drop_non_regular(root: Path) -> list[str]:
     return dropped
 
 
-def _hash_tree(root: Path) -> dict[str, str]:
-    return {
-        p.relative_to(root).as_posix(): _sha256_file(p)
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    }
+def _hash_tree(root: Path, map) -> dict[str, str]:
+    files = [p for p in sorted(root.rglob("*")) if p.is_file()]
+    return dict(zip((p.relative_to(root).as_posix() for p in files), map(_sha256_file, files)))
 
 
 def discover_subject_inputs(directory: str | Path, task: TaskId | str) -> SubjectInputs:
@@ -273,6 +276,7 @@ class _Run:
     warnings: list[str]
     # (forward transform, native grid) when native-space output is asked for
     native: tuple[AffineTransform, GridSpec] | None
+    map: Callable  # the run's pool's ordered map, for independent items
 
 
 @dataclass(frozen=True)
@@ -293,7 +297,7 @@ class _Product:
 def _run_jobs(
     run: _Run, entries: list[AlgorithmEntry], stage_dir: Path
 ) -> list[tuple[AlgorithmEntry, "JobResult | Exception", Path]]:
-    """Pull and run every entry with bounded parallelism.
+    """Pull and run every entry on the run's pool.
 
     Engine exceptions are captured per job so one bad image cannot abort the
     survivors.
@@ -324,11 +328,9 @@ def _run_jobs(
         except Exception as exc:  # captured per job, reported in the manifest
             return exc
 
-    with ThreadPoolExecutor(max_workers=run.config.parallel_jobs) as pool:
-        outcomes = list(pool.map(run_one, entries))
     return [
         (entry, outcome, jobs_root / entry.id)
-        for entry, outcome in zip(entries, outcomes)
+        for entry, outcome in zip(entries, run.map(run_one, entries))
     ]
 
 
@@ -369,39 +371,45 @@ def _collect(run: _Run, outcomes, stem: str, noun: str, vet=None):
 
     ``vet(volume)`` raises ``ValueError`` or :class:`UnknownLabel` to reject
     an output; what it returns is kept with the accepted output (None
-    without ``vet``). Raises when no output is accepted.
+    without ``vet``). An output whose header declares another grid than
+    the input grid is rejected before its voxels are read. Raises when no
+    output is accepted.
     """
-    job_rows: list[dict] = []
-    accepted: list[tuple[AlgorithmEntry, Volume, Path, object]] = []
-    for entry, outcome, out_dir in outcomes:
+
+    def on_input_grid(shape, affine):
+        try:
+            grid = GridSpec(shape, affine)
+        except BrainorchError:
+            return  # the read refuses this affine itself
+        problem = grid_mismatch(grid, run.grid, "the input grid")
+        if problem is not None:
+            raise GridMismatch(problem)
+
+    def one(item):
+        """``(job row, warning or None, accepted output or None)``."""
+        entry, outcome, out_dir = item
         if isinstance(outcome, Exception):
-            job_rows.append(dict(id=entry.id, image_reference=entry.image_reference, status=STATUS_ENGINE_ERROR,
-                                 exit_code=None, duration_seconds=0.0, error=str(outcome)))
-            run.warnings.append(f"{entry.id}: {outcome}")
-            continue
+            row = dict(id=entry.id, image_reference=entry.image_reference, status=STATUS_ENGINE_ERROR,
+                       exit_code=None, duration_seconds=0.0, error=str(outcome))
+            return row, f"{entry.id}: {outcome}", None
         row = {"id": entry.id, **outcome.to_json_dict()}
-        job_rows.append(row)
         if not outcome.ok:
             tail = outcome.log_excerpt.strip().splitlines()
             detail = f" ({tail[-1]})" if tail else ""
-            run.warnings.append(f"{entry.id}: job {outcome.status}{detail}")
-            continue
+            return row, f"{entry.id}: job {outcome.status}{detail}", None
         path = _pick_output_file(outcome, preferred_stems=(stem,))
         if path is None:
-            run.warnings.append(f"{entry.id}: job succeeded but produced no unambiguous {noun}")
-            continue
-        unsafe = _unsafe_output(path, out_dir)
-        if unsafe is not None:
-            run.warnings.append(f"{entry.id}: rejected candidate: {unsafe}")
-            continue
-        try:
-            vol = read_volume(path)
-        except BrainorchError as exc:
-            # Name the file within the bundle: the staging path is the host's and new each run.
-            reason = str(exc).replace(str(path), path.relative_to(run.bundle).as_posix())
-            run.warnings.append(f"{entry.id}: unreadable {noun} {path.name}: {reason}")
-            continue
-        problem = grid_mismatch(vol, run.grid, "the input grid")
+            return row, f"{entry.id}: job succeeded but produced no unambiguous {noun}", None
+        problem = _unsafe_output(path, out_dir)
+        if problem is None:
+            try:
+                vol = read_volume(path, check_grid=on_input_grid)
+            except GridMismatch as exc:
+                problem = str(exc)
+            except BrainorchError as exc:
+                # Name the file within the bundle: the staging path is the host's and new each run.
+                reason = str(exc).replace(str(path), path.relative_to(run.bundle).as_posix())
+                return row, f"{entry.id}: unreadable {noun} {path.name}: {reason}", None
         vetted = None
         if problem is None and vet is not None:
             try:
@@ -409,10 +417,18 @@ def _collect(run: _Run, outcomes, stem: str, noun: str, vet=None):
             except (ValueError, UnknownLabel) as exc:
                 problem = str(exc)
         if problem is not None:
-            run.warnings.append(f"{entry.id}: rejected candidate: {problem}")
-            continue
+            return row, f"{entry.id}: rejected candidate: {problem}", None
         row["candidate"] = True
-        accepted.append((entry, vol, path, vetted))
+        return row, None, (entry, vol, path, vetted)
+
+    job_rows: list[dict] = []
+    accepted: list[tuple[AlgorithmEntry, Volume, Path, object]] = []
+    for row, warning, kept in run.map(one, outcomes):
+        job_rows.append(row)
+        if warning is not None:
+            run.warnings.append(warning)
+        if kept is not None:
+            accepted.append(kept)
     if not accepted:
         exceptions = [o for _, o, _ in outcomes if isinstance(o, Exception)]
         if exceptions and len(exceptions) == len(outcomes) and all(
@@ -472,59 +488,61 @@ def _staged_run(
 ) -> OutputBundle:
     """Validate, stage, run the jobs, let ``produce`` make the outputs, warp
     them to native space on request, and publish one hashed bundle."""
-    report = validate_subject(inputs, task, config.native_space_output)
-    if not report.passed:
-        raise ValidationFailed(report)
-    target = config.output_dir / inputs.subject_id / task.task_id.value
-    _refuse_collision(target, config.force)  # before any container runs
+    with ThreadPoolExecutor(max_workers=config.parallel_jobs) as pool:
+        report = validate_subject(inputs, task, config.native_space_output, map=pool.map)
+        if not report.passed:
+            raise ValidationFailed(report)
+        target = config.output_dir / inputs.subject_id / task.task_id.value
+        _refuse_collision(target, config.force)  # before any container runs
 
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    staging_root = config.output_dir / f".staging-{inputs.subject_id}-{task.task_id.value}-{uuid.uuid4().hex[:8]}"
-    bundle = staging_root / "bundle"
-    warnings = [f"{f.code}: {f.message}" for f in report.warnings]
-    try:
-        stage_dir = bundle / "work" / "input"
-        # A passing report decoded exactly the inputs this task consumes.
-        staged = _stage_inputs(inputs, report.grids, stage_dir)
-        run = _Run(inputs, task, config, bundle, report.grids[min(staged)], warnings, report.native)
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+        staging_root = config.output_dir / f".staging-{inputs.subject_id}-{task.task_id.value}-{uuid.uuid4().hex[:8]}"
+        bundle = staging_root / "bundle"
+        warnings = [f"{f.code}: {f.message}" for f in report.warnings]
+        try:
+            stage_dir = bundle / "work" / "input"
+            # A passing report decoded exactly the inputs this task consumes.
+            staged = _stage_inputs(inputs, report.grids, stage_dir)
+            run = _Run(inputs, task, config, bundle, report.grids[min(staged)], warnings, report.native, pool.map)
 
-        logger.info(
-            "running %d algorithm(s) for %s/%s", len(entries), inputs.subject_id, task.task_id.value
-        )
-        product = produce(run, _run_jobs(run, entries, stage_dir))
+            logger.info(
+                "running %d algorithm(s) for %s/%s", len(entries), inputs.subject_id, task.task_id.value
+            )
+            product = produce(run, _run_jobs(run, entries, stage_dir))
 
-        native_rel: dict[str, str] = {}
-        if run.native is not None:
-            native_rel[product.native_name] = _warp_to_native(run, product)
+            native_rel: dict[str, str] = {}
+            if run.native is not None:
+                native_rel[product.native_name] = _warp_to_native(run, product)
 
-        if config.keep_intermediate:
-            warnings.extend(_drop_non_regular(bundle / "work"))
-        manifest = {
-            "schema_version": MANIFEST_SCHEMA_VERSION,
-            "tool": "brainorch",
-            "tool_version": __version__,
-            "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "subject": inputs.subject_id,
-            "task": task.task_id.value,
-            "inputs": {
-                tag: {"file": staged[tag].name, "sha256": _sha256_file(staged[tag])}
-                for tag in sorted(staged)
-            },
-            "parallel_jobs": config.parallel_jobs,
-            "native_space_output": config.native_space_output,
-            **product.manifest,
-            "algorithms": product.job_rows,
-            "validation": report.to_json_dict(),
-            "warnings": warnings,
-        }
-        if not config.keep_intermediate:
-            shutil.rmtree(bundle / "work", ignore_errors=True)
-        manifest["files"] = _hash_tree(bundle)
-        manifest["content_digest"] = manifest_digest(manifest["files"])
-        (bundle / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        _atomic_publish(bundle, target, config.force)
-    finally:
-        shutil.rmtree(staging_root, ignore_errors=True)
+            if config.keep_intermediate:
+                warnings.extend(_drop_non_regular(bundle / "work"))
+            input_digests = dict(zip(staged, pool.map(_sha256_file, staged.values())))
+            manifest = {
+                "schema_version": MANIFEST_SCHEMA_VERSION,
+                "tool": "brainorch",
+                "tool_version": __version__,
+                "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+                "subject": inputs.subject_id,
+                "task": task.task_id.value,
+                "inputs": {
+                    tag: {"file": staged[tag].name, "sha256": input_digests[tag]}
+                    for tag in sorted(staged)
+                },
+                "parallel_jobs": config.parallel_jobs,
+                "native_space_output": config.native_space_output,
+                **product.manifest,
+                "algorithms": product.job_rows,
+                "validation": report.to_json_dict(),
+                "warnings": warnings,
+            }
+            if not config.keep_intermediate:
+                shutil.rmtree(bundle / "work", ignore_errors=True)
+            manifest["files"] = _hash_tree(bundle, pool.map)
+            manifest["content_digest"] = manifest_digest(manifest["files"])
+            (bundle / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            _atomic_publish(bundle, target, config.force)
+        finally:
+            shutil.rmtree(staging_root, ignore_errors=True)
 
     return OutputBundle(
         bundle_dir=target,
@@ -589,10 +607,10 @@ def _produce_segmentation(run: _Run, outcomes) -> _Product:
         # The consensus side is prepared once and shared by every candidate.
         box, spacing = candidate_set.box, result.consensus.spacing
         consensus = prepare_reference(result.consensus.data[box], task.labels, spacing)
-        scores = {
-            algo_id: compute_metric_report(consensus, vol.data[box], task.labels, spacing).to_json_dict()
-            for algo_id, vol in zip(ids, volumes)
-        }
+        reports = run.map(
+            lambda vol: compute_metric_report(consensus, vol.data[box], task.labels, spacing).to_json_dict(), volumes
+        )
+        scores = dict(zip(ids, reports))
         (bundle / "metrics.json").write_text(
             json.dumps({"reference": "consensus", "per_candidate": scores}, indent=2, sort_keys=True)
             + "\n"

@@ -6,12 +6,13 @@ error. Warnings (odd grids, suspicious intensities, stray files) leave the
 verdict at ``pass`` so desk-scale experiments are not blocked by data that
 is merely unusual.
 
-Each expected input is read once, in one pass: its grid is kept, its
-content is checked, and its voxels are dropped before the next read, so at
-most one decoded input is held at a time. The grids are then compared and
-handed on in the report, so a run need not decode any input again. An
-input whose name has no ``.nii``/``.nii.gz`` suffix is an error and is not
-read: staging names each input by its suffix.
+Each expected input is read once, by the ``map`` the caller hands in: its
+grid is kept, its content is checked and its voxels are dropped, so a map
+over n threads holds at most n decoded inputs, and findings keep the
+inputs' order. The grids are then compared and handed on in the report, so
+a run need not decode any input again. An input whose name has no
+``.nii``/``.nii.gz`` suffix is an error and is not read: staging names
+each input by its suffix.
 
 When native-space output is asked for and the task works in an atlas space,
 validation also reads the stored ``native-><atlas>`` transform and the
@@ -214,6 +215,18 @@ def _content_finding(tag: str, data: np.ndarray) -> Finding | None:
     return None
 
 
+def _decode(tag: str, path: Path) -> tuple[GridSpec | None, Finding | None]:
+    """``(grid, content finding or None)`` of one input, or ``(None, the
+    UNREADABLE_INPUT error)``. The decoded voxels do not outlive the call."""
+    if not nifti_suffix(path):
+        return None, Finding(SEVERITY_ERROR, UNREADABLE_INPUT, f"{tag} ({path.name}): not a .nii or .nii.gz file")
+    try:
+        vol = read_volume(path)
+    except BrainorchError as exc:
+        return None, Finding(SEVERITY_ERROR, UNREADABLE_INPUT, f"{tag} ({path.name}): {exc}")
+    return GridSpec.from_volume(vol), _content_finding(tag, vol.data)
+
+
 def _required_tags(task: TaskSpec, inputs: SubjectInputs) -> tuple[list[str], list[Finding]]:
     """Resolve which tags this run needs, applying the task's input policy."""
     findings: list[Finding] = []
@@ -290,14 +303,15 @@ def _native_context(
 
 
 def validate_subject(
-    inputs: SubjectInputs, task: TaskSpec, native_space_output: bool = False
+    inputs: SubjectInputs, task: TaskSpec, native_space_output: bool = False, map=map
 ) -> ValidationReport:
     """Validate one subject's inputs against a task contract.
 
     Always returns a report; the verdict is ``fail`` iff any finding has
     error severity. With ``native_space_output`` and an atlas-space task,
     the native context is checked last and, when whole, rides on the
-    report's ``native``.
+    report's ``native``. ``map`` decodes the inputs (the built-in one, or
+    an executor's ordered map); its results are folded in input order.
     """
     findings: list[Finding] = []
 
@@ -331,27 +345,15 @@ def validate_subject(
             Finding(SEVERITY_WARNING, UNEXPECTED_FILE, f"unrecognized file {path.name}")
         )
 
-    # One pass: each input is read, its grid kept and its content checked,
-    # then its voxels are dropped before the next read.
     grids: dict[str, GridSpec] = {}
     content_findings: list[Finding | None] = []
-    for tag in expected_tags:
-        path = inputs.files[tag]
-        if not nifti_suffix(path):
-            findings.append(
-                Finding(SEVERITY_ERROR, UNREADABLE_INPUT, f"{tag} ({path.name}): not a .nii or .nii.gz file")
-            )
-            continue
-        try:
-            vol = read_volume(path)
-        except BrainorchError as exc:
-            findings.append(
-                Finding(SEVERITY_ERROR, UNREADABLE_INPUT, f"{tag} ({path.name}): {exc}")
-            )
-            continue
-        grids[tag] = GridSpec.from_volume(vol)
-        content_findings.append(_content_finding(tag, vol.data))
-        del vol
+    decoded = map(_decode, expected_tags, [inputs.files[tag] for tag in expected_tags])
+    for tag, (grid, finding) in zip(expected_tags, decoded):
+        if grid is None:
+            findings.append(finding)
+        else:
+            grids[tag] = grid
+            content_findings.append(finding)
 
     findings.extend(check_grid_consistency(grids))
     findings.extend(f for f in content_findings if f is not None)

@@ -7,8 +7,11 @@ import errno
 import gzip
 import hashlib
 import json
+import struct
+import tracemalloc
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from brainorch.errors import (
     ValidationFailed,
 )
 from brainorch.fusion import METHOD_SIMPLE, CandidateSet
+from brainorch.geometry import GridSpec
 from brainorch.nifti import Volume, read_volume, write_mask, write_volume
 from brainorch.pipeline import (
     PipelineConfig,
@@ -35,13 +39,14 @@ from brainorch.pipeline import (
     run_synthesis,
 )
 from brainorch.registry import TaskId, get_task_spec, load_catalog
-from brainorch.runtime import MockBehavior, MockEngine
+from brainorch.runtime import JobResult, MockBehavior, MockEngine
 
 from fixtures_e2e import (
     E2E_ALGOS,
     E2E_SHAPE,
     add_native_context,
     behaviors_payload,
+    catalog_override_payload,
     e2e_affine,
     expected_candidate_masks,
     fake_digest,
@@ -175,6 +180,87 @@ def test_bundle_digest_is_parallelism_invariant(tmp_path, gli_subject, override_
         consensus_bytes.append(bundle.consensus_path.read_bytes())
     assert digests[0] == digests[1]
     assert consensus_bytes[0] == consensus_bytes[1]
+
+
+def test_a_manifest_with_every_kind_of_rejection_is_parallelism_invariant(tmp_path, gli_subject):
+    # Five outputs that each end differently, between the three good ones.
+    def unreadable(spec):
+        (Path(spec.output_dir) / "seg.nii.gz").write_bytes(b"not a NIfTI file")
+
+    def off_grid(spec):
+        write_mask(Volume(data=np.ones((8, 8, 8), dtype=np.uint8), affine=np.eye(4)), Path(spec.output_dir) / "seg.nii.gz")
+
+    stray_label = {
+        "path": "seg.nii.gz",
+        "generator": "label_blobs",
+        "like": "*-t1c.nii*",
+        "blobs": [{"label": 9, "center": [16, 16, 10], "radius": 4}],
+    }
+    odd = {
+        "mock-failed": {"exit_code": 1, "stderr": "out of memory"},
+        "mock-crash": {"fail_engine": True},
+        "mock-stray": {"outputs": (stray_label,)},
+        "mock-off-grid": {"outputs": (off_grid,)},
+        "mock-unreadable": {"outputs": (unreadable,)},
+    }
+    payload = catalog_override_payload()
+    for rank, algo_id in enumerate(odd, start=4):
+        payload["algorithms"].append(
+            {**payload["algorithms"][0], "id": algo_id, "rank": rank, "team_reference": f"{algo_id} stub",
+             "image_reference": f"example/{algo_id}@sha256:{fake_digest(algo_id)}"}
+        )
+    (tmp_path / "catalog.json").write_text(json.dumps(payload))
+    catalog = load_catalog(tmp_path / "catalog.json")
+    selectors = ("mock-failed", "mock-gli-1", "mock-crash", "mock-stray", "mock-gli-2", "mock-off-grid",
+                 "mock-unreadable", "mock-gli-3")
+    inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
+    manifests = []
+    for jobs in (1, 3):
+        engine = engine_with()
+        for algo_id, fields in odd.items():
+            engine.register(f"example/{algo_id}", MockBehavior(content_digest="sha256:" + fake_digest(algo_id), **fields))
+        config = gli_config(tmp_path / f"run{jobs}", engine, catalog, algorithm_selectors=selectors, parallel_jobs=jobs)
+        manifest = run_inference(inputs, config).manifest
+        assert manifest["parallel_jobs"] == jobs
+        del manifest["created_at"], manifest["parallel_jobs"]
+        manifests.append(manifest)
+    assert [row["id"] for row in manifests[0]["algorithms"]] == list(selectors)
+    assert [w.split(":")[0] for w in manifests[0]["warnings"] if w.startswith("mock-")] == list(odd)
+    assert manifests[0] == manifests[1]
+
+
+def test_a_candidate_declaring_another_grid_is_refused_before_its_voxels_are_read(tmp_path):
+    # A 2³ mask's header, declaring 600³ uint8 (216 MB), over a gzip stream
+    # of that many zeros: about 210 KB on disk.
+    out_dir = tmp_path / "bundle" / "work" / "jobs" / "mock-huge"
+    out_dir.mkdir(parents=True)
+    small = write_mask(Volume(data=np.zeros((2, 2, 2), dtype=np.uint8), affine=e2e_affine()), tmp_path / "small.nii")
+    header = bytearray(small.read_bytes()[:352])
+    struct.pack_into("<3h", header, 42, 600, 600, 600)  # dim[1..3]
+    path = out_dir / "seg.nii.gz"
+    with gzip.GzipFile(path, "wb", compresslevel=1, mtime=0) as gz:
+        gz.write(header)
+        zeros = bytes(1 << 20)
+        for _ in range(600**3 >> 20):
+            gz.write(zeros)
+        gz.write(bytes(600**3 % (1 << 20)))
+    del zeros
+    grid = GridSpec((96, 96, 60), e2e_affine())
+    one_input_volume = 96 * 96 * 60  # bytes of a uint8 mask on the input grid
+    run = pipeline._Run(None, None, None, tmp_path / "bundle", grid, [], None, map)
+    result = JobResult("example/mock-huge", "succeeded", 0, 0.0, "", (path,))
+    entry = SimpleNamespace(id="mock-huge", image_reference="example/mock-huge")
+    tracemalloc.start()
+    try:
+        with pytest.raises(AllJobsFailed):
+            pipeline._collect(run, [(entry, result, out_dir)], "seg", "mask")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.warnings == [
+        "mock-huge: rejected candidate: shape (600, 600, 600) does not match the input grid (96, 96, 60)"
+    ]
+    assert peak <= one_input_volume, f"peak {peak} bytes"
 
 
 def test_single_algorithm_skips_fusion_and_metrics(tmp_path, gli_subject, mock_engine, override_catalog):

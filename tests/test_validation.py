@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -293,6 +294,40 @@ def test_validation_holds_one_decoded_input_at_a_time(tmp_path):
         tracemalloc.stop()
     assert report.passed
     assert peak < 2 * one_input, f"peak {peak / one_input:.2f}x one input"
+
+
+def test_a_two_thread_map_finds_what_the_serial_one_finds_holding_two_inputs(tmp_path):
+    shape = (64, 64, 40)
+    rng = np.random.default_rng(3)
+    files = {}
+    for tag in ("T1c", "T1n", "T2w", "FLA"):
+        data = rng.gamma(2.0, 50.0, size=shape).astype(np.float32)
+        files[tag] = write_volume(Volume(data=data, affine=e2e_affine()), tmp_path / f"{tag}.nii")
+    one_input = 4 * shape[0] * shape[1] * shape[2]
+    spec = get_task_spec("gli-pre")
+    good = SubjectInputs(subject_id="sub-21", files=files)
+    # An unreadable input and a non-NIfTI one between good ones.
+    (tmp_path / "T1n-bad.nii").write_bytes(b"not a NIfTI file")
+    damaged = SubjectInputs(
+        subject_id="sub-21", files={**files, "T1n": tmp_path / "T1n-bad.nii", "T2w": tmp_path / "T2w.img"}
+    )
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        tracemalloc.start()
+        try:
+            report = validate_subject(good, spec, map=pool.map)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report == validate_subject(good, spec)
+        assert peak < 2.5 * one_input, f"peak {peak / one_input:.2f}x one input"
+
+        threaded = validate_subject(damaged, spec, map=pool.map)
+    serial = validate_subject(damaged, spec)
+    assert [f.code for f in serial.errors] == [UNREADABLE_INPUT, UNREADABLE_INPUT]
+    assert threaded == serial
+    assert {t: (g.shape, g.affine.tolist()) for t, g in threaded.grids.items()} == {
+        t: (g.shape, g.affine.tolist()) for t, g in serial.grids.items()
+    }
 
 
 def test_check_grid_consistency_trivial_cases():
