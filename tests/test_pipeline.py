@@ -244,7 +244,6 @@ def test_a_candidate_declaring_another_grid_is_refused_before_its_voxels_are_rea
         for _ in range(600**3 >> 20):
             gz.write(zeros)
         gz.write(bytes(600**3 % (1 << 20)))
-    del zeros
     grid = GridSpec((96, 96, 60), e2e_affine())
     one_input_volume = 96 * 96 * 60  # bytes of a uint8 mask on the input grid
     run = pipeline._Run(None, None, None, tmp_path / "bundle", grid, [], None, map)
