@@ -31,7 +31,7 @@ from .metrics import (
     nsd,
     prepare_reference,
 )
-from .nifti import NiftiHeader, Volume, read_volume, write_mask, write_volume
+from .nifti import Volume, read_volume, write_mask, write_volume
 from .pipeline import (
     OutputBundle,
     PipelineConfig,
@@ -69,7 +69,6 @@ __all__ = [
     "Label",
     "MetricReport",
     "MockEngine",
-    "NiftiHeader",
     "OutputBundle",
     "PipelineConfig",
     "SimpleParams",

@@ -424,9 +424,5 @@ def main(argv=None) -> int:
         return _report_error(args, EXIT_RUNTIME, exc, f"unexpected error: {exc!r}")
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

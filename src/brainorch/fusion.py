@@ -173,7 +173,7 @@ def vet_candidate(data: np.ndarray, labels, name: str) -> tuple[slice, ...]:
     return box
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
     """Candidate masks on one shared grid with a declared label set.
 
@@ -186,7 +186,7 @@ class CandidateSet:
     masks: tuple[Volume, ...]
     source_ids: tuple[str, ...]
     labels: tuple[Label, ...]
-    boxes: tuple[tuple[slice, ...], ...] = field(init=False, repr=False, compare=False)
+    boxes: tuple[tuple[slice, ...], ...] = field(init=False, repr=False)
     _vetted_boxes: InitVar[tuple | None] = None
 
     def __post_init__(self, _vetted_boxes):
@@ -251,7 +251,7 @@ class CandidateSet:
         return box_union(self.boxes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusionResult:
     """Consensus mask plus everything needed to audit how it was reached."""
 

@@ -70,7 +70,8 @@ ATLAS_SPACES = ("SRI24", "MNI152")
 
 @dataclass(frozen=True)
 class AffineTransform:
-    """A 4x4 voxel-world affine map between two tagged spaces."""
+    """A 4x4 voxel-world affine map between two tagged spaces. Equal
+    transforms have the same tags and the same matrix."""
 
     matrix: np.ndarray
     source_space: str
@@ -83,6 +84,12 @@ class AffineTransform:
         matrix = checked_affine(self.matrix, "transform matrix", MalformedTransform, SingularTransform)
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
+
+    def __eq__(self, other):
+        if not isinstance(other, AffineTransform):
+            return NotImplemented
+        same_tags = (self.source_space, self.target_space) == (other.source_space, other.target_space)
+        return same_tags and np.array_equal(self.matrix, other.matrix)
 
 
 def invert_affine(transform: AffineTransform) -> AffineTransform:
@@ -123,7 +130,9 @@ GRID_ATOL_MM = 1e-3
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A sampling grid: integer extents plus a voxel-to-world affine."""
+    """A sampling grid: integer extents plus a voxel-to-world affine. Equal
+    grids have the same extents and the same affine (exactly; see
+    :func:`grid_difference` for agreement within a tolerance)."""
 
     shape: tuple[int, int, int]
     affine: np.ndarray
@@ -138,6 +147,11 @@ class GridSpec:
         affine.setflags(write=False)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "affine", affine)
+
+    def __eq__(self, other):
+        if not isinstance(other, GridSpec):
+            return NotImplemented
+        return self.shape == other.shape and np.array_equal(self.affine, other.affine)
 
     @property
     def spacing(self) -> np.ndarray:

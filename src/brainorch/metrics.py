@@ -200,7 +200,7 @@ def dice_from_counts(intersection: int, size_a: int, size_b: int) -> float:
     return 2.0 * intersection / total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelSurface:
     """One binary mask, ready for scoring: the mask, its voxel count, its
     surface map, the surface voxels in C scan order, and a KD-tree over
@@ -328,7 +328,7 @@ def nsd(
     return _pair_scores(a, b, spacing, DEFAULT_HAUSDORFF_PERCENTILE, tolerance_mm)[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentLabeling:
     """Connected components with deterministic ids 1..count."""
 
@@ -494,7 +494,7 @@ class MetricReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreparedReference:
     """A reference mask made ready to score predictions against: per label
     code its :class:`LabelSurface`, and the lesions of its foreground."""

@@ -5,27 +5,27 @@ datatypes used by the pipeline (uint8, int16, int32, float32, float64).
 Little- and big-endian files are detected automatically via ``sizeof_hdr``:
 a native read yields 348, a byte-swapped one yields 1543569408.
 
-Reading keeps the raw header around so that a subsequent write preserves
-fields this package does not own (descrip, intent, quaternion, extensions)
-byte-for-byte, along with the source byte order. Fresh volumes are written
-little-endian with ``vox_offset`` 352 and an empty extension block.
+A read volume is its voxels and its affine: the reader skips the extension
+block and keeps no header. Every write gets a fresh little-endian header
+with ``vox_offset`` 352, an empty extension block and the affine as sform.
 
 Both readers make one pass over one stream, at most 1 MiB at a time: a
 gzip envelope (found by magic bytes, not by extension) through one
 :class:`gzip.GzipFile`, any other file as it is. The header is parsed first;
-the extension block and the payload go straight into their buffers; the rest
-of a gzip stream is inflated and counted, so every member's CRC is checked.
-Before anything is allocated, the declared payload must be at most
-``MAX_PAYLOAD_BYTES`` and ``vox_offset`` plus the payload must fit in what
+the extension block is skipped with one seek; the payload goes straight into
+its array; the rest of a gzip stream is inflated and counted, so every
+member's CRC is checked. Before anything is allocated, the declared payload
+must be at most ``MAX_PAYLOAD_BYTES``, the header affine must pass
+:func:`checked_affine`, and ``vox_offset`` plus the payload must fit in what
 the file can decode to: its size, or 1032 times it for gzip (deflate's
 ceiling). :func:`read_grid` keeps no voxels; of an uncompressed file it
 reads only the header.
 
 The writer mirrors the readers: it opens the target once (through one
 :class:`gzip.GzipFile` when the name ends in ``.gz``) and writes the header,
-the extension block, then the payload in Fortran order, one last-axis plane
-at a time, each plane converted to the stored dtype and byte order as it
-goes, so no full-size copy of the payload is made. The gzip header carries
+the empty extension block, then the payload in Fortran order, one last-axis
+plane at a time, each plane converted to the stored dtype and byte order as
+it goes, so no full-size copy of the payload is made. The gzip header carries
 no file name (``filename=""``; given a named file object, GzipFile would
 store its name) and a zeroed mtime, so identical volumes produce identical
 files whatever they are called.
@@ -137,24 +137,14 @@ def _header_dtype(byte_order: str) -> np.dtype:
 
 @dataclass
 class NiftiHeader:
-    """Parsed header plus the raw bytes needed for faithful rewrites.
-
-    ``raw`` is a zero-dimensional structured array kept in the file's byte
-    order; ``extension_bytes`` holds everything between the header and the
-    voxel data (at minimum the 4-byte extender), read from disk into one
-    ``bytearray`` that is not copied again.
-    """
+    """A parsed header: ``raw`` is a zero-dimensional structured array in
+    the file's byte order."""
 
     raw: np.ndarray
     byte_order: str
-    extension_bytes: bytes | bytearray
 
     def _get(self, name: str):
         return self.raw[name][()]
-
-    @property
-    def sizeof_hdr(self) -> int:
-        return int(self._get("sizeof_hdr"))
 
     @property
     def dim(self) -> np.ndarray:
@@ -191,10 +181,6 @@ class NiftiHeader:
     @property
     def sform_code(self) -> int:
         return int(self._get("sform_code"))
-
-    @property
-    def descrip(self) -> bytes:
-        return bytes(self._get("descrip"))
 
     @property
     def magic(self) -> bytes:
@@ -257,9 +243,6 @@ class NiftiHeader:
         out[0, 0], out[1, 1], out[2, 2] = pd[1], pd[2], pd[3]
         return out
 
-    def copy(self) -> "NiftiHeader":
-        return NiftiHeader(self.raw.copy(), self.byte_order, self.extension_bytes)
-
 
 def checked_affine(matrix, what: str, malformed: type, singular: type) -> np.ndarray:
     """A float64 copy of ``matrix`` if it is a voxel-to-world affine.
@@ -282,19 +265,16 @@ def checked_affine(matrix, what: str, malformed: type, singular: type) -> np.nda
     return affine
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Volume:
     """A 3-D array bound to a voxel-to-world affine.
 
-    Treat instances as immutable after construction; derive new volumes via
-    :meth:`with_data` instead of mutating ``data`` in place. ``header`` is
-    present only on volumes read from disk and carries the original bytes so
-    rewrites retain fields this package does not own.
+    Treat instances as immutable after construction: build a new volume
+    instead of mutating ``data`` in place. Volumes compare by identity.
     """
 
     data: np.ndarray
     affine: np.ndarray
-    header: NiftiHeader | None = None
 
     def __post_init__(self):
         data = np.asarray(self.data)
@@ -312,11 +292,6 @@ class Volume:
     def spacing(self) -> np.ndarray:
         """Voxel spacing in mm, derived from the affine column norms."""
         return np.sqrt((self.affine[:3, :3] ** 2).sum(axis=0))
-
-    def with_data(self, data: np.ndarray) -> "Volume":
-        """Same grid, new voxels. Drops the retained header: the new array
-        need not match the original on-disk datatype."""
-        return Volume(data=data, affine=self.affine)
 
 
 # Largest piece read at once, from the file or out of the inflater.
@@ -347,7 +322,7 @@ def _fill(stream, buf) -> int:
 
 def _parse_header(blob: bytes, path: Path) -> NiftiHeader:
     """The header whose bytes are ``blob``: its ``HEADER_SIZE`` bytes, or
-    every byte of a shorter file. ``extension_bytes`` is left empty."""
+    every byte of a shorter file."""
     if len(blob) < HEADER_SIZE:
         raise MalformedHeader(f"{path}: file holds {len(blob)} bytes, header needs {HEADER_SIZE}")
     size_le = int.from_bytes(blob[:4], "little", signed=True)
@@ -360,10 +335,9 @@ def _parse_header(blob: bytes, path: Path) -> NiftiHeader:
         raise UnsupportedDatatype(f"{path}: NIfTI-2 file (sizeof_hdr 540); only NIfTI-1 is supported")
     else:
         raise MalformedHeader(f"{path}: sizeof_hdr is {size_le}, expected {HEADER_SIZE}")
-    # Kept as a 0-d structured array: field reads and writes work uniformly
-    # and tobytes() reproduces the exact 348-byte block.
-    raw = np.frombuffer(blob, dtype=_header_dtype(order), count=1).copy().reshape(())
-    header = NiftiHeader(raw=raw, byte_order=order, extension_bytes=b"")
+    # A 0-d structured array, so every field reads the same way.
+    raw = np.frombuffer(blob, dtype=_header_dtype(order), count=1).reshape(())
+    header = NiftiHeader(raw=raw, byte_order=order)
 
     magic = header.magic
     if magic == MAGIC_PAIR:
@@ -410,8 +384,8 @@ def _check_extent(header: NiftiHeader, need: int, size: int, path: Path, holds: 
 def _read(path: str | Path, voxels: bool, check_grid=None) -> tuple[NiftiHeader, np.ndarray, np.ndarray | None]:
     """The header, checked affine and, with ``voxels``, flat native-order
     payload of a single-file NIfTI-1 volume. Errors come in this order:
-    header fields, payload ceiling, ``vox_offset``, ``check_grid``, payload
-    length, affine."""
+    header fields, payload ceiling, affine, ``vox_offset``, ``check_grid``,
+    payload length."""
     path = Path(path)
     gz = False
     try:
@@ -426,16 +400,19 @@ def _read(path: str | Path, voxels: bool, check_grid=None) -> tuple[NiftiHeader,
                 need = count * dtype.itemsize
                 if need > MAX_PAYLOAD_BYTES:
                     raise UnsupportedDatatype(f"{path}: {need}-byte payload exceeds {MAX_PAYLOAD_BYTES} bytes")
+                affine = checked_affine(header.affine(), f"{path}: header affine", MalformedHeader, MalformedHeader)
                 # Before any allocation: the most the file can decode to.
                 most, holds = (_GZIP_MAX_RATIO * size, "can decode to at most") if gz else (size, "holds")
                 _check_extent(header, need, most, path, holds)
                 if check_grid is not None:
-                    check_grid(header.shape3(), header.affine())
-                decoded, flat = (HEADER_SIZE if gz or voxels else size), None
-                if voxels:  # the extension block is kept in the buffer it is read into
-                    header.extension_bytes = bytearray(header.vox_offset - HEADER_SIZE)
+                    check_grid(header.shape3(), affine)
+                decoded, flat = (HEADER_SIZE if gz else size), None
+                if voxels:
+                    # Skip the extension block. A gzip seek returns the position it reached;
+                    # a raw file's size has passed _check_extent.
+                    decoded = stream.seek(header.vox_offset)
                     flat = np.empty(count, dtype)
-                    decoded += _fill(stream, header.extension_bytes) + _fill(stream, flat.view(np.uint8))
+                    decoded += _fill(stream, flat.view(np.uint8))
                 if gz:  # inflate the rest, so every member's checksum is checked
                     scratch = bytearray(_CHUNK)
                     while n := _fill(stream, scratch):
@@ -443,7 +420,6 @@ def _read(path: str | Path, voxels: bool, check_grid=None) -> tuple[NiftiHeader,
     except (OSError, EOFError, zlib.error) as exc:
         raise IoFailure(f"cannot {'decompress' if gz else 'read'} {path}: {exc}") from exc
     _check_extent(header, need, decoded, path)
-    affine = checked_affine(header.affine(), f"{path}: header affine", MalformedHeader, MalformedHeader)
     if flat is not None and not dtype.isnative:
         flat = flat.byteswap(inplace=True).view(dtype.newbyteorder("="))
     return header, affine, flat
@@ -463,7 +439,7 @@ def read_volume(path: str | Path, check_grid=None) -> Volume:
     Returns a :class:`Volume` whose data has intensity scaling applied
     whenever the header carries a real transform (slope outside {0, 1}, or
     slope 1 with a nonzero intercept); scaled data comes back as float64.
-    The data is read-only; the parsed header rides along for rewrites.
+    The data is read-only; the header and the extension block are not kept.
     ``check_grid(shape, affine)``, when given, sees the header's grid before
     any voxel is allocated or read; what it raises propagates.
     """
@@ -475,7 +451,7 @@ def read_volume(path: str | Path, check_grid=None) -> Volume:
     elif slope == 1.0 and inter != 0.0:
         data = data.astype(np.float64) + inter
     data.setflags(write=False)
-    return Volume(data=data, affine=affine, header=header)
+    return Volume(data=data, affine=affine)
 
 
 def _check_representable(data: np.ndarray, target: np.dtype) -> None:
@@ -497,39 +473,27 @@ def _check_representable(data: np.ndarray, target: np.dtype) -> None:
                 )
 
 
-def _build_header(vol: Volume, code: int, byte_order: str) -> tuple[np.ndarray, bytes]:
-    if vol.header is not None:
-        raw = vol.header.raw.copy()
-        ext = vol.header.extension_bytes
-    else:
-        raw = np.zeros((), dtype=_header_dtype(byte_order))
-        ext = b"\x00\x00\x00\x00"
-
+def _build_header(vol: Volume, code: int) -> bytes:
+    """The little-endian header and empty extender that precede ``vol``'s
+    payload stored as datatype ``code``."""
     shape = vol.shape
     if max(shape) > np.iinfo(np.int16).max:
         raise UnrepresentableData(f"extent {max(shape)} exceeds the int16 dim field")
-
+    raw = np.zeros((), dtype=_header_dtype("<"))
     raw["sizeof_hdr"] = HEADER_SIZE
     raw["magic"] = MAGIC_SINGLE
     raw["dim"] = [3, shape[0], shape[1], shape[2], 1, 1, 1, 1]
     raw["datatype"] = code
     raw["bitpix"] = _BITPIX[code]
-    pixdim = np.asarray(raw["pixdim"], dtype=np.float64).copy()
-    pixdim[1:4] = vol.spacing
-    pixdim[4:] = 0.0
-    if vol.header is None or vol.header.qform_code <= 0:
-        pixdim[0] = 0.0
-    raw["pixdim"] = pixdim
-    raw["vox_offset"] = float(HEADER_SIZE + len(ext))
+    raw["pixdim"] = [0.0, *vol.spacing, 0.0, 0.0, 0.0, 0.0]
+    raw["vox_offset"] = float(MIN_VOX_OFFSET)
     # Values are stored fully resolved; no read-time scaling is wanted.
     raw["scl_slope"] = 1.0
-    raw["scl_inter"] = 0.0
-    sform_code = vol.header.sform_code if vol.header is not None else 0
-    raw["sform_code"] = sform_code if sform_code > 0 else 1
+    raw["sform_code"] = 1
     raw["srow_x"] = vol.affine[0]
     raw["srow_y"] = vol.affine[1]
     raw["srow_z"] = vol.affine[2]
-    return raw, ext
+    return raw.tobytes() + bytes(MIN_VOX_OFFSET - HEADER_SIZE)
 
 
 def write_volume(vol: Volume, path: str | Path, *, dtype: np.dtype | type | None = None) -> Path:
@@ -538,9 +502,8 @@ def write_volume(vol: Volume, path: str | Path, *, dtype: np.dtype | type | None
 
     ``dtype`` overrides the stored datatype; values that cannot be represented
     losslessly in an integer target raise :class:`UnrepresentableData`, and
-    no file is written. Volumes read from disk are written back in their
-    source byte order with unowned header fields and extension bytes intact;
-    integer round trips are bit-exact.
+    no file is written. The header is always fresh and little-endian (see
+    the module docstring); integer round trips are bit-exact.
     """
     path = Path(path)
     target = np.dtype(dtype) if dtype is not None else vol.data.dtype
@@ -550,16 +513,14 @@ def write_volume(vol: Volume, path: str | Path, *, dtype: np.dtype | type | None
             f"{sorted(d.name for d in _DTYPE_TO_CODE)}"
         )
     _check_representable(vol.data, target)
-    byte_order = vol.header.byte_order if vol.header is not None else "<"
-    raw, ext = _build_header(vol, _DTYPE_TO_CODE[target], byte_order)
-    stored = target.newbyteorder(byte_order)
+    head = _build_header(vol, _DTYPE_TO_CODE[target])
+    stored = target.newbyteorder("<")
     gz = path.name.endswith(".gz")
     try:
         with path.open("wb") as f:
             # filename="": given a named file object, GzipFile writes its name into the gzip header.
             with gzip.GzipFile(filename="", fileobj=f, mode="wb", compresslevel=6, mtime=0) if gz else f as out:
-                out.write(raw.tobytes())
-                out.write(ext)
+                out.write(head)
                 for k in range(vol.shape[2]):  # Fortran order: one last-axis plane at a time
                     out.write(vol.data[:, :, k].astype(stored).tobytes(order="F"))
     except OSError as exc:

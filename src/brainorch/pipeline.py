@@ -377,11 +377,7 @@ def _collect(run: _Run, outcomes, stem: str, noun: str, vet=None):
     """
 
     def on_input_grid(shape, affine):
-        try:
-            grid = GridSpec(shape, affine)
-        except BrainorchError:
-            return  # the read refuses this affine itself
-        problem = grid_mismatch(grid, run.grid, "the input grid")
+        problem = grid_mismatch(GridSpec(shape, affine), run.grid, "the input grid")
         if problem is not None:
             raise GridMismatch(problem)
 
@@ -503,7 +499,9 @@ def _staged_run(
             stage_dir = bundle / "work" / "input"
             # A passing report decoded exactly the inputs this task consumes.
             staged = _stage_inputs(inputs, report.grids, stage_dir)
-            run = _Run(inputs, task, config, bundle, report.grids[min(staged)], warnings, report.native, pool.map)
+            # The run's grid is the one validation compared every input against: the first.
+            grid = next(iter(report.grids.values()))
+            run = _Run(inputs, task, config, bundle, grid, warnings, report.native, pool.map)
 
             logger.info(
                 "running %d algorithm(s) for %s/%s", len(entries), inputs.subject_id, task.task_id.value

@@ -619,6 +619,26 @@ def test_warp_trilinear_writes_float(capsys, tmp_path):
     np.testing.assert_allclose(got.data, vol.data, atol=1e-6)
 
 
+def test_warp_like_takes_the_target_grid_from_a_reference_file(capsys, tmp_path):
+    data = np.zeros((10, 10, 10), dtype=np.uint8)
+    data[3:6, 3:6, 3:6] = 1
+    src = write_mask(Volume(data=data, affine=np.eye(4)), tmp_path / "mask.nii.gz")
+    ref_affine = np.eye(4)
+    ref_affine[:3, 3] = (2.0, 0.0, -1.0)
+    ref = write_volume(Volume(data=np.zeros((6, 8, 12), dtype=np.float32), affine=ref_affine), tmp_path / "ref.nii")
+    sidecar = tmp_path / "sub_native2SRI24.json"
+    write_transform(AffineTransform(matrix=np.eye(4), source_space="native", target_space="SRI24"), sidecar)
+    out_path = tmp_path / "warped.nii.gz"
+    code, _, _ = run(capsys, ["warp", "-i", str(src), "-t", str(sidecar), "--like", str(ref), "-o", str(out_path)])
+    assert code == EXIT_OK
+    warped = read_volume(out_path)
+    np.testing.assert_array_equal(warped.affine, ref_affine)
+    # Reference voxel (i, j, k) sits on source voxel (i + 2, j, k - 1).
+    expected = np.zeros((6, 8, 12), dtype=np.uint8)
+    expected[:, :, 1:11] = data[2:8, 0:8, :]
+    np.testing.assert_array_equal(warped.data, expected)
+
+
 @pytest.mark.parametrize("matrix", ["abc", [[1, 2], [3]]], ids=["str", "ragged"])
 def test_warp_with_a_malformed_sidecar_exits_3(capsys, tmp_path, matrix):
     src = write_mask(Volume(data=np.ones((4, 4, 4), dtype=np.uint8), affine=np.eye(4)), tmp_path / "m.nii.gz")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import tracemalloc
 
@@ -30,7 +31,10 @@ from brainorch.geometry import (
     resample_mask,
     write_transform,
 )
+from brainorch.fusion import CandidateSet, fuse
+from brainorch.metrics import connected_components, prepare_reference
 from brainorch.nifti import Volume
+from brainorch.registry import Label
 
 import oracles
 
@@ -149,6 +153,32 @@ def test_grid_from_volume():
     grid = GridSpec.from_volume(vol)
     assert grid.shape == (3, 4, 5)
     np.testing.assert_array_equal(grid.affine, vol.affine)
+
+
+def test_no_public_type_raises_on_equality():
+    affine = np.diag([1.0, 1.0, 2.0, 1.0])
+    assert GridSpec((3, 4, 5), affine) == GridSpec((3, 4, 5), affine.copy())
+    assert GridSpec((3, 4, 5), affine) != GridSpec((3, 4, 6), affine)
+    assert GridSpec((3, 4, 5), affine) != GridSpec((3, 4, 5), np.eye(4))
+    assert identity_transform(matrix=affine) == identity_transform(matrix=affine.copy())
+    assert identity_transform(matrix=affine) != identity_transform()
+    assert identity_transform() != identity_transform(source="SRI24", target="native")
+    assert GridSpec((4, 4, 4), np.eye(4)) != identity_transform()
+
+    mask = np.zeros((4, 4, 4), dtype=np.uint8)
+    mask[1:3, 1:3, 1:3] = 1
+    vol = Volume(data=mask, affine=affine)
+    candidates = CandidateSet.from_volumes([vol, Volume(data=mask.copy(), affine=affine)])
+    records = [
+        vol,
+        candidates,
+        fuse(candidates),
+        connected_components(mask),
+        prepare_reference(mask, (Label(1, "L1"),), (1.0, 1.0, 2.0)),
+    ]
+    for record in records:  # records holding arrays compare by identity
+        assert record == record
+        assert record != copy.copy(record)
 
 
 # -- mask resampling ---------------------------------------------------------

@@ -230,36 +230,69 @@ def test_a_manifest_with_every_kind_of_rejection_is_parallelism_invariant(tmp_pa
 
 
 def test_a_candidate_declaring_another_grid_is_refused_before_its_voxels_are_read(tmp_path):
-    # A 2³ mask's header, declaring 600³ uint8 (216 MB), over a gzip stream
-    # of that many zeros: about 210 KB on disk.
-    out_dir = tmp_path / "bundle" / "work" / "jobs" / "mock-huge"
-    out_dir.mkdir(parents=True)
+    # A 2³ mask's header declaring n³ uint8, over a level-1 gzip stream of
+    # that many zeros: 600³ (216 MB, under 1 MB on disk), and 400³ (64 MB,
+    # 0.28 MB) with a NaN in srow_x, an affine the reader refuses.
     small = write_mask(Volume(data=np.zeros((2, 2, 2), dtype=np.uint8), affine=e2e_affine()), tmp_path / "small.nii")
-    header = bytearray(small.read_bytes()[:352])
-    struct.pack_into("<3h", header, 42, 600, 600, 600)  # dim[1..3]
-    path = out_dir / "seg.nii.gz"
-    with gzip.GzipFile(path, "wb", compresslevel=1, mtime=0) as gz:
-        gz.write(header)
-        zeros = bytes(1 << 20)
-        for _ in range(600**3 >> 20):
-            gz.write(zeros)
-        gz.write(bytes(600**3 % (1 << 20)))
     grid = GridSpec((96, 96, 60), e2e_affine())
     one_input_volume = 96 * 96 * 60  # bytes of a uint8 mask on the input grid
-    run = pipeline._Run(None, None, None, tmp_path / "bundle", grid, [], None, map)
-    result = JobResult("example/mock-huge", "succeeded", 0, 0.0, "", (path,))
     entry = SimpleNamespace(id="mock-huge", image_reference="example/mock-huge")
-    tracemalloc.start()
-    try:
-        with pytest.raises(AllJobsFailed):
-            pipeline._collect(run, [(entry, result, out_dir)], "seg", "mask")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert run.warnings == [
-        "mock-huge: rejected candidate: shape (600, 600, 600) does not match the input grid (96, 96, 60)"
-    ]
-    assert peak <= one_input_volume, f"peak {peak} bytes"
+    for n, srow_x, warning in [
+        (600, (1.0, 0.0, 0.0, -16.0),
+         "mock-huge: rejected candidate: shape (600, 600, 600) does not match the input grid (96, 96, 60)"),
+        (400, (float("nan"), 0.0, 0.0, -16.0),
+         "mock-huge: unreadable mask seg.nii.gz: work/jobs/mock-huge/seg.nii.gz: header affine must be finite"),
+    ]:
+        out_dir = tmp_path / f"bundle-{n}" / "work" / "jobs" / "mock-huge"
+        out_dir.mkdir(parents=True)
+        header = bytearray(small.read_bytes()[:352])
+        struct.pack_into("<3h", header, 42, n, n, n)  # dim[1..3]
+        struct.pack_into("<4f", header, 280, *srow_x)
+        path = out_dir / "seg.nii.gz"
+        with gzip.GzipFile(path, "wb", compresslevel=1, mtime=0) as gz:
+            gz.write(header)
+            zeros = bytes(1 << 20)
+            for _ in range(n**3 >> 20):
+                gz.write(zeros)
+            gz.write(bytes(n**3 % (1 << 20)))
+        run = pipeline._Run(None, None, None, tmp_path / f"bundle-{n}", grid, [], None, map)
+        result = JobResult("example/mock-huge", "succeeded", 0, 0.0, "", (path,))
+        tracemalloc.start()
+        try:
+            with pytest.raises(AllJobsFailed):
+                pipeline._collect(run, [(entry, result, out_dir)], "seg", "mask")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(run.warnings) == 1 and run.warnings[0].startswith(warning), run.warnings
+        assert peak <= one_input_volume, f"{n}³: peak {peak} bytes"
+
+
+def test_the_run_grid_is_the_grid_validation_compares_against(tmp_path, override_catalog, mock_engine):
+    # FLA's origin sits 0.0008 mm from T1c's, inside the grid tolerance.
+    subj = write_subject(tmp_path, "sub-01")
+    inputs = discover_subject_inputs(subj, TaskId.GLI_PRE)
+    nudged = e2e_affine()
+    nudged[0, 3] += 0.0008
+    fla = read_volume(inputs.files["FLA"])
+    write_volume(Volume(data=fla.data, affine=nudged), inputs.files["FLA"])
+    bundle = run_inference(inputs, gli_config(tmp_path, mock_engine, override_catalog))
+    np.testing.assert_array_equal(read_volume(bundle.consensus_path).affine, read_volume(inputs.files["T1c"]).affine)
+
+
+def test_a_job_whose_only_nifti_has_another_name_gives_the_candidate(tmp_path, gli_subject, override_catalog):
+    mask = expected_candidate_masks()["mock-gli-1"]
+
+    def renamed(spec):
+        write_mask(Volume(data=mask, affine=e2e_affine()), Path(spec.output_dir) / "prediction.nii.gz")
+        (Path(spec.output_dir) / "log.txt").write_text("done\n")
+
+    engine = engine_with({"example/mock-gli-1": {"outputs": (renamed,)}})
+    inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
+    bundle = run_inference(inputs, gli_config(tmp_path, engine, override_catalog))
+    assert set(bundle.per_algorithm_paths) == set(ALGO_IDS)
+    np.testing.assert_array_equal(read_volume(bundle.per_algorithm_paths["mock-gli-1"]).data, mask)
+    assert not any(w.startswith("mock-gli-1") for w in bundle.manifest["warnings"])
 
 
 def test_single_algorithm_skips_fusion_and_metrics(tmp_path, gli_subject, mock_engine, override_catalog):
