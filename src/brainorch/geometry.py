@@ -91,6 +91,9 @@ class AffineTransform:
         same_tags = (self.source_space, self.target_space) == (other.source_space, other.target_space)
         return same_tags and np.array_equal(self.matrix, other.matrix)
 
+    def __hash__(self):
+        return hash((self.source_space, self.target_space))
+
 
 def invert_affine(transform: AffineTransform) -> AffineTransform:
     """Inverse map with the space tags swapped."""
@@ -152,6 +155,9 @@ class GridSpec:
         if not isinstance(other, GridSpec):
             return NotImplemented
         return self.shape == other.shape and np.array_equal(self.affine, other.affine)
+
+    def __hash__(self):
+        return hash(self.shape)
 
     @property
     def spacing(self) -> np.ndarray:

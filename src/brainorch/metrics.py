@@ -336,10 +336,6 @@ class ComponentLabeling:
     count: int
     connectivity: int
 
-    def sizes(self) -> dict[int, int]:
-        counts = np.bincount(self.component_map.ravel(), minlength=self.count + 1)
-        return {cid: int(counts[cid]) for cid in range(1, self.count + 1)}
-
 
 def connected_components(mask: np.ndarray, connectivity: int = DEFAULT_CONNECTIVITY) -> ComponentLabeling:
     """Label 3-D connected components under 6, 18, or 26 connectivity.

@@ -14,12 +14,14 @@ gzip envelope (found by magic bytes, not by extension) through one
 :class:`gzip.GzipFile`, any other file as it is. The header is parsed first;
 the extension block is skipped with one seek; the payload goes straight into
 its array; the rest of a gzip stream is inflated and counted, so every
-member's CRC is checked. Before anything is allocated, the declared payload
-must be at most ``MAX_PAYLOAD_BYTES``, the header affine must pass
-:func:`checked_affine`, and ``vox_offset`` plus the payload must fit in what
-the file can decode to: its size, or 1032 times it for gzip (deflate's
-ceiling). :func:`read_grid` keeps no voxels; of an uncompressed file it
-reads only the header.
+member's CRC is checked. Before anything is allocated, one parse checks the
+header in this order: its fields, ``vox_offset`` at least 352, the declared
+payload at most ``MAX_PAYLOAD_BYTES``, then the affine (sform, else qform,
+else pixdim) through :func:`checked_affine`. Then ``vox_offset`` plus the
+payload must fit in what the file can decode to: its size, or 1032 times it
+for gzip (deflate's ceiling). Every error names the file.
+:func:`read_grid` keeps no voxels; of an uncompressed file it reads only
+the header.
 
 The writer mirrors the readers: it opens the target once (through one
 :class:`gzip.GzipFile` when the name ends in ``.gz``) and writes the header,
@@ -38,6 +40,7 @@ import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,7 +124,6 @@ SUPPORTED_DATATYPES = {
     DT_FLOAT64: np.float64,
 }
 _DTYPE_TO_CODE = {np.dtype(v): k for k, v in SUPPORTED_DATATYPES.items()}
-_BITPIX = {DT_UINT8: 8, DT_INT16: 16, DT_INT32: 32, DT_FLOAT32: 32, DT_FLOAT64: 64}
 
 # numpy S-fields strip trailing nulls on read and pad on write, so the
 # stripped forms compare and store correctly ("n+1\0" on disk).
@@ -133,115 +135,6 @@ def _header_dtype(byte_order: str) -> np.dtype:
     dt = np.dtype(_HEADER_FIELDS)
     assert dt.itemsize == HEADER_SIZE
     return dt.newbyteorder(byte_order)
-
-
-@dataclass
-class NiftiHeader:
-    """A parsed header: ``raw`` is a zero-dimensional structured array in
-    the file's byte order."""
-
-    raw: np.ndarray
-    byte_order: str
-
-    def _get(self, name: str):
-        return self.raw[name][()]
-
-    @property
-    def dim(self) -> np.ndarray:
-        return np.asarray(self._get("dim"), dtype=np.int64)
-
-    @property
-    def datatype_code(self) -> int:
-        return int(self._get("datatype"))
-
-    @property
-    def bitpix(self) -> int:
-        return int(self._get("bitpix"))
-
-    @property
-    def pixdim(self) -> np.ndarray:
-        return np.asarray(self._get("pixdim"), dtype=np.float64)
-
-    @property
-    def vox_offset(self) -> int:
-        return int(round(float(self._get("vox_offset"))))
-
-    @property
-    def scl_slope(self) -> float:
-        return float(self._get("scl_slope"))
-
-    @property
-    def scl_inter(self) -> float:
-        return float(self._get("scl_inter"))
-
-    @property
-    def qform_code(self) -> int:
-        return int(self._get("qform_code"))
-
-    @property
-    def sform_code(self) -> int:
-        return int(self._get("sform_code"))
-
-    @property
-    def magic(self) -> bytes:
-        return bytes(self._get("magic"))
-
-    def shape3(self) -> tuple[int, int, int]:
-        d = self.dim
-        rank = int(d[0])
-        dims = [int(d[i]) if i <= rank else 1 for i in (1, 2, 3)]
-        return (dims[0], dims[1], dims[2])
-
-    def data_dtype(self) -> np.dtype:
-        return np.dtype(SUPPORTED_DATATYPES[self.datatype_code]).newbyteorder(self.byte_order)
-
-    def affine(self) -> np.ndarray:
-        """Voxel-to-world matrix: sform wins, then qform, then pixdim."""
-        if self.sform_code > 0:
-            return self._affine_from_sform()
-        if self.qform_code > 0:
-            return self._affine_from_qform()
-        return self._affine_from_pixdim()
-
-    def _affine_from_sform(self) -> np.ndarray:
-        out = np.eye(4, dtype=np.float64)
-        for i, row in enumerate(("srow_x", "srow_y", "srow_z")):
-            out[i, :] = np.asarray(self._get(row), dtype=np.float64)
-        return out
-
-    def _affine_from_qform(self) -> np.ndarray:
-        b = float(self._get("quatern_b"))
-        c = float(self._get("quatern_c"))
-        d = float(self._get("quatern_d"))
-        # a is recoverable because the stored quaternion has a >= 0.
-        a_sq = 1.0 - (b * b + c * c + d * d)
-        a = np.sqrt(a_sq) if a_sq > 0 else 0.0
-        rot = np.array(
-            [
-                [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
-                [2 * (b * c + a * d), a * a + c * c - b * b - d * d, 2 * (c * d - a * b)],
-                [2 * (b * d - a * c), 2 * (c * d + a * b), a * a + d * d - b * b - c * c],
-            ],
-            dtype=np.float64,
-        )
-        pd = self.pixdim
-        qfac = pd[0]
-        if qfac == 0.0:
-            qfac = 1.0
-        if qfac not in (-1.0, 1.0):
-            raise MalformedHeader(f"qform pixdim[0] must be -1, 0 or 1, got {pd[0]}")
-        out = np.eye(4, dtype=np.float64)
-        out[:3, :3] = rot @ np.diag([pd[1], pd[2], pd[3] * qfac])
-        out[0, 3] = float(self._get("qoffset_x"))
-        out[1, 3] = float(self._get("qoffset_y"))
-        out[2, 3] = float(self._get("qoffset_z"))
-        return out
-
-    def _affine_from_pixdim(self) -> np.ndarray:
-        pd = self.pixdim
-        out = np.eye(4, dtype=np.float64)
-        out[0, 0], out[1, 1], out[2, 2] = pd[1], pd[2], pd[3]
-        return out
 
 
 def checked_affine(matrix, what: str, malformed: type, singular: type) -> np.ndarray:
@@ -320,9 +213,55 @@ def _fill(stream, buf) -> int:
     return got
 
 
-def _parse_header(blob: bytes, path: Path) -> NiftiHeader:
-    """The header whose bytes are ``blob``: its ``HEADER_SIZE`` bytes, or
-    every byte of a shorter file."""
+class _Header(NamedTuple):
+    """What a read takes from a checked header. ``dtype`` is the payload's,
+    in the file's byte order."""
+
+    shape: tuple[int, int, int]
+    dtype: np.dtype
+    vox_offset: int
+    slope: float
+    inter: float
+    affine: np.ndarray
+
+
+def _header_affine(h: np.void, path: Path) -> np.ndarray:
+    """The voxel-to-world matrix header record ``h`` declares: sform wins,
+    then qform, then pixdim."""
+    out = np.eye(4, dtype=np.float64)
+    if h["sform_code"] > 0:
+        for i, row in enumerate(("srow_x", "srow_y", "srow_z")):
+            out[i, :] = np.asarray(h[row], dtype=np.float64)
+        return out
+    pd = np.asarray(h["pixdim"], dtype=np.float64)
+    if h["qform_code"] <= 0:
+        out[0, 0], out[1, 1], out[2, 2] = pd[1], pd[2], pd[3]
+        return out
+    b, c, d = float(h["quatern_b"]), float(h["quatern_c"]), float(h["quatern_d"])
+    # a is recoverable because the stored quaternion has a >= 0.
+    a_sq = 1.0 - (b * b + c * c + d * d)
+    a = np.sqrt(a_sq) if a_sq > 0 else 0.0
+    rot = np.array(
+        [
+            [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+            [2 * (b * c + a * d), a * a + c * c - b * b - d * d, 2 * (c * d - a * b)],
+            [2 * (b * d - a * c), 2 * (c * d + a * b), a * a + d * d - b * b - c * c],
+        ],
+        dtype=np.float64,
+    )
+    qfac = 1.0 if pd[0] == 0.0 else pd[0]
+    if qfac not in (-1.0, 1.0):
+        raise MalformedHeader(f"{path}: qform pixdim[0] must be -1, 0 or 1, got {pd[0]}")
+    out[:3, :3] = rot @ np.diag([pd[1], pd[2], pd[3] * qfac])
+    out[:3, 3] = float(h["qoffset_x"]), float(h["qoffset_y"]), float(h["qoffset_z"])
+    return out
+
+
+def _parse_header(blob: bytes, path: Path) -> _Header:
+    """The checked header whose bytes are ``blob``: its ``HEADER_SIZE``
+    bytes, or every byte of a shorter file. Checks run in this order: the
+    header fields, the ``vox_offset`` minimum, the payload ceiling, the
+    affine."""
     if len(blob) < HEADER_SIZE:
         raise MalformedHeader(f"{path}: file holds {len(blob)} bytes, header needs {HEADER_SIZE}")
     size_le = int.from_bytes(blob[:4], "little", signed=True)
@@ -335,17 +274,15 @@ def _parse_header(blob: bytes, path: Path) -> NiftiHeader:
         raise UnsupportedDatatype(f"{path}: NIfTI-2 file (sizeof_hdr 540); only NIfTI-1 is supported")
     else:
         raise MalformedHeader(f"{path}: sizeof_hdr is {size_le}, expected {HEADER_SIZE}")
-    # A 0-d structured array, so every field reads the same way.
-    raw = np.frombuffer(blob, dtype=_header_dtype(order), count=1).reshape(())
-    header = NiftiHeader(raw=raw, byte_order=order)
+    h = np.frombuffer(blob, dtype=_header_dtype(order), count=1)[0]
 
-    magic = header.magic
+    magic = bytes(h["magic"])
     if magic == MAGIC_PAIR:
         raise MalformedHeader(f"{path}: header/data pair (.hdr/.img) files are not supported")
     if magic != MAGIC_SINGLE:
         raise MalformedHeader(f"{path}: bad magic {magic!r}")
 
-    dim = header.dim
+    dim = np.asarray(h["dim"], dtype=np.int64)
     rank = int(dim[0])
     if not 1 <= rank <= 7:
         raise MalformedHeader(f"{path}: dim[0] must be in 1..7, got {rank}")
@@ -353,39 +290,45 @@ def _parse_header(blob: bytes, path: Path) -> NiftiHeader:
         raise MalformedHeader(f"{path}: non-positive extent in dim {dim[1:rank + 1]}")
     if rank > 3 and any(dim[i] != 1 for i in range(4, rank + 1)):
         raise UnsupportedDatatype(f"{path}: {rank}-D volume; only 3-D volumes are supported")
+    shape = tuple(int(dim[i]) if i <= rank else 1 for i in (1, 2, 3))
 
-    code = header.datatype_code
+    code = int(h["datatype"])
     if code not in SUPPORTED_DATATYPES:
         raise UnsupportedDatatype(f"{path}: datatype code {code} is not supported")
-    if header.bitpix != _BITPIX[code]:
+    dtype = np.dtype(SUPPORTED_DATATYPES[code]).newbyteorder(order)
+    bitpix = int(h["bitpix"])
+    if bitpix != 8 * dtype.itemsize:
         raise MalformedHeader(
-            f"{path}: bitpix {header.bitpix} inconsistent with datatype {code} "
-            f"(expected {_BITPIX[code]})"
+            f"{path}: bitpix {bitpix} inconsistent with datatype {code} (expected {8 * dtype.itemsize})"
         )
 
-    if not np.isfinite(header._get("vox_offset")):
-        raise MalformedHeader(f"{path}: vox_offset {header._get('vox_offset')} is not finite")
-    if header.vox_offset < MIN_VOX_OFFSET:
-        raise MalformedHeader(f"{path}: vox_offset {header.vox_offset} below minimum {MIN_VOX_OFFSET}")
-    return header
+    if not np.isfinite(h["vox_offset"]):
+        raise MalformedHeader(f"{path}: vox_offset {h['vox_offset']} is not finite")
+    vox_offset = int(round(float(h["vox_offset"])))
+    if vox_offset < MIN_VOX_OFFSET:
+        raise MalformedHeader(f"{path}: vox_offset {vox_offset} below minimum {MIN_VOX_OFFSET}")
+
+    need = int(np.prod(shape)) * dtype.itemsize
+    if need > MAX_PAYLOAD_BYTES:
+        raise UnsupportedDatatype(f"{path}: {need}-byte payload exceeds {MAX_PAYLOAD_BYTES} bytes")
+    affine = checked_affine(_header_affine(h, path), f"{path}: header affine", MalformedHeader, MalformedHeader)
+    return _Header(shape, dtype, vox_offset, float(h["scl_slope"]), float(h["scl_inter"]), affine)
 
 
-def _check_extent(header: NiftiHeader, need: int, size: int, path: Path, holds: str = "holds") -> None:
+def _check_extent(vox_offset: int, need: int, size: int, path: Path, holds: str = "holds") -> None:
     """Raise :class:`TruncatedData` unless ``size`` decoded bytes reach past
     ``vox_offset`` and the ``need``-byte voxel payload that starts there."""
-    if size < header.vox_offset:
-        raise TruncatedData(f"{path}: file ends before vox_offset {header.vox_offset}")
-    if size < header.vox_offset + need:
-        raise TruncatedData(
-            f"{path}: voxel payload needs {need} bytes at offset {header.vox_offset}, file {holds} {size}"
-        )
+    if size < vox_offset:
+        raise TruncatedData(f"{path}: file ends before vox_offset {vox_offset}")
+    if size < vox_offset + need:
+        raise TruncatedData(f"{path}: voxel payload needs {need} bytes at offset {vox_offset}, file {holds} {size}")
 
 
-def _read(path: str | Path, voxels: bool, check_grid=None) -> tuple[NiftiHeader, np.ndarray, np.ndarray | None]:
-    """The header, checked affine and, with ``voxels``, flat native-order
-    payload of a single-file NIfTI-1 volume. Errors come in this order:
-    header fields, payload ceiling, affine, ``vox_offset``, ``check_grid``,
-    payload length."""
+def _read(path: str | Path, voxels: bool, check_grid=None) -> tuple[_Header, np.ndarray | None]:
+    """The checked header and, with ``voxels``, the flat native-order payload
+    of a single-file NIfTI-1 volume. One parse checks the header (see
+    :func:`_parse_header` for its order); then come ``vox_offset`` against
+    what the file can decode to, ``check_grid``, and the payload length."""
     path = Path(path)
     gz = False
     try:
@@ -396,22 +339,19 @@ def _read(path: str | Path, voxels: bool, check_grid=None) -> tuple[NiftiHeader,
             with gzip.GzipFile(fileobj=f) if gz else f as stream:
                 head = bytearray(HEADER_SIZE)
                 header = _parse_header(head[: _fill(stream, head)], path)
-                count, dtype = int(np.prod(header.shape3())), header.data_dtype()
-                need = count * dtype.itemsize
-                if need > MAX_PAYLOAD_BYTES:
-                    raise UnsupportedDatatype(f"{path}: {need}-byte payload exceeds {MAX_PAYLOAD_BYTES} bytes")
-                affine = checked_affine(header.affine(), f"{path}: header affine", MalformedHeader, MalformedHeader)
+                count = int(np.prod(header.shape))
+                need = count * header.dtype.itemsize
                 # Before any allocation: the most the file can decode to.
                 most, holds = (_GZIP_MAX_RATIO * size, "can decode to at most") if gz else (size, "holds")
-                _check_extent(header, need, most, path, holds)
+                _check_extent(header.vox_offset, need, most, path, holds)
                 if check_grid is not None:
-                    check_grid(header.shape3(), affine)
+                    check_grid(header.shape, header.affine)
                 decoded, flat = (HEADER_SIZE if gz else size), None
                 if voxels:
                     # Skip the extension block. A gzip seek returns the position it reached;
                     # a raw file's size has passed _check_extent.
                     decoded = stream.seek(header.vox_offset)
-                    flat = np.empty(count, dtype)
+                    flat = np.empty(count, header.dtype)
                     decoded += _fill(stream, flat.view(np.uint8))
                 if gz:  # inflate the rest, so every member's checksum is checked
                     scratch = bytearray(_CHUNK)
@@ -419,18 +359,18 @@ def _read(path: str | Path, voxels: bool, check_grid=None) -> tuple[NiftiHeader,
                         decoded += n
     except (OSError, EOFError, zlib.error) as exc:
         raise IoFailure(f"cannot {'decompress' if gz else 'read'} {path}: {exc}") from exc
-    _check_extent(header, need, decoded, path)
-    if flat is not None and not dtype.isnative:
-        flat = flat.byteswap(inplace=True).view(dtype.newbyteorder("="))
-    return header, affine, flat
+    _check_extent(header.vox_offset, need, decoded, path)
+    if flat is not None and not header.dtype.isnative:
+        flat = flat.byteswap(inplace=True).view(header.dtype.newbyteorder("="))
+    return header, flat
 
 
 def read_grid(path: str | Path) -> tuple[tuple[int, int, int], np.ndarray]:
     """The ``(shape, affine)`` of a single-file NIfTI-1 volume, without
     keeping its voxels. Raises what :func:`read_volume` raises for the same
     file."""
-    header, affine, _ = _read(path, voxels=False)
-    return header.shape3(), affine
+    header, _ = _read(path, voxels=False)
+    return header.shape, header.affine
 
 
 def read_volume(path: str | Path, check_grid=None) -> Volume:
@@ -443,15 +383,15 @@ def read_volume(path: str | Path, check_grid=None) -> Volume:
     ``check_grid(shape, affine)``, when given, sees the header's grid before
     any voxel is allocated or read; what it raises propagates.
     """
-    header, affine, flat = _read(path, voxels=True, check_grid=check_grid)
-    data = flat.reshape(header.shape3(), order="F")
-    slope, inter = header.scl_slope, header.scl_inter
+    header, flat = _read(path, voxels=True, check_grid=check_grid)
+    data = flat.reshape(header.shape, order="F")
+    slope, inter = header.slope, header.inter
     if slope not in (0.0, 1.0):
         data = data.astype(np.float64) * slope + inter
     elif slope == 1.0 and inter != 0.0:
         data = data.astype(np.float64) + inter
     data.setflags(write=False)
-    return Volume(data=data, affine=affine)
+    return Volume(data=data, affine=header.affine)
 
 
 def _check_representable(data: np.ndarray, target: np.dtype) -> None:
@@ -484,7 +424,7 @@ def _build_header(vol: Volume, code: int) -> bytes:
     raw["magic"] = MAGIC_SINGLE
     raw["dim"] = [3, shape[0], shape[1], shape[2], 1, 1, 1, 1]
     raw["datatype"] = code
-    raw["bitpix"] = _BITPIX[code]
+    raw["bitpix"] = 8 * np.dtype(SUPPORTED_DATATYPES[code]).itemsize
     raw["pixdim"] = [0.0, *vol.spacing, 0.0, 0.0, 0.0, 0.0]
     raw["vox_offset"] = float(MIN_VOX_OFFSET)
     # Values are stored fully resolved; no read-time scaling is wanted.

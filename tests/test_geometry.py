@@ -181,6 +181,17 @@ def test_no_public_type_raises_on_equality():
         assert record != copy.copy(record)
 
 
+def test_equal_grids_and_transforms_hash_equal():
+    affine = np.diag([1.0, 1.0, 2.0, 1.0])
+    grid, same = GridSpec((3, 4, 5), affine), GridSpec((3, 4, 5), affine.copy())
+    assert hash(grid) == hash(same)
+    assert len({grid, same, GridSpec((3, 4, 5), np.eye(4))}) == 2
+    transform, twin = identity_transform(matrix=affine), identity_transform(matrix=affine.copy())
+    assert hash(transform) == hash(twin)
+    assert len({transform, twin, identity_transform()}) == 2
+    assert {grid: "grid"}[same] == "grid"
+
+
 # -- mask resampling ---------------------------------------------------------
 
 

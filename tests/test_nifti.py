@@ -459,6 +459,73 @@ def test_grid_read_raises_what_the_volume_read_raises(tmp_path, case, compress):
     assert _outcome(read_grid, path) == expected
 
 
+@pytest.mark.parametrize("read", [read_volume, read_grid])
+@pytest.mark.parametrize("compress", [False, True], ids=["nii", "gz"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_every_malformed_file_error_names_the_file(tmp_path, case, compress, read):
+    blob = MALFORMED_FILES[case](tmp_path)
+    path = tmp_path / ("case.nii.gz" if compress else "case.nii")
+    path.write_bytes(gzip.compress(blob, mtime=0) if compress else blob)
+    kind, message = _outcome(read, path)
+    assert kind is not None
+    assert str(path) in message
+
+
+def _hook_raising(error):
+    seen = []
+
+    def check_grid(shape, affine):
+        seen.append(shape)
+        raise error
+
+    return check_grid, seen
+
+
+# Two faults in one file: the one the documented error order puts first wins.
+def test_a_payload_over_the_ceiling_is_reported_before_a_bad_qfac(tmp_path):
+    def mutate(path):
+        _bad_qfac(path)
+        patch(path, OFF_DIM, "<8h", 3, 2048, 1024, 1025, 1, 1, 1, 1)
+
+    path = tmp_path / "huge-qfac.nii"
+    path.write_bytes(_nifti_bytes(tmp_path, mutate))
+    for read in (read_volume, read_grid):
+        with pytest.raises(UnsupportedDatatype, match="payload exceeds"):
+            read(path)
+
+
+def test_a_bad_header_affine_is_reported_before_a_vox_offset_past_the_end(tmp_path):
+    def mutate(path):
+        patch(path, OFF_SROW_X, "<f", float("nan"))
+        patch(path, OFF_VOX_OFFSET, "<f", 4096.0)
+
+    path = tmp_path / "nan-far.nii"
+    path.write_bytes(_nifti_bytes(tmp_path, mutate))
+    for read in (read_volume, read_grid):
+        with pytest.raises(MalformedHeader, match="header affine must be finite"):
+            read(path)
+
+
+def test_a_vox_offset_past_the_end_is_reported_before_the_grid_hook_runs(tmp_path):
+    path = tmp_path / "far.nii"
+    path.write_bytes(_nifti_bytes(tmp_path, _patched(OFF_VOX_OFFSET, "<f", 4096.0)))
+    check_grid, seen = _hook_raising(RuntimeError("hook"))
+    with pytest.raises(TruncatedData, match="vox_offset 4096"):
+        read_volume(path, check_grid=check_grid)
+    assert seen == []
+
+
+def test_the_grid_hook_runs_before_a_gzip_payload_is_found_short(tmp_path):
+    path = tmp_path / "short.nii.gz"
+    path.write_bytes(gzip.compress(_nifti_bytes(tmp_path)[:-10], mtime=0))
+    with pytest.raises(TruncatedData):
+        read_volume(path)
+    check_grid, seen = _hook_raising(RuntimeError("hook"))
+    with pytest.raises(RuntimeError, match="hook"):
+        read_volume(path, check_grid=check_grid)
+    assert seen == [(3, 4, 5)]
+
+
 # Ways to damage a good gzip file, each refused by gzip.decompress.
 GZIP_DAMAGE = {
     "cut_in_header": lambda good: good[:40],
