@@ -15,7 +15,10 @@ interpolation.
 
 Resampling evaluates the target grid one plane at a time along its last
 axis, the slowest axis of the Fortran order in which NIfTI stores voxels
-and :func:`brainorch.nifti.read_volume` returns them. A target voxel
+and :func:`brainorch.nifti.read_volume` returns them. Each plane is one
+item of the ``map`` the caller hands in (the built-in one, or an
+executor's ordered map) and writes only its own column of the output, so
+the output's bytes do not depend on the thread count. A target voxel
 (i, j, k) maps to the source coordinates ``m[:, 0] * i + m[:, 1] * j +
 m[:, 2] * k + m[:, 3]`` of the composed voxel-to-voxel matrix ``m``, summed
 elementwise left to right: the same IEEE operations on every CPU, with no
@@ -23,9 +26,9 @@ BLAS kernel to pick a summation order, so a sample at a rounding boundary
 does not depend on the machine's kernel. The first two terms are one
 (3, X·Y) plane shared by every k. Memory holds the output, a
 Fortran-order copy of the source only when it is not in that order
-already (a NIfTI read never needs one), and a few (3, X·Y) float64 planes
-of coordinates and indices. Lookups within a plane then walk the source's
-memory forward.
+already (a NIfTI read never needs one), and, per thread, a few (3, X·Y)
+float64 planes of coordinates and indices. Lookups within a plane then
+walk the source's memory forward.
 
 Only the target voxels whose source neighbours can be nonzero are looked
 up or interpolated; every other voxel of the output stays 0. Within a
@@ -188,84 +191,107 @@ def grid_difference(grid, ref) -> str | None:
 
 
 def _foreground_samples(data: np.ndarray, source_affine: np.ndarray, world_map: np.ndarray, target: GridSpec):
-    """The target voxels whose source neighbours can be nonzero, one
-    last-axis plane at a time.
+    """The target voxels whose source neighbours can be nonzero, as a
+    function of the last-axis plane.
 
-    Yields ``(k, coords, idx)`` for each target plane ``[:, :, k]`` that
-    has such voxels: ``idx`` holds their columns in the plane's Fortran
-    order and ``coords`` (3, len(idx)) their source voxel coordinates. A
+    Returns None when the source ``data`` is all 0, else ``samples(k)``,
+    which gives ``(coords, idx)`` for the target plane ``[:, :, k]``:
+    ``idx`` holds the kept columns in the plane's Fortran order (maybe
+    none) and ``coords`` (3, len(idx)) their source voxel coordinates. A
     target index (i, j, k) maps through target voxel->world, then the
     inverse world map, then world->source voxel, by the elementwise rule
     of the module docstring: ``base = m[:3, 0:1] * i + m[:3, 1:2] * j``
-    once, then ``base + m[:3, 2:3] * k + m[:3, 3:4]`` per plane, the same
-    sum left to right. A column is kept when its coordinates lie within
-    ``[box.start - 1, box.stop]`` on every axis, where ``box`` is the
-    :func:`metrics.foreground_box` of the source ``data``. Every other
-    target voxel resamples to 0 (see the module docstring).
+    once, shared by every plane, then ``base + m[:3, 2:3] * k + m[:3, 3:4]``
+    per plane, the same sum left to right. A column is kept when its
+    coordinates lie within ``[box.start - 1, box.stop]`` on every axis,
+    where ``box`` is the :func:`metrics.foreground_box` of ``data``. Every
+    other target voxel resamples to 0 (see the module docstring).
     """
     box = foreground_box([data])
     if any(s.stop == s.start for s in box):
-        return
+        return None
     lo = np.array([s.start - 1 for s in box], dtype=np.float64)[:, None]
     hi = np.array([s.stop for s in box], dtype=np.float64)[:, None]
     m = np.linalg.inv(source_affine) @ np.linalg.inv(world_map) @ target.affine
-    nx, ny, nz = target.shape
+    nx, ny, _ = target.shape
     base = (
         m[:3, 0:1] * np.tile(np.arange(nx, dtype=np.float64), ny)
         + m[:3, 1:2] * np.repeat(np.arange(ny, dtype=np.float64), nx)
     )
-    for k in range(nz):
+
+    def samples(k):
         coords = base + m[:3, 2:3] * k + m[:3, 3:4]
         idx = np.flatnonzero(((coords >= lo) & (coords <= hi)).all(axis=0))
+        return coords[:, idx], idx
+
+    return samples
+
+
+def _resample(data: np.ndarray, affine: np.ndarray, world_map: AffineTransform, target: GridSpec, dtype, fill, map):
+    """``target`` filled with ``dtype`` samples of the Fortran-order source
+    ``data`` on ``affine``, one plane per item of ``map``.
+    ``fill(column, coords, idx)`` writes the samples at ``coords`` into
+    ``column[idx]``, the plane's own column of the Fortran-order output, so
+    no byte depends on the map's thread count or completion order."""
+    out = np.zeros(target.shape, dtype=dtype, order="F")
+    planes = out.reshape(-1, target.shape[2], order="F")  # a view: column k is plane k
+    samples = _foreground_samples(data, affine, world_map.matrix, target)
+
+    def plane(k):
+        coords, idx = samples(k)
         if idx.size:
-            yield k, coords[:, idx], idx
+            fill(planes[:, k], coords, idx)
+
+    if samples is not None:
+        for _ in map(plane, range(target.shape[2])):
+            pass
+    out.setflags(write=False)
+    return Volume(data=out, affine=target.affine)
 
 
-def resample_mask(mask: Volume, world_map: AffineTransform, target: GridSpec) -> Volume:
+def resample_mask(mask: Volume, world_map: AffineTransform, target: GridSpec, map=map) -> Volume:
     """Nearest-neighbor resample of a label mask onto ``target``.
 
     ``world_map`` maps the mask's world coordinates into the target grid's
     world coordinates. Voxels that land outside the source grid become 0.
     The output label set is always a subset of the input's plus background.
-    Only target voxels near the mask's nonzero box are looked up, plane by
-    plane (see the module docstring): beside the output and a
-    Fortran-order copy of a source not already in that order, memory holds
-    a few planes of coordinates, never a full-grid map.
+    Only target voxels near the mask's nonzero box are looked up, one plane
+    per item of ``map`` (the built-in one, or an executor's ordered map; see
+    the module docstring): beside the output and a Fortran-order copy of a
+    source not already in that order, memory holds a few planes of
+    coordinates per thread, never a full-grid map.
     """
     data = mask.data
     if not np.issubdtype(data.dtype, np.integer):
         raise ValueError(f"mask resampling needs integer labels, got dtype {data.dtype}")
     data = np.asfortranarray(data)
-    out = np.zeros(target.shape, dtype=data.dtype, order="F")
-    planes = out.reshape(-1, target.shape[2], order="F")  # a view: column k is plane k
-    for k, coords, idx in _foreground_samples(data, mask.affine, world_map.matrix, target):
+
+    def fill(column, coords, idx):
         nearest = np.rint(coords).astype(np.int64)
         inside = np.ones(nearest.shape[1], dtype=bool)
         for axis in range(3):
             inside &= (nearest[axis] >= 0) & (nearest[axis] < data.shape[axis])
-        planes[idx[inside], k] = data[nearest[0, inside], nearest[1, inside], nearest[2, inside]]
-    out.setflags(write=False)
-    return Volume(data=out, affine=target.affine)
+        column[idx[inside]] = data[nearest[0, inside], nearest[1, inside], nearest[2, inside]]
+
+    return _resample(data, mask.affine, world_map, target, data.dtype, fill, map)
 
 
-def resample_image(image: Volume, world_map: AffineTransform, target: GridSpec) -> Volume:
+def resample_image(image: Volume, world_map: AffineTransform, target: GridSpec, map=map) -> Volume:
     """Trilinear resample of an intensity image onto ``target``.
 
     Out-of-grid samples read as 0. Output is float32: each sample is
     interpolated in float64 from the source in its own dtype, as from a
     float64 copy of it, and rounded to float32 once. Only target voxels
-    near the image's nonzero box are interpolated, plane by plane like
-    :func:`resample_mask`; the rest stay +0.0.
+    near the image's nonzero box are interpolated, one plane per item of
+    ``map`` like :func:`resample_mask`, with a few planes of coordinates
+    per thread; the rest stay +0.0.
     """
     data = np.asfortranarray(image.data)
-    out = np.zeros(target.shape, dtype=np.float32, order="F")
-    planes = out.reshape(-1, target.shape[2], order="F")  # a view: column k is plane k
-    for k, coords, idx in _foreground_samples(data, image.affine, world_map.matrix, target):
-        planes[idx, k] = ndimage.map_coordinates(
-            data, coords, output=np.float32, order=1, mode="constant", cval=0.0
-        )
-    out.setflags(write=False)
-    return Volume(data=out, affine=target.affine)
+
+    def fill(column, coords, idx):
+        column[idx] = ndimage.map_coordinates(data, coords, output=np.float32, order=1, mode="constant", cval=0.0)
+
+    return _resample(data, image.affine, world_map, target, np.float32, fill, map)
 
 
 def _check_forward(forward: AffineTransform) -> None:
@@ -276,22 +302,22 @@ def _check_forward(forward: AffineTransform) -> None:
         )
 
 
-def inverse_warp_to_native(mask: Volume, forward: AffineTransform, native_grid: GridSpec) -> Volume:
+def inverse_warp_to_native(mask: Volume, forward: AffineTransform, native_grid: GridSpec, map=map) -> Volume:
     """Carry an atlas-space mask back to the subject's native grid.
 
     ``forward`` is the stored native->atlas registration; the warp applies
-    its inverse with nearest-neighbor lookup.
+    its inverse with nearest-neighbor lookup, one plane per item of ``map``.
     """
     _check_forward(forward)
-    return resample_mask(mask, invert_affine(forward), native_grid)
+    return resample_mask(mask, invert_affine(forward), native_grid, map=map)
 
 
 def inverse_warp_image_to_native(
-    image: Volume, forward: AffineTransform, native_grid: GridSpec
+    image: Volume, forward: AffineTransform, native_grid: GridSpec, map=map
 ) -> Volume:
     """Trilinear counterpart of :func:`inverse_warp_to_native` for images."""
     _check_forward(forward)
-    return resample_image(image, invert_affine(forward), native_grid)
+    return resample_image(image, invert_affine(forward), native_grid, map=map)
 
 
 def write_transform(transform: AffineTransform, path: str | Path) -> Path:

@@ -33,7 +33,8 @@ input once and hands its grids on, so the run decodes no input again.
 One pool of ``parallel_jobs`` threads per run decodes the inputs, runs the
 jobs, reads each job's output, scores each candidate and hashes the files;
 results fold back in input order, so no bundle byte depends on the thread
-count. The warp and every write stay on the calling thread.
+count. The warp's planes run on the pool, each filling its own part of the
+output; writes stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -616,7 +617,7 @@ def _produce_segmentation(run: _Run, outcomes) -> _Product:
         metrics_rel = "metrics.json"
 
     def write_native(forward, native_grid, path):
-        write_mask(inverse_warp_to_native(result.consensus, forward, native_grid), path)
+        write_mask(inverse_warp_to_native(result.consensus, forward, native_grid, map=run.map), path)
 
     return _Product(
         job_rows=job_rows,
@@ -653,7 +654,7 @@ def _produce_synthesis(run: _Run, outcomes) -> _Product:
         synthesized = next(m for m in MODALITIES if m not in run.inputs.files)
 
     def write_native(forward, native_grid, path):
-        warped = inverse_warp_image_to_native(image, forward, native_grid)
+        warped = inverse_warp_image_to_native(image, forward, native_grid, map=run.map)
         write_volume(warped, path, dtype=np.float32)
 
     return _Product(

@@ -16,7 +16,8 @@ each input by its suffix.
 
 When native-space output is asked for and the task works in an atlas space,
 validation also reads the stored ``native-><atlas>`` transform and the
-native reference's grid, once and before any container runs; a missing or
+native reference's grid, once and before any container runs, as one more
+item of the same map after the inputs; its findings come last. A missing or
 unreadable one is an error like any other, and a passing report hands both
 on, so the warp reads nothing again.
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -309,9 +311,10 @@ def validate_subject(
 
     Always returns a report; the verdict is ``fail`` iff any finding has
     error severity. With ``native_space_output`` and an atlas-space task,
-    the native context is checked last and, when whole, rides on the
-    report's ``native``. ``map`` decodes the inputs (the built-in one, or
-    an executor's ordered map); its results are folded in input order.
+    the native context is checked and, when whole, rides on the report's
+    ``native``; its findings come last. ``map`` decodes the inputs and
+    reads the native context, one item each (the built-in one, or an
+    executor's ordered map); its results are folded in input order.
     """
     findings: list[Finding] = []
 
@@ -345,10 +348,17 @@ def validate_subject(
             Finding(SEVERITY_WARNING, UNEXPECTED_FILE, f"unrecognized file {path.name}")
         )
 
+    # Each input's decode, then the native context's reads, as items of one map.
+    reads = [partial(_decode, tag, inputs.files[tag]) for tag in expected_tags]
+    wants_native = native_space_output and task.spatial_space != "native"
+    if wants_native:
+        reads.append(partial(_native_context, inputs, task))
+    results = list(map(lambda read: read(), reads))
+    native_findings, native = results.pop() if wants_native else ([], None)
+
     grids: dict[str, GridSpec] = {}
     content_findings: list[Finding | None] = []
-    decoded = map(_decode, expected_tags, [inputs.files[tag] for tag in expected_tags])
-    for tag, (grid, finding) in zip(expected_tags, decoded):
+    for tag, (grid, finding) in zip(expected_tags, results):
         if grid is None:
             findings.append(finding)
         else:
@@ -371,10 +381,7 @@ def validate_subject(
                 )
             )
 
-    native = None
-    if native_space_output and task.spatial_space != "native":
-        native_findings, native = _native_context(inputs, task)
-        findings.extend(native_findings)
+    findings.extend(native_findings)
 
     verdict = "fail" if any(f.severity == SEVERITY_ERROR for f in findings) else "pass"
     return ValidationReport(

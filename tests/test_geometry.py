@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -442,7 +444,9 @@ def test_warp_coordinates_follow_the_elementwise_rule_on_a_brats_plane():
     data = np.ones((12, 12, 12), dtype=np.uint8)
     m = np.linalg.inv(source_affine) @ np.linalg.inv(world_map) @ target.affine
     seen = 0
-    for k, coords, idx in _foreground_samples(data, source_affine, world_map, target):
+    samples = _foreground_samples(data, source_affine, world_map, target)
+    for k in range(shape[2]):
+        coords, idx = samples(k)
         i, j = idx % shape[0], idx // shape[0]
         rule = m[:3, 0:1] * i + m[:3, 1:2] * j + m[:3, 2:3] * k + m[:3, 3:4]
         differ = np.count_nonzero(coords.view(np.uint64) != rule.view(np.uint64))
@@ -452,23 +456,112 @@ def test_warp_coordinates_follow_the_elementwise_rule_on_a_brats_plane():
 
 
 @pytest.mark.parametrize(
-    "resample, dtype", [(resample_mask, np.uint8), (resample_image, np.float32)]
+    "resample, dtype, threads",
+    [
+        pytest.param(resample_mask, np.uint8, 1, id="resample_mask-uint8"),
+        pytest.param(resample_image, np.float32, 1, id="resample_image-float32"),
+        pytest.param(resample_mask, np.uint8, 2, id="resample_mask-uint8-2-threads"),
+        pytest.param(resample_image, np.float32, 2, id="resample_image-float32-2-threads"),
+    ],
 )
-def test_resampling_holds_the_output_and_a_few_planes(resample, dtype):
+def test_resampling_holds_the_output_and_a_few_planes(resample, dtype, threads):
     rng = np.random.default_rng(5)
     data = np.asfortranarray(rng.integers(0, 4, size=(48, 48, 32)).astype(dtype))
     source = Volume(data=data, affine=np.eye(4))
     target = GridSpec(shape=(44, 46, 30), affine=random_affine(rng, (0.9, 1.1)))
-    tracemalloc.start()
-    try:
-        out = resample(source, identity_transform(), target)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        plane_map = map if threads == 1 else pool.map
+        tracemalloc.start()
+        try:
+            out = resample(source, identity_transform(), target, map=plane_map)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     # A Fortran-ordered source is read in place; a (3, N) float64
     # coordinate map alone would be 3 * 44 * 46 * 30 * 8 bytes (1.46 MB).
     plane = 3 * 44 * 46 * 8
-    assert peak <= out.data.nbytes + 8 * plane, peak
+    assert peak <= out.data.nbytes + 8 * plane * threads, peak
+
+
+# -- planes on a thread pool ---------------------------------------------------
+
+
+WARP_CASES = ("empty", "edge", "rotated-anisotropic", "mostly-missed")
+
+
+def warp_case(name):
+    """``(labels, image, forward native->SRI24, native target grid)``."""
+    rng = np.random.default_rng(WARP_CASES.index(name))
+    shape = (24, 20, 14)
+    labels = np.zeros(shape, dtype=np.uint8)
+    if name == "edge":
+        labels[0, :, 3] = 1
+        labels[5:9, 0, 0] = 2
+        labels[-1, -1, -1] = 4
+    elif name != "empty":
+        labels[6:15, 5:12, 4:10] = rng.integers(0, 4, size=(9, 7, 6))
+    image = labels * rng.normal(100.0, 30.0, size=shape).astype(np.float32)
+    source_affine = random_affine(rng, (0.8, 1.5), shape)
+    forward = identity_transform(matrix=random_affine(rng, (0.9, 1.1)))
+    if name == "mostly-missed":
+        # 120 planes of 1 mm along z, centred on the origin like the
+        # source, which spans at most about 21 mm.
+        affine = np.eye(4)
+        affine[:3, 3] = -(np.array([30, 28, 120]) - 1) / 2.0
+        native = GridSpec(shape=(30, 28, 120), affine=affine)
+    elif name == "rotated-anisotropic":
+        native = GridSpec(shape=(26, 22, 17), affine=random_affine(rng, (0.6, 2.5), (26, 22, 17)))
+    else:
+        native = GridSpec(shape=(26, 22, 17), affine=random_affine(rng, (0.9, 1.2), (26, 22, 17)))
+    return (Volume(data=labels, affine=source_affine), Volume(data=image, affine=source_affine), forward, native)
+
+
+def bits(vol):
+    return vol.data.view(np.uint32) if vol.data.dtype == np.float32 else vol.data
+
+
+@pytest.mark.parametrize("name", WARP_CASES)
+def test_planes_on_a_pool_give_the_bytes_of_the_built_in_map(name):
+    labels, image, forward, native = warp_case(name)
+    calls = [
+        lambda m: resample_mask(labels, invert_affine(forward), native, map=m),
+        lambda m: resample_image(image, invert_affine(forward), native, map=m),
+        lambda m: inverse_warp_to_native(labels, forward, native, map=m),
+        lambda m: inverse_warp_image_to_native(image, forward, native, map=m),
+    ]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for call in calls:
+            serial, pooled = call(map), call(pool.map)
+            assert pooled.data.dtype == serial.data.dtype
+            assert np.array_equal(bits(pooled), bits(serial))
+            assert serial.data.any() == (name != "empty")
+            if name == "mostly-missed":
+                assert np.count_nonzero(serial.data.any(axis=(0, 1))) < native.shape[2] // 4
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_an_error_in_one_plane_reaches_the_caller_unchanged(monkeypatch, threads):
+    _, image, forward, native = warp_case("rotated-anisotropic")
+    error = RuntimeError("plane failed")
+    real = ndimage.map_coordinates
+    calls = None
+
+    def failing(*args, **kwargs):
+        if next(calls) == 2:  # the third plane sampled; next() on a count is atomic
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "map_coordinates", failing)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        plane_map = map if threads == 1 else pool.map
+        for warp in (
+            lambda: resample_image(image, invert_affine(forward), native, map=plane_map),
+            lambda: inverse_warp_image_to_native(image, forward, native, map=plane_map),
+        ):
+            calls = itertools.count()
+            with pytest.raises(RuntimeError) as excinfo:
+                warp()
+            assert excinfo.value is error
 
 
 # -- inverse warps -----------------------------------------------------------

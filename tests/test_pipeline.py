@@ -760,14 +760,17 @@ def test_a_damaged_native_reference_fails_validation_before_any_container_runs(t
     add_native_context(gli_subject, "sub-01")
     reference = gli_subject / "sub-01-native.nii.gz"
     reference.write_bytes(reference.read_bytes()[:40])
-    engine = engine_with()
     inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
-    with pytest.raises(ValidationFailed) as excinfo:
-        run_inference(inputs, gli_config(tmp_path, engine, override_catalog, native_space_output=True))
-    assert engine.containers_created == 0
-    errors = [f for f in excinfo.value.report.findings if f.severity == "error"]
-    assert [f.code for f in errors] == ["UNREADABLE_INPUT"]
-    assert errors[0].message.startswith("native reference (sub-01-native.nii.gz): ")
+    for parallel_jobs in (1, 2):  # the reference is read beside the input decodes
+        engine = engine_with()
+        config = gli_config(tmp_path, engine, override_catalog, native_space_output=True, parallel_jobs=parallel_jobs)
+        with pytest.raises(ValidationFailed) as excinfo:
+            run_inference(inputs, config)
+        assert engine.containers_created == 0
+        report = excinfo.value.report
+        assert [f.code for f in report.errors] == ["UNREADABLE_INPUT"]
+        assert report.findings[-1] == report.errors[0]
+        assert report.errors[0].message.startswith("native reference (sub-01-native.nii.gz): ")
 
 
 def test_a_native_run_reads_each_sidecar_and_the_reference_grid_once(

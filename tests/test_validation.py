@@ -491,6 +491,40 @@ def test_cut_native_reference_is_one_unreadable_input(tmp_path):
     assert report.native is None
 
 
+@pytest.mark.parametrize("damage", [None, "cut_reference", "no_sidecar"])
+def test_the_native_context_is_one_more_item_of_the_decode_map(tmp_path, damage):
+    inputs = native_inputs(tmp_path)
+    # A constant input gives a content finding, which stays before the native ones.
+    write_volume(
+        Volume(data=np.full((32, 32, 20), 7.0, dtype=np.float32), affine=e2e_affine()), inputs.files["T1n"]
+    )
+    if damage == "cut_reference":
+        inputs.native_reference.write_bytes(inputs.native_reference.read_bytes()[:40])
+    elif damage == "no_sidecar":
+        inputs.transform_sidecars[0].unlink()
+    task = get_task_spec("gli-pre")
+    items = []
+    with ThreadPoolExecutor(max_workers=2) as pool:
+
+        def recording_map(fn, *iterables):
+            iterables = [list(it) for it in iterables]
+            items.append(len(iterables[0]))
+            return pool.map(fn, *iterables)
+
+        report = validate_subject(inputs, task, native_space_output=True, map=recording_map)
+    assert items == [len(inputs.files) + 1]
+    assert report == validate_subject(inputs, task, native_space_output=True)
+    found = [(f.code, f.message.split()[0]) for f in report.findings]
+    head = [(INTENSITY_SUSPECT, "T1n"), (ATLAS_GRID_DEVIATION, "grid")]
+    if damage is None:
+        assert found == head
+        assert report.passed and report.native is not None
+    else:
+        last = (UNREADABLE_INPUT, "native") if damage == "cut_reference" else (MISSING_TRANSFORM, "native-space")
+        assert found == [*head, last]
+        assert not report.passed and report.native is None
+
+
 def test_native_space_task_needs_no_native_context(tmp_path):
     inputs = native_inputs(tmp_path, "sub-03", TaskId.PED)
     task = get_task_spec("ped")
