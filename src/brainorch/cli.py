@@ -222,7 +222,6 @@ def _cmd_fuse(args) -> int:
     consensus_path = out_dir / "consensus.nii.gz"
     write_mask(result.consensus, consensus_path)
     fusion_doc = result.to_json_dict()
-    fusion_doc["candidates"] = ids
     (out_dir / "fusion.json").write_text(json.dumps(fusion_doc, indent=2, sort_keys=True) + "\n")
     _say(f"consensus written to {consensus_path}")
     _emit(

@@ -257,6 +257,9 @@ class FusionResult:
 
     consensus: Volume
     method: str
+    # The voted set's source ids and labels, in the set's order.
+    candidates: tuple[str, ...]
+    labels: tuple[Label, ...]
     per_candidate_weights: dict[str, dict[str, float]]
     iterations_run: int
     dropped: dict[str, tuple[str, ...]] = field(default_factory=dict)
@@ -268,6 +271,8 @@ class FusionResult:
         return {
             "method": self.method,
             "params": self.params,
+            "candidates": list(self.candidates),
+            "labels": [{"code": label.code, "name": label.name} for label in self.labels],
             "iterations_run": self.iterations_run,
             "per_candidate_weights": {
                 sid: dict(sorted(weights.items()))
@@ -390,6 +395,8 @@ def _vote(candidates: CandidateSet, method: str, params: SimpleParams | None = N
     return FusionResult(
         consensus=Volume(data=out, affine=candidates.grid_affine),
         method=method,
+        candidates=candidates.source_ids,
+        labels=candidates.labels,
         per_candidate_weights=weights,
         iterations_run=iterations_run,
         dropped=dropped,

@@ -20,7 +20,8 @@ item of the ``map`` the caller hands in (the built-in one, or an
 executor's ordered map) and writes only its own column of the output, so
 the output's bytes do not depend on the thread count. A target voxel
 (i, j, k) maps to the source coordinates ``m[:, 0] * i + m[:, 1] * j +
-m[:, 2] * k + m[:, 3]`` of the composed voxel-to-voxel matrix ``m``, summed
+m[:, 2] * k + m[:, 3]`` of the voxel-to-voxel matrix ``m`` (target voxel
+to world, the inverse world map, then world to source voxel), summed
 elementwise left to right: the same IEEE operations on every CPU, with no
 BLAS kernel to pick a summation order, so a sample at a rounding boundary
 does not depend on the machine's kernel. The first two terms are one
@@ -31,7 +32,8 @@ float64 planes of coordinates and indices. Lookups within a plane then
 walk the source's memory forward.
 
 Only the target voxels whose source neighbours can be nonzero are looked
-up or interpolated; every other voxel of the output stays 0. Within a
+up or interpolated; every other voxel of the output stays 0, and an
+all-zero source maps no plane at all. Within a
 plane, a voxel is evaluated when its source coordinates lie within one
 voxel of the source's :func:`brainorch.metrics.foreground_box` on every
 axis (``[box.start - 1, box.stop]``). This tests the very coordinates the
@@ -190,76 +192,48 @@ def grid_difference(grid, ref) -> str | None:
     return None
 
 
-def _foreground_samples(data: np.ndarray, source_affine: np.ndarray, world_map: np.ndarray, target: GridSpec):
-    """The target voxels whose source neighbours can be nonzero, as a
-    function of the last-axis plane.
-
-    Returns None when the source ``data`` is all 0, else ``samples(k)``,
-    which gives ``(coords, idx)`` for the target plane ``[:, :, k]``:
-    ``idx`` holds the kept columns in the plane's Fortran order (maybe
-    none) and ``coords`` (3, len(idx)) their source voxel coordinates. A
-    target index (i, j, k) maps through target voxel->world, then the
-    inverse world map, then world->source voxel, by the elementwise rule
-    of the module docstring: ``base = m[:3, 0:1] * i + m[:3, 1:2] * j``
-    once, shared by every plane, then ``base + m[:3, 2:3] * k + m[:3, 3:4]``
-    per plane, the same sum left to right. A column is kept when its
-    coordinates lie within ``[box.start - 1, box.stop]`` on every axis,
-    where ``box`` is the :func:`metrics.foreground_box` of ``data``. Every
-    other target voxel resamples to 0 (see the module docstring).
-    """
-    box = foreground_box([data])
-    if any(s.stop == s.start for s in box):
-        return None
-    lo = np.array([s.start - 1 for s in box], dtype=np.float64)[:, None]
-    hi = np.array([s.stop for s in box], dtype=np.float64)[:, None]
-    m = np.linalg.inv(source_affine) @ np.linalg.inv(world_map) @ target.affine
-    nx, ny, _ = target.shape
-    base = (
-        m[:3, 0:1] * np.tile(np.arange(nx, dtype=np.float64), ny)
-        + m[:3, 1:2] * np.repeat(np.arange(ny, dtype=np.float64), nx)
-    )
-
-    def samples(k):
-        coords = base + m[:3, 2:3] * k + m[:3, 3:4]
-        idx = np.flatnonzero(((coords >= lo) & (coords <= hi)).all(axis=0))
-        return coords[:, idx], idx
-
-    return samples
-
-
 def _resample(data: np.ndarray, affine: np.ndarray, world_map: AffineTransform, target: GridSpec, dtype, fill, map):
     """``target`` filled with ``dtype`` samples of the Fortran-order source
-    ``data`` on ``affine``, one plane per item of ``map``.
-    ``fill(column, coords, idx)`` writes the samples at ``coords`` into
-    ``column[idx]``, the plane's own column of the Fortran-order output, so
-    no byte depends on the map's thread count or completion order."""
+    ``data`` on ``affine``, one target plane per item of ``map``.
+
+    ``fill(column, coords, idx)`` writes the samples at the source voxel
+    coordinates ``coords`` (3, len(idx)) into ``column[idx]``, the plane's
+    own column of the Fortran-order output; ``idx`` holds the plane's
+    evaluated voxels in Fortran order. An all-zero source maps no plane, and
+    a plane with no evaluated voxel calls no ``fill``.
+    """
     out = np.zeros(target.shape, dtype=dtype, order="F")
-    planes = out.reshape(-1, target.shape[2], order="F")  # a view: column k is plane k
-    samples = _foreground_samples(data, affine, world_map.matrix, target)
+    box = foreground_box([data])
+    if all(s.stop > s.start for s in box):
+        lo = np.array([s.start - 1 for s in box], dtype=np.float64)[:, None]
+        hi = np.array([s.stop for s in box], dtype=np.float64)[:, None]
+        m = np.linalg.inv(affine) @ np.linalg.inv(world_map.matrix) @ target.affine
+        nx, ny, nz = target.shape
+        base = (
+            m[:3, 0:1] * np.tile(np.arange(nx, dtype=np.float64), ny)
+            + m[:3, 1:2] * np.repeat(np.arange(ny, dtype=np.float64), nx)
+        )
+        planes = out.reshape(-1, nz, order="F")  # a view: column k is plane k
 
-    def plane(k):
-        coords, idx = samples(k)
-        if idx.size:
-            fill(planes[:, k], coords, idx)
+        def plane(k):
+            coords = base + m[:3, 2:3] * k + m[:3, 3:4]
+            idx = np.flatnonzero(((coords >= lo) & (coords <= hi)).all(axis=0))
+            if idx.size:
+                fill(planes[:, k], coords[:, idx], idx)
 
-    if samples is not None:
-        for _ in map(plane, range(target.shape[2])):
+        for _ in map(plane, range(nz)):
             pass
     out.setflags(write=False)
     return Volume(data=out, affine=target.affine)
 
 
 def resample_mask(mask: Volume, world_map: AffineTransform, target: GridSpec, map=map) -> Volume:
-    """Nearest-neighbor resample of a label mask onto ``target``.
+    """Nearest-neighbor resample of a label mask onto ``target``, one plane
+    per item of ``map`` (the built-in one, or an executor's ordered map).
 
     ``world_map`` maps the mask's world coordinates into the target grid's
     world coordinates. Voxels that land outside the source grid become 0.
     The output label set is always a subset of the input's plus background.
-    Only target voxels near the mask's nonzero box are looked up, one plane
-    per item of ``map`` (the built-in one, or an executor's ordered map; see
-    the module docstring): beside the output and a Fortran-order copy of a
-    source not already in that order, memory holds a few planes of
-    coordinates per thread, never a full-grid map.
     """
     data = mask.data
     if not np.issubdtype(data.dtype, np.integer):
@@ -277,14 +251,12 @@ def resample_mask(mask: Volume, world_map: AffineTransform, target: GridSpec, ma
 
 
 def resample_image(image: Volume, world_map: AffineTransform, target: GridSpec, map=map) -> Volume:
-    """Trilinear resample of an intensity image onto ``target``.
+    """Trilinear resample of an intensity image onto ``target``, one plane
+    per item of ``map`` like :func:`resample_mask`.
 
     Out-of-grid samples read as 0. Output is float32: each sample is
     interpolated in float64 from the source in its own dtype, as from a
-    float64 copy of it, and rounded to float32 once. Only target voxels
-    near the image's nonzero box are interpolated, one plane per item of
-    ``map`` like :func:`resample_mask`, with a few planes of coordinates
-    per thread; the rest stay +0.0.
+    float64 copy of it, and rounded to float32 once.
     """
     data = np.asfortranarray(image.data)
 

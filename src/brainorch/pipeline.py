@@ -439,6 +439,10 @@ def _collect(run: _Run, outcomes, stem: str, noun: str, vet=None):
 
 
 def _refuse_collision(target: Path, force: bool) -> None:
+    # A path below a file does not exist, so this finds the file in the way.
+    existing = next(path for path in (target, *target.parents) if path.exists())
+    if not existing.is_dir():
+        raise OutputCollision(f"output bundle {target}: {existing} is not a directory; force does not replace it")
     if target.exists() and any(target.iterdir()) and not force:
         raise OutputCollision(f"output bundle {target} already exists; use force to replace")
 
@@ -594,10 +598,7 @@ def _produce_segmentation(run: _Run, outcomes) -> _Product:
     result = fuse(candidate_set, run.config.fusion_method, run.config.fusion_params)
     write_mask(result.consensus, bundle / CONSENSUS_NAME)
 
-    fusion_doc = result.to_json_dict()
-    fusion_doc["labels"] = [{"code": lb.code, "name": lb.name} for lb in task.labels]
-    fusion_doc["candidates"] = ids
-    (bundle / "fusion.json").write_text(json.dumps(fusion_doc, indent=2, sort_keys=True) + "\n")
+    (bundle / "fusion.json").write_text(json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n")
 
     metrics_rel = None
     if len(volumes) > 1:

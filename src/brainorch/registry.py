@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -370,6 +371,29 @@ _OVERRIDE_REQUIRED = tuple(f.name for f in fields(AlgorithmEntry) if f.default i
 _OVERRIDE_OPTIONAL = {f.name: f.default for f in fields(AlgorithmEntry) if f.default is not MISSING}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_mount_path(value) -> bool:
+    return isinstance(value, str) and value.startswith("/")
+
+
+# What each optional override value must be, checked before any job sees it:
+# a quoted "false" is truthy and a string of tags iterates by character.
+_OVERRIDE_TYPES = {
+    "architecture_tags": ("an array of strings", lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v)),
+    "requires_gpu": ("a JSON boolean", lambda v: isinstance(v, bool)),
+    "shm_bytes": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "timeout_seconds": (
+        "a finite number > 0",
+        lambda v: (_is_int(v) or isinstance(v, float) and math.isfinite(v)) and v > 0,
+    ),
+    "input_mount_path": ("a path starting with '/'", _is_mount_path),
+    "output_mount_path": ("a path starting with '/'", _is_mount_path),
+}
+
+
 def _entry_from_json(doc: dict, where: str) -> AlgorithmEntry:
     if not isinstance(doc, dict):
         raise CatalogError(f"{where}: algorithm entries must be JSON objects")
@@ -379,6 +403,9 @@ def _entry_from_json(doc: dict, where: str) -> AlgorithmEntry:
     unknown = set(doc) - set(_OVERRIDE_REQUIRED) - set(_OVERRIDE_OPTIONAL)
     if unknown:
         raise CatalogError(f"{where}: entry has unknown keys {sorted(unknown)}")
+    for key, (expected, valid) in _OVERRIDE_TYPES.items():
+        if key in doc and not valid(doc[key]):
+            raise CatalogError(f"{where}: entry {doc['id']!r}: {key!r} must be {expected}, got {doc[key]!r}")
     task_id = normalize_task_id(doc["task_id"])
     kwargs = {k: doc.get(k, default) for k, default in _OVERRIDE_OPTIONAL.items()}
     kwargs["architecture_tags"] = tuple(kwargs["architecture_tags"])

@@ -186,15 +186,16 @@ def _generate_label_blobs(spec: JobSpec, out_path: Path, script: dict) -> None:
     """Paint spheres of label codes onto the grid of a reference input.
 
     Blob order matters: later blobs overwrite earlier ones where they
-    overlap.
+    overlap. Squared distances are summed over the axes in order from
+    per-axis ranges, so no full-grid index array is built.
     """
     like = read_volume(_glob_one(spec.input_dir, script["like"]))
     data = np.zeros(like.shape, dtype=np.uint8)
-    idx = np.indices(like.shape)
+    i, j, k = np.ogrid[tuple(slice(0, n) for n in like.shape)]
     for blob in script["blobs"]:
-        center = np.asarray(blob["center"], dtype=np.float64).reshape(3, 1, 1, 1)
+        ci, cj, ck = np.asarray(blob["center"], dtype=np.float64)
         radius = float(blob["radius"])
-        inside = ((idx - center) ** 2).sum(axis=0) <= radius * radius
+        inside = (i - ci) ** 2 + (j - cj) ** 2 + (k - ck) ** 2 <= radius * radius
         data[inside] = int(blob["label"])
     write_mask(Volume(data=data, affine=like.affine), out_path)
 

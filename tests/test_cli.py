@@ -303,6 +303,17 @@ def test_segment_collision_exits_3(capsys, workspace):
     assert run(capsys, argv + ["--force"])[0] == EXIT_OK
 
 
+@pytest.mark.parametrize("force", [[], ["--force"]])
+def test_segment_onto_a_file_at_the_bundle_path_exits_3(capsys, workspace, force):
+    target = workspace["output"] / "sub-01" / "gli-pre"
+    target.parent.mkdir(parents=True)
+    target.write_text("not a bundle")
+    argv = ["segment", "--task", "gli-pre", "-i", str(workspace["subject"]), "-o", str(workspace["output"]), *force]
+    code, _, err = run(capsys, mock_args(workspace, *argv))
+    assert code == EXIT_RUNTIME
+    assert err.startswith(f"error: output bundle {target}: {target} is not a directory"), err
+
+
 def test_docker_engine_unreachable_exits_3(capsys, workspace):
     code, out, _ = run(
         capsys,
@@ -543,6 +554,34 @@ def test_fuse_label_code_outside_uint8_exits_2(capsys, tmp_path, code, count):
     assert not (tmp_path / "out" / "consensus.nii.gz").exists()
 
 
+@pytest.mark.parametrize("fusion", ["majority", "simple"])
+def test_fuse_and_warp_re_derive_a_bundle(capsys, workspace, fusion):
+    subject = workspace["subject"]
+    add_native_context(subject, "sub-01")
+    argv = ["segment", "--task", "gli-pre", "-i", str(subject), "-o", str(workspace["output"]), "--native"]
+    for algo_id in ALGO_IDS:
+        argv += ["--algo", algo_id]
+    assert run(capsys, mock_args(workspace, *argv, "--fusion", fusion))[0] == EXIT_OK
+    bundle = workspace["output"] / "sub-01" / "gli-pre"
+    candidates = json.loads((bundle / "fusion.json").read_text())["candidates"]
+    assert len(candidates) == 3
+    masks = [str(bundle / "candidates" / f"{sid}.nii.gz") for sid in candidates]
+
+    again = workspace["root"] / "refused"
+    argv = ["fuse", *masks, "-o", str(again), "--task", "gli-pre", "--fusion", fusion]
+    assert run(capsys, argv)[0] == EXIT_OK
+    for name in ("consensus.nii.gz", "fusion.json"):
+        assert (again / name).read_bytes() == (bundle / name).read_bytes(), name
+
+    native = workspace["root"] / "consensus-native.nii.gz"
+    argv = [
+        "warp", "-i", str(again / "consensus.nii.gz"), "-t", str(subject / "sub-01_native2SRI24.json"),
+        "--invert", "--like", str(subject / "sub-01-native.nii.gz"), "--interp", "nearest", "-o", str(native),
+    ]
+    assert run(capsys, argv)[0] == EXIT_OK
+    assert native.read_bytes() == (bundle / "native" / "consensus-native.nii.gz").read_bytes()
+
+
 # -- warp ----------------------------------------------------------------------
 
 
@@ -687,6 +726,34 @@ def test_catalog_bad_override_exits_2(capsys, tmp_path):
     code, out, _ = run(capsys, ["catalog", "list", "--catalog", str(bad), "--json"])
     assert code == EXIT_USAGE
     assert json.loads(out)["error"]["type"] == "CatalogError"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("requires_gpu", "false"), ("architecture_tags", "nnU-Net"), ("timeout_seconds", "abc"),
+     ("shm_bytes", -5), ("input_mount_path", 7)],
+)
+def test_catalog_override_of_the_wrong_type_exits_2_before_any_container(capsys, monkeypatch, workspace, key, value):
+    catalog = json.loads(workspace["catalog"].read_text())
+    catalog["algorithms"][0][key] = value
+    workspace["catalog"].write_text(json.dumps(catalog))
+    code, out, _ = run(capsys, ["catalog", "list", "--catalog", str(workspace["catalog"]), "--json"])
+    assert code == EXIT_USAGE
+    error = json.loads(out)["error"]
+    assert error["type"] == "CatalogError"
+    assert str(workspace["catalog"]) in error["message"] and repr(key) in error["message"]
+
+    engines = []
+    build_engine = cli_module._build_engine
+    monkeypatch.setattr(cli_module, "_build_engine", lambda args: engines.append(build_engine(args)) or engines[-1])
+    argv = ["segment", "--task", "gli-pre", "-i", str(workspace["subject"]), "-o", str(workspace["output"]), "--json"]
+    for algo_id in ALGO_IDS:
+        argv += ["--algo", algo_id]
+    code, out, _ = run(capsys, mock_args(workspace, *argv))
+    assert code == EXIT_USAGE
+    assert json.loads(out)["error"]["type"] == "CatalogError"
+    assert [engine.containers_created for engine in engines] == [0]
+    assert not workspace["output"].exists()
 
 
 # -- parser behavior -----------------------------------------------------------

@@ -23,7 +23,7 @@ from brainorch.errors import (
 from brainorch.geometry import (
     AffineTransform,
     GridSpec,
-    _foreground_samples,
+    _resample,
     compose,
     invert_affine,
     inverse_warp_image_to_native,
@@ -443,10 +443,21 @@ def test_warp_coordinates_follow_the_elementwise_rule_on_a_brats_plane():
     source_affine[:3, 3] = -275.0  # voxels -1..12 span -325..325 mm
     data = np.ones((12, 12, 12), dtype=np.uint8)
     m = np.linalg.inv(source_affine) @ np.linalg.inv(world_map) @ target.affine
+    planes = {}
+    running = []
+
+    def serial_map(plane, ks):
+        for k in ks:
+            running.append(k)
+            yield plane(k)
+
+    def fill(column, coords, idx):
+        planes[running[-1]] = coords, idx
+
+    _resample(data, source_affine, identity_transform(matrix=world_map), target, np.uint8, fill, serial_map)
     seen = 0
-    samples = _foreground_samples(data, source_affine, world_map, target)
     for k in range(shape[2]):
-        coords, idx = samples(k)
+        coords, idx = planes[k]
         i, j = idx % shape[0], idx // shape[0]
         rule = m[:3, 0:1] * i + m[:3, 1:2] * j + m[:3, 2:3] * k + m[:3, 3:4]
         differ = np.count_nonzero(coords.view(np.uint64) != rule.view(np.uint64))

@@ -667,6 +667,21 @@ def test_output_collision_and_force(tmp_path, gli_subject, override_catalog):
     assert replaced.consensus_path.is_file()
 
 
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("blocker", ["sub-01/gli-pre", "sub-01"])
+def test_a_file_on_the_bundle_path_is_a_collision(tmp_path, gli_subject, override_catalog, blocker, force):
+    inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
+    blocking = tmp_path / "bundles" / blocker
+    blocking.parent.mkdir(parents=True)
+    blocking.write_text("not a bundle")
+    engine = engine_with()
+    target = tmp_path / "bundles" / "sub-01" / "gli-pre"
+    with pytest.raises(OutputCollision, match=f"output bundle {target}: {blocking} is not a directory"):
+        run_inference(inputs, gli_config(tmp_path, engine, override_catalog, force=force))
+    assert engine.containers_created == 0
+    assert blocking.read_text() == "not a bundle"
+
+
 def fail_swap(monkeypatch, before=None, error=errno.EIO):
     """Make the rename of a staged bundle onto its target fail.
 

@@ -292,6 +292,54 @@ def test_override_entry_missing_keys_rejected(tmp_path):
         load_catalog(path)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("requires_gpu", "false"),
+        ("requires_gpu", 0),
+        ("architecture_tags", "nnU-Net"),
+        ("architecture_tags", ["nnU-Net", 3]),
+        ("shm_bytes", -5),
+        ("shm_bytes", 1.5),
+        ("shm_bytes", True),
+        ("timeout_seconds", "abc"),
+        ("timeout_seconds", 0),
+        ("timeout_seconds", -1.0),
+        ("timeout_seconds", float("inf")),
+        ("timeout_seconds", float("nan")),
+        ("timeout_seconds", True),
+        ("input_mount_path", 7),
+        ("input_mount_path", "mlcube_io0"),
+        ("output_mount_path", None),
+    ],
+)
+def test_override_optional_field_of_the_wrong_type_rejected(tmp_path, key, value):
+    path = tmp_path / "o.json"
+    path.write_text(json.dumps(override_doc([raw_entry(**{key: value})])))
+    with pytest.raises(CatalogError, match=rf"o\.json: entry 'custom-1': '{key}' must be"):
+        load_catalog(path)
+
+
+def test_override_optional_fields_at_their_bounds_load(tmp_path):
+    path = tmp_path / "o.json"
+    entry = raw_entry(
+        requires_gpu=False,
+        architecture_tags=["nnU-Net", "MedNeXt"],
+        shm_bytes=0,
+        timeout_seconds=0.5,
+        input_mount_path="/in",
+        output_mount_path="/out",
+    )
+    path.write_text(json.dumps(override_doc([entry, raw_entry(id="custom-2", rank=2, timeout_seconds=30)])))
+    cat = load_catalog(path)
+    got = cat.resolve("gli-pre", "custom-1")
+    assert (got.requires_gpu, got.architecture_tags, got.shm_bytes, got.timeout_seconds) == (
+        False, ("nnU-Net", "MedNeXt"), 0, 0.5
+    )
+    assert (got.input_mount_path, got.output_mount_path) == ("/in", "/out")
+    assert cat.resolve("gli-pre", "custom-2").timeout_seconds == 30
+
+
 def test_override_entry_unknown_keys_rejected(tmp_path):
     path = tmp_path / "o.json"
     path.write_text(json.dumps(override_doc([raw_entry(gpu_count=4)])))

@@ -301,6 +301,41 @@ def test_label_blobs_generator_matches_sphere_oracle(tmp_path):
     assert seg.data.dtype == np.uint8
 
 
+def index_grid_label_blobs(shape, blobs):
+    """The generator's formula over full-grid index arrays: the reference."""
+    data = np.zeros(shape, dtype=np.uint8)
+    idx = np.indices(shape)
+    for blob in blobs:
+        center = np.asarray(blob["center"], dtype=np.float64).reshape(3, 1, 1, 1)
+        radius = float(blob["radius"])
+        data[((idx - center) ** 2).sum(axis=0) <= radius * radius] = int(blob["label"])
+    return data
+
+
+def test_label_blobs_generator_equals_full_index_grids_in_less_memory(tmp_path):
+    shape = (96, 90, 60)
+    rng = np.random.default_rng(3)
+    blobs = [
+        {"label": 2, "center": [40, 45, 30], "radius": 13},  # integer spheres: exact-boundary voxels
+        {"label": 3, "center": [95, 0, 59], "radius": 20},  # mostly off the grid
+        *({"label": int(rng.integers(1, 5)), "center": rng.uniform(-5, 100, 3).tolist(),
+           "radius": float(rng.uniform(0.5, 25))} for _ in range(6)),
+    ]
+    spec = make_spec(tmp_path)
+    write_volume(Volume(data=np.zeros(shape, dtype=np.uint8), affine=np.eye(4)), spec.input_dir / "s-t1c.nii")
+    out_path = spec.output_dir / "seg.nii.gz"
+    tracemalloc.start()
+    try:
+        runtime._generate_label_blobs(spec, out_path, {"like": "*-t1c.nii", "blobs": blobs})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(read_volume(out_path).data, index_grid_label_blobs(shape, blobs))
+    # Two float64 grids' worth; three int64 index grids alone would be 24
+    # bytes per voxel (the reference peaks near 59).
+    assert peak <= 16 * np.prod(shape), peak
+
+
 def test_mean_fill_generator(tmp_path):
     input_dir, output_dir = job_dirs(tmp_path)
     image = np.full((6, 6, 6), 10.0, dtype=np.float32)
