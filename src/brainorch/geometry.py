@@ -18,7 +18,9 @@ axis, the slowest axis of the Fortran order in which NIfTI stores voxels
 and :func:`brainorch.nifti.read_volume` returns them. Each plane is one
 item of the ``map`` the caller hands in (the built-in one, or an
 executor's ordered map) and writes only its own column of the output, so
-the output's bytes do not depend on the thread count. A target voxel
+the output's bytes do not depend on the thread count. Each item returns
+its column, so a ``map`` that runs the planes in order can hand each one
+to a writer as soon as it is final. A target voxel
 (i, j, k) maps to the source coordinates ``m[:, 0] * i + m[:, 1] * j +
 m[:, 2] * k + m[:, 3]`` of the voxel-to-voxel matrix ``m`` (target voxel
 to world, the inverse world map, then world to source voxel), summed
@@ -32,12 +34,12 @@ float64 planes of coordinates and indices. Lookups within a plane then
 walk the source's memory forward.
 
 Only the target voxels whose source neighbours can be nonzero are looked
-up or interpolated; every other voxel of the output stays 0, and an
-all-zero source maps no plane at all. Within a
-plane, a voxel is evaluated when its source coordinates lie within one
-voxel of the source's :func:`brainorch.metrics.foreground_box` on every
-axis (``[box.start - 1, box.stop]``). This tests the very coordinates the
-lookup would use, so it is exact without a rounding margin:
+up or interpolated; every other voxel of the output stays 0, and no plane
+of an all-zero source computes a coordinate. Within a plane, a voxel is
+evaluated when its source coordinates lie within one voxel of the source's
+:func:`brainorch.metrics.foreground_box` on every axis (``[box.start - 1,
+box.stop]``). This tests the very coordinates the lookup would use, so it
+is exact without a rounding margin:
 
 - a nearest lookup outside that range reads a voxel that is 0, or none;
 - a trilinear sample there reads 8 neighbours that are 0 or -0.0, or off
@@ -199,30 +201,35 @@ def _resample(data: np.ndarray, affine: np.ndarray, world_map: AffineTransform, 
     ``fill(column, coords, idx)`` writes the samples at the source voxel
     coordinates ``coords`` (3, len(idx)) into ``column[idx]``, the plane's
     own column of the Fortran-order output; ``idx`` holds the plane's
-    evaluated voxels in Fortran order. An all-zero source maps no plane, and
-    a plane with no evaluated voxel calls no ``fill``.
+    evaluated voxels in Fortran order. A plane with no evaluated voxel (every
+    plane of an all-zero source) calls no ``fill``. Each item of ``map``
+    returns its plane's column.
     """
     out = np.zeros(target.shape, dtype=dtype, order="F")
+    nx, ny, nz = target.shape
+    planes = out.reshape(-1, nz, order="F")  # a view: column k is plane k
     box = foreground_box([data])
-    if all(s.stop > s.start for s in box):
+    empty = any(s.stop <= s.start for s in box)
+    if not empty:
         lo = np.array([s.start - 1 for s in box], dtype=np.float64)[:, None]
         hi = np.array([s.stop for s in box], dtype=np.float64)[:, None]
         m = np.linalg.inv(affine) @ np.linalg.inv(world_map.matrix) @ target.affine
-        nx, ny, nz = target.shape
         base = (
             m[:3, 0:1] * np.tile(np.arange(nx, dtype=np.float64), ny)
             + m[:3, 1:2] * np.repeat(np.arange(ny, dtype=np.float64), nx)
         )
-        planes = out.reshape(-1, nz, order="F")  # a view: column k is plane k
 
-        def plane(k):
+    def plane(k):
+        column = planes[:, k]
+        if not empty:
             coords = base + m[:3, 2:3] * k + m[:3, 3:4]
             idx = np.flatnonzero(((coords >= lo) & (coords <= hi)).all(axis=0))
             if idx.size:
-                fill(planes[:, k], coords[:, idx], idx)
+                fill(column, coords[:, idx], idx)
+        return column
 
-        for _ in map(plane, range(nz)):
-            pass
+    for _ in map(plane, range(nz)):
+        pass
     out.setflags(write=False)
     return Volume(data=out, affine=target.affine)
 

@@ -26,8 +26,10 @@ the header.
 The writer mirrors the readers: it opens the target once (through one
 :class:`gzip.GzipFile` when the name ends in ``.gz``) and writes the header,
 the empty extension block, then the payload in Fortran order, one last-axis
-plane at a time, each plane converted to the stored dtype and byte order as
-it goes, so no full-size copy of the payload is made. The gzip header carries
+plane at a time, each plane checked and converted to the stored dtype and
+byte order as it goes, so no full-size copy of the payload is made. The
+planes come from a finished volume or, as a warp fills them, from any
+iterable; a write that fails removes its partial file. The gzip header carries
 no file name (``filename=""``; given a named file object, GzipFile would
 store its name) and a zeroed mtime, so identical volumes produce identical
 files whatever they are called.
@@ -413,9 +415,10 @@ def _check_representable(data: np.ndarray, target: np.dtype) -> None:
                 )
 
 
-def _build_header(vol: Volume, code: int) -> bytes:
-    """The little-endian header and empty extender that precede ``vol``'s
-    payload stored as datatype ``code``."""
+def _build_header(vol, code: int) -> bytes:
+    """The little-endian header and empty extender that precede a payload
+    on ``vol``'s grid (its shape, spacing and affine) stored as datatype
+    ``code``."""
     shape = vol.shape
     if max(shape) > np.iinfo(np.int16).max:
         raise UnrepresentableData(f"extent {max(shape)} exceeds the int16 dim field")
@@ -436,14 +439,21 @@ def _build_header(vol: Volume, code: int) -> bytes:
     return raw.tobytes() + bytes(MIN_VOX_OFFSET - HEADER_SIZE)
 
 
-def write_volume(vol: Volume, path: str | Path, *, dtype: np.dtype | type | None = None) -> Path:
+def write_volume(vol, path: str | Path, *, dtype: np.dtype | type | None = None, planes=None) -> Path:
     """Write a volume as single-file NIfTI-1, gzipped when ``path`` ends in
     ``.gz``.
 
+    ``vol`` is a :class:`Volume`; with ``planes`` it is only the grid (a
+    shape, a spacing and an affine, as a :class:`~brainorch.geometry.GridSpec`
+    has), ``dtype`` is required, and the payload is the arrays ``planes``
+    yields, one last-axis plane each in order, each flat in Fortran order or
+    2-D: a warp can feed them as it fills them.
+
     ``dtype`` overrides the stored datatype; values that cannot be represented
-    losslessly in an integer target raise :class:`UnrepresentableData`, and
-    no file is written. The header is always fresh and little-endian (see
-    the module docstring); integer round trips are bit-exact.
+    losslessly in an integer target raise :class:`UnrepresentableData`. A
+    write that fails, whatever raised (``planes`` too), removes its file.
+    The header is always fresh and little-endian (see the module docstring);
+    integer round trips are bit-exact.
     """
     path = Path(path)
     target = np.dtype(dtype) if dtype is not None else vol.data.dtype
@@ -452,22 +462,33 @@ def write_volume(vol: Volume, path: str | Path, *, dtype: np.dtype | type | None
             f"dtype {target} is not writable; supported: "
             f"{sorted(d.name for d in _DTYPE_TO_CODE)}"
         )
-    _check_representable(vol.data, target)
     head = _build_header(vol, _DTYPE_TO_CODE[target])
+    if planes is None:
+        planes = (vol.data[:, :, k] for k in range(vol.shape[2]))
     stored = target.newbyteorder("<")
     gz = path.name.endswith(".gz")
     try:
         with path.open("wb") as f:
-            # filename="": given a named file object, GzipFile writes its name into the gzip header.
-            with gzip.GzipFile(filename="", fileobj=f, mode="wb", compresslevel=6, mtime=0) if gz else f as out:
-                out.write(head)
-                for k in range(vol.shape[2]):  # Fortran order: one last-axis plane at a time
-                    out.write(vol.data[:, :, k].astype(stored).tobytes(order="F"))
+            try:
+                # filename="": given a named file object, GzipFile writes its name into the gzip header.
+                with gzip.GzipFile(filename="", fileobj=f, mode="wb", compresslevel=6, mtime=0) if gz else f as out:
+                    out.write(head)
+                    voxels, need = 0, int(np.prod(vol.shape))
+                    for plane in planes:  # Fortran order: one last-axis plane at a time
+                        _check_representable(plane, target)
+                        out.write(plane.astype(stored, copy=False).tobytes(order="F"))
+                        voxels += plane.size
+                    if voxels != need:
+                        raise ValueError(f"{path}: the planes hold {voxels} voxels, the grid {vol.shape} {need}")
+            except BaseException:
+                path.unlink(missing_ok=True)
+                raise
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
     return path
 
 
-def write_mask(vol: Volume, path: str | Path) -> Path:
-    """Write a label mask: always uint8, slope 1, intercept 0."""
-    return write_volume(vol, path, dtype=np.uint8)
+def write_mask(vol, path: str | Path, *, planes=None) -> Path:
+    """Write a label mask: always uint8, slope 1, intercept 0. ``vol`` and
+    ``planes`` are as for :func:`write_volume`."""
+    return write_volume(vol, path, dtype=np.uint8, planes=planes)

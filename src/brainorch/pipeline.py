@@ -33,17 +33,21 @@ input once and hands its grids on, so the run decodes no input again.
 One pool of ``parallel_jobs`` threads per run decodes the inputs, runs the
 jobs, reads each job's output, scores each candidate and hashes the files;
 results fold back in input order, so no bundle byte depends on the thread
-count. The warp's planes run on the pool, each filling its own part of the
-output; writes stay on the calling thread.
+count. The native-space output is written while it is warped: the calling
+thread fills its planes in order and hands each one to the writer, one
+item of the pool, which deflates it while the next plane is filled. Every
+other write stays on the calling thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import hashlib
 import json
 import logging
 import os
+import queue
 import shutil
 import stat
 import uuid
@@ -472,6 +476,41 @@ def _atomic_publish(bundle_staging: Path, target: Path, force: bool) -> None:
         raise
 
 
+def _write_while_warping(run: _Run, warp: Callable, write: Callable) -> None:
+    """Run ``warp(map)`` on this thread while ``write(planes)``, one item of
+    the run's pool, writes each plane as soon as the warp has filled it.
+
+    The warp's ``map`` is the built-in one, so its planes are filled, and
+    handed on, in order. A warp error is handed to the writer, which raises
+    it and so removes its partial file; the caller then gets the warp
+    error. A writer error reaches the caller once the warp is done.
+    """
+    feed = queue.SimpleQueue()
+    done = object()
+
+    def planes():
+        while (plane := feed.get()) is not done:
+            if isinstance(plane, BaseException):
+                raise plane
+            yield plane
+
+    def handing(fn, items):
+        for plane in map(fn, items):
+            feed.put(plane)
+            yield plane
+
+    written = run.map(write, [planes()])
+    try:
+        warp(handing)
+    except BaseException as exc:
+        feed.put(exc)
+        with contextlib.suppress(BaseException):
+            next(written)  # the writer is done with the file before the caller hears of it
+        raise
+    feed.put(done)
+    next(written)
+
+
 def _warp_to_native(run: _Run, product: _Product) -> str:
     """Write the native-space derivative next to the atlas-space output."""
     rel = f"native/{product.native_name}-native.nii.gz"
@@ -618,7 +657,11 @@ def _produce_segmentation(run: _Run, outcomes) -> _Product:
         metrics_rel = "metrics.json"
 
     def write_native(forward, native_grid, path):
-        write_mask(inverse_warp_to_native(result.consensus, forward, native_grid, map=run.map), path)
+        _write_while_warping(
+            run,
+            lambda map: inverse_warp_to_native(result.consensus, forward, native_grid, map=map),
+            lambda planes: write_mask(native_grid, path, planes=planes),
+        )
 
     return _Product(
         job_rows=job_rows,
@@ -655,8 +698,11 @@ def _produce_synthesis(run: _Run, outcomes) -> _Product:
         synthesized = next(m for m in MODALITIES if m not in run.inputs.files)
 
     def write_native(forward, native_grid, path):
-        warped = inverse_warp_image_to_native(image, forward, native_grid, map=run.map)
-        write_volume(warped, path, dtype=np.float32)
+        _write_while_warping(
+            run,
+            lambda map: inverse_warp_image_to_native(image, forward, native_grid, map=map),
+            lambda planes: write_volume(native_grid, path, dtype=np.float32, planes=planes),
+        )
 
     return _Product(
         job_rows=job_rows,

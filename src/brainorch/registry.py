@@ -379,9 +379,15 @@ def _is_mount_path(value) -> bool:
     return isinstance(value, str) and value.startswith("/")
 
 
-# What each optional override value must be, checked before any job sees it:
-# a quoted "false" is truthy and a string of tags iterates by character.
+# What each override value must be, checked before any job sees it and never
+# coerced: a quoted "false" is truthy, a string of tags iterates by character,
+# and int() would take the rank true as 1 and 1.9 as 1.
 _OVERRIDE_TYPES = {
+    "id": ("a string", lambda v: isinstance(v, str)),
+    "year": ("an integer", _is_int),
+    "rank": ("an integer", _is_int),
+    "team_reference": ("a string", lambda v: isinstance(v, str)),
+    "image_reference": ("a string", lambda v: isinstance(v, str)),
     "architecture_tags": ("an array of strings", lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v)),
     "requires_gpu": ("a JSON boolean", lambda v: isinstance(v, bool)),
     "shm_bytes": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
@@ -406,21 +412,10 @@ def _entry_from_json(doc: dict, where: str) -> AlgorithmEntry:
     for key, (expected, valid) in _OVERRIDE_TYPES.items():
         if key in doc and not valid(doc[key]):
             raise CatalogError(f"{where}: entry {doc['id']!r}: {key!r} must be {expected}, got {doc[key]!r}")
-    task_id = normalize_task_id(doc["task_id"])
-    kwargs = {k: doc.get(k, default) for k, default in _OVERRIDE_OPTIONAL.items()}
-    kwargs["architecture_tags"] = tuple(kwargs["architecture_tags"])
-    try:
-        return AlgorithmEntry(
-            id=str(doc["id"]),
-            task_id=task_id,
-            year=int(doc["year"]),
-            rank=int(doc["rank"]),
-            team_reference=str(doc["team_reference"]),
-            image_reference=str(doc["image_reference"]),
-            **kwargs,
-        )
-    except (TypeError, ValueError) as exc:
-        raise CatalogError(f"{where}: {exc}") from exc
+    values = {**_OVERRIDE_OPTIONAL, **doc}
+    values["task_id"] = normalize_task_id(doc["task_id"])
+    values["architecture_tags"] = tuple(values["architecture_tags"])
+    return AlgorithmEntry(**values)
 
 
 def load_catalog(override_path: "str | Path | None" = None) -> Catalog:

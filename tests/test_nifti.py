@@ -13,6 +13,7 @@ import io
 import struct
 import tracemalloc
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -906,6 +907,36 @@ def test_a_refused_write_leaves_no_file(tmp_path):
         assert not (tmp_path / name).exists()
     with pytest.raises(IoFailure, match="cannot write"):
         write_volume(vol, tmp_path / "absent" / "x.nii.gz")
+
+
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+@pytest.mark.parametrize("case", sorted(WRITE_CASES))
+def test_planes_fed_one_by_one_give_the_bytes_of_the_volume(tmp_path, case, suffix):
+    vol, dtype = WRITE_CASES[case]
+    dtype = dtype or vol.data.dtype
+    grid = SimpleNamespace(shape=vol.shape, spacing=vol.spacing, affine=vol.affine)
+    columns = (vol.data[:, :, k].reshape(-1, order="F") for k in range(vol.shape[2]))
+    path = write_volume(grid, tmp_path / f"out{suffix}", dtype=dtype, planes=columns)
+    assert path.read_bytes() == _one_shot(vol, path, dtype)
+
+
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+def test_planes_that_fail_or_fall_short_leave_no_file(tmp_path, suffix):
+    vol = Volume(data=np.ones((4, 3, 5), dtype=np.float32), affine=np.eye(4))
+    error = RuntimeError("warp failed")
+
+    def failing():
+        yield vol.data[:, :, 0]
+        raise error
+
+    path = tmp_path / f"x{suffix}"
+    with pytest.raises(RuntimeError) as excinfo:
+        write_volume(vol, path, dtype=np.float32, planes=failing())
+    assert excinfo.value is error
+    assert not path.exists()
+    with pytest.raises(ValueError, match=r"hold 48 voxels, the grid \(4, 3, 5\) 60"):
+        write_volume(vol, path, dtype=np.float32, planes=iter([vol.data[:, :, 0]] * 4))
+    assert not path.exists()
 
 
 # -- unrepresentable writes --------------------------------------------------

@@ -6,10 +6,15 @@ from __future__ import annotations
 import errno
 import gzip
 import hashlib
+import itertools
 import json
+import os
 import struct
+import sys
+import threading
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,18 +22,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from brainorch import pipeline, validation
 from brainorch.errors import (
     AllJobsFailed,
     EngineUnreachable,
     GridMismatch,
+    IoFailure,
     OutputCollision,
     UnknownTask,
     ValidationFailed,
 )
 from brainorch.fusion import METHOD_SIMPLE, CandidateSet
-from brainorch.geometry import GridSpec
+from brainorch.geometry import GridSpec, inverse_warp_image_to_native, inverse_warp_to_native
 from brainorch.nifti import Volume, read_volume, write_mask, write_volume
 from brainorch.pipeline import (
     PipelineConfig,
@@ -55,6 +62,7 @@ from fixtures_e2e import (
     write_subject,
 )
 from oracles import brute_dice, brute_majority, shift_mask
+from test_geometry import WARP_CASES, warp_case
 from test_nifti import draw_damage
 
 ALGO_IDS = tuple(algo_id for algo_id, _, _ in E2E_ALGOS)
@@ -904,6 +912,141 @@ def test_inpaint_native_bundle_is_byte_stable(tmp_path):
     assert bundle.manifest["content_digest"] == (
         "c3f019a047934b51fb0d2d57dcb112eb40fc228c31ed6d1be0d267df2e8cc79d"
     )
+
+
+# -- the native write deflates each plane while the warp fills the next ----------
+
+
+@pytest.mark.parametrize("parallel_jobs", [1, 2])
+@pytest.mark.parametrize("name", WARP_CASES)
+def test_a_streamed_native_write_gives_the_bytes_of_warp_then_write(tmp_path, name, parallel_jobs):
+    labels, image, forward, native = warp_case(name)
+    kinds = {
+        "mask": (lambda m: inverse_warp_to_native(labels, forward, native, map=m), write_mask),
+        "image": (
+            lambda m: inverse_warp_image_to_native(image, forward, native, map=m),
+            lambda vol, path, **kw: write_volume(vol, path, dtype=np.float32, **kw),
+        ),
+    }
+    with ThreadPoolExecutor(max_workers=parallel_jobs) as pool:
+        for kind, (warp, write) in kinds.items():
+            whole = write(warp(map), tmp_path / f"{kind}-whole.nii.gz")
+            streamed = tmp_path / f"{kind}-streamed.nii.gz"
+            pipeline._write_while_warping(
+                SimpleNamespace(map=pool.map), warp, lambda planes: write(native, streamed, planes=planes)
+            )
+            assert streamed.read_bytes() == whole.read_bytes(), kind
+
+
+def test_concurrent_hand_offs_keep_their_planes_in_order_under_frequent_thread_switches(tmp_path):
+    _, image, forward, native = warp_case("rotated-anisotropic")
+
+    def warp(m):
+        return inverse_warp_image_to_native(image, forward, native, map=m)
+
+    whole = write_volume(warp(map), tmp_path / "whole.nii", dtype=np.float32).read_bytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as writers, ThreadPoolExecutor(max_workers=4) as callers:
+
+            def hand_off(n):
+                path = tmp_path / f"streamed-{n}.nii"
+
+                def write(planes):
+                    return write_volume(native, path, dtype=np.float32, planes=planes)
+
+                pipeline._write_while_warping(SimpleNamespace(map=writers.map), warp, write)
+                return path.read_bytes()
+
+            streamed = within(60, lambda: list(callers.map(hand_off, range(24))))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(blob == whole for blob in streamed)
+
+
+def within(seconds, call):
+    """``call()``, on a daemon thread; fails the test if it has not returned
+    or raised after ``seconds``."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def native_synthesis_run(tmp_path, monkeypatch, parallel_jobs):
+    """A native INPAINT run to call, its config, and the list that gets
+    ``(error, file left)`` for each write of the pipeline's that raises."""
+    subj = write_subject(tmp_path, "sub-08", task=TaskId.INPAINT)
+    add_native_context(subj, "sub-08")
+    inputs = discover_subject_inputs(subj, TaskId.INPAINT)
+    config = inpaint_config(tmp_path, native_space_output=True, parallel_jobs=parallel_jobs)
+    failed_writes = []
+    real = pipeline.write_volume
+
+    def recording(vol, path, **kw):
+        try:
+            return real(vol, path, **kw)
+        except BaseException as exc:
+            failed_writes.append((exc, Path(path).exists()))
+            raise
+
+    monkeypatch.setattr(pipeline, "write_volume", recording)
+    return (lambda: run_synthesis(inputs, config)), config, failed_writes
+
+
+def assert_nothing_published(config):
+    assert not [p.name for p in config.output_dir.iterdir() if p.name.startswith(".staging-")]
+    assert not (config.output_dir / "sub-08" / config.task.value).exists()
+
+
+@pytest.mark.parametrize("parallel_jobs", [1, 2])
+def test_a_warp_error_in_a_native_run_reaches_the_caller_and_the_writer(tmp_path, monkeypatch, parallel_jobs):
+    run, config, failed_writes = native_synthesis_run(tmp_path, monkeypatch, parallel_jobs)
+    error = RuntimeError("plane failed")
+    real = ndimage.map_coordinates
+    calls = itertools.count()
+
+    def failing(*args, **kwargs):
+        if next(calls) == 2:  # the third plane sampled
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "map_coordinates", failing)
+    with pytest.raises(RuntimeError) as excinfo:
+        within(60, run)
+    assert excinfo.value is error
+    assert failed_writes == [(error, False)]  # the writer raised it too, and removed its partial file
+    assert_nothing_published(config)
+
+
+@pytest.mark.parametrize("parallel_jobs", [1, 2])
+def test_a_writer_error_in_a_native_run_reaches_the_caller(tmp_path, monkeypatch, parallel_jobs):
+    run, config, failed_writes = native_synthesis_run(tmp_path, monkeypatch, parallel_jobs)
+    real = gzip.GzipFile.write
+    calls = itertools.count()
+
+    def disk_full(self, data):
+        if self.fileobj.name.endswith("-native.nii.gz") and next(calls) == 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real(self, data)
+
+    monkeypatch.setattr(gzip.GzipFile, "write", disk_full)
+    with pytest.raises(IoFailure, match="synthesis-native.nii.gz") as excinfo:
+        within(60, run)
+    assert failed_writes == [(excinfo.value, False)]
+    assert_nothing_published(config)
 
 
 def test_missing_mri_names_the_absent_modality(tmp_path):

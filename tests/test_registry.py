@@ -320,6 +320,23 @@ def test_override_optional_field_of_the_wrong_type_rejected(tmp_path, key, value
         load_catalog(path)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("rank", True),
+        ("rank", 1.9),
+        ("year", "2025"),
+        ("id", 7),
+        ("team_reference", 5),
+    ],
+)
+def test_override_required_field_of_the_wrong_type_rejected_not_coerced(tmp_path, key, value):
+    path = tmp_path / "o.json"
+    path.write_text(json.dumps(override_doc([raw_entry(**{key: value})])))
+    with pytest.raises(CatalogError, match=rf"o\.json: entry .+: '{key}' must be an? (integer|string), got"):
+        load_catalog(path)
+
+
 def test_override_optional_fields_at_their_bounds_load(tmp_path):
     path = tmp_path / "o.json"
     entry = raw_entry(
