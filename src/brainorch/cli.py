@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuse_cmd = sub.add_parser("fuse", help="fuse existing mask files into a consensus")
     fuse_cmd.add_argument("masks", nargs="+", help="candidate mask files (.nii/.nii.gz)")
     fuse_cmd.add_argument("-o", "--output", required=True, help="output directory")
-    fuse_cmd.add_argument("--task", default=None, choices=_ALL_TASKS, help="names the label set")
+    fuse_cmd.add_argument("--task", default=None, choices=_SEGMENTATION_TASKS, help="names the label set")
     fuse_cmd.add_argument("--json", action="store_true")
     _add_fusion_flags(fuse_cmd)
     fuse_cmd.set_defaults(handler=_cmd_fuse)

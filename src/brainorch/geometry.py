@@ -13,25 +13,22 @@ Masks resample with nearest-neighbor lookup (labels never blend, voxels that
 map outside the source grid become background), images with trilinear
 interpolation.
 
-Resampling evaluates the target grid one plane at a time along its last
-axis, the slowest axis of the Fortran order in which NIfTI stores voxels
-and :func:`brainorch.nifti.read_volume` returns them. Each plane is one
-item of the ``map`` the caller hands in (the built-in one, or an
-executor's ordered map) and writes only its own column of the output, so
-the output's bytes do not depend on the thread count. Each item returns
-its column, so a ``map`` that runs the planes in order can hand each one
-to a writer as soon as it is final. A target voxel
-(i, j, k) maps to the source coordinates ``m[:, 0] * i + m[:, 1] * j +
-m[:, 2] * k + m[:, 3]`` of the voxel-to-voxel matrix ``m`` (target voxel
+Resampling fills the target grid one plane at a time, in order, along its
+last axis, the slowest axis of the Fortran order in which NIfTI stores
+voxels and :func:`brainorch.nifti.read_volume` returns them. Each plane is
+its own column of the output, and each finished column goes to the
+caller's ``sink``, so a writer can take it as soon as it is final. A target
+voxel (i, j, k) maps to the source coordinates ``m[:, 0] * i + m[:, 1] * j
++ m[:, 2] * k + m[:, 3]`` of the voxel-to-voxel matrix ``m`` (target voxel
 to world, the inverse world map, then world to source voxel), summed
 elementwise left to right: the same IEEE operations on every CPU, with no
 BLAS kernel to pick a summation order, so a sample at a rounding boundary
 does not depend on the machine's kernel. The first two terms are one
 (3, X·Y) plane shared by every k. Memory holds the output, a
 Fortran-order copy of the source only when it is not in that order
-already (a NIfTI read never needs one), and, per thread, a few (3, X·Y)
-float64 planes of coordinates and indices. Lookups within a plane then
-walk the source's memory forward.
+already (a NIfTI read never needs one), and a few (3, X·Y) float64 planes
+of coordinates and indices. Lookups within a plane then walk the source's
+memory forward.
 
 Only the target voxels whose source neighbours can be nonzero are looked
 up or interpolated; every other voxel of the output stays 0, and no plane
@@ -194,16 +191,20 @@ def grid_difference(grid, ref) -> str | None:
     return None
 
 
-def _resample(data: np.ndarray, affine: np.ndarray, world_map: AffineTransform, target: GridSpec, dtype, fill, map):
+def _ignore(column) -> None:
+    """The default ``sink``: the returned volume holds every plane."""
+
+
+def _resample(data: np.ndarray, affine: np.ndarray, world_map: AffineTransform, target: GridSpec, dtype, fill, sink):
     """``target`` filled with ``dtype`` samples of the Fortran-order source
-    ``data`` on ``affine``, one target plane per item of ``map``.
+    ``data`` on ``affine``, one target plane at a time, in order.
 
     ``fill(column, coords, idx)`` writes the samples at the source voxel
     coordinates ``coords`` (3, len(idx)) into ``column[idx]``, the plane's
     own column of the Fortran-order output; ``idx`` holds the plane's
     evaluated voxels in Fortran order. A plane with no evaluated voxel (every
-    plane of an all-zero source) calls no ``fill``. Each item of ``map``
-    returns its plane's column.
+    plane of an all-zero source) calls no ``fill``. ``sink(column)`` then
+    gets the finished column.
     """
     out = np.zeros(target.shape, dtype=dtype, order="F")
     nx, ny, nz = target.shape
@@ -218,25 +219,21 @@ def _resample(data: np.ndarray, affine: np.ndarray, world_map: AffineTransform, 
             m[:3, 0:1] * np.tile(np.arange(nx, dtype=np.float64), ny)
             + m[:3, 1:2] * np.repeat(np.arange(ny, dtype=np.float64), nx)
         )
-
-    def plane(k):
+    for k in range(nz):
         column = planes[:, k]
         if not empty:
             coords = base + m[:3, 2:3] * k + m[:3, 3:4]
             idx = np.flatnonzero(((coords >= lo) & (coords <= hi)).all(axis=0))
             if idx.size:
                 fill(column, coords[:, idx], idx)
-        return column
-
-    for _ in map(plane, range(nz)):
-        pass
+        sink(column)
     out.setflags(write=False)
     return Volume(data=out, affine=target.affine)
 
 
-def resample_mask(mask: Volume, world_map: AffineTransform, target: GridSpec, map=map) -> Volume:
-    """Nearest-neighbor resample of a label mask onto ``target``, one plane
-    per item of ``map`` (the built-in one, or an executor's ordered map).
+def resample_mask(mask: Volume, world_map: AffineTransform, target: GridSpec, sink=_ignore) -> Volume:
+    """Nearest-neighbor resample of a label mask onto ``target``, handing
+    each finished plane to ``sink`` in order.
 
     ``world_map`` maps the mask's world coordinates into the target grid's
     world coordinates. Voxels that land outside the source grid become 0.
@@ -254,12 +251,12 @@ def resample_mask(mask: Volume, world_map: AffineTransform, target: GridSpec, ma
             inside &= (nearest[axis] >= 0) & (nearest[axis] < data.shape[axis])
         column[idx[inside]] = data[nearest[0, inside], nearest[1, inside], nearest[2, inside]]
 
-    return _resample(data, mask.affine, world_map, target, data.dtype, fill, map)
+    return _resample(data, mask.affine, world_map, target, data.dtype, fill, sink)
 
 
-def resample_image(image: Volume, world_map: AffineTransform, target: GridSpec, map=map) -> Volume:
-    """Trilinear resample of an intensity image onto ``target``, one plane
-    per item of ``map`` like :func:`resample_mask`.
+def resample_image(image: Volume, world_map: AffineTransform, target: GridSpec, sink=_ignore) -> Volume:
+    """Trilinear resample of an intensity image onto ``target``, handing
+    each finished plane to ``sink`` like :func:`resample_mask`.
 
     Out-of-grid samples read as 0. Output is float32: each sample is
     interpolated in float64 from the source in its own dtype, as from a
@@ -270,7 +267,7 @@ def resample_image(image: Volume, world_map: AffineTransform, target: GridSpec, 
     def fill(column, coords, idx):
         column[idx] = ndimage.map_coordinates(data, coords, output=np.float32, order=1, mode="constant", cval=0.0)
 
-    return _resample(data, image.affine, world_map, target, np.float32, fill, map)
+    return _resample(data, image.affine, world_map, target, np.float32, fill, sink)
 
 
 def _check_forward(forward: AffineTransform) -> None:
@@ -281,22 +278,22 @@ def _check_forward(forward: AffineTransform) -> None:
         )
 
 
-def inverse_warp_to_native(mask: Volume, forward: AffineTransform, native_grid: GridSpec, map=map) -> Volume:
+def inverse_warp_to_native(mask: Volume, forward: AffineTransform, native_grid: GridSpec, sink=_ignore) -> Volume:
     """Carry an atlas-space mask back to the subject's native grid.
 
     ``forward`` is the stored native->atlas registration; the warp applies
-    its inverse with nearest-neighbor lookup, one plane per item of ``map``.
+    its inverse with nearest-neighbor lookup, each finished plane to ``sink``.
     """
     _check_forward(forward)
-    return resample_mask(mask, invert_affine(forward), native_grid, map=map)
+    return resample_mask(mask, invert_affine(forward), native_grid, sink)
 
 
 def inverse_warp_image_to_native(
-    image: Volume, forward: AffineTransform, native_grid: GridSpec, map=map
+    image: Volume, forward: AffineTransform, native_grid: GridSpec, sink=_ignore
 ) -> Volume:
     """Trilinear counterpart of :func:`inverse_warp_to_native` for images."""
     _check_forward(forward)
-    return resample_image(image, invert_affine(forward), native_grid, map=map)
+    return resample_image(image, invert_affine(forward), native_grid, sink)
 
 
 def write_transform(transform: AffineTransform, path: str | Path) -> Path:
@@ -332,8 +329,12 @@ def read_transform(path: str | Path) -> AffineTransform:
     if doc["units"] != "mm":
         raise MalformedTransform(f"{path}: units must be 'mm', got {doc['units']!r}")
     try:
-        matrix = np.asarray(doc["matrix"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        # Checked, not coerced: float64 would read "1" and true as 1.0.
+        entries = np.asarray(doc["matrix"], dtype=object).ravel()
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entries):
+            raise TypeError("every entry must be a JSON number")
+        matrix = entries.astype(np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedTransform(f"{path}: matrix must hold 16 numbers: {exc}") from exc
     if matrix.size != 16:
         raise MalformedTransform(f"{path}: matrix must hold 16 numbers, got {matrix.size}")

@@ -456,6 +456,8 @@ def write_volume(vol, path: str | Path, *, dtype: np.dtype | type | None = None,
     integer round trips are bit-exact.
     """
     path = Path(path)
+    if planes is not None and dtype is None:
+        raise ValueError(f"{path}: writing planes needs a dtype")
     target = np.dtype(dtype) if dtype is not None else vol.data.dtype
     if target not in _DTYPE_TO_CODE:
         raise UnsupportedDatatype(

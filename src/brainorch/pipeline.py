@@ -34,9 +34,9 @@ One pool of ``parallel_jobs`` threads per run decodes the inputs, runs the
 jobs, reads each job's output, scores each candidate and hashes the files;
 results fold back in input order, so no bundle byte depends on the thread
 count. The native-space output is written while it is warped: the calling
-thread fills its planes in order and hands each one to the writer, one
-item of the pool, which deflates it while the next plane is filled. Every
-other write stays on the calling thread.
+thread fills its planes in order and the warp's sink hands each one to the
+writer, one item of the pool, which deflates it while the next plane is
+filled. Every other write stays on the calling thread.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -293,8 +294,9 @@ class _Product:
     per_algorithm: dict[str, str]
     manifest: dict  # the fields only this kind of run records
     native_name: str
-    # (forward transform, native grid, path): warp the result and write it
-    write_native: Callable[[AffineTransform, GridSpec, Path], None]
+    # warp(forward, native grid, sink=) feeds write(native grid, path, planes=)
+    warp: Callable[..., Volume]
+    write: Callable[..., Path]
     fusion_metadata: str | None = None
     metrics: str | None = None
 
@@ -477,13 +479,12 @@ def _atomic_publish(bundle_staging: Path, target: Path, force: bool) -> None:
 
 
 def _write_while_warping(run: _Run, warp: Callable, write: Callable) -> None:
-    """Run ``warp(map)`` on this thread while ``write(planes)``, one item of
-    the run's pool, writes each plane as soon as the warp has filled it.
+    """Run ``warp(sink)`` on this thread while ``write(planes)``, one item of
+    the run's pool, writes each plane the warp hands to ``sink``, in order.
 
-    The warp's ``map`` is the built-in one, so its planes are filled, and
-    handed on, in order. A warp error is handed to the writer, which raises
-    it and so removes its partial file; the caller then gets the warp
-    error. A writer error reaches the caller once the warp is done.
+    A warp error is handed to the writer, which raises it and so removes its
+    partial file; the caller then gets the warp error. A writer error
+    reaches the caller once the warp is done.
     """
     feed = queue.SimpleQueue()
     done = object()
@@ -494,14 +495,9 @@ def _write_while_warping(run: _Run, warp: Callable, write: Callable) -> None:
                 raise plane
             yield plane
 
-    def handing(fn, items):
-        for plane in map(fn, items):
-            feed.put(plane)
-            yield plane
-
     written = run.map(write, [planes()])
     try:
-        warp(handing)
+        warp(feed.put)
     except BaseException as exc:
         feed.put(exc)
         with contextlib.suppress(BaseException):
@@ -509,14 +505,6 @@ def _write_while_warping(run: _Run, warp: Callable, write: Callable) -> None:
         raise
     feed.put(done)
     next(written)
-
-
-def _warp_to_native(run: _Run, product: _Product) -> str:
-    """Write the native-space derivative next to the atlas-space output."""
-    rel = f"native/{product.native_name}-native.nii.gz"
-    (run.bundle / "native").mkdir(parents=True, exist_ok=True)
-    product.write_native(*run.native, run.bundle / rel)
-    return rel
 
 
 def _staged_run(
@@ -554,7 +542,14 @@ def _staged_run(
 
             native_rel: dict[str, str] = {}
             if run.native is not None:
-                native_rel[product.native_name] = _warp_to_native(run, product)
+                forward, native_grid = run.native
+                rel = native_rel[product.native_name] = f"native/{product.native_name}-native.nii.gz"
+                (bundle / "native").mkdir()
+                _write_while_warping(
+                    run,
+                    lambda sink: product.warp(forward, native_grid, sink=sink),
+                    lambda planes: product.write(native_grid, bundle / rel, planes=planes),
+                )
 
             if config.keep_intermediate:
                 warnings.extend(_drop_non_regular(bundle / "work"))
@@ -656,13 +651,6 @@ def _produce_segmentation(run: _Run, outcomes) -> _Product:
         )
         metrics_rel = "metrics.json"
 
-    def write_native(forward, native_grid, path):
-        _write_while_warping(
-            run,
-            lambda map: inverse_warp_to_native(result.consensus, forward, native_grid, map=map),
-            lambda planes: write_mask(native_grid, path, planes=planes),
-        )
-
     return _Product(
         job_rows=job_rows,
         primary=CONSENSUS_NAME,
@@ -675,7 +663,8 @@ def _produce_segmentation(run: _Run, outcomes) -> _Product:
             }
         },
         native_name="consensus",
-        write_native=write_native,
+        warp=partial(inverse_warp_to_native, result.consensus),
+        write=write_mask,
         fusion_metadata="fusion.json",
         metrics=metrics_rel,
     )
@@ -697,20 +686,14 @@ def _produce_synthesis(run: _Run, outcomes) -> _Product:
     else:  # validation guarantees exactly one absent modality
         synthesized = next(m for m in MODALITIES if m not in run.inputs.files)
 
-    def write_native(forward, native_grid, path):
-        _write_while_warping(
-            run,
-            lambda map: inverse_warp_image_to_native(image, forward, native_grid, map=map),
-            lambda planes: write_volume(native_grid, path, dtype=np.float32, planes=planes),
-        )
-
     return _Product(
         job_rows=job_rows,
         primary=out_name,
         per_algorithm={entry.id: out_name},
         manifest={"synthesized_modality": synthesized, "synthesis_output": out_name},
         native_name=SYNTHESIS_STEM,
-        write_native=write_native,
+        warp=partial(inverse_warp_image_to_native, image),
+        write=partial(write_volume, dtype=np.float32),
     )
 
 

@@ -375,6 +375,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_schema_1(doc) -> bool:
+    """``doc`` is a JSON object whose ``schema_version`` is the integer 1
+    (not true, not 1.0)."""
+    return isinstance(doc, dict) and _is_int(doc.get("schema_version")) and doc["schema_version"] == 1
+
+
 def _is_mount_path(value) -> bool:
     return isinstance(value, str) and value.startswith("/")
 
@@ -434,7 +440,7 @@ def load_catalog(override_path: "str | Path | None" = None) -> Catalog:
         raise IoFailure(f"cannot read catalog override {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CatalogError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema_version") != 1:
+    if not _is_schema_1(doc):
         raise CatalogError(f"{path}: expected an object with schema_version 1")
     raw_entries = doc.get("algorithms")
     if not isinstance(raw_entries, list):

@@ -38,6 +38,7 @@ from .errors import (
     MountFailure,
 )
 from .nifti import Volume, read_volume, write_mask, write_volume
+from .registry import _is_int, _is_schema_1
 
 LOG_EXCERPT_BYTES = 64 * 1024
 
@@ -237,24 +238,58 @@ class MockBehavior:
     fail_engine: bool = False
 
 
+def _are_outputs(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(o, dict) and isinstance(o.get("path"), str) and isinstance(o.get("generator"), str)
+        and o["generator"] in _GENERATORS
+        for o in value
+    )
+
+
+# What each field of a behaviors file must be, checked when it loads and never
+# coerced, as the catalog's override fields are: int() would take the exit code
+# true as 1 and 1.9 as 1, and a string of outputs iterates by character.
+_BEHAVIOR_TYPES = {
+    "content_digest": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "exit_code": ("an integer", _is_int),
+    "sleep_s": (
+        "a finite number >= 0",
+        lambda v: (_is_int(v) or isinstance(v, float) and math.isfinite(v)) and v >= 0,
+    ),
+    "stdout": ("a string", lambda v: isinstance(v, str)),
+    "stderr": ("a string", lambda v: isinstance(v, str)),
+    "outputs": (
+        f"an array of objects with a string 'path' and a 'generator' in {sorted(_GENERATORS)}",
+        _are_outputs,
+    ),
+}
+
+
 def load_behaviors(path: str | Path) -> dict[str, MockBehavior]:
-    """Load a behavior table from JSON (keyed by image name, digest-free)."""
+    """Load a behavior table from JSON (keyed by image name, digest-free).
+
+    Each image's fields are checked against ``_BEHAVIOR_TYPES``; a bad or
+    unknown field raises ``ValueError`` naming the file, the image and the
+    key, before any job runs.
+    """
     doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict) or doc.get("schema_version") != 1:
+    if not _is_schema_1(doc):
         raise ValueError(f"{path}: expected an object with schema_version 1")
     images = doc.get("images")
     if not isinstance(images, dict):
         raise ValueError(f"{path}: 'images' must be an object")
     behaviors: dict[str, MockBehavior] = {}
     for name, raw in images.items():
-        behaviors[name] = MockBehavior(
-            content_digest=raw.get("content_digest"),
-            exit_code=int(raw.get("exit_code", 0)),
-            sleep_s=float(raw.get("sleep_s", 0.0)),
-            stdout=str(raw.get("stdout", "")),
-            stderr=str(raw.get("stderr", "")),
-            outputs=tuple(raw.get("outputs", ())),
-        )
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: image {name!r}: behavior must be an object")
+        unknown = set(raw) - set(_BEHAVIOR_TYPES)
+        if unknown:
+            raise ValueError(f"{path}: image {name!r}: unknown keys {sorted(unknown)}")
+        for key, value in raw.items():
+            expected, valid = _BEHAVIOR_TYPES[key]
+            if not valid(value):
+                raise ValueError(f"{path}: image {name!r}: {key!r} must be {expected}, got {value!r}")
+        behaviors[name] = MockBehavior(**{**raw, "outputs": tuple(raw.get("outputs", ()))})
     return behaviors
 
 

@@ -254,6 +254,21 @@ def test_segment_unknown_algorithm_exits_2(capsys, workspace):
     assert json.loads(out)["error"]["type"] == "UnknownAlgorithm"
 
 
+def test_a_bad_behaviors_file_exits_2_before_any_job_runs(capsys, workspace, tmp_path):
+    doc = behaviors_payload()
+    doc["images"]["example/mock-gli-1"]["outputs"][0]["generator"] = "no_such_generator"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = ["segment", "--task", "gli-pre", "-i", str(workspace["subject"]), "-o", str(workspace["output"]),
+            "--engine", "mock", "--mock-behaviors", str(bad), "--catalog", str(workspace["catalog"]), "--json"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_USAGE
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith(f"{bad}: image 'example/mock-gli-1': 'outputs' must be")
+    assert not workspace["output"].exists()
+
+
 def test_segment_all_jobs_failed_exits_3(capsys, workspace, tmp_path):
     doc = behaviors_payload()
     for image in doc["images"].values():
@@ -482,6 +497,15 @@ def test_fuse_non_finite_simple_params_exit_2(capsys, tmp_path, value):
     assert code == EXIT_USAGE
     assert "must be finite" in err
     assert not out_dir.exists()
+
+
+def test_fuse_task_takes_segmentation_tasks_only(capsys, tmp_path):
+    # A synthesis task has no label set: its all-zero fuse used to succeed.
+    path = write_mask(Volume(data=np.zeros((4, 4, 4), dtype=np.uint8), affine=np.eye(4)), tmp_path / "m.nii.gz")
+    code, _, err = run(capsys, ["fuse", str(path), "-o", str(tmp_path / "out"), "--task", "inpaint"])
+    assert code == EXIT_USAGE
+    assert "invalid choice: 'inpaint'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_fuse_disambiguates_identical_basenames(capsys, tmp_path):

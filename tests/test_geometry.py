@@ -6,7 +6,6 @@ import copy
 import itertools
 import json
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -444,17 +443,12 @@ def test_warp_coordinates_follow_the_elementwise_rule_on_a_brats_plane():
     data = np.ones((12, 12, 12), dtype=np.uint8)
     m = np.linalg.inv(source_affine) @ np.linalg.inv(world_map) @ target.affine
     planes = {}
-    running = []
-
-    def serial_map(plane, ks):
-        for k in ks:
-            running.append(k)
-            yield plane(k)
+    sunk = []
 
     def fill(column, coords, idx):
-        planes[running[-1]] = coords, idx
+        planes[len(sunk)] = coords, idx  # the plane the sink gets next
 
-    _resample(data, source_affine, identity_transform(matrix=world_map), target, np.uint8, fill, serial_map)
+    _resample(data, source_affine, identity_transform(matrix=world_map), target, np.uint8, fill, sunk.append)
     seen = 0
     for k in range(shape[2]):
         coords, idx = planes[k]
@@ -467,34 +461,30 @@ def test_warp_coordinates_follow_the_elementwise_rule_on_a_brats_plane():
 
 
 @pytest.mark.parametrize(
-    "resample, dtype, threads",
+    "resample, dtype",
     [
-        pytest.param(resample_mask, np.uint8, 1, id="resample_mask-uint8"),
-        pytest.param(resample_image, np.float32, 1, id="resample_image-float32"),
-        pytest.param(resample_mask, np.uint8, 2, id="resample_mask-uint8-2-threads"),
-        pytest.param(resample_image, np.float32, 2, id="resample_image-float32-2-threads"),
+        pytest.param(resample_mask, np.uint8, id="resample_mask-uint8"),
+        pytest.param(resample_image, np.float32, id="resample_image-float32"),
     ],
 )
-def test_resampling_holds_the_output_and_a_few_planes(resample, dtype, threads):
+def test_resampling_holds_the_output_and_a_few_planes(resample, dtype):
     rng = np.random.default_rng(5)
     data = np.asfortranarray(rng.integers(0, 4, size=(48, 48, 32)).astype(dtype))
     source = Volume(data=data, affine=np.eye(4))
     target = GridSpec(shape=(44, 46, 30), affine=random_affine(rng, (0.9, 1.1)))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        plane_map = map if threads == 1 else pool.map
-        tracemalloc.start()
-        try:
-            out = resample(source, identity_transform(), target, map=plane_map)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        out = resample(source, identity_transform(), target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     # A Fortran-ordered source is read in place; a (3, N) float64
     # coordinate map alone would be 3 * 44 * 46 * 30 * 8 bytes (1.46 MB).
     plane = 3 * 44 * 46 * 8
-    assert peak <= out.data.nbytes + 8 * plane * threads, peak
+    assert peak <= out.data.nbytes + 8 * plane, peak
 
 
-# -- planes on a thread pool ---------------------------------------------------
+# -- each finished plane goes to the sink --------------------------------------
 
 
 WARP_CASES = ("empty", "edge", "rotated-anisotropic", "mostly-missed")
@@ -527,52 +517,47 @@ def warp_case(name):
     return (Volume(data=labels, affine=source_affine), Volume(data=image, affine=source_affine), forward, native)
 
 
-def bits(vol):
-    return vol.data.view(np.uint32) if vol.data.dtype == np.float32 else vol.data
-
-
 @pytest.mark.parametrize("name", WARP_CASES)
-def test_planes_on_a_pool_give_the_bytes_of_the_built_in_map(name):
+def test_the_sink_gets_every_plane_in_order(name):
     labels, image, forward, native = warp_case(name)
     calls = [
-        lambda m: resample_mask(labels, invert_affine(forward), native, map=m),
-        lambda m: resample_image(image, invert_affine(forward), native, map=m),
-        lambda m: inverse_warp_to_native(labels, forward, native, map=m),
-        lambda m: inverse_warp_image_to_native(image, forward, native, map=m),
+        lambda sink: resample_mask(labels, invert_affine(forward), native, sink=sink),
+        lambda sink: resample_image(image, invert_affine(forward), native, sink=sink),
+        lambda sink: inverse_warp_to_native(labels, forward, native, sink=sink),
+        lambda sink: inverse_warp_image_to_native(image, forward, native, sink=sink),
     ]
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        for call in calls:
-            serial, pooled = call(map), call(pool.map)
-            assert pooled.data.dtype == serial.data.dtype
-            assert np.array_equal(bits(pooled), bits(serial))
-            assert serial.data.any() == (name != "empty")
-            if name == "mostly-missed":
-                assert np.count_nonzero(serial.data.any(axis=(0, 1))) < native.shape[2] // 4
+    for call in calls:
+        sunk = []
+        out = call(lambda column: sunk.append(column.copy()))  # the column as it was handed on
+        assert len(sunk) == native.shape[2]
+        for k, column in enumerate(sunk):
+            assert column.dtype == out.data.dtype
+            assert column.tobytes() == out.data[:, :, k].tobytes(order="F")
+        assert out.data.any() == (name != "empty")
+        if name == "mostly-missed":
+            assert np.count_nonzero(out.data.any(axis=(0, 1))) < native.shape[2] // 4
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_an_error_in_one_plane_reaches_the_caller_unchanged(monkeypatch, threads):
+def test_an_error_in_one_plane_reaches_the_caller_unchanged(monkeypatch):
     _, image, forward, native = warp_case("rotated-anisotropic")
     error = RuntimeError("plane failed")
     real = ndimage.map_coordinates
     calls = None
 
     def failing(*args, **kwargs):
-        if next(calls) == 2:  # the third plane sampled; next() on a count is atomic
+        if next(calls) == 2:  # the third plane sampled
             raise error
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ndimage, "map_coordinates", failing)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        plane_map = map if threads == 1 else pool.map
-        for warp in (
-            lambda: resample_image(image, invert_affine(forward), native, map=plane_map),
-            lambda: inverse_warp_image_to_native(image, forward, native, map=plane_map),
-        ):
-            calls = itertools.count()
-            with pytest.raises(RuntimeError) as excinfo:
-                warp()
-            assert excinfo.value is error
+    for warp in (
+        lambda: resample_image(image, invert_affine(forward), native),
+        lambda: inverse_warp_image_to_native(image, forward, native),
+    ):
+        calls = itertools.count()
+        with pytest.raises(RuntimeError) as excinfo:
+            warp()
+        assert excinfo.value is error
 
 
 # -- inverse warps -----------------------------------------------------------
@@ -662,7 +647,13 @@ def test_sidecar_with_a_nan_translation_is_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "matrix", ["abc", ["a"] * 16, [[1, 2], [3]], {"x": 1}], ids=["str", "strs", "ragged", "dict"]
+    "matrix",
+    [
+        "abc", ["a"] * 16, [[1, 2], [3]], {"x": 1},
+        # an identity that float64 would coerce: "1"/"0" and true/false
+        [f"{v:g}" for v in np.eye(4).ravel()], [bool(v) for v in np.eye(4).ravel()],
+    ],
+    ids=["str", "strs", "ragged", "dict", "numeric-strs", "bools"],
 )
 def test_sidecar_matrix_that_is_not_numbers_is_rejected(tmp_path, matrix):
     path = write_transform(translation((1.0, 2.0, 3.0)), tmp_path / "t.json")

@@ -939,6 +939,14 @@ def test_planes_that_fail_or_fall_short_leave_no_file(tmp_path, suffix):
     assert not path.exists()
 
 
+def test_planes_without_a_dtype_are_refused_before_the_file_is_opened(tmp_path):
+    grid = SimpleNamespace(shape=(4, 3, 5), spacing=np.ones(3), affine=np.eye(4))
+    path = tmp_path / "x.nii.gz"
+    with pytest.raises(ValueError, match="needs a dtype"):
+        write_volume(grid, path, planes=iter([np.ones((4, 3), dtype=np.float32)] * 5))
+    assert not path.exists()
+
+
 # -- unrepresentable writes --------------------------------------------------
 
 

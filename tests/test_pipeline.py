@@ -922,15 +922,15 @@ def test_inpaint_native_bundle_is_byte_stable(tmp_path):
 def test_a_streamed_native_write_gives_the_bytes_of_warp_then_write(tmp_path, name, parallel_jobs):
     labels, image, forward, native = warp_case(name)
     kinds = {
-        "mask": (lambda m: inverse_warp_to_native(labels, forward, native, map=m), write_mask),
+        "mask": (lambda sink: inverse_warp_to_native(labels, forward, native, sink=sink), write_mask),
         "image": (
-            lambda m: inverse_warp_image_to_native(image, forward, native, map=m),
+            lambda sink: inverse_warp_image_to_native(image, forward, native, sink=sink),
             lambda vol, path, **kw: write_volume(vol, path, dtype=np.float32, **kw),
         ),
     }
     with ThreadPoolExecutor(max_workers=parallel_jobs) as pool:
         for kind, (warp, write) in kinds.items():
-            whole = write(warp(map), tmp_path / f"{kind}-whole.nii.gz")
+            whole = write(warp(lambda column: None), tmp_path / f"{kind}-whole.nii.gz")
             streamed = tmp_path / f"{kind}-streamed.nii.gz"
             pipeline._write_while_warping(
                 SimpleNamespace(map=pool.map), warp, lambda planes: write(native, streamed, planes=planes)
@@ -941,10 +941,10 @@ def test_a_streamed_native_write_gives_the_bytes_of_warp_then_write(tmp_path, na
 def test_concurrent_hand_offs_keep_their_planes_in_order_under_frequent_thread_switches(tmp_path):
     _, image, forward, native = warp_case("rotated-anisotropic")
 
-    def warp(m):
-        return inverse_warp_image_to_native(image, forward, native, map=m)
+    def warp(sink):
+        return inverse_warp_image_to_native(image, forward, native, sink=sink)
 
-    whole = write_volume(warp(map), tmp_path / "whole.nii", dtype=np.float32).read_bytes()
+    whole = write_volume(warp(lambda column: None), tmp_path / "whole.nii", dtype=np.float32).read_bytes()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -274,6 +274,8 @@ def test_override_gives_synthesis_tasks_entries(tmp_path):
         ({"schema_version": 1, "algorithms": {}}, "list"),
         ({"schema_version": 1}, "list"),
         ([], "schema_version"),
+        ({"schema_version": True, "algorithms": []}, "schema_version"),
+        ({"schema_version": 1.0, "algorithms": []}, "schema_version"),
     ],
 )
 def test_bad_override_envelope_rejected(tmp_path, doc, fragment):

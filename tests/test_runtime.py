@@ -379,6 +379,8 @@ def test_behaviors_file_round_trip(tmp_path):
         {"images": {}},
         {"schema_version": 1, "images": []},
         [],
+        {"schema_version": True, "images": {}},
+        {"schema_version": 1.0, "images": {}},
     ],
 )
 def test_bad_behaviors_file_rejected(tmp_path, doc):
@@ -386,6 +388,28 @@ def test_bad_behaviors_file_rejected(tmp_path, doc):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_behaviors(path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("exit_code", True),
+        ("exit_code", 1.9),
+        ("sleep_s", "0.5"),
+        ("stdout", 5),
+        ("outputs", "abc"),
+        ("outputs", [{"path": "seg.nii.gz", "generator": "no_such_generator"}]),
+        ("exitcode", 1),
+    ],
+    ids=["exit_code-true", "exit_code-1.9", "sleep_s-str", "stdout-int", "outputs-str", "generator-unknown", "unknown"],
+)
+def test_a_behavior_field_is_checked_not_coerced(tmp_path, key, value):
+    path = tmp_path / "behaviors.json"
+    path.write_text(json.dumps({"schema_version": 1, "images": {"example/algo": {key: value}}}))
+    with pytest.raises(ValueError) as excinfo:
+        load_behaviors(path)
+    assert str(excinfo.value).startswith(f"{path}: image 'example/algo': ")
+    assert repr(key) in str(excinfo.value)
 
 
 # -- log demultiplexing --------------------------------------------------------

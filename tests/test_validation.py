@@ -479,6 +479,17 @@ def test_missing_sidecar_is_a_missing_transform(tmp_path):
     assert_verdict_consistent(report)
 
 
+def test_a_sidecar_of_numeric_strings_is_skipped_as_unreadable(tmp_path):
+    inputs = native_inputs(tmp_path)
+    sidecar = inputs.transform_sidecars[0]
+    doc = json.loads(sidecar.read_text())
+    doc["matrix"] = [str(v) for v in doc["matrix"]]
+    sidecar.write_text(json.dumps(doc))
+    report = validate_subject(inputs, get_task_spec("gli-pre"), native_space_output=True)
+    assert codes_of(report, SEVERITY_ERROR) == [MISSING_TRANSFORM]
+    assert report.native is None
+
+
 def test_cut_native_reference_is_one_unreadable_input(tmp_path):
     inputs = native_inputs(tmp_path)
     reference = inputs.native_reference
