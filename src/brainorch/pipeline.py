@@ -31,12 +31,14 @@ runs exactly one algorithm and keeps its image. Validation decodes every
 input once and hands its grids on, so the run decodes no input again.
 
 One pool of ``parallel_jobs`` threads per run decodes the inputs, runs the
-jobs, reads each job's output, scores each candidate and hashes the files;
-results fold back in input order, so no bundle byte depends on the thread
-count. The native-space output is written while it is warped: the calling
-thread fills its planes in order and the warp's sink hands each one to the
-writer, one item of the pool, which deflates it while the next plane is
-filled. Every other write stays on the calling thread.
+jobs, reads each job's output, writes the consensus beside the preparation
+of the scoring reference, scores each candidate, heaviest first, and
+hashes the files; results fold back by input, so no bundle byte depends on
+the thread count. The native-space output is written while it is warped:
+the calling thread fills its planes in order and the warp's sink hands
+each one to the writer, one item of the pool, which deflates it while the
+next plane is filled. The small JSON files and the candidate copies are
+written on the calling thread.
 """
 
 from __future__ import annotations
@@ -606,6 +608,9 @@ def _produce_segmentation(run: _Run, outcomes) -> _Product:
 
     Each mask is vetted once, in :func:`_collect`, which finds its
     foreground box; fusion and scoring work inside the union of those boxes.
+    The consensus is written on the run's pool beside the preparation of
+    the scoring reference; the reports then go to the pool heaviest first
+    (most foreground voxels), so the longest one does not start last.
     """
     task, bundle = run.task, run.bundle
     job_rows, collected = _collect(
@@ -630,21 +635,28 @@ def _produce_segmentation(run: _Run, outcomes) -> _Product:
         _vetted_boxes=tuple(box for _, _, _, box in collected),
     )
     result = fuse(candidate_set, run.config.fusion_method, run.config.fusion_params)
-    write_mask(result.consensus, bundle / CONSENSUS_NAME)
-
     (bundle / "fusion.json").write_text(json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n")
 
-    metrics_rel = None
+    # Outside the candidates' box every candidate and the consensus are
+    # background (see the fusion module), so scoring inside it is exact.
+    # The consensus side is prepared once, beside the consensus write, and
+    # shared by every candidate.
+    box, spacing = candidate_set.box, result.consensus.spacing
+    steps = [partial(write_mask, result.consensus, bundle / CONSENSUS_NAME)]
     if len(volumes) > 1:
-        # Outside the candidates' box every candidate and the consensus are
-        # background (see the fusion module), so scoring inside it is exact.
-        # The consensus side is prepared once and shared by every candidate.
-        box, spacing = candidate_set.box, result.consensus.spacing
-        consensus = prepare_reference(result.consensus.data[box], task.labels, spacing)
+        steps.append(partial(prepare_reference, result.consensus.data[box], task.labels, spacing))
+    _, *reference = run.map(lambda step: step(), steps)
+
+    metrics_rel = None
+    if reference:
+        # Heaviest first, ties in input order: the longest report must not
+        # start last and leave the other threads idle.
+        order = sorted(range(len(volumes)), key=lambda i: -np.count_nonzero(volumes[i].data[box]))
         reports = run.map(
-            lambda vol: compute_metric_report(consensus, vol.data[box], task.labels, spacing).to_json_dict(), volumes
+            lambda i: compute_metric_report(reference[0], volumes[i].data[box], task.labels, spacing).to_json_dict(),
+            order,
         )
-        scores = dict(zip(ids, reports))
+        scores = dict(zip((ids[i] for i in order), reports))
         (bundle / "metrics.json").write_text(
             json.dumps({"reference": "consensus", "per_candidate": scores}, indent=2, sort_keys=True)
             + "\n"

@@ -238,39 +238,109 @@ class MockBehavior:
     fail_engine: bool = False
 
 
-def _are_outputs(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(o, dict) and isinstance(o.get("path"), str) and isinstance(o.get("generator"), str)
-        and o["generator"] in _GENERATORS
+def _must(expected: str, valid):
+    """A check: None for a value ``valid`` accepts, else what it must be."""
+    return lambda value: None if valid(value) else f"must be {expected}, got {value!r}"
+
+
+def _object_problem(obj, required: dict, optional: dict) -> str | None:
+    """Why ``obj`` is not an object of the ``required`` keys and some of the
+    ``optional`` ones, each passing its check, or None."""
+    if not isinstance(obj, dict):
+        return f"must be an object, got {obj!r}"
+    unknown = set(obj) - set(required) - set(optional)
+    if unknown:
+        return f"unknown keys {sorted(unknown)}"
+    for key, check in {**required, **optional}.items():
+        if key in obj and (problem := check(obj[key])) is not None:
+            return f"{key!r} {problem}"
+        if key not in obj and key in required:
+            return f"{key!r} is missing"
+    return None
+
+
+def _items_problem(value, item_problem) -> str | None:
+    """Why ``value`` is not an array whose items ``item_problem`` accepts, or None."""
+    if not isinstance(value, list):
+        return f"must be an array, got {value!r}"
+    for i, item in enumerate(value):
+        if (problem := item_problem(item)) is not None:
+            return f"item {i}: {problem}"
+    return None
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+
+
+def _stays_inside(path) -> bool:
+    """Whether ``path`` joined to a directory names a file inside it: a
+    string, relative, with at least one part and no '..' part."""
+    parts = Path(path).parts if isinstance(path, str) else ()
+    return bool(parts) and not Path(path).is_absolute() and ".." not in parts
+
+
+_STRING = _must("a string", lambda v: isinstance(v, str))
+_BLOB_KEYS = {
+    "label": _must("an integer from 0 to 255", lambda v: _is_int(v) and 0 <= v <= 255),
+    "center": _must("an array of 3 numbers", lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v))),
+    "radius": _must("a number", _is_number),
+}
+
+
+def _blobs_problem(value) -> str | None:
+    return _items_problem(value, lambda blob: _object_problem(blob, _BLOB_KEYS, {}))
+
+
+# Each generator's own keys, (required, optional), beside 'generator' and the
+# output's 'path', which must stay inside the job's output directory.
+_GENERATOR_KEYS = {
+    "copy_input": ({"source": _STRING}, {}),
+    "label_blobs": ({"like": _STRING, "blobs": _blobs_problem}, {}),
+    "mean_fill": ({"image": _STRING, "mask": _STRING}, {}),
+    "write_text": ({}, {"text": _STRING}),
+}
+_OUTPUT_KEYS = {
+    "generator": lambda v: None,
+    "path": _must("a relative path inside the job's output directory, with no '..' part", _stays_inside),
+}
+
+
+def _output_problem(output: dict) -> str | None:
+    required, optional = _GENERATOR_KEYS[output["generator"]]
+    return _object_problem(output, {**_OUTPUT_KEYS, **required}, optional)
+
+
+def _outputs_problem(value) -> str | None:
+    if not isinstance(value, list) or not all(
+        isinstance(o, dict) and isinstance(o.get("generator"), str) and o["generator"] in _GENERATOR_KEYS
         for o in value
-    )
+    ):
+        return f"must be an array of objects with a 'generator' in {sorted(_GENERATOR_KEYS)}, got {value!r}"
+    return _items_problem(value, _output_problem)
 
 
 # What each field of a behaviors file must be, checked when it loads and never
 # coerced, as the catalog's override fields are: int() would take the exit code
 # true as 1 and 1.9 as 1, and a string of outputs iterates by character.
 _BEHAVIOR_TYPES = {
-    "content_digest": ("a string or null", lambda v: v is None or isinstance(v, str)),
-    "exit_code": ("an integer", _is_int),
-    "sleep_s": (
-        "a finite number >= 0",
-        lambda v: (_is_int(v) or isinstance(v, float) and math.isfinite(v)) and v >= 0,
-    ),
-    "stdout": ("a string", lambda v: isinstance(v, str)),
-    "stderr": ("a string", lambda v: isinstance(v, str)),
-    "outputs": (
-        f"an array of objects with a string 'path' and a 'generator' in {sorted(_GENERATORS)}",
-        _are_outputs,
-    ),
+    "content_digest": _must("a string or null", lambda v: v is None or isinstance(v, str)),
+    "exit_code": _must("an integer", _is_int),
+    "sleep_s": _must("a finite number >= 0", lambda v: _is_number(v) and v >= 0),
+    "stdout": _STRING,
+    "stderr": _STRING,
+    "outputs": _outputs_problem,
 }
 
 
 def load_behaviors(path: str | Path) -> dict[str, MockBehavior]:
     """Load a behavior table from JSON (keyed by image name, digest-free).
 
-    Each image's fields are checked against ``_BEHAVIOR_TYPES``; a bad or
-    unknown field raises ``ValueError`` naming the file, the image and the
-    key, before any job runs.
+    Each image's fields are checked against ``_BEHAVIOR_TYPES``, and each
+    output against its generator's keys; a bad or unknown field, or an
+    output path that leaves the job's output directory, raises
+    ``ValueError`` naming the file, the image and the key, before any job
+    runs.
     """
     doc = json.loads(Path(path).read_text())
     if not _is_schema_1(doc):
@@ -280,15 +350,9 @@ def load_behaviors(path: str | Path) -> dict[str, MockBehavior]:
         raise ValueError(f"{path}: 'images' must be an object")
     behaviors: dict[str, MockBehavior] = {}
     for name, raw in images.items():
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: image {name!r}: behavior must be an object")
-        unknown = set(raw) - set(_BEHAVIOR_TYPES)
-        if unknown:
-            raise ValueError(f"{path}: image {name!r}: unknown keys {sorted(unknown)}")
-        for key, value in raw.items():
-            expected, valid = _BEHAVIOR_TYPES[key]
-            if not valid(value):
-                raise ValueError(f"{path}: image {name!r}: {key!r} must be {expected}, got {value!r}")
+        problem = _object_problem(raw, {}, _BEHAVIOR_TYPES)
+        if problem is not None:
+            raise ValueError(f"{path}: image {name!r}: {problem}")
         behaviors[name] = MockBehavior(**{**raw, "outputs": tuple(raw.get("outputs", ()))})
     return behaviors
 

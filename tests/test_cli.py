@@ -269,6 +269,21 @@ def test_a_bad_behaviors_file_exits_2_before_any_job_runs(capsys, workspace, tmp
     assert not workspace["output"].exists()
 
 
+def test_a_behaviors_output_path_leaving_the_job_directory_exits_2(capsys, workspace, tmp_path):
+    doc = behaviors_payload()
+    doc["images"]["example/mock-gli-2"]["outputs"].append({"path": "../escape.txt", "generator": "write_text"})
+    bad = tmp_path / "escape.json"
+    bad.write_text(json.dumps(doc))
+    argv = ["segment", "--task", "gli-pre", "-i", str(workspace["subject"]), "-o", str(workspace["output"]),
+            "--engine", "mock", "--mock-behaviors", str(bad), "--catalog", str(workspace["catalog"]), "--json"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_USAGE
+    message = json.loads(out)["error"]["message"]
+    assert message.startswith(f"{bad}: image 'example/mock-gli-2': 'outputs' item 1: 'path' must be")
+    assert not workspace["output"].exists()
+    assert not list(tmp_path.rglob("escape.txt"))
+
+
 def test_segment_all_jobs_failed_exits_3(capsys, workspace, tmp_path):
     doc = behaviors_payload()
     for image in doc["images"].values():

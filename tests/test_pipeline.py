@@ -1006,9 +1006,9 @@ def native_synthesis_run(tmp_path, monkeypatch, parallel_jobs):
     return (lambda: run_synthesis(inputs, config)), config, failed_writes
 
 
-def assert_nothing_published(config):
+def assert_nothing_published(config, subject="sub-08"):
     assert not [p.name for p in config.output_dir.iterdir() if p.name.startswith(".staging-")]
-    assert not (config.output_dir / "sub-08" / config.task.value).exists()
+    assert not (config.output_dir / subject / config.task.value).exists()
 
 
 @pytest.mark.parametrize("parallel_jobs", [1, 2])
@@ -1047,6 +1047,143 @@ def test_a_writer_error_in_a_native_run_reaches_the_caller(tmp_path, monkeypatch
         within(60, run)
     assert failed_writes == [(excinfo.value, False)]
     assert_nothing_published(config)
+
+
+# -- scoring on the run's pool ---------------------------------------------------
+
+# Candidates as blob tuples (code, center, radius). The two tied ones have
+# the same voxel count and differ only in one blob's label.
+SCORED = {
+    "mock-big": [(3, (16, 16, 10), 6), (2, (22, 20, 12), 3)],
+    "mock-tie-a": [(3, (16, 16, 10), 4), (1, (8, 8, 8), 2)],
+    "mock-tie-b": [(3, (16, 16, 10), 4), (2, (8, 8, 8), 2)],
+    "mock-small": [(3, (16, 16, 10), 3)],
+}
+# Input orders with the largest candidate first, in the middle and last,
+# each with the order its reports are scored in: heaviest first, ties in
+# input order.
+PLACEMENTS = {
+    "first": (("mock-big", "mock-tie-a", "mock-small", "mock-tie-b"),
+              ("mock-big", "mock-tie-a", "mock-tie-b", "mock-small")),
+    "middle": (("mock-tie-b", "mock-small", "mock-big", "mock-tie-a"),
+               ("mock-big", "mock-tie-b", "mock-tie-a", "mock-small")),
+    "last": (("mock-tie-a", "mock-small", "mock-tie-b", "mock-big"),
+             ("mock-big", "mock-tie-a", "mock-tie-b", "mock-small")),
+}
+
+
+def scored_run(root, selectors, parallel_jobs):
+    """``(inputs, config)`` of a gli-pre run over the ``SCORED`` candidates
+    that ``selectors`` name, in that order."""
+    root.mkdir(parents=True, exist_ok=True)
+    payload = catalog_override_payload()
+    for rank, algo_id in enumerate(SCORED, start=4):
+        payload["algorithms"].append(
+            {**payload["algorithms"][0], "id": algo_id, "rank": rank, "team_reference": f"{algo_id} stub",
+             "image_reference": f"example/{algo_id}@sha256:{fake_digest(algo_id)}"}
+        )
+    (root / "catalog.json").write_text(json.dumps(payload))
+    engine = MockEngine(max_concurrent_jobs=2)
+    for algo_id, blobs in SCORED.items():
+        output = {"path": "seg.nii.gz", "generator": "label_blobs", "like": "*-t1c.nii*",
+                  "blobs": [{"label": code, "center": list(center), "radius": radius} for code, center, radius in blobs]}
+        engine.register(f"example/{algo_id}", MockBehavior(content_digest="sha256:" + fake_digest(algo_id), outputs=(output,)))
+    inputs = discover_subject_inputs(write_subject(root, "sub-01"), TaskId.GLI_PRE)
+    config = gli_config(root, engine, load_catalog(root / "catalog.json"), algorithm_selectors=selectors,
+                        parallel_jobs=parallel_jobs)
+    return inputs, config
+
+
+def label_counts(data: np.ndarray) -> tuple[int, ...]:
+    return tuple(np.bincount(data.ravel(), minlength=4)[1:].tolist())
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_reports_are_scored_heaviest_first_with_ties_in_input_order(tmp_path, monkeypatch, placement):
+    selectors, scored_order = PLACEMENTS[placement]
+    calls = []
+    real = pipeline.compute_metric_report
+
+    def recording(reference, prediction, *args, **kwargs):
+        calls.append((np.count_nonzero(prediction), label_counts(prediction)))
+        return real(reference, prediction, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "compute_metric_report", recording)
+    bundle = run_inference(*scored_run(tmp_path, selectors, parallel_jobs=1))
+    # Outside the scored box every candidate is background, so its label
+    # counts there are those of its whole mask and tell the candidates apart.
+    by_counts = {label_counts(read_volume(path).data): algo_id for algo_id, path in bundle.per_algorithm_paths.items()}
+    assert len(by_counts) == len(SCORED)
+    voxels = [count for count, _ in calls]
+    assert voxels == sorted(voxels, reverse=True)
+    assert [by_counts[counts] for _, counts in calls] == list(scored_order)
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_a_scored_bundle_does_not_depend_on_the_thread_count(tmp_path, placement):
+    selectors, _ = PLACEMENTS[placement]
+    one, two = (run_inference(*scored_run(tmp_path / f"jobs{jobs}", selectors, jobs)) for jobs in (1, 2))
+    for name in ("metrics.json", pipeline.CONSENSUS_NAME):
+        assert (one.bundle_dir / name).read_bytes() == (two.bundle_dir / name).read_bytes()
+    assert one.manifest["content_digest"] == two.manifest["content_digest"]
+
+
+@pytest.mark.parametrize("parallel_jobs", [1, 2])
+def test_a_consensus_write_error_on_the_pool_reaches_the_caller(tmp_path, monkeypatch, parallel_jobs):
+    inputs, config = scored_run(tmp_path, PLACEMENTS["first"][0], parallel_jobs)
+    failed_writes = []
+    real_write, real_deflate = pipeline.write_mask, gzip.GzipFile.write
+
+    def recording(vol, path, **kw):
+        try:
+            return real_write(vol, path, **kw)
+        except BaseException as exc:
+            failed_writes.append((exc, Path(path).exists()))
+            raise
+
+    def disk_full(self, data):
+        if self.fileobj.name.endswith(pipeline.CONSENSUS_NAME):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_deflate(self, data)
+
+    monkeypatch.setattr(pipeline, "write_mask", recording)
+    monkeypatch.setattr(gzip.GzipFile, "write", disk_full)
+    with pytest.raises(IoFailure, match=pipeline.CONSENSUS_NAME) as excinfo:
+        within(60, lambda: run_inference(inputs, config))
+    assert failed_writes == [(excinfo.value, False)]
+    assert_nothing_published(config, "sub-01")
+
+
+@pytest.mark.parametrize("parallel_jobs", [1, 2])
+def test_a_reference_preparation_error_on_the_pool_reaches_the_caller(tmp_path, monkeypatch, parallel_jobs):
+    inputs, config = scored_run(tmp_path, PLACEMENTS["first"][0], parallel_jobs)
+    error = ValueError("reference refused")
+
+    def refusing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(pipeline, "prepare_reference", refusing)
+    with pytest.raises(ValueError) as excinfo:
+        within(60, lambda: run_inference(inputs, config))
+    assert excinfo.value is error
+    assert_nothing_published(config, "sub-01")
+
+
+@pytest.mark.parametrize("parallel_jobs", [1, 2])
+def test_a_one_candidate_run_writes_its_consensus_and_scores_nothing(tmp_path, monkeypatch, parallel_jobs):
+    inputs, config = scored_run(tmp_path, ("mock-small",), parallel_jobs)
+    calls = []
+    monkeypatch.setattr(pipeline, "prepare_reference", lambda *args, **kw: calls.append("prepare_reference"))
+    monkeypatch.setattr(pipeline, "compute_metric_report", lambda *args, **kw: calls.append("compute_metric_report"))
+    bundle = run_inference(inputs, config)
+    assert calls == []
+    assert bundle.consensus_path == bundle.bundle_dir / pipeline.CONSENSUS_NAME
+    np.testing.assert_array_equal(
+        read_volume(bundle.consensus_path).data, read_volume(bundle.per_algorithm_paths["mock-small"]).data
+    )
+    assert bundle.metrics_path is None
+    assert not (bundle.bundle_dir / "metrics.json").exists()
+    assert pipeline.CONSENSUS_NAME in bundle.manifest["files"] and "metrics.json" not in bundle.manifest["files"]
 
 
 def test_missing_mri_names_the_absent_modality(tmp_path):

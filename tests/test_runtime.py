@@ -412,6 +412,77 @@ def test_a_behavior_field_is_checked_not_coerced(tmp_path, key, value):
     assert repr(key) in str(excinfo.value)
 
 
+def write_outputs(tmp_path, *outputs) -> Path:
+    """A behaviors file whose one image writes ``outputs``."""
+    path = tmp_path / "behaviors.json"
+    path.write_text(json.dumps({"schema_version": 1, "images": {"example/algo": {"outputs": list(outputs)}}}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "out_path", ["<absolute>", "../escape.txt", "sub/../../escape.txt", "sub/..", "", "."],
+    ids=["absolute", "parent", "parent-after-a-part", "dotdot-last", "empty", "dot"],
+)
+def test_an_output_path_must_stay_inside_the_job_output_directory(tmp_path, out_path):
+    if out_path == "<absolute>":
+        out_path = str(tmp_path / "escape.txt")
+    path = write_outputs(tmp_path, {"path": out_path, "generator": "write_text", "text": "out"})
+    with pytest.raises(ValueError) as excinfo:
+        engine = MockEngine.from_behaviors_file(path)
+        engine.pull_image("example/algo")
+        engine.run_job(make_spec(tmp_path))  # only if the file loads
+    assert str(excinfo.value).startswith(f"{path}: image 'example/algo': 'outputs' item 0: 'path' must be")
+    assert [p for p in tmp_path.rglob("*") if p.is_file() and p != path] == []
+
+
+@pytest.mark.parametrize(
+    "output, problem",
+    [
+        ({"path": "seg.nii.gz", "generator": "copy_input"}, "'source' is missing"),
+        ({"path": "seg.nii.gz", "generator": "copy_input", "source": ["*-t1c.nii*"]}, "'source' must be a string"),
+        ({"path": "seg.nii.gz", "generator": "label_blobs", "blobs": []}, "'like' is missing"),
+        ({"path": "seg.nii.gz", "generator": "label_blobs", "like": "*-t1c.nii*"}, "'blobs' is missing"),
+        ({"path": "seg.nii.gz", "generator": "label_blobs", "like": "*", "blobs": {}}, "'blobs' must be an array"),
+        ({"path": "seg.nii.gz", "generator": "label_blobs", "like": "*",
+          "blobs": [{"label": 1, "center": [1, 2, 3], "radius": 2}, {"label": 1, "center": [1, 2], "radius": 2}]},
+         "'blobs' item 1: 'center' must be an array of 3 numbers"),
+        ({"path": "seg.nii.gz", "generator": "label_blobs", "like": "*",
+          "blobs": [{"label": True, "center": [1, 2, 3], "radius": 2}]}, "'blobs' item 0: 'label' must be an integer"),
+        ({"path": "seg.nii.gz", "generator": "label_blobs", "like": "*",
+          "blobs": [{"label": 300, "center": [1, 2, 3], "radius": 2}]}, "'blobs' item 0: 'label' must be an integer"),
+        ({"path": "seg.nii.gz", "generator": "label_blobs", "like": "*",
+          "blobs": [{"label": 1, "center": [1, 2, 3], "radius": "2"}]}, "'blobs' item 0: 'radius' must be a number"),
+        ({"path": "seg.nii.gz", "generator": "label_blobs", "like": "*",
+          "blobs": [{"label": 1, "center": [1, 2, 3]}]}, "'blobs' item 0: 'radius' is missing"),
+        ({"path": "seg.nii.gz", "generator": "mean_fill", "image": "*-t1n.nii*"}, "'mask' is missing"),
+        ({"path": "seg.nii.gz", "generator": "mean_fill", "image": 1, "mask": "*"}, "'image' must be a string"),
+        ({"path": "out.txt", "generator": "write_text", "text": 5}, "'text' must be a string"),
+        ({"path": "out.txt", "generator": "write_text", "txt": "typo"}, "unknown keys ['txt']"),
+    ],
+    ids=["copy_input-no-source", "copy_input-source-list", "label_blobs-no-like", "label_blobs-no-blobs",
+         "label_blobs-blobs-object", "label_blobs-2d-center", "label_blobs-label-true", "label_blobs-label-300",
+         "label_blobs-radius-str", "label_blobs-no-radius", "mean_fill-no-mask", "mean_fill-image-int",
+         "write_text-text-int", "write_text-unknown-key"],
+)
+def test_each_generator_output_is_checked_for_its_own_keys_at_load(tmp_path, output, problem):
+    path = write_outputs(tmp_path, {"path": "ok.txt", "generator": "write_text"}, output)
+    with pytest.raises(ValueError) as excinfo:
+        load_behaviors(path)
+    assert str(excinfo.value).startswith(f"{path}: image 'example/algo': 'outputs' item 1: {problem}")
+
+
+def test_every_generator_output_with_its_own_keys_loads(tmp_path):
+    outputs = [
+        {"path": "copy.nii.gz", "generator": "copy_input", "source": "*-t1c.nii*"},
+        {"path": "seg.nii.gz", "generator": "label_blobs", "like": "*-t1c.nii*",
+         "blobs": [{"label": 3, "center": [1, 2.5, 3], "radius": 2}]},
+        {"path": "sub/synthesis.nii.gz", "generator": "mean_fill", "image": "*-t1n.nii*", "mask": "*-mask.nii*"},
+        {"path": "./a/b.txt", "generator": "write_text"},
+        {"path": "c.txt", "generator": "write_text", "text": "done"},
+    ]
+    assert load_behaviors(write_outputs(tmp_path, *outputs))["example/algo"].outputs == tuple(outputs)
+
+
 # -- log demultiplexing --------------------------------------------------------
 
 
