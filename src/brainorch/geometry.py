@@ -3,7 +3,9 @@
 World coordinates are millimeters. Every transform carries source and target
 space tags (``native``, ``SRI24``, ``MNI152``) so compositions and warps can
 be checked instead of trusted. Transform sidecars are JSON files holding a
-row-major 4x4 matrix plus the two tags; units are always mm.
+row-major 4x4 matrix (16 numbers, flat or as 4 rows of 4) plus the two tags,
+read and checked by :mod:`brainorch.jsondoc`; units are always mm, and other
+keys are allowed.
 
 Two grids agree by one rule, :func:`grid_difference`: shapes exactly, then
 spacings, then affine entries, each within ``GRID_ATOL_MM``. Validation and
@@ -58,6 +60,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
+from . import jsondoc
 from .errors import (
     DegenerateGrid,
     IoFailure,
@@ -312,37 +315,28 @@ def write_transform(transform: AffineTransform, path: str | Path) -> Path:
     return path
 
 
+# Sidecars from registration tools may carry keys of their own. Matrix entries
+# may be NaN or infinite here: the affine rule then says they must be finite.
+_SIDECAR = jsondoc.obj(
+    {
+        "matrix": jsondoc.must(
+            "16 numbers, flat or as 4 rows of 4",
+            lambda v: jsondoc.is_numbers(v, 16, jsondoc.is_number)
+            or isinstance(v, list) and len(v) == 4 and all(jsondoc.is_numbers(r, 4, jsondoc.is_number) for r in v),
+        ),
+        "source_space": jsondoc.STRING,
+        "target_space": jsondoc.STRING,
+        "units": jsondoc.must("'mm'", lambda v: v == "mm"),
+    },
+    open=True,
+)
+
+
 def read_transform(path: str | Path) -> AffineTransform:
     """Read a transform sidecar, rejecting non-affine or non-mm content."""
-    path = Path(path)
+    doc = jsondoc.load(path, MalformedTransform, _SIDECAR)
     try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedTransform(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedTransform(f"{path}: sidecar must be a JSON object")
-    for key in ("matrix", "source_space", "target_space", "units"):
-        if key not in doc:
-            raise MalformedTransform(f"{path}: missing key {key!r}")
-    if doc["units"] != "mm":
-        raise MalformedTransform(f"{path}: units must be 'mm', got {doc['units']!r}")
-    try:
-        # Checked, not coerced: float64 would read "1" and true as 1.0.
-        entries = np.asarray(doc["matrix"], dtype=object).ravel()
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entries):
-            raise TypeError("every entry must be a JSON number")
-        matrix = entries.astype(np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MalformedTransform(f"{path}: matrix must hold 16 numbers: {exc}") from exc
-    if matrix.size != 16:
-        raise MalformedTransform(f"{path}: matrix must hold 16 numbers, got {matrix.size}")
-    try:
-        return AffineTransform(
-            matrix=matrix.reshape(4, 4),
-            source_space=str(doc["source_space"]),
-            target_space=str(doc["target_space"]),
-        )
-    except (SpaceMismatch, MalformedTransform) as exc:
+        matrix = np.array(doc["matrix"], dtype=np.float64).reshape(4, 4)
+        return AffineTransform(matrix, doc["source_space"], doc["target_space"])
+    except (SpaceMismatch, MalformedTransform, SingularTransform) as exc:
         raise MalformedTransform(f"{path}: {exc}") from exc

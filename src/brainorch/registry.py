@@ -10,19 +10,19 @@ Both are data, not behavior: tests compare them against checked-in fixtures.
 A catalog override file can replace or extend entries without code changes,
 which is also how synthesis tasks get runnable entries; the published
 rankings cover segmentation only, so the built-in catalog has none for
-INPAINT or MISSING_MRI.
+INPAINT or MISSING_MRI. The override is read and each entry checked by
+:mod:`brainorch.jsondoc`; a bad one is a CatalogError naming the file.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import CatalogError, IoFailure, NoAlgorithmForTask, UnknownAlgorithm, UnknownTask
+from . import jsondoc
+from .errors import CatalogError, NoAlgorithmForTask, UnknownAlgorithm, UnknownTask
 
 
 class TaskId(str, Enum):
@@ -367,61 +367,30 @@ def resolve_algorithm(
     return (catalog or _BUILTIN_CATALOG).resolve(task, selector)
 
 
-_OVERRIDE_REQUIRED = tuple(f.name for f in fields(AlgorithmEntry) if f.default is MISSING)
-_OVERRIDE_OPTIONAL = {f.name: f.default for f in fields(AlgorithmEntry) if f.default is not MISSING}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_schema_1(doc) -> bool:
-    """``doc`` is a JSON object whose ``schema_version`` is the integer 1
-    (not true, not 1.0)."""
-    return isinstance(doc, dict) and _is_int(doc.get("schema_version")) and doc["schema_version"] == 1
-
-
-def _is_mount_path(value) -> bool:
-    return isinstance(value, str) and value.startswith("/")
-
-
-# What each override value must be, checked before any job sees it and never
-# coerced: a quoted "false" is truthy, a string of tags iterates by character,
-# and int() would take the rank true as 1 and 1.9 as 1.
-_OVERRIDE_TYPES = {
-    "id": ("a string", lambda v: isinstance(v, str)),
-    "year": ("an integer", _is_int),
-    "rank": ("an integer", _is_int),
-    "team_reference": ("a string", lambda v: isinstance(v, str)),
-    "image_reference": ("a string", lambda v: isinstance(v, str)),
-    "architecture_tags": ("an array of strings", lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v)),
-    "requires_gpu": ("a JSON boolean", lambda v: isinstance(v, bool)),
-    "shm_bytes": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
-    "timeout_seconds": (
-        "a finite number > 0",
-        lambda v: (_is_int(v) or isinstance(v, float) and math.isfinite(v)) and v > 0,
-    ),
-    "input_mount_path": ("a path starting with '/'", _is_mount_path),
-    "output_mount_path": ("a path starting with '/'", _is_mount_path),
-}
-
-
-def _entry_from_json(doc: dict, where: str) -> AlgorithmEntry:
-    if not isinstance(doc, dict):
-        raise CatalogError(f"{where}: algorithm entries must be JSON objects")
-    missing = [k for k in _OVERRIDE_REQUIRED if k not in doc]
-    if missing:
-        raise CatalogError(f"{where}: entry missing keys {missing}")
-    unknown = set(doc) - set(_OVERRIDE_REQUIRED) - set(_OVERRIDE_OPTIONAL)
-    if unknown:
-        raise CatalogError(f"{where}: entry has unknown keys {sorted(unknown)}")
-    for key, (expected, valid) in _OVERRIDE_TYPES.items():
-        if key in doc and not valid(doc[key]):
-            raise CatalogError(f"{where}: entry {doc['id']!r}: {key!r} must be {expected}, got {doc[key]!r}")
-    values = {**_OVERRIDE_OPTIONAL, **doc}
-    values["task_id"] = normalize_task_id(doc["task_id"])
-    values["architecture_tags"] = tuple(values["architecture_tags"])
-    return AlgorithmEntry(**values)
+_MOUNT_PATH = jsondoc.must("a path starting with '/'", lambda v: isinstance(v, str) and v.startswith("/"))
+# What each override field must be, checked before any job sees it: a quoted
+# "false" is truthy, and a string of tags iterates by character.
+_OVERRIDE_ENTRY = jsondoc.obj(
+    {
+        "id": jsondoc.STRING,
+        "task_id": jsondoc.STRING,
+        "year": jsondoc.INTEGER,
+        "rank": jsondoc.INTEGER,
+        "team_reference": jsondoc.STRING,
+        "image_reference": jsondoc.STRING,
+    },
+    {
+        "architecture_tags": jsondoc.STRINGS,
+        "requires_gpu": jsondoc.must("a JSON boolean", lambda v: isinstance(v, bool)),
+        "shm_bytes": jsondoc.must("an integer >= 0", lambda v: jsondoc.is_int(v) and v >= 0),
+        "timeout_seconds": jsondoc.must("a finite number > 0", lambda v: jsondoc.is_finite(v) and v > 0),
+        "input_mount_path": _MOUNT_PATH,
+        "output_mount_path": _MOUNT_PATH,
+    },
+)
+_OVERRIDE = jsondoc.obj(
+    {"schema_version": jsondoc.SCHEMA_1, "algorithms": jsondoc.must("a list", lambda v: isinstance(v, list))}, open=True
+)
 
 
 def load_catalog(override_path: "str | Path | None" = None) -> Catalog:
@@ -429,29 +398,25 @@ def load_catalog(override_path: "str | Path | None" = None) -> Catalog:
 
     Override entries replace built-ins that share an id and are appended
     otherwise. The merged catalog must still satisfy the uniqueness
-    invariants, so a bad override fails loudly instead of shadowing quietly.
+    invariants, so a bad override fails loudly, with a CatalogError naming
+    the file (an unreadable one is an IoFailure), not by shadowing quietly.
     """
     if override_path is None:
         return _BUILTIN_CATALOG
-    path = Path(override_path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise IoFailure(f"cannot read catalog override {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CatalogError(f"{path}: not valid JSON: {exc}") from exc
-    if not _is_schema_1(doc):
-        raise CatalogError(f"{path}: expected an object with schema_version 1")
-    raw_entries = doc.get("algorithms")
-    if not isinstance(raw_entries, list):
-        raise CatalogError(f"{path}: 'algorithms' must be a list")
-    overrides = [_entry_from_json(e, str(path)) for e in raw_entries]
+    doc = jsondoc.load(override_path, CatalogError, _OVERRIDE)
     by_id = {e.id: e for e in _BUILTIN_ENTRIES}
     appended: list[AlgorithmEntry] = []
-    for entry in overrides:
-        if entry.id in by_id:
-            by_id[entry.id] = entry
-        else:
-            appended.append(entry)
-    merged = tuple(by_id[e.id] for e in _BUILTIN_ENTRIES) + tuple(appended)
-    return Catalog(entries=merged)
+    try:
+        for i, raw in enumerate(doc["algorithms"]):
+            if (problem := _OVERRIDE_ENTRY(raw)) is not None:
+                name = raw.get("id", i) if isinstance(raw, dict) else i
+                raise CatalogError(f"entry {name!r}: {problem}")
+            tags = tuple(raw.get("architecture_tags", ()))
+            entry = AlgorithmEntry(**{**raw, "task_id": normalize_task_id(raw["task_id"]), "architecture_tags": tags})
+            if entry.id in by_id:
+                by_id[entry.id] = entry
+            else:
+                appended.append(entry)
+        return Catalog(entries=tuple(by_id[e.id] for e in _BUILTIN_ENTRIES) + tuple(appended))
+    except (CatalogError, UnknownTask) as exc:
+        raise CatalogError(f"{override_path}: {exc}") from exc

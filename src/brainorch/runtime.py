@@ -8,12 +8,15 @@ its container step:
 
 - :class:`MockEngine` runs scripted behaviors in-process. Tests and offline
   runs use it; durations come from the script, not the wall clock, so
-  results are deterministic.
+  results are deterministic. A behaviors file is checked when it loads
+  (:mod:`brainorch.jsondoc`): input patterns and output paths stay inside
+  the job's two directories.
 - :class:`DockerEngine` speaks the Docker HTTP API (v1.41+) over a unix
   socket or TCP endpoint, touching only create/start/wait/logs/remove and
   images/create; the endpoint comes from the constructor or the
   ``ORCH_ENGINE_ENDPOINT`` environment variable. It removes its container
   in a ``finally`` block and streams the logs, keeping only a bounded tail.
+  Its replies are checked the same way; a wrong one is EngineUnreachable.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import jsondoc
 from .errors import (
     DigestMismatch,
     EngineUnreachable,
@@ -38,7 +42,6 @@ from .errors import (
     MountFailure,
 )
 from .nifti import Volume, read_volume, write_mask, write_volume
-from .registry import _is_int, _is_schema_1
 
 LOG_EXCERPT_BYTES = 64 * 1024
 
@@ -238,41 +241,6 @@ class MockBehavior:
     fail_engine: bool = False
 
 
-def _must(expected: str, valid):
-    """A check: None for a value ``valid`` accepts, else what it must be."""
-    return lambda value: None if valid(value) else f"must be {expected}, got {value!r}"
-
-
-def _object_problem(obj, required: dict, optional: dict) -> str | None:
-    """Why ``obj`` is not an object of the ``required`` keys and some of the
-    ``optional`` ones, each passing its check, or None."""
-    if not isinstance(obj, dict):
-        return f"must be an object, got {obj!r}"
-    unknown = set(obj) - set(required) - set(optional)
-    if unknown:
-        return f"unknown keys {sorted(unknown)}"
-    for key, check in {**required, **optional}.items():
-        if key in obj and (problem := check(obj[key])) is not None:
-            return f"{key!r} {problem}"
-        if key not in obj and key in required:
-            return f"{key!r} is missing"
-    return None
-
-
-def _items_problem(value, item_problem) -> str | None:
-    """Why ``value`` is not an array whose items ``item_problem`` accepts, or None."""
-    if not isinstance(value, list):
-        return f"must be an array, got {value!r}"
-    for i, item in enumerate(value):
-        if (problem := item_problem(item)) is not None:
-            return f"item {i}: {problem}"
-    return None
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
-
-
 def _stays_inside(path) -> bool:
     """Whether ``path`` joined to a directory names a file inside it: a
     string, relative, with at least one part and no '..' part."""
@@ -280,78 +248,48 @@ def _stays_inside(path) -> bool:
     return bool(parts) and not Path(path).is_absolute() and ".." not in parts
 
 
-_STRING = _must("a string", lambda v: isinstance(v, str))
-_BLOB_KEYS = {
-    "label": _must("an integer from 0 to 255", lambda v: _is_int(v) and 0 <= v <= 255),
-    "center": _must("an array of 3 numbers", lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v))),
-    "radius": _must("a number", _is_number),
+_PATTERN = jsondoc.must("a string pattern relative to the job's input directory, with no '..' part", _stays_inside)
+_BLOB = jsondoc.obj({
+    "label": jsondoc.must("an integer from 0 to 255", lambda v: jsondoc.is_int(v) and 0 <= v <= 255),
+    "center": jsondoc.must("an array of 3 numbers", lambda v: jsondoc.is_numbers(v, 3)),
+    "radius": jsondoc.must("a number", jsondoc.is_finite),
+})
+_OUTPUT = {
+    "generator": jsondoc.STRING,
+    "path": jsondoc.must("a relative path inside the job's output directory, with no '..' part", _stays_inside),
 }
-
-
-def _blobs_problem(value) -> str | None:
-    return _items_problem(value, lambda blob: _object_problem(blob, _BLOB_KEYS, {}))
-
-
-# Each generator's own keys, (required, optional), beside 'generator' and the
-# output's 'path', which must stay inside the job's output directory.
-_GENERATOR_KEYS = {
-    "copy_input": ({"source": _STRING}, {}),
-    "label_blobs": ({"like": _STRING, "blobs": _blobs_problem}, {}),
-    "mean_fill": ({"image": _STRING, "mask": _STRING}, {}),
-    "write_text": ({}, {"text": _STRING}),
+# Each generator's outputs: 'generator', 'path' and the generator's own keys.
+_OUTPUTS = {
+    "copy_input": jsondoc.obj({**_OUTPUT, "source": _PATTERN}),
+    "label_blobs": jsondoc.obj({**_OUTPUT, "like": _PATTERN, "blobs": jsondoc.array(_BLOB)}),
+    "mean_fill": jsondoc.obj({**_OUTPUT, "image": _PATTERN, "mask": _PATTERN}),
+    "write_text": jsondoc.obj(_OUTPUT, {"text": jsondoc.STRING}),
 }
-_OUTPUT_KEYS = {
-    "generator": lambda v: None,
-    "path": _must("a relative path inside the job's output directory, with no '..' part", _stays_inside),
-}
-
-
-def _output_problem(output: dict) -> str | None:
-    required, optional = _GENERATOR_KEYS[output["generator"]]
-    return _object_problem(output, {**_OUTPUT_KEYS, **required}, optional)
-
-
-def _outputs_problem(value) -> str | None:
-    if not isinstance(value, list) or not all(
-        isinstance(o, dict) and isinstance(o.get("generator"), str) and o["generator"] in _GENERATOR_KEYS
-        for o in value
-    ):
-        return f"must be an array of objects with a 'generator' in {sorted(_GENERATOR_KEYS)}, got {value!r}"
-    return _items_problem(value, _output_problem)
-
-
-# What each field of a behaviors file must be, checked when it loads and never
-# coerced, as the catalog's override fields are: int() would take the exit code
-# true as 1 and 1.9 as 1, and a string of outputs iterates by character.
-_BEHAVIOR_TYPES = {
-    "content_digest": _must("a string or null", lambda v: v is None or isinstance(v, str)),
-    "exit_code": _must("an integer", _is_int),
-    "sleep_s": _must("a finite number >= 0", lambda v: _is_number(v) and v >= 0),
-    "stdout": _STRING,
-    "stderr": _STRING,
-    "outputs": _outputs_problem,
-}
+_GENERATOR = jsondoc.obj(
+    {"generator": jsondoc.must(f"one of {sorted(_OUTPUTS)}", lambda v: isinstance(v, str) and v in _OUTPUTS)}, open=True
+)
+# Each image of a behaviors file. Not coerced: a string of outputs iterates by character.
+_BEHAVIOR = jsondoc.obj({}, {
+    "content_digest": jsondoc.must("a string or null", lambda v: v is None or isinstance(v, str)),
+    "exit_code": jsondoc.INTEGER,
+    "sleep_s": jsondoc.must("a finite number >= 0", lambda v: jsondoc.is_finite(v) and v >= 0),
+    "stdout": jsondoc.STRING,
+    "stderr": jsondoc.STRING,
+    "outputs": jsondoc.array(lambda output: _GENERATOR(output) or _OUTPUTS[output["generator"]](output)),
+})
+_BEHAVIORS_FILE = jsondoc.obj({"schema_version": jsondoc.SCHEMA_1, "images": jsondoc.OBJECT}, open=True)
 
 
 def load_behaviors(path: str | Path) -> dict[str, MockBehavior]:
     """Load a behavior table from JSON (keyed by image name, digest-free).
 
-    Each image's fields are checked against ``_BEHAVIOR_TYPES``, and each
-    output against its generator's keys; a bad or unknown field, or an
-    output path that leaves the job's output directory, raises
-    ``ValueError`` naming the file, the image and the key, before any job
-    runs.
+    A bad or unknown field, or an input pattern or output path that leaves
+    the job's directories, raises ``ValueError`` naming the file, the image
+    and the key, before any job runs; an unreadable file ``IoFailure``.
     """
-    doc = json.loads(Path(path).read_text())
-    if not _is_schema_1(doc):
-        raise ValueError(f"{path}: expected an object with schema_version 1")
-    images = doc.get("images")
-    if not isinstance(images, dict):
-        raise ValueError(f"{path}: 'images' must be an object")
     behaviors: dict[str, MockBehavior] = {}
-    for name, raw in images.items():
-        problem = _object_problem(raw, {}, _BEHAVIOR_TYPES)
-        if problem is not None:
+    for name, raw in jsondoc.load(path, ValueError, _BEHAVIORS_FILE)["images"].items():
+        if (problem := _BEHAVIOR(raw)) is not None:
             raise ValueError(f"{path}: image {name!r}: {problem}")
         behaviors[name] = MockBehavior(**{**raw, "outputs": tuple(raw.get("outputs", ()))})
     return behaviors
@@ -502,6 +440,11 @@ class _LogDemuxer:
         return raw[max(len(raw) - self.keep, 0) :].decode("utf-8", errors="replace")
 
 
+# What the daemon's replies must hold; any other reply is an EngineUnreachable.
+_CREATE_REPLY = jsondoc.obj({"Id": jsondoc.STRING}, open=True)
+_WAIT_REPLY = jsondoc.obj({"StatusCode": jsondoc.INTEGER}, open=True)
+_INSPECT_REPLY = jsondoc.obj({}, {"RepoDigests": lambda v: None if v is None else jsondoc.STRINGS(v)}, open=True)
+
 ENGINE_ENDPOINT_ENV = "ORCH_ENGINE_ENDPOINT"
 DEFAULT_ENGINE_ENDPOINT = "unix:///var/run/docker.sock"
 _API = "/v1.41"
@@ -585,7 +528,7 @@ class DockerEngine(_Engine):
                 raise ImageNotFound(f"image {image_reference!r} absent after pull")
             if status >= 400:
                 raise EngineUnreachable(f"image inspect failed with HTTP {status}")
-            info = json.loads(body)
+            info = jsondoc.parse(body, "image inspect reply", EngineUnreachable, _INSPECT_REPLY)
             repo_digests = info.get("RepoDigests") or []
             if not any(d.endswith("@" + digest) for d in repo_digests):
                 raise DigestMismatch(
@@ -618,7 +561,7 @@ class DockerEngine(_Engine):
             raise EngineUnreachable(
                 f"container create failed with HTTP {status}: {payload[:200]!r}"
             )
-        return json.loads(payload)["Id"]
+        return jsondoc.parse(payload, "container create reply", EngineUnreachable, _CREATE_REPLY)["Id"]
 
     def _best_effort(self, method: str, path: str) -> None:
         try:
@@ -643,11 +586,13 @@ class DockerEngine(_Engine):
                 read_timeout=spec.timeout_seconds + _WAIT_SLACK_S,
                 timeout_ok=True,
             )
+            exit_code = None
             if status is None:  # the job outlived its timeout
                 self._best_effort("POST", f"/containers/{container_id}/kill")
             elif status != 200:
                 raise EngineUnreachable(f"container wait failed with HTTP {status}")
-            exit_code = None if status is None else int(json.loads(payload).get("StatusCode", -1))
+            else:
+                exit_code = jsondoc.parse(payload, "container wait reply", EngineUnreachable, _WAIT_REPLY)["StatusCode"]
             # A tail 3 bytes longer than the excerpt gives the excerpt of the
             # whole log: UTF-8 decoding resynchronizes within 3 bytes, and no
             # byte re-encodes to fewer than one.

@@ -88,6 +88,11 @@ def add_native_context(subj_dir: Path, subject: str, offset=(2.0, 0.0, 0.0)) -> 
     write_volume(ref, subj_dir / f"{subject}-native.nii.gz")
 
 
+# Sidecar bytes that are not JSON a reader can decode: one byte that is not
+# UTF-8, and arrays nested far past the parser's recursion limit.
+UNDECODABLE_SIDECARS = {"non_utf8": b'{"units": "\xff"}', "deep": b"[" * 100_000 + b"]" * 100_000}
+
+
 def zero_srow_x(path):
     """Zero the first sform row of a written .nii.gz (its sform_code is 1),
     which makes the header affine singular."""

@@ -19,6 +19,7 @@ from brainorch.registry import TaskId
 
 from fixtures_e2e import (
     E2E_ALGOS,
+    UNDECODABLE_SIDECARS,
     add_native_context,
     behaviors_payload,
     catalog_override_payload,
@@ -233,6 +234,18 @@ def test_segment_native_with_a_damaged_reference_exits_1(capsys, workspace):
     assert not (workspace["output"] / "sub-01").exists()
 
 
+@pytest.mark.parametrize("damage", sorted(UNDECODABLE_SIDECARS))
+def test_segment_native_with_an_undecodable_sidecar_exits_1(capsys, workspace, damage):
+    add_native_context(workspace["subject"], "sub-01")
+    (workspace["subject"] / "sub-01_native2SRI24.json").write_bytes(UNDECODABLE_SIDECARS[damage])
+    argv = ["segment", "--task", "gli-pre", "-i", str(workspace["subject"]), "-o", str(workspace["output"])]
+    code, out, _ = run(capsys, mock_args(workspace, *argv, "--native", "--json"))
+    assert code == EXIT_VALIDATION
+    findings = json.loads(out)["report"]["findings"]
+    assert [f["code"] for f in findings if f["severity"] == "error"] == ["MISSING_TRANSFORM"]
+    assert not (workspace["output"] / "sub-01").exists()
+
+
 def test_segment_unknown_algorithm_exits_2(capsys, workspace):
     code, out, _ = run(
         capsys,
@@ -265,7 +278,7 @@ def test_a_bad_behaviors_file_exits_2_before_any_job_runs(capsys, workspace, tmp
     assert code == EXIT_USAGE
     error = json.loads(out)["error"]
     assert error["type"] == "ValueError"
-    assert error["message"].startswith(f"{bad}: image 'example/mock-gli-1': 'outputs' must be")
+    assert error["message"].startswith(f"{bad}: image 'example/mock-gli-1': 'outputs' item 0: 'generator' must be")
     assert not workspace["output"].exists()
 
 
@@ -282,6 +295,34 @@ def test_a_behaviors_output_path_leaving_the_job_directory_exits_2(capsys, works
     assert message.startswith(f"{bad}: image 'example/mock-gli-2': 'outputs' item 1: 'path' must be")
     assert not workspace["output"].exists()
     assert not list(tmp_path.rglob("escape.txt"))
+
+
+@pytest.mark.parametrize("pattern", ["../outside.nii.gz", "<absolute>"], ids=["parent", "absolute"])
+def test_a_behaviors_input_pattern_leaving_the_job_directory_exits_2(capsys, workspace, tmp_path, pattern):
+    if pattern == "<absolute>":  # a real volume, which the generator would read
+        pattern = str(next(workspace["subject"].glob("*-t1c.nii*")))
+    doc = behaviors_payload()
+    doc["images"]["example/mock-gli-2"]["outputs"][0]["like"] = pattern
+    bad = tmp_path / "outside.json"
+    bad.write_text(json.dumps(doc))
+    argv = ["segment", "--task", "gli-pre", "-i", str(workspace["subject"]), "-o", str(workspace["output"]),
+            "--engine", "mock", "--mock-behaviors", str(bad), "--catalog", str(workspace["catalog"]), "--json"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_USAGE
+    message = json.loads(out)["error"]["message"]
+    assert message.startswith(f"{bad}: image 'example/mock-gli-2': 'outputs' item 0: 'like' must be a string pattern")
+    assert not workspace["output"].exists()
+
+
+def test_a_missing_behaviors_file_exits_3_naming_it(capsys, workspace, tmp_path):
+    missing = tmp_path / "no-such-behaviors.json"
+    argv = ["segment", "--task", "gli-pre", "-i", str(workspace["subject"]), "-o", str(workspace["output"]),
+            "--engine", "mock", "--mock-behaviors", str(missing), "--catalog", str(workspace["catalog"]), "--json"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_RUNTIME
+    error = json.loads(out)["error"]
+    assert (error["type"], str(missing) in error["message"]) == ("IoFailure", True)
+    assert not workspace["output"].exists()
 
 
 def test_segment_all_jobs_failed_exits_3(capsys, workspace, tmp_path):
@@ -732,6 +773,20 @@ def test_warp_with_a_malformed_sidecar_exits_3(capsys, tmp_path, matrix):
     assert not (tmp_path / "o.nii.gz").exists()
 
 
+@pytest.mark.parametrize("damage", sorted(UNDECODABLE_SIDECARS))
+def test_warp_with_an_undecodable_sidecar_exits_3(capsys, tmp_path, damage):
+    src = write_mask(Volume(data=np.ones((4, 4, 4), dtype=np.uint8), affine=np.eye(4)), tmp_path / "m.nii.gz")
+    sidecar = tmp_path / "sub_native2SRI24.json"
+    sidecar.write_bytes(UNDECODABLE_SIDECARS[damage])
+    argv = ["warp", "-i", str(src), "-t", str(sidecar), "-o", str(tmp_path / "o.nii.gz"), "--json"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_RUNTIME
+    error = json.loads(out)["error"]
+    assert error["type"] == "MalformedTransform"
+    assert error["message"].startswith(f"{sidecar}: not valid JSON")
+    assert not (tmp_path / "o.nii.gz").exists()
+
+
 # -- catalog -------------------------------------------------------------------
 
 
@@ -765,6 +820,17 @@ def test_catalog_bad_override_exits_2(capsys, tmp_path):
     code, out, _ = run(capsys, ["catalog", "list", "--catalog", str(bad), "--json"])
     assert code == EXIT_USAGE
     assert json.loads(out)["error"]["type"] == "CatalogError"
+
+
+@pytest.mark.parametrize("content", [b'{"schema_version": 1, "algorithms": ["\xff"]}', b"[" * 100_000],
+                         ids=["non_utf8", "deep"])
+def test_catalog_override_that_does_not_decode_exits_2_naming_the_file(capsys, tmp_path, content):
+    bad = tmp_path / "undecodable.json"
+    bad.write_bytes(content)
+    code, _, err = run(capsys, ["catalog", "list", "--catalog", str(bad)])
+    assert code == EXIT_USAGE
+    assert f"error: {bad}: not valid JSON" in err
+    assert "unexpected" not in err
 
 
 @pytest.mark.parametrize(

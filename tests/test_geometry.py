@@ -660,7 +660,7 @@ def test_sidecar_matrix_that_is_not_numbers_is_rejected(tmp_path, matrix):
     doc = json.loads(path.read_text())
     doc["matrix"] = matrix
     path.write_text(json.dumps(doc))
-    with pytest.raises(MalformedTransform, match="matrix must hold 16 numbers") as info:
+    with pytest.raises(MalformedTransform, match="'matrix' must be 16 numbers, flat or as 4 rows of 4") as info:
         read_transform(path)
     assert str(path) in str(info.value)
 

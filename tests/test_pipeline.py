@@ -51,6 +51,7 @@ from brainorch.runtime import JobResult, MockBehavior, MockEngine
 from fixtures_e2e import (
     E2E_ALGOS,
     E2E_SHAPE,
+    UNDECODABLE_SIDECARS,
     add_native_context,
     behaviors_payload,
     catalog_override_payload,
@@ -761,22 +762,23 @@ def test_native_space_needs_transform_and_reference(tmp_path, gli_subject, mock_
     assert codes.count("MISSING_TRANSFORM") == 2  # no sidecar and no reference grid
 
 
-@pytest.mark.parametrize("damage", ["not_numbers", "nan_translation"])
+@pytest.mark.parametrize("damage", ["not_numbers", "nan_translation", *sorted(UNDECODABLE_SIDECARS)])
 def test_unusable_sidecar_is_a_missing_transform(tmp_path, gli_subject, mock_engine, override_catalog, damage):
     add_native_context(gli_subject, "sub-01")
     sidecar = gli_subject / "sub-01_native2SRI24.json"
     doc = json.loads(sidecar.read_text())
     if damage == "not_numbers":
         doc["matrix"] = "abc"
-    else:
+    elif damage == "nan_translation":
         doc["matrix"][3] = float("nan")
-    sidecar.write_text(json.dumps(doc))
+    sidecar.write_bytes(UNDECODABLE_SIDECARS.get(damage, json.dumps(doc).encode()))
     inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
     config = gli_config(tmp_path, mock_engine, override_catalog, native_space_output=True)
     with pytest.raises(ValidationFailed) as excinfo:
         run_inference(inputs, config)
     codes = [f.code for f in excinfo.value.report.findings if f.severity == "error"]
     assert codes == ["MISSING_TRANSFORM"]  # the sidecar is skipped; the reference grid is there
+    assert mock_engine.containers_created == 0
 
 
 def test_a_damaged_native_reference_fails_validation_before_any_container_runs(tmp_path, gli_subject, override_catalog):

@@ -272,8 +272,8 @@ def test_override_gives_synthesis_tasks_entries(tmp_path):
     [
         ({"schema_version": 2, "algorithms": []}, "schema_version"),
         ({"schema_version": 1, "algorithms": {}}, "list"),
-        ({"schema_version": 1}, "list"),
-        ([], "schema_version"),
+        pytest.param({"schema_version": 1}, "'algorithms' is missing", id="doc2-list"),
+        pytest.param([], "must be an object", id="doc3-schema_version"),
         ({"schema_version": True, "algorithms": []}, "schema_version"),
         ({"schema_version": 1.0, "algorithms": []}, "schema_version"),
     ],

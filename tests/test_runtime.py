@@ -21,6 +21,7 @@ from brainorch.errors import (
     DigestMismatch,
     EngineUnreachable,
     ImageNotFound,
+    IoFailure,
     MountFailure,
 )
 from brainorch.nifti import Volume, read_volume, write_mask, write_volume
@@ -435,6 +436,39 @@ def test_an_output_path_must_stay_inside_the_job_output_directory(tmp_path, out_
     assert [p for p in tmp_path.rglob("*") if p.is_file() and p != path] == []
 
 
+PATTERN_OUTPUTS = {
+    "source": {"path": "seg.nii.gz", "generator": "copy_input"},
+    "like": {"path": "seg.nii.gz", "generator": "label_blobs", "blobs": [{"label": 1, "center": [1, 1, 1], "radius": 1}]},
+    "image": {"path": "seg.nii.gz", "generator": "mean_fill", "mask": "*-mask.nii*"},
+    "mask": {"path": "seg.nii.gz", "generator": "mean_fill", "image": "*-t1n.nii*"},
+}
+
+
+@pytest.mark.parametrize("key", sorted(PATTERN_OUTPUTS))
+@pytest.mark.parametrize("pattern", ["../outside.nii.gz", "<absolute>"], ids=["parent", "absolute"])
+def test_an_input_pattern_must_stay_inside_the_job_input_directory(tmp_path, key, pattern):
+    input_dir, output_dir = job_dirs(tmp_path)
+    for name in ("outside.nii.gz", "in/sub-t1n.nii.gz", "in/sub-mask.nii.gz"):  # all readable volumes
+        write_mask(Volume(data=np.ones((4, 4, 4), dtype=np.uint8), affine=np.eye(4)), tmp_path / name)
+    if pattern == "<absolute>":
+        pattern = str(tmp_path / "outside.nii.gz")
+    path = write_outputs(tmp_path, {**PATTERN_OUTPUTS[key], key: pattern})
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(ValueError) as excinfo:
+        engine = MockEngine.from_behaviors_file(path)
+        engine.pull_image("example/algo")
+        engine.run_job(make_spec(tmp_path))  # only if the file loads
+    assert str(excinfo.value).startswith(
+        f"{path}: image 'example/algo': 'outputs' item 0: '{key}' must be a string pattern relative to the job's input"
+    )
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_a_behaviors_file_that_cannot_be_read_is_an_io_failure(tmp_path):
+    with pytest.raises(IoFailure, match="no-such.json"):
+        load_behaviors(tmp_path / "no-such.json")
+
+
 @pytest.mark.parametrize(
     "output, problem",
     [
@@ -528,6 +562,7 @@ class DockerStub:
         repo_digests=None,
         image_missing=False,
         logs_raw=None,
+        replies=None,
     ):
         stub = self
 
@@ -550,7 +585,12 @@ class DockerStub:
                 body = self._read_body()
                 stub.requests.append((method, self.path, body))
                 path = urllib.parse.urlparse(self.path).path
-                if path.endswith("/images/create"):
+                raw = next((reply for end, reply in stub.replies.items() if path.endswith(end)), None)
+                if raw is not None:  # a scripted body in place of the daemon's
+                    if path.endswith("/containers/create"):
+                        stub.create_bodies.append(json.loads(body))
+                    self._reply(201 if path.endswith("/create") else 200, raw)
+                elif path.endswith("/images/create"):
                     if stub.image_missing:
                         self._reply(404, b'{"message": "manifest unknown"}')
                     else:
@@ -596,6 +636,7 @@ class DockerStub:
         self.repo_digests = repo_digests
         self.image_missing = image_missing
         self.logs_raw = logs_raw
+        self.replies = replies or {}  # path ending -> raw reply body
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self.server.daemon_threads = True
         self.endpoint = f"http://127.0.0.1:{self.server.server_address[1]}"
@@ -735,6 +776,52 @@ def test_docker_wait_timeout_kills_and_reports(tmp_path, docker_stub, monkeypatc
     assert result.exit_code is None
     assert stub.killed.is_set()
     assert stub.deleted.is_set()
+
+
+@pytest.mark.parametrize(
+    "reply", [b"{}", b'{"Id": 7}', b"not json", b'["cid123"]'], ids=["empty", "int-id", "not-json", "array"]
+)
+def test_docker_create_reply_without_a_string_id_is_engine_unreachable(tmp_path, docker_stub, reply):
+    stub = docker_stub(replies={"/containers/create": reply})
+    engine = DockerEngine(endpoint=stub.endpoint)
+    engine.pull_image("example/algo")
+    with pytest.raises(EngineUnreachable, match="^container create reply: "):
+        engine.run_job(make_spec(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [b'{"StatusCode": "0"}', b'{"StatusCode": true}', b"{}", b"[0]", b"\xff"],
+    ids=["str-status", "bool-status", "no-status", "array", "not-utf8"],
+)
+def test_docker_wait_reply_without_an_integer_status_is_engine_unreachable(tmp_path, docker_stub, reply):
+    stub = docker_stub(replies={"/wait": reply})
+    engine = DockerEngine(endpoint=stub.endpoint)
+    engine.pull_image("example/algo")
+    with pytest.raises(EngineUnreachable, match="^container wait reply: "):
+        engine.run_job(make_spec(tmp_path))
+    assert stub.deleted.is_set()  # the container is still removed
+
+
+DIGEST = "sha256:" + "d" * 64
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [json.dumps({"RepoDigests": f"example/algo@{DIGEST}"}).encode(), b'{"RepoDigests": [7]}', b"[]", b"nope"],
+    ids=["str-digests", "int-digest", "array", "not-json"],
+)
+def test_docker_inspect_reply_with_malformed_digests_is_engine_unreachable(docker_stub, reply):
+    stub = docker_stub(replies={"/json": reply})
+    with pytest.raises(EngineUnreachable, match="^image inspect reply: "):
+        DockerEngine(endpoint=stub.endpoint).pull_image(f"example/algo@{DIGEST}")
+
+
+@pytest.mark.parametrize("reply", [b'{"RepoDigests": null}', b'{"Id": "sha256:1"}'], ids=["null", "absent"])
+def test_docker_inspect_reply_without_digests_is_a_digest_mismatch(docker_stub, reply):
+    stub = docker_stub(replies={"/json": reply})
+    with pytest.raises(DigestMismatch):
+        DockerEngine(endpoint=stub.endpoint).pull_image(f"example/algo@{DIGEST}")
 
 
 def test_docker_unreachable_endpoint(tmp_path):
