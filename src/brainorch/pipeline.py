@@ -24,21 +24,23 @@ inputs with the mock engine produce identical digests.
 
 Segmentation (:func:`run_inference`) and synthesis (:func:`run_synthesis`,
 INPAINT and MISSING_MRI) run through one staged-run skeleton: validate,
-refuse a collision, stage, run the jobs, produce, warp to native space,
-hash and publish. Each kind adds only a produce step. Segmentation vets
-and fuses candidate masks and scores them against the consensus; synthesis
-runs exactly one algorithm and keeps its image. Validation decodes every
-input once and hands its grids on, so the run decodes no input again.
+refuse a collision, stage, run the jobs and produce, warp to native space,
+hash and publish. Each kind adds only a produce step, which runs the jobs.
+Segmentation vets and fuses candidate masks and scores them against the
+consensus; synthesis runs exactly one algorithm and keeps its image.
+Validation decodes every input once and hands its grids on, so the run
+decodes no input again.
 
-One pool of ``parallel_jobs`` threads per run decodes the inputs, runs the
-jobs, reads each job's output, writes the consensus beside the preparation
-of the scoring reference, scores each candidate, heaviest first, and
-hashes the files; results fold back by input, so no bundle byte depends on
-the thread count. The native-space output is written while it is warped:
-the calling thread fills its planes in order and the warp's sink hands
-each one to the writer, one item of the pool, which deflates it while the
-next plane is filled. The small JSON files and the candidate copies are
-written on the calling thread.
+One pool of ``parallel_jobs`` threads per run decodes the inputs; pulls,
+runs, reads and vets each job as one item, so a finished job's output is
+vetted while the next container runs; writes the consensus beside the
+preparation of the scoring reference, scores each candidate, heaviest
+first, and hashes the files. Results fold back by input, so no bundle
+byte depends on the thread count. The native-space output is written
+while it is warped: the calling thread fills its planes in order and the
+warp's sink hands each one to the writer, one item of the pool, which
+deflates it while the next plane is filled. The small JSON files and the
+candidate copies are written on the calling thread.
 """
 
 from __future__ import annotations
@@ -280,6 +282,7 @@ class _Run:
     task: TaskSpec
     config: PipelineConfig
     bundle: Path  # the bundle being assembled in the staging directory
+    stage_dir: Path  # the staged inputs every job reads
     grid: GridSpec  # every accepted output sits on this input grid
     warnings: list[str]
     # (forward transform, native grid) when native-space output is asked for
@@ -301,46 +304,6 @@ class _Product:
     write: Callable[..., Path]
     fusion_metadata: str | None = None
     metrics: str | None = None
-
-
-def _run_jobs(
-    run: _Run, entries: list[AlgorithmEntry], stage_dir: Path
-) -> list[tuple[AlgorithmEntry, "JobResult | Exception", Path]]:
-    """Pull and run every entry on the run's pool.
-
-    Engine exceptions are captured per job so one bad image cannot abort the
-    survivors.
-    """
-    engine = run.config.engine
-    jobs_root = run.bundle / "work" / "jobs"
-
-    def run_one(entry: AlgorithmEntry):
-        out_dir = jobs_root / entry.id
-        out_dir.mkdir(parents=True, exist_ok=True)
-        try:
-            engine.pull_image(entry.image_reference)
-            spec = JobSpec(
-                image_reference=entry.image_reference,
-                input_dir=stage_dir,
-                output_dir=out_dir,
-                env={
-                    "ORCH_SUBJECT": run.inputs.subject_id,
-                    "ORCH_TASK": run.task.task_id.value,
-                },
-                requires_gpu=entry.requires_gpu,
-                shm_bytes=entry.shm_bytes,
-                timeout_seconds=entry.timeout_seconds,
-                container_input_path=entry.input_mount_path,
-                container_output_path=entry.output_mount_path,
-            )
-            return engine.run_job(spec)
-        except Exception as exc:  # captured per job, reported in the manifest
-            return exc
-
-    return [
-        (entry, outcome, jobs_root / entry.id)
-        for entry, outcome in zip(entries, run.map(run_one, entries))
-    ]
 
 
 def _pick_output_file(result: JobResult, preferred_stems: tuple[str, ...]) -> Path | None:
@@ -375,36 +338,54 @@ def _unsafe_output(path: Path, out_dir: Path) -> str | None:
     return None
 
 
-def _collect(run: _Run, outcomes, stem: str, noun: str, vet=None):
-    """Read and vet each job's output; failures degrade to warnings.
+def _run_and_read(run: _Run, entries: list[AlgorithmEntry], stem: str, noun: str, vet):
+    """Pull, run, read and vet each job as one item of the run's pool, so a
+    finished job's output is vetted while the next container runs.
 
-    ``vet(volume)`` raises ``ValueError`` or :class:`UnknownLabel` to reject
-    an output; what it returns is kept with the accepted output (None
-    without ``vet``). An output whose header declares another grid than
-    the input grid is rejected before its voxels are read. Raises when no
+    Engine exceptions and rejected outputs degrade to warnings, so one bad
+    job cannot abort the survivors. ``vet(volume)``, unless None, raises
+    ``ValueError`` or :class:`UnknownLabel` to reject an output; what it
+    returns is kept with the accepted output. An output whose header
+    declares another grid than the input grid is rejected before its
+    voxels are read. Results fold back in input order. Raises when no
     output is accepted.
     """
+    engine = run.config.engine
 
     def on_input_grid(shape, affine):
         problem = grid_mismatch(GridSpec(shape, affine), run.grid, "the input grid")
         if problem is not None:
             raise GridMismatch(problem)
 
-    def one(item):
-        """``(job row, warning or None, accepted output or None)``."""
-        entry, outcome, out_dir = item
-        if isinstance(outcome, Exception):
+    def one(entry: AlgorithmEntry):
+        """``(job row, warning or None, accepted output or None, captured exception or None)``."""
+        out_dir = run.bundle / "work" / "jobs" / entry.id
+        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            engine.pull_image(entry.image_reference)
+            result = engine.run_job(JobSpec(
+                image_reference=entry.image_reference,
+                input_dir=run.stage_dir,
+                output_dir=out_dir,
+                env={"ORCH_SUBJECT": run.inputs.subject_id, "ORCH_TASK": run.task.task_id.value},
+                requires_gpu=entry.requires_gpu,
+                shm_bytes=entry.shm_bytes,
+                timeout_seconds=entry.timeout_seconds,
+                container_input_path=entry.input_mount_path,
+                container_output_path=entry.output_mount_path,
+            ))
+        except Exception as exc:  # captured per job, reported in the manifest
             row = dict(id=entry.id, image_reference=entry.image_reference, status=STATUS_ENGINE_ERROR,
-                       exit_code=None, duration_seconds=0.0, error=str(outcome))
-            return row, f"{entry.id}: {outcome}", None
-        row = {"id": entry.id, **outcome.to_json_dict()}
-        if not outcome.ok:
-            tail = outcome.log_excerpt.strip().splitlines()
+                       exit_code=None, duration_seconds=0.0, error=str(exc))
+            return row, f"{entry.id}: {exc}", None, exc
+        row = {"id": entry.id, **result.to_json_dict()}
+        if not result.ok:
+            tail = result.log_excerpt.strip().splitlines()
             detail = f" ({tail[-1]})" if tail else ""
-            return row, f"{entry.id}: job {outcome.status}{detail}", None
-        path = _pick_output_file(outcome, preferred_stems=(stem,))
+            return row, f"{entry.id}: job {result.status}{detail}", None, None
+        path = _pick_output_file(result, preferred_stems=(stem,))
         if path is None:
-            return row, f"{entry.id}: job succeeded but produced no unambiguous {noun}", None
+            return row, f"{entry.id}: job succeeded but produced no unambiguous {noun}", None, None
         problem = _unsafe_output(path, out_dir)
         if problem is None:
             try:
@@ -414,7 +395,7 @@ def _collect(run: _Run, outcomes, stem: str, noun: str, vet=None):
             except BrainorchError as exc:
                 # Name the file within the bundle: the staging path is the host's and new each run.
                 reason = str(exc).replace(str(path), path.relative_to(run.bundle).as_posix())
-                return row, f"{entry.id}: unreadable {noun} {path.name}: {reason}", None
+                return row, f"{entry.id}: unreadable {noun} {path.name}: {reason}", None, None
         vetted = None
         if problem is None and vet is not None:
             try:
@@ -422,24 +403,23 @@ def _collect(run: _Run, outcomes, stem: str, noun: str, vet=None):
             except (ValueError, UnknownLabel) as exc:
                 problem = str(exc)
         if problem is not None:
-            return row, f"{entry.id}: rejected candidate: {problem}", None
+            return row, f"{entry.id}: rejected candidate: {problem}", None, None
         row["candidate"] = True
-        return row, None, (entry, vol, path, vetted)
+        return row, None, (entry, vol, path, vetted), None
 
     job_rows: list[dict] = []
     accepted: list[tuple[AlgorithmEntry, Volume, Path, object]] = []
-    for row, warning, kept in run.map(one, outcomes):
+    raised: list[Exception | None] = []
+    for row, warning, kept, exc in run.map(one, entries):
         job_rows.append(row)
+        raised.append(exc)
         if warning is not None:
             run.warnings.append(warning)
         if kept is not None:
             accepted.append(kept)
     if not accepted:
-        exceptions = [o for _, o, _ in outcomes if isinstance(o, Exception)]
-        if exceptions and len(exceptions) == len(outcomes) and all(
-            isinstance(e, EngineUnreachable) for e in exceptions
-        ):
-            raise exceptions[0]
+        if all(isinstance(exc, EngineUnreachable) for exc in raised):
+            raise raised[0]
         raise AllJobsFailed(
             f"no algorithm produced a usable candidate {noun}: " + "; ".join(run.warnings)
         )
@@ -447,8 +427,9 @@ def _collect(run: _Run, outcomes, stem: str, noun: str, vet=None):
 
 
 def _refuse_collision(target: Path, force: bool) -> None:
-    # A path below a file does not exist, so this finds the file in the way.
-    existing = next(path for path in (target, *target.parents) if path.exists())
+    # A path below a file does not exist, so this finds the file in the way,
+    # a dangling link included.
+    existing = next(path for path in (target, *target.parents) if os.path.lexists(path))
     if not existing.is_dir():
         raise OutputCollision(f"output bundle {target}: {existing} is not a directory; force does not replace it")
     if target.exists() and any(target.iterdir()) and not force:
@@ -465,8 +446,8 @@ def _atomic_publish(bundle_staging: Path, target: Path, force: bool) -> None:
     the swap fails, the old bundle goes back. A bundle that another run
     published at ``target`` in the meantime is an :class:`OutputCollision`.
     """
-    target.parent.mkdir(parents=True, exist_ok=True)
     _refuse_collision(target, force)
+    target.parent.mkdir(parents=True, exist_ok=True)
     aside = bundle_staging.with_name("replaced")
     try:
         if target.exists():
@@ -514,10 +495,10 @@ def _staged_run(
     config: PipelineConfig,
     task: TaskSpec,
     entries: list[AlgorithmEntry],
-    produce: Callable[[_Run, list], _Product],
+    produce: Callable[[_Run, list[AlgorithmEntry]], _Product],
 ) -> OutputBundle:
-    """Validate, stage, run the jobs, let ``produce`` make the outputs, warp
-    them to native space on request, and publish one hashed bundle."""
+    """Validate, stage, let ``produce`` run the jobs and make the outputs,
+    warp them to native space on request, and publish one hashed bundle."""
     with ThreadPoolExecutor(max_workers=config.parallel_jobs) as pool:
         report = validate_subject(inputs, task, config.native_space_output, map=pool.map)
         if not report.passed:
@@ -535,12 +516,12 @@ def _staged_run(
             staged = _stage_inputs(inputs, report.grids, stage_dir)
             # The run's grid is the one validation compared every input against: the first.
             grid = next(iter(report.grids.values()))
-            run = _Run(inputs, task, config, bundle, grid, warnings, report.native, pool.map)
+            run = _Run(inputs, task, config, bundle, stage_dir, grid, warnings, report.native, pool.map)
 
             logger.info(
                 "running %d algorithm(s) for %s/%s", len(entries), inputs.subject_id, task.task_id.value
             )
-            product = produce(run, _run_jobs(run, entries, stage_dir))
+            product = produce(run, entries)
 
             native_rel: dict[str, str] = {}
             if run.native is not None:
@@ -603,18 +584,19 @@ def _task_of_kind(config: PipelineConfig, kind: str) -> TaskSpec:
     return task
 
 
-def _produce_segmentation(run: _Run, outcomes) -> _Product:
-    """Keep each accepted mask, fuse them, and score each against the consensus.
+def _produce_segmentation(run: _Run, entries: list[AlgorithmEntry]) -> _Product:
+    """Run the jobs, keep each accepted mask, fuse them, and score each
+    against the consensus.
 
-    Each mask is vetted once, in :func:`_collect`, which finds its
+    Each mask is vetted once, on its job's item, which finds its
     foreground box; fusion and scoring work inside the union of those boxes.
     The consensus is written on the run's pool beside the preparation of
     the scoring reference; the reports then go to the pool heaviest first
     (most foreground voxels), so the longest one does not start last.
     """
     task, bundle = run.task, run.bundle
-    job_rows, collected = _collect(
-        run, outcomes, "seg", "mask", vet=lambda vol: vet_candidate(vol.data, task.labels, "mask")
+    job_rows, collected = _run_and_read(
+        run, entries, "seg", "mask", lambda vol: vet_candidate(vol.data, task.labels, "mask")
     )
     candidates_dir = bundle / "candidates"
     candidates_dir.mkdir(parents=True, exist_ok=True)
@@ -688,9 +670,9 @@ def run_inference(inputs: SubjectInputs, config: PipelineConfig) -> OutputBundle
     return _staged_run(inputs, config, task, _resolve_entries(config, task), _produce_segmentation)
 
 
-def _produce_synthesis(run: _Run, outcomes) -> _Product:
-    """Keep the one synthesized image."""
-    job_rows, [(entry, image, produced, _)] = _collect(run, outcomes, SYNTHESIS_STEM, "volume")
+def _produce_synthesis(run: _Run, entries: list[AlgorithmEntry]) -> _Product:
+    """Run the one job and keep its synthesized image."""
+    job_rows, [(entry, image, produced, _)] = _run_and_read(run, entries, SYNTHESIS_STEM, "volume", None)
     out_name = f"{SYNTHESIS_STEM}{nifti_suffix(produced)}"
     shutil.copyfile(produced, run.bundle / out_name, follow_symlinks=False)
     if run.task.task_id == TaskId.INPAINT:

@@ -385,6 +385,19 @@ def test_segment_onto_a_file_at_the_bundle_path_exits_3(capsys, workspace, force
     assert err.startswith(f"error: output bundle {target}: {target} is not a directory"), err
 
 
+def test_segment_onto_a_dangling_link_at_the_bundle_path_exits_3_before_any_job(capsys, workspace):
+    link = workspace["output"] / "sub-01"
+    link.parent.mkdir(parents=True)
+    link.symlink_to(workspace["output"] / "missing")
+    argv = ["segment", "--task", "gli-pre", "-i", str(workspace["subject"]), "-o", str(workspace["output"]), "--json"]
+    code, out, err = run(capsys, mock_args(workspace, *argv))
+    assert code == EXIT_RUNTIME
+    target = link / "gli-pre"
+    assert err.startswith(f"error: output bundle {target}: {link} is not a directory"), err
+    assert json.loads(out)["error"]["type"] == "OutputCollision"
+    assert sorted(p.name for p in workspace["output"].iterdir()) == ["sub-01"]
+
+
 def test_docker_engine_unreachable_exits_3(capsys, workspace):
     code, out, _ = run(
         capsys,

@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import struct
 import sys
 import threading
@@ -70,10 +71,10 @@ ALGO_IDS = tuple(algo_id for algo_id, _, _ in E2E_ALGOS)
 GLI_CODES = (3, 1, 2)  # ET, NETC, SNFH in priority order
 
 
-def engine_with(overrides: dict | None = None, **engine_kw) -> MockEngine:
+def engine_with(overrides: dict | None = None, max_concurrent_jobs: int = 4, **engine_kw) -> MockEngine:
     """Stock scripted engine with per-image behavior field overrides."""
     overrides = overrides or {}
-    engine = MockEngine(max_concurrent_jobs=4, **engine_kw)
+    engine = MockEngine(max_concurrent_jobs=max_concurrent_jobs, **engine_kw)
     for image, raw in behaviors_payload()["images"].items():
         fields = {"content_digest": raw["content_digest"], "outputs": tuple(raw["outputs"])}
         fields.update(overrides.get(image, {}))
@@ -238,6 +239,38 @@ def test_a_manifest_with_every_kind_of_rejection_is_parallelism_invariant(tmp_pa
     assert manifests[0] == manifests[1]
 
 
+def test_a_finished_job_is_vetted_while_the_next_container_runs(tmp_path, gli_subject, override_catalog, monkeypatch):
+    # One container at a time and two threads: the thread whose job ended
+    # vets its candidate while the other thread's job runs.
+    first_mask = expected_candidate_masks()["mock-gli-1"]
+    first_vetted = threading.Event()
+    real_vet = pipeline.vet_candidate
+
+    def vet(data, *args):
+        if np.array_equal(data, first_mask):
+            first_vetted.set()
+        return real_vet(data, *args)
+
+    monkeypatch.setattr(pipeline, "vet_candidate", vet)
+    engine = engine_with(max_concurrent_jobs=1)
+    real_run_job = engine.run_job
+    seen_by_job_2 = []
+
+    def run_job(spec):
+        result = real_run_job(spec)
+        if spec.image_reference.startswith("example/mock-gli-2@"):
+            seen_by_job_2.append(first_vetted.wait(timeout=10))
+        return result
+
+    engine.run_job = run_job
+    inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
+    overlapped = run_inference(inputs, gli_config(tmp_path / "run2", engine, override_catalog, parallel_jobs=2))
+    assert seen_by_job_2 == [True], "candidate 1 was not vetted before job 2 ended"
+    assert engine.max_concurrent_observed == 1
+    serial = run_inference(inputs, gli_config(tmp_path / "run1", engine_with(), override_catalog, parallel_jobs=1))
+    assert overlapped.manifest["content_digest"] == serial.manifest["content_digest"]
+
+
 def test_a_candidate_declaring_another_grid_is_refused_before_its_voxels_are_read(tmp_path):
     # A 2³ mask's header declaring n³ uint8, over a level-1 gzip stream of
     # that many zeros: 600³ (216 MB, under 1 MB on disk), and 400³ (64 MB,
@@ -245,7 +278,8 @@ def test_a_candidate_declaring_another_grid_is_refused_before_its_voxels_are_rea
     small = write_mask(Volume(data=np.zeros((2, 2, 2), dtype=np.uint8), affine=e2e_affine()), tmp_path / "small.nii")
     grid = GridSpec((96, 96, 60), e2e_affine())
     one_input_volume = 96 * 96 * 60  # bytes of a uint8 mask on the input grid
-    entry = SimpleNamespace(id="mock-huge", image_reference="example/mock-huge")
+    entry = SimpleNamespace(id="mock-huge", image_reference="example/mock-huge", requires_gpu=False, shm_bytes=0,
+                            timeout_seconds=60.0, input_mount_path="/in", output_mount_path="/out")
     for n, srow_x, warning in [
         (600, (1.0, 0.0, 0.0, -16.0),
          "mock-huge: rejected candidate: shape (600, 600, 600) does not match the input grid (96, 96, 60)"),
@@ -264,12 +298,14 @@ def test_a_candidate_declaring_another_grid_is_refused_before_its_voxels_are_rea
             for _ in range(n**3 >> 20):
                 gz.write(zeros)
             gz.write(bytes(n**3 % (1 << 20)))
-        run = pipeline._Run(None, None, None, tmp_path / f"bundle-{n}", grid, [], None, map)
         result = JobResult("example/mock-huge", "succeeded", 0, 0.0, "", (path,))
+        engine = SimpleNamespace(pull_image=lambda image: None, run_job=lambda spec: result)
+        run = pipeline._Run(SimpleNamespace(subject_id="sub-01"), SimpleNamespace(task_id=TaskId.GLI_PRE),
+                            SimpleNamespace(engine=engine), tmp_path / f"bundle-{n}", tmp_path, grid, [], None, map)
         tracemalloc.start()
         try:
             with pytest.raises(AllJobsFailed):
-                pipeline._collect(run, [(entry, result, out_dir)], "seg", "mask")
+                pipeline._run_and_read(run, [entry], "seg", "mask", None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -660,6 +696,29 @@ def test_unreachable_engine_propagates(tmp_path, gli_subject, override_catalog):
         run_inference(inputs, gli_config(tmp_path, engine, override_catalog))
 
 
+@pytest.mark.parametrize("parallel_jobs", [1, 2])
+@pytest.mark.parametrize("selectors", [("mock-gli-1", "mock-gli-2"), ("mock-gli-2", "mock-gli-1")])
+def test_jobs_that_all_fail_for_mixed_reasons_are_all_jobs_failed(
+    tmp_path, gli_subject, override_catalog, selectors, parallel_jobs
+):
+    # Only a run whose every job found the engine unreachable re-raises that.
+    engine = engine_with({
+        "example/mock-gli-1": {"fail_engine": True},
+        "example/mock-gli-2": {"exit_code": 1, "outputs": ()},
+    })
+    warnings = {
+        "mock-gli-1": "mock-gli-1: engine crashed while running 'example/mock-gli-1' (scripted)",
+        "mock-gli-2": "mock-gli-2: job nonzero_exit",
+    }
+    inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
+    config = gli_config(tmp_path, engine, override_catalog, algorithm_selectors=selectors, parallel_jobs=parallel_jobs)
+    with pytest.raises(AllJobsFailed, match="no algorithm produced") as caught:
+        run_inference(inputs, config)
+    message = str(caught.value)
+    assert message.index(warnings[selectors[0]]) < message.index(warnings[selectors[1]]), message
+    assert not list((tmp_path / "bundles").glob(".staging-*"))
+
+
 def test_output_collision_and_force(tmp_path, gli_subject, override_catalog):
     inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
     first = run_inference(inputs, gli_config(tmp_path, engine_with(), override_catalog))
@@ -689,6 +748,22 @@ def test_a_file_on_the_bundle_path_is_a_collision(tmp_path, gli_subject, overrid
         run_inference(inputs, gli_config(tmp_path, engine, override_catalog, force=force))
     assert engine.containers_created == 0
     assert blocking.read_text() == "not a bundle"
+
+
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("blocker", ["sub-01/gli-pre", "sub-01"])
+def test_a_dangling_link_on_the_bundle_path_is_a_collision(tmp_path, gli_subject, override_catalog, blocker, force):
+    inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
+    link = tmp_path / "bundles" / blocker
+    link.parent.mkdir(parents=True)
+    link.symlink_to(tmp_path / "missing")
+    engine = engine_with()
+    target = tmp_path / "bundles" / "sub-01" / "gli-pre"
+    with pytest.raises(OutputCollision, match=re.escape(f"output bundle {target}: {link} is not a directory")):
+        run_inference(inputs, gli_config(tmp_path, engine, override_catalog, force=force))
+    assert engine.containers_created == 0
+    assert link.is_symlink() and not (tmp_path / "missing").exists()
+    assert not list((tmp_path / "bundles").glob(".staging-*"))
 
 
 def fail_swap(monkeypatch, before=None, error=errno.EIO):
