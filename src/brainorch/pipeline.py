@@ -16,7 +16,8 @@ A run produces one bundle directory per subject and task:
 Bundles are written to a staging directory and published with one atomic
 rename, so a crashed run never leaves a partial bundle at the target path;
 a bundle replaced with ``force`` is renamed aside first and deleted only
-after the swap.
+after the swap. A file copy into the run that fails (a staged input, a
+candidate, the synthesized image) is an ``IoFailure`` naming the file.
 Partial algorithm failures degrade to warnings as long as at least one
 candidate survives; zero survivors abort the run. The manifest's content
 digest covers the file hash map only, never the timestamp, so identical
@@ -70,6 +71,7 @@ from .errors import (
     BrainorchError,
     EngineUnreachable,
     GridMismatch,
+    IoFailure,
     OutputCollision,
     UnknownLabel,
     ValidationFailed,
@@ -173,6 +175,15 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _copy_file(source: Path, target: Path, follow_symlinks: bool = True) -> None:
+    """``shutil.copyfile``, with an ``OSError`` raised as an ``IoFailure``
+    that names both files."""
+    try:
+        shutil.copyfile(source, target, follow_symlinks=follow_symlinks)
+    except OSError as exc:
+        raise IoFailure(f"cannot copy {source} to {target}: {exc}") from exc
+
+
 def _drop_non_regular(root: Path) -> list[str]:
     """Delete every entry under ``root`` that is neither a regular file nor a
     directory, without following links; returns a warning for each.
@@ -269,7 +280,7 @@ def _stage_inputs(
     for tag in tags:
         source = inputs.files[tag]
         target = stage_dir / f"{inputs.subject_id}-{tag.lower()}{nifti_suffix(source)}"
-        shutil.copyfile(source, target)
+        _copy_file(source, target)
         staged[tag] = target
     return staged
 
@@ -603,7 +614,7 @@ def _produce_segmentation(run: _Run, entries: list[AlgorithmEntry]) -> _Product:
     per_algorithm: dict[str, str] = {}
     for entry, _, mask_path, _ in collected:
         dest = candidates_dir / f"{entry.id}{nifti_suffix(mask_path)}"
-        shutil.copyfile(mask_path, dest, follow_symlinks=False)
+        _copy_file(mask_path, dest, follow_symlinks=False)
         per_algorithm[entry.id] = dest.relative_to(bundle).as_posix()
     ids = [entry.id for entry, _, _, _ in collected]
     # Each accepted mask matched the input grid within tolerance, so the set
@@ -674,7 +685,7 @@ def _produce_synthesis(run: _Run, entries: list[AlgorithmEntry]) -> _Product:
     """Run the one job and keep its synthesized image."""
     job_rows, [(entry, image, produced, _)] = _run_and_read(run, entries, SYNTHESIS_STEM, "volume", None)
     out_name = f"{SYNTHESIS_STEM}{nifti_suffix(produced)}"
-    shutil.copyfile(produced, run.bundle / out_name, follow_symlinks=False)
+    _copy_file(produced, run.bundle / out_name, follow_symlinks=False)
     if run.task.task_id == TaskId.INPAINT:
         synthesized = "T1n"
     else:  # validation guarantees exactly one absent modality

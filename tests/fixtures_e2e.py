@@ -7,9 +7,12 @@ manifests and acceptance thresholds were derived from them.
 
 from __future__ import annotations
 
+import errno
 import gzip
 import hashlib
 import json
+import os
+import shutil
 import struct
 from pathlib import Path
 
@@ -178,3 +181,18 @@ def expected_candidate_masks(shape=E2E_SHAPE) -> dict:
             data[dist2 <= radius**2] = code
         out[algo_id] = data
     return out
+
+
+def fail_first_copy_into(monkeypatch, folder: str) -> list[Path]:
+    """Make the first ``shutil.copyfile`` onto a file in a directory named
+    ``folder`` fail with ENOSPC; the returned list gets that target."""
+    real, failed = shutil.copyfile, []
+
+    def copyfile(source, target, **kw):
+        if Path(target).parent.name == folder and not failed:
+            failed.append(Path(target))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(target))
+        return real(source, target, **kw)
+
+    monkeypatch.setattr(shutil, "copyfile", copyfile)
+    return failed

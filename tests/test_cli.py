@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from brainorch import cli as cli_module
+from brainorch import pipeline
 from brainorch.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from brainorch.geometry import AffineTransform, write_transform
 from brainorch.nifti import Volume, read_volume, write_mask, write_volume
@@ -25,6 +26,7 @@ from fixtures_e2e import (
     catalog_override_payload,
     e2e_affine,
     expected_candidate_masks,
+    fail_first_copy_into,
     fake_digest,
     write_subject,
     zero_srow_x,
@@ -396,6 +398,37 @@ def test_segment_onto_a_dangling_link_at_the_bundle_path_exits_3_before_any_job(
     assert err.startswith(f"error: output bundle {target}: {link} is not a directory"), err
     assert json.loads(out)["error"]["type"] == "OutputCollision"
     assert sorted(p.name for p in workspace["output"].iterdir()) == ["sub-01"]
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+@pytest.mark.parametrize("folder", ["input", "candidates"])  # the first staged input, the first candidate copy
+def test_segment_with_a_failed_copy_into_the_run_exits_3_naming_the_file(capsys, workspace, monkeypatch, folder, parallel):
+    failed = fail_first_copy_into(monkeypatch, folder)
+    argv = ["segment", "--task", "gli-pre", "-i", str(workspace["subject"]), "-o", str(workspace["output"]),
+            "--parallel", parallel, "--json"]
+    code, out, err = run(capsys, mock_args(workspace, *argv))
+    assert code == EXIT_RUNTIME
+    assert err.startswith("error: cannot copy "), err
+    assert str(failed[0]) in err
+    assert json.loads(out)["error"]["type"] == "IoFailure"
+    assert list(workspace["output"].iterdir()) == []  # no bundle, no staging directory
+
+
+def test_segment_whose_input_vanishes_after_validation_exits_3(capsys, workspace, monkeypatch):
+    validate = pipeline.validate_subject
+    victim = workspace["subject"] / "sub-01-t1c.nii.gz"
+
+    def validate_then_remove(*args, **kwargs):
+        report = validate(*args, **kwargs)
+        victim.unlink()
+        return report
+
+    monkeypatch.setattr(pipeline, "validate_subject", validate_then_remove)
+    argv = ["segment", "--task", "gli-pre", "-i", str(workspace["subject"]), "-o", str(workspace["output"]), "--json"]
+    code, out, err = run(capsys, mock_args(workspace, *argv))
+    assert code == EXIT_RUNTIME
+    assert err.startswith(f"error: cannot copy {victim} "), err
+    assert json.loads(out)["error"]["type"] == "IoFailure"
 
 
 def test_docker_engine_unreachable_exits_3(capsys, workspace):

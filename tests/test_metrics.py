@@ -4,8 +4,13 @@ against the pairwise/BFS oracles on random small grids."""
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,13 +89,27 @@ def test_grid_edge_counts_as_surface():
     assert surf.sum() == 26  # only the very center voxel is interior
 
 
+def surface_inputs(seed):
+    """The random mask of ``seed`` in C and F order, as strided and
+    transposed views of a larger one, and as slabs with an extent of 1 or 2."""
+    base = random_mask(seed, shape=(9, 8, 7))
+    yield random_mask(seed)
+    yield np.asfortranarray(random_mask(seed))
+    yield base[::2, 1::2, ::3]
+    yield base.transpose(2, 0, 1)
+    yield base.T[1:6]
+    yield base[:1]
+    yield base[:, 3:5]
+    yield np.asfortranarray(base[:2, :1])
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_surface_matches_oracle(seed):
-    mask = random_mask(seed)
-    expected = np.zeros_like(mask)
-    for idx in oracles.brute_surface(mask):
-        expected[idx] = True
-    np.testing.assert_array_equal(surface_voxels(mask), expected)
+    for mask in surface_inputs(seed):
+        expected = np.zeros(mask.shape, dtype=bool)
+        for idx in oracles.brute_surface(mask):
+            expected[idx] = True
+        np.testing.assert_array_equal(surface_voxels(mask), expected)
 
 
 # -- hausdorff ------------------------------------------------------------
@@ -524,7 +543,7 @@ def test_near_ties_resolve_to_the_oracles_distance(monkeypatch, neighbours, spac
     assert report.per_label["NETC"].hd_mm == oracles.brute_hausdorff(a, b, spacing, 95.0)
 
 
-_SPACINGS = (0.5, 0.7, 1.0, 1.1, 1.2, 1.4, 2.1, 2.5)
+_SPACINGS = (0.5, 0.7, 1.0, 1.1, 1.2, 1.4, 2.0, 2.1, 2.5, 3.0)
 
 
 @st.composite
@@ -553,3 +572,82 @@ def test_surface_metrics_equal_the_oracles_on_random_masks(case):
         assert report.per_label[label.name].nsd == oracles.brute_nsd(a, b, spacing, 1.0)
         assert hausdorff(a, b, spacing, 100.0) == oracles.brute_hausdorff(a, b, spacing, 100.0)
         assert nsd(a, b, spacing, 2.2) == oracles.brute_nsd(a, b, spacing, 2.2)
+
+
+# -- nearest-only queries on integral grids ----------------------------------------
+
+
+@pytest.mark.parametrize("spacing", [(1, 1, 1), (1, 1, 2), (3, 1, 2)])
+def test_kd_nearest_distances_are_the_exact_formula_on_integral_grids(spacing):
+    """On integral spacings the tree's k=1 distance is bit for bit the
+    exact formula, so the nearest alone is the distance."""
+    sp = np.array(spacing, dtype=np.float64)
+    rng = np.random.default_rng(28)
+    points = rng.integers(0, 200, size=(4000, 3))
+    queries = np.concatenate([rng.integers(0, 200, size=(8000, 3)), points[:4000] + rng.integers(-3, 4, size=(4000, 3))])
+    dist, idx = metrics_module._kd_tree(points * sp).query(queries * sp, k=1)
+    np.testing.assert_array_equal(dist, metrics_module._exact_distances(queries, points[idx], sp))
+
+
+def recording_trees(monkeypatch) -> list[int]:
+    """Route every scoring tree through a wrapper that records the ``k`` of
+    each ``query``, and make ``binary_erosion`` an error."""
+    ks: list[int] = []
+    real_tree = metrics_module._kd_tree
+
+    class Recording:
+        def __init__(self, tree):
+            self.tree = tree
+
+        def query(self, x, k):
+            ks.append(k)
+            return self.tree.query(x, k=k)
+
+        def query_ball_point(self, *args, **kwargs):
+            return self.tree.query_ball_point(*args, **kwargs)
+
+    def no_erosion(*args, **kwargs):
+        raise AssertionError("binary_erosion called")
+
+    monkeypatch.setattr(metrics_module, "_kd_tree", lambda positions: Recording(real_tree(positions)))
+    monkeypatch.setattr(metrics_module.ndimage, "binary_erosion", no_erosion)
+    return ks
+
+
+@pytest.mark.parametrize("spacing, k", [((1.0, 1.0, 1.0), 1), ((1.0, 1.0, 2.0), 1), ((1.2, 1.2, 1.2), 4)])
+def test_integral_grids_query_the_nearest_alone_and_others_keep_the_tie_rule(monkeypatch, spacing, k):
+    ks = recording_trees(monkeypatch)
+    a = cube((9, 9, 9), (1, 1, 1), (6, 6, 5))
+    b = cube((9, 9, 9), (3, 2, 2), (8, 7, 8))
+    report = compute_metric_report(a.astype(np.uint8), b.astype(np.uint8), (Label(1, "NETC"),), spacing)
+    assert report.per_label["NETC"].hd_mm == oracles.brute_hausdorff(a, b, spacing, 95.0)
+    assert report.per_label["NETC"].nsd == oracles.brute_nsd(a, b, spacing, 1.0)
+    assert hausdorff(a, b, spacing, 100.0) == oracles.brute_hausdorff(a, b, spacing, 100.0)
+    assert ks and set(ks) == {k}
+
+
+_HUGE_OR_NON_FINITE = [(1e300, 1.0, 1.0), (1.0, 1.0, 1e160), (float("inf"), 1.0, 1.0), (1.0, float("nan"), 1.0)]
+
+
+@pytest.mark.parametrize("spacing", _HUGE_OR_NON_FINITE)
+def test_a_spacing_whose_squared_extent_is_not_finite_is_refused_naming_it(spacing):
+    a = cube((6, 6, 6), (1, 1, 1), (3, 3, 3))
+    b = cube((6, 6, 6), (2, 2, 2), (5, 5, 5))
+    labels = (Label(1, "NETC"),)
+    calls = [
+        lambda: hausdorff(a, b, spacing),
+        lambda: nsd(a, b, spacing),
+        lambda: metrics_module.prepare_reference(a.astype(np.uint8), labels, spacing),
+        lambda: compute_metric_report(a.astype(np.uint8), b.astype(np.uint8), labels, spacing),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(repr(spacing))):
+            call()
+
+
+def test_importing_the_cli_loads_no_kd_tree_module():
+    code = "import sys, brainorch.cli; print('scipy.spatial' in sys.modules)"
+    src = Path(metrics_module.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "False"

@@ -58,6 +58,7 @@ from fixtures_e2e import (
     catalog_override_payload,
     e2e_affine,
     expected_candidate_masks,
+    fail_first_copy_into,
     fake_digest,
     set_vox_offset,
     write_catalog_override,
@@ -811,6 +812,29 @@ def test_bundle_published_concurrently_is_an_output_collision(tmp_path, gli_subj
 
 
 # -- native-space output -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("parallel_jobs", [1, 2])
+@pytest.mark.parametrize("folder", ["input", "candidates"])  # the first staged input, the first candidate copy
+def test_a_failed_copy_into_the_run_is_an_io_failure_naming_the_file(
+    tmp_path, gli_subject, override_catalog, monkeypatch, folder, parallel_jobs
+):
+    config = gli_config(tmp_path, engine_with(), override_catalog, parallel_jobs=parallel_jobs)
+    failed = fail_first_copy_into(monkeypatch, folder)
+    with pytest.raises(IoFailure, match="No space left on device") as excinfo:
+        run_inference(discover_subject_inputs(gli_subject, TaskId.GLI_PRE), config)
+    assert str(failed[0]) in str(excinfo.value)
+    assert_nothing_published(config, "sub-01")
+
+
+def test_a_failed_copy_of_the_synthesized_image_is_an_io_failure(tmp_path, monkeypatch):
+    inputs = discover_subject_inputs(write_subject(tmp_path, "sub-08", task=TaskId.INPAINT), TaskId.INPAINT)
+    config = inpaint_config(tmp_path)
+    failed = fail_first_copy_into(monkeypatch, "bundle")
+    with pytest.raises(IoFailure, match="No space left on device") as excinfo:
+        run_synthesis(inputs, config)
+    assert failed[0].name == "synthesis.nii.gz" and str(failed[0]) in str(excinfo.value)
+    assert_nothing_published(config)
 
 
 def test_native_space_output_round_trips(tmp_path, gli_subject, mock_engine, override_catalog):
