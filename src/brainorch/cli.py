@@ -9,16 +9,17 @@ Subcommands: ``segment``, ``synthesize``, ``fuse``, ``warp``, ``validate``,
     3  engine or runtime failure
 
 ``--json`` prints a machine-readable summary to stdout; human-readable
-progress goes to stderr. Environment: ``ORCH_ENGINE_ENDPOINT`` overrides the
-Docker endpoint, ``ORCH_CATALOG_OVERRIDE`` points at a catalog override file
-used when ``--catalog`` is absent.
+progress goes to stderr. An ``OSError`` is a runtime failure, a missing
+file a usage error. ``segment`` and ``synthesize`` share their run flags
+and the configuration they build. Environment: ``ORCH_ENGINE_ENDPOINT``
+overrides the Docker endpoint, ``ORCH_CATALOG_OVERRIDE`` points at a
+catalog override file used when ``--catalog`` is absent.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, jsondoc
 from .errors import (
     BrainorchError,
     CatalogError,
@@ -38,7 +39,7 @@ from .errors import (
 from .fusion import FUSION_METHODS, METHOD_MAJORITY, CandidateSet, SimpleParams, fuse
 from .geometry import GridSpec, invert_affine, read_transform, resample_image, resample_mask
 from .nifti import nifti_suffix, read_grid, read_volume, write_mask, write_volume
-from .pipeline import PipelineConfig, discover_subject_inputs, run_inference, run_synthesis
+from .pipeline import CONSENSUS_NAME, PipelineConfig, discover_subject_inputs, run_inference, run_synthesis
 from .registry import (
     LATEST_WINNER,
     SEGMENTATION,
@@ -66,7 +67,7 @@ _ALL_TASKS = tuple(t.task_id.value for t in list_tasks())
 
 def _emit(args, payload: dict) -> None:
     if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(jsondoc.dumps(payload))
 
 
 def _say(message: str) -> None:
@@ -90,21 +91,28 @@ def _build_engine(args):
     )
 
 
-def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--engine", choices=("docker", "mock"), default="docker", help="container engine backend"
+def _run_flags() -> argparse.ArgumentParser:
+    """The flags ``segment`` and ``synthesize`` share, as a parent parser."""
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("-i", "--input", required=True, help="subject input directory")
+    run.add_argument("-o", "--output", required=True, help="output root directory")
+    run.add_argument(
+        "--algo",
+        action="append",
+        default=None,
+        help=f"algorithm id or '{LATEST_WINNER}', the default (segment fuses several, synthesize runs one)",
     )
-    sub.add_argument(
-        "--endpoint", default=None, help="engine endpoint (unix:///... or http://host:port)"
-    )
-    sub.add_argument(
-        "--mock-behaviors", default=None, help="behavior table JSON for the mock engine"
-    )
-    sub.add_argument(
-        "--gpu", action="store_true", help="declare that the engine can satisfy GPU jobs"
-    )
-    sub.add_argument("--catalog", default=None, help="catalog override JSON file")
-    sub.add_argument("--parallel", type=int, default=1, help="max concurrent algorithm jobs and worker threads")
+    run.add_argument("--native", action="store_true", help="also write native-space outputs")
+    run.add_argument("--keep-intermediate", action="store_true")
+    run.add_argument("--force", action="store_true", help="replace an existing bundle")
+    run.add_argument("--json", action="store_true")
+    run.add_argument("--engine", choices=("docker", "mock"), default="docker", help="container engine backend")
+    run.add_argument("--endpoint", default=None, help="engine endpoint (unix:///... or http://host:port)")
+    run.add_argument("--mock-behaviors", default=None, help="behavior table JSON for the mock engine")
+    run.add_argument("--gpu", action="store_true", help="declare that the engine can satisfy GPU jobs")
+    run.add_argument("--catalog", default=None, help="catalog override JSON file")
+    run.add_argument("--parallel", type=int, default=1, help="max concurrent algorithm jobs and worker threads")
+    return run
 
 
 def _add_fusion_flags(sub: argparse.ArgumentParser) -> None:
@@ -165,38 +173,31 @@ def _declared_subject(args):
     return inputs
 
 
-def _cmd_segment(args) -> int:
-    inputs = _declared_subject(args)
-    config = PipelineConfig(
+def _run_config(args, **own) -> PipelineConfig:
+    """The run the shared flags describe, plus the command's ``own`` fields."""
+    return PipelineConfig(
         task=args.task,
         engine=_build_engine(args),
         output_dir=Path(args.output),
         algorithm_selectors=tuple(args.algo or [LATEST_WINNER]),
-        fusion_method=args.fusion,
-        fusion_params=_fusion_params(args),
         parallel_jobs=args.parallel,
         native_space_output=args.native,
         keep_intermediate=args.keep_intermediate,
         force=args.force,
         catalog=_load_cli_catalog(args),
+        **own,
     )
+
+
+def _cmd_segment(args) -> int:
+    inputs = _declared_subject(args)
+    config = _run_config(args, fusion_method=args.fusion, fusion_params=_fusion_params(args))
     return _report_bundle(args, "segment", run_inference(inputs, config))
 
 
 def _cmd_synthesize(args) -> int:
     inputs = discover_subject_inputs(args.input, args.task)
-    config = PipelineConfig(
-        task=args.task,
-        engine=_build_engine(args),
-        output_dir=Path(args.output),
-        algorithm_selectors=(args.algo,),
-        parallel_jobs=args.parallel,
-        native_space_output=args.native,
-        keep_intermediate=args.keep_intermediate,
-        force=args.force,
-        catalog=_load_cli_catalog(args),
-    )
-    return _report_bundle(args, "synthesize", run_synthesis(inputs, config))
+    return _report_bundle(args, "synthesize", run_synthesis(inputs, _run_config(args)))
 
 
 def _candidate_id(path: Path, seen: set[str]) -> str:
@@ -219,10 +220,10 @@ def _cmd_fuse(args) -> int:
     result = fuse(candidates, args.fusion, _fusion_params(args))
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    consensus_path = out_dir / "consensus.nii.gz"
+    consensus_path = out_dir / CONSENSUS_NAME
     write_mask(result.consensus, consensus_path)
     fusion_doc = result.to_json_dict()
-    (out_dir / "fusion.json").write_text(json.dumps(fusion_doc, indent=2, sort_keys=True) + "\n")
+    jsondoc.dump(out_dir / "fusion.json", fusion_doc)
     _say(f"consensus written to {consensus_path}")
     _emit(
         args,
@@ -298,9 +299,8 @@ def _cmd_catalog_list(args) -> int:
         }
         for e in entries
     ]
-    if args.json:
-        print(json.dumps({"command": "catalog-list", "algorithms": rows}, indent=2, sort_keys=True))
-    else:
+    _emit(args, {"command": "catalog-list", "algorithms": rows})
+    if not args.json:
         for row in rows:
             tags = f" [{', '.join(row['architecture_tags'])}]" if row["architecture_tags"] else ""
             print(
@@ -317,36 +317,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"orch {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    run_flags = _run_flags()
 
-    segment = sub.add_parser("segment", help="run segmentation algorithms and fuse their masks")
-    segment.add_argument("--task", required=True, choices=_SEGMENTATION_TASKS)
-    segment.add_argument("-i", "--input", required=True, help="subject input directory")
-    segment.add_argument("-o", "--output", required=True, help="output root directory")
-    segment.add_argument(
-        "--algo",
-        action="append",
-        default=None,
-        help=f"algorithm id or '{LATEST_WINNER}' (repeatable; default {LATEST_WINNER})",
+    segment = sub.add_parser(
+        "segment", parents=[run_flags], help="run segmentation algorithms and fuse their masks"
     )
-    segment.add_argument("--native", action="store_true", help="also write native-space outputs")
-    segment.add_argument("--keep-intermediate", action="store_true")
-    segment.add_argument("--force", action="store_true", help="replace an existing bundle")
+    segment.add_argument("--task", required=True, choices=_SEGMENTATION_TASKS)
     segment.add_argument("--declared-space", default=None)
-    segment.add_argument("--json", action="store_true")
     _add_fusion_flags(segment)
-    _add_engine_flags(segment)
     segment.set_defaults(handler=_cmd_segment)
 
-    synthesize = sub.add_parser("synthesize", help="run a synthesis algorithm (inpaint, missing-mri)")
+    synthesize = sub.add_parser(
+        "synthesize", parents=[run_flags], help="run a synthesis algorithm (inpaint, missing-mri)"
+    )
     synthesize.add_argument("--task", required=True, choices=_SYNTHESIS_TASKS)
-    synthesize.add_argument("-i", "--input", required=True)
-    synthesize.add_argument("-o", "--output", required=True)
-    synthesize.add_argument("--algo", default=LATEST_WINNER, help="algorithm id (exactly one)")
-    synthesize.add_argument("--native", action="store_true")
-    synthesize.add_argument("--keep-intermediate", action="store_true")
-    synthesize.add_argument("--force", action="store_true")
-    synthesize.add_argument("--json", action="store_true")
-    _add_engine_flags(synthesize)
     synthesize.set_defaults(handler=_cmd_synthesize)
 
     fuse_cmd = sub.add_parser("fuse", help="fuse existing mask files into a consensus")
@@ -416,7 +400,7 @@ def main(argv=None) -> int:
         UnknownTask, UnknownAlgorithm, NoAlgorithmForTask, CatalogError, FileNotFoundError, ValueError
     ) as exc:
         return _report_error(args, EXIT_USAGE, exc, f"error: {exc}")
-    except BrainorchError as exc:
+    except (BrainorchError, OSError) as exc:
         return _report_error(args, EXIT_RUNTIME, exc, f"error: {exc}")
     except Exception as exc:  # the CLI reports, it does not crash
         logger.exception("unexpected failure")

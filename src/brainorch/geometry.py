@@ -53,7 +53,6 @@ bit-identical to a float64 map rounded to float32.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,7 +62,6 @@ from scipy import ndimage
 from . import jsondoc
 from .errors import (
     DegenerateGrid,
-    IoFailure,
     MalformedTransform,
     SingularTransform,
     SpaceMismatch,
@@ -301,18 +299,12 @@ def inverse_warp_image_to_native(
 
 def write_transform(transform: AffineTransform, path: str | Path) -> Path:
     """Write a transform sidecar (JSON, row-major matrix, mm units)."""
-    path = Path(path)
-    doc = {
+    return jsondoc.dump(path, {
         "matrix": [float(v) for v in np.asarray(transform.matrix).reshape(-1)],
         "source_space": transform.source_space,
         "target_space": transform.target_space,
         "units": "mm",
-    }
-    try:
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-    return path
+    })
 
 
 # Sidecars from registration tools may carry keys of their own. Matrix entries

@@ -1,11 +1,13 @@
-"""The one JSON reader and checker: :func:`load` reads the catalog override,
-the behaviors file and transform sidecars, :func:`parse` the Docker replies.
-Bytes that are not JSON (bad syntax, not UTF-8, nested too deep) raise the
-caller's error naming the document. A check returns None or its first
-problem, ``must be …, got …``, naming a key as ``'key' …`` and an item as
-``item i: …``; :func:`must`, :func:`obj` and :func:`array` follow JSON
-Schema's ``type``, ``required`` and ``additionalProperties`` (draft
+"""The one JSON reader, checker and writer. :func:`load` reads the catalog
+override, the behaviors file and transform sidecars, :func:`parse` the
+Docker replies. Bytes that are not JSON (bad syntax, not UTF-8, nested too
+deep) raise the caller's error naming the document. A check returns None or
+its first problem, ``must be …, got …``, naming a key as ``'key' …`` and an
+item as ``item i: …``; :func:`must`, :func:`obj` and :func:`array` follow
+JSON Schema's ``type``, ``required`` and ``additionalProperties`` (draft
 2020-12). Values are checked, never coerced: int() takes true as 1.
+:func:`dumps` is the one form of every ``--json`` print and, through
+:func:`dump`, of every JSON file the package writes.
 """
 
 from __future__ import annotations
@@ -36,6 +38,21 @@ def load(path: "str | Path", error: type, check):
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     return parse(raw, path, error, check)
+
+
+def dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def dump(path: "str | Path", doc) -> Path:
+    """Write :func:`dumps` of ``doc`` and a newline to ``path``, or raise
+    :class:`IoFailure` naming it."""
+    path = Path(path)
+    try:
+        path.write_text(dumps(doc) + "\n")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    return path
 
 
 def must(expected: str, valid):

@@ -16,8 +16,10 @@ A run produces one bundle directory per subject and task:
 Bundles are written to a staging directory and published with one atomic
 rename, so a crashed run never leaves a partial bundle at the target path;
 a bundle replaced with ``force`` is renamed aside first and deleted only
-after the swap. A file copy into the run that fails (a staged input, a
-candidate, the synthesized image) is an ``IoFailure`` naming the file.
+after the swap. A write into the run or the bundle that the operating
+system refuses (a directory, a copy, a JSON record, the publish rename) is
+an ``IoFailure`` naming the path, and the staging directory is removed once
+the run's pool is done.
 Partial algorithm failures degrade to warnings as long as at least one
 candidate survives; zero survivors abort the run. The manifest's content
 digest covers the file hash map only, never the timestamp, so identical
@@ -65,7 +67,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, jsondoc
 from .errors import (
     AllJobsFailed,
     BrainorchError,
@@ -509,19 +511,22 @@ def _staged_run(
     produce: Callable[[_Run, list[AlgorithmEntry]], _Product],
 ) -> OutputBundle:
     """Validate, stage, let ``produce`` run the jobs and make the outputs,
-    warp them to native space on request, and publish one hashed bundle."""
-    with ThreadPoolExecutor(max_workers=config.parallel_jobs) as pool:
-        report = validate_subject(inputs, task, config.native_space_output, map=pool.map)
-        if not report.passed:
-            raise ValidationFailed(report)
-        target = config.output_dir / inputs.subject_id / task.task_id.value
-        _refuse_collision(target, config.force)  # before any container runs
+    warp them to native space on request, and publish one hashed bundle.
+    An ``OSError`` on the way is an :class:`IoFailure`."""
+    target = config.output_dir / inputs.subject_id / task.task_id.value
+    staging_root = config.output_dir / f".staging-{inputs.subject_id}-{task.task_id.value}-{uuid.uuid4().hex[:8]}"
+    bundle = staging_root / "bundle"
+    # The staging directory goes once the pool is shut down, so no job still
+    # running after an error writes into it again.
+    try:
+        with ThreadPoolExecutor(max_workers=config.parallel_jobs) as pool:
+            report = validate_subject(inputs, task, config.native_space_output, map=pool.map)
+            if not report.passed:
+                raise ValidationFailed(report)
+            _refuse_collision(target, config.force)  # before any container runs
 
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-        staging_root = config.output_dir / f".staging-{inputs.subject_id}-{task.task_id.value}-{uuid.uuid4().hex[:8]}"
-        bundle = staging_root / "bundle"
-        warnings = [f"{f.code}: {f.message}" for f in report.warnings]
-        try:
+            config.output_dir.mkdir(parents=True, exist_ok=True)
+            warnings = [f"{f.code}: {f.message}" for f in report.warnings]
             stage_dir = bundle / "work" / "input"
             # A passing report decoded exactly the inputs this task consumes.
             staged = _stage_inputs(inputs, report.grids, stage_dir)
@@ -570,10 +575,12 @@ def _staged_run(
                 shutil.rmtree(bundle / "work", ignore_errors=True)
             manifest["files"] = _hash_tree(bundle, pool.map)
             manifest["content_digest"] = manifest_digest(manifest["files"])
-            (bundle / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            jsondoc.dump(bundle / "manifest.json", manifest)
             _atomic_publish(bundle, target, config.force)
-        finally:
-            shutil.rmtree(staging_root, ignore_errors=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot write the bundle {target}: {exc}") from exc
+    finally:
+        shutil.rmtree(staging_root, ignore_errors=True)
 
     return OutputBundle(
         bundle_dir=target,
@@ -628,7 +635,7 @@ def _produce_segmentation(run: _Run, entries: list[AlgorithmEntry]) -> _Product:
         _vetted_boxes=tuple(box for _, _, _, box in collected),
     )
     result = fuse(candidate_set, run.config.fusion_method, run.config.fusion_params)
-    (bundle / "fusion.json").write_text(json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    jsondoc.dump(bundle / "fusion.json", result.to_json_dict())
 
     # Outside the candidates' box every candidate and the consensus are
     # background (see the fusion module), so scoring inside it is exact.
@@ -650,10 +657,7 @@ def _produce_segmentation(run: _Run, entries: list[AlgorithmEntry]) -> _Product:
             order,
         )
         scores = dict(zip((ids[i] for i in order), reports))
-        (bundle / "metrics.json").write_text(
-            json.dumps({"reference": "consensus", "per_candidate": scores}, indent=2, sort_keys=True)
-            + "\n"
-        )
+        jsondoc.dump(bundle / "metrics.json", {"reference": "consensus", "per_candidate": scores})
         metrics_rel = "metrics.json"
 
     return _Product(

@@ -4,7 +4,9 @@ and environment overrides. Everything runs in-process through main()."""
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
+import os
 import shlex
 from pathlib import Path
 
@@ -506,6 +508,24 @@ def test_synthesize_shows_the_manifest_warnings(capsys, workspace):
     assert out == ""
 
 
+def test_synthesize_refuses_a_second_algorithm_before_any_container(capsys, monkeypatch, workspace):
+    catalog = json.loads(workspace["catalog"].read_text())
+    second = dict(catalog["algorithms"][-1], id="mock-inpaint-2025-2", rank=2)
+    catalog["algorithms"].append(second)
+    workspace["catalog"].write_text(json.dumps(catalog))
+    engines = []
+    build_engine = cli_module._build_engine
+    monkeypatch.setattr(cli_module, "_build_engine", lambda args: engines.append(build_engine(args)) or engines[-1])
+    argv = ["synthesize", "--task", "inpaint", "-i", str(workspace["inpaint_subject"]), "-o", str(workspace["output"]),
+            "--algo", "mock-inpaint-2025-1", "--algo", "mock-inpaint-2025-2", "--json"]
+    code, out, err = run(capsys, mock_args(workspace, *argv))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: synthesis runs exactly one algorithm"), err
+    assert json.loads(out)["error"]["type"] == "ValueError"
+    assert [engine.containers_created for engine in engines] == [0]
+    assert not workspace["output"].exists()
+
+
 # -- validate ------------------------------------------------------------------
 
 
@@ -584,6 +604,29 @@ def test_fuse_files_from_disk(capsys, tmp_path):
         brute_majority(masks, (3, 1, 2), (3, 1, 2)),
     )
     assert (out_dir / "fusion.json").is_file()
+
+
+@pytest.mark.parametrize("failure", ["disk-full", "output-below-a-file"])
+def test_fuse_that_cannot_write_exits_3_without_a_traceback(capsys, caplog, monkeypatch, tmp_path, failure):
+    mask = write_mask(Volume(data=expected_candidate_masks()[ALGO_IDS[0]], affine=e2e_affine()), tmp_path / "m.nii.gz")
+    out_dir = tmp_path / "fused"
+    if failure == "disk-full":
+        real = Path.write_text
+
+        def write_text(self, *args, **kwargs):
+            if self.name == "fusion.json":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", write_text)
+    else:
+        (tmp_path / "afile").write_text("not a directory")
+        out_dir = tmp_path / "afile" / "out"
+    code, out, err = run(capsys, ["fuse", str(mask), "-o", str(out_dir), "--json"])
+    assert code == EXIT_RUNTIME
+    assert err.startswith("error: "), err
+    assert "Traceback" not in err and not [r for r in caplog.records if r.exc_info]
+    assert json.loads(out)["exit_code"] == EXIT_RUNTIME
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -908,6 +951,21 @@ def test_catalog_override_of_the_wrong_type_exits_2_before_any_container(capsys,
 
 
 # -- parser behavior -----------------------------------------------------------
+
+
+RUN_FLAGS = ["-i", "subj", "-o", "out", "--algo", "a", "--native", "--keep-intermediate", "--force", "--json",
+             "--engine", "mock", "--endpoint", "e", "--mock-behaviors", "b", "--gpu", "--catalog", "c", "--parallel", "3"]
+
+
+@pytest.mark.parametrize("flags", [RUN_FLAGS[:4], RUN_FLAGS], ids=["defaults", "all"])
+def test_segment_and_synthesize_parse_the_same_run_flags(flags):
+    parser = cli_module.build_parser()
+    segment = vars(parser.parse_args(["segment", "--task", "gli-pre", *flags]))
+    synthesize = vars(parser.parse_args(["synthesize", "--task", "inpaint", *flags]))
+    shared = set(synthesize) - {"command", "task", "handler"}
+    assert shared == {"input", "output", "algo", "native", "keep_intermediate", "force", "json",
+                      "engine", "endpoint", "mock_behaviors", "gpu", "catalog", "parallel"}
+    assert {k: segment[k] for k in shared} == {k: synthesize[k] for k in shared}
 
 
 def test_usage_errors_exit_2(capsys):

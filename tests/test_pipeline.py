@@ -767,34 +767,74 @@ def test_a_dangling_link_on_the_bundle_path_is_a_collision(tmp_path, gli_subject
     assert not list((tmp_path / "bundles").glob(".staging-*"))
 
 
-def fail_swap(monkeypatch, before=None, error=errno.EIO):
-    """Make the rename of a staged bundle onto its target fail.
-
-    ``before(target)`` runs first, as another run would in the meantime.
-    """
+def fail_swap(monkeypatch, before):
+    """Run ``before(target)`` just before a staged bundle is renamed onto
+    its target, as another run would in the meantime."""
     real_replace = Path.replace
 
     def replace(self, target):
         if self.name == "bundle" and self.parent.name.startswith(".staging-"):
-            if before is not None:
-                before(Path(target))
-                return real_replace(self, target)
-            raise OSError(error, "injected failure", str(target))
+            before(Path(target))
         return real_replace(self, target)
 
     monkeypatch.setattr(Path, "replace", replace)
 
 
-def test_forced_publish_that_fails_keeps_the_old_bundle(tmp_path, gli_subject, override_catalog, monkeypatch):
-    inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
-    first = run_inference(inputs, gli_config(tmp_path, engine_with(), override_catalog))
-    before = {p: p.read_bytes() for p in first.bundle_dir.rglob("*") if p.is_file()}
+def fail_first_call(monkeypatch, method: str, name: str, error: int) -> list[Path]:
+    """Make the first ``Path.<method>`` on a path named ``name`` raise
+    ``error`` naming that path; the returned list gets the path."""
+    real, failed = getattr(Path, method), []
 
-    fail_swap(monkeypatch)
-    with pytest.raises(OSError, match="injected failure"):
-        run_inference(inputs, gli_config(tmp_path, engine_with(), override_catalog, force=True))
-    assert {p: p.read_bytes() for p in first.bundle_dir.rglob("*") if p.is_file()} == before
-    assert not list((tmp_path / "bundles").glob(".staging-*"))
+    def failing(self, *args, **kwargs):
+        if self.name == name and not failed:
+            failed.append(self)
+            raise OSError(error, os.strerror(error), str(self))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, method, failing)
+    return failed
+
+
+# Every persistence point of a native segmentation run but the copies (see
+# the copy tests below) and the rmtree calls, which ignore errors.
+RUN_WRITES = {
+    "fusion.json": ("write_text", "fusion.json", errno.ENOSPC),
+    "metrics.json": ("write_text", "metrics.json", errno.ENOSPC),
+    "manifest.json": ("write_text", "manifest.json", errno.ENOSPC),
+    "output-dir": ("mkdir", "bundles", errno.ENOSPC),
+    "work-input": ("mkdir", "input", errno.ENOSPC),
+    "job-dir": ("mkdir", ALGO_IDS[0], errno.ENOSPC),
+    "candidates": ("mkdir", "candidates", errno.ENOSPC),
+    "native": ("mkdir", "native", errno.ENOSPC),
+    "bundle-parent": ("mkdir", "sub-01", errno.ENOSPC),
+    "swap": ("replace", "bundle", errno.EIO),
+}
+
+
+@pytest.mark.parametrize("parallel_jobs", [1, 2])
+@pytest.mark.parametrize("force", [False, True], ids=["new", "force"])
+@pytest.mark.parametrize("point", sorted(RUN_WRITES))
+def test_a_failed_write_of_a_run_is_an_io_failure_naming_the_path(
+    tmp_path, gli_subject, override_catalog, monkeypatch, point, force, parallel_jobs
+):
+    add_native_context(gli_subject, "sub-01")
+    inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
+    # The second job is still running when the first one's directory fails.
+    engine = engine_with({f"example/{ALGO_IDS[1]}": {"sleep_s": 0.05 if point == "job-dir" else 0.0}})
+    config = gli_config(
+        tmp_path, engine, override_catalog, native_space_output=True, force=force, parallel_jobs=parallel_jobs
+    )
+    old = {}
+    if force:
+        first = run_inference(inputs, config)
+        old = {p: p.read_bytes() for p in first.bundle_dir.rglob("*") if p.is_file()}
+    failed = fail_first_call(monkeypatch, *RUN_WRITES[point])
+    with pytest.raises(IoFailure, match=os.strerror(RUN_WRITES[point][2])) as excinfo:
+        within(60, lambda: run_inference(inputs, config))
+    assert str(failed[0]) in str(excinfo.value)
+    target = config.output_dir / "sub-01" / "gli-pre"
+    assert {p: p.read_bytes() for p in target.rglob("*") if p.is_file()} == old
+    assert not list(config.output_dir.glob(".staging-*"))
 
 
 def test_bundle_published_concurrently_is_an_output_collision(tmp_path, gli_subject, override_catalog, monkeypatch):
