@@ -10,18 +10,18 @@ block and keeps no header. Every write gets a fresh little-endian header
 with ``vox_offset`` 352, an empty extension block and the affine as sform.
 
 Both readers make one pass over one stream, at most 1 MiB at a time: a
-gzip envelope (found by magic bytes, not by extension) through one
-:class:`gzip.GzipFile`, any other file as it is. The header is parsed first;
-the extension block is skipped with one seek; the payload goes straight into
-its array; the rest of a gzip stream is inflated and counted, so every
-member's CRC is checked. Before anything is allocated, one parse checks the
-header in this order: its fields, ``vox_offset`` at least 352, the declared
-payload at most ``MAX_PAYLOAD_BYTES``, then the affine (sform, else qform,
-else pixdim) through :func:`checked_affine`. Then ``vox_offset`` plus the
-payload must fit in what the file can decode to: its size, or 1032 times it
-for gzip (deflate's ceiling). Every error names the file.
-:func:`read_grid` keeps no voxels; of an uncompressed file it reads only
-the header.
+gzip envelope (found by magic bytes, not by extension) inflated by
+:func:`_inflated` from 64 KiB reads into pieces of at most 256 KiB, any
+other file as it is. The header is parsed first; the extension block is
+skipped with one seek; the payload goes straight into its array; the rest
+of a gzip stream is inflated and counted, so every member's CRC is checked.
+Before anything is allocated, one parse checks the header in this order:
+its fields, ``vox_offset`` at least 352, the declared payload at most
+``MAX_PAYLOAD_BYTES``, then the affine (sform, else qform, else pixdim)
+through :func:`checked_affine`. Then ``vox_offset`` plus the payload must
+fit in what the file can decode to: its size, or 1032 times it for gzip
+(deflate's ceiling). Every error names the file. :func:`read_grid` keeps no
+voxels; of an uncompressed file it reads only the header.
 
 The writer mirrors the readers: it opens the target once (through one
 :class:`gzip.GzipFile` when the name ends in ``.gz``) and writes the header,
@@ -189,8 +189,8 @@ class Volume:
         return np.sqrt((self.affine[:3, :3] ** 2).sum(axis=0))
 
 
-# Largest piece read at once, from the file or out of the inflater.
-_CHUNK = 1 << 20
+# Largest piece a read fills at once; the gzip reader's file reads and inflated pieces.
+_CHUNK, _GZIP_READ, _GZIP_PIECE = 1 << 20, 1 << 16, 1 << 18
 # Deflate's ceiling: no gzip file decodes to more than this many times its
 # own size (1028.7 measured for a stream of zeros).
 _GZIP_MAX_RATIO = 1032
@@ -213,6 +213,77 @@ def _fill(stream, buf) -> int:
     while got < len(view) and (n := stream.readinto(view[got : got + _CHUNK])):
         got += n
     return got
+
+
+def _inflated(f):
+    """Yield the inflated bytes of every gzip member of binary file ``f`` in
+    non-empty pieces: of at most 8 KiB until the NIfTI header is out, as from
+    ``gzip.GzipFile``'s buffer, then of at most _GZIP_PIECE. Like Python's ``gzip``
+    reader, it skips optional header fields, ignores reserved flag bits and the
+    header CRC, checks each member's CRC-32 and ISIZE and skips NUL padding."""
+    data, out = b"", 0  # data: read from the file, not yet parsed or inflated
+
+    def exact(n: int) -> bytes:
+        nonlocal data
+        while len(data) < n:
+            if not (more := f.read(_GZIP_READ)):
+                raise EOFError("Compressed file ended before the end-of-stream marker was reached")
+            data += more
+        got, data = data[:n], data[n:]
+        return got
+
+    while True:
+        while len(data := data.lstrip(b"\0")) < 2 and (more := f.read(_GZIP_READ)):
+            data += more
+        if not data:
+            return
+        if data[:2] != GZIP_MAGIC:
+            raise OSError(f"Not a gzipped file ({data[:2]!r})")
+        method, flags = exact(10)[2:4]
+        if method != 8:
+            raise OSError("Unknown compression method")
+        if flags & 4:  # FEXTRA (FLG bits: RFC 1952, 2.3.1)
+            exact(int.from_bytes(exact(2), "little"))
+        for _ in range(bool(flags & 8) + bool(flags & 16)):  # FNAME, FCOMMENT: NUL-ended, or the rest of the file
+            while (end := data.find(b"\0")) < 0 and (more := f.read(_GZIP_READ)):
+                data = more
+            data = data[end + 1 :] if end >= 0 else b""
+        if flags & 2:  # FHCRC
+            exact(2)
+        inflate, crc, size = zlib.decompressobj(-zlib.MAX_WBITS), 0, 0
+        while not inflate.eof:
+            if not data and not (data := f.read(_GZIP_READ)):
+                raise EOFError("Compressed file ended before the end-of-stream marker was reached")
+            piece = inflate.decompress(data, _GZIP_PIECE if out >= HEADER_SIZE else 8192)
+            data = inflate.unused_data if inflate.eof else inflate.unconsumed_tail
+            if piece:
+                crc, size, out = zlib.crc32(piece, crc), size + len(piece), out + len(piece)
+                yield piece
+        stored_crc, stored_size = (int(n) for n in np.frombuffer(exact(8), "<u4"))
+        if stored_crc != crc:
+            raise OSError(f"CRC check failed {hex(stored_crc)} != {hex(crc)}")
+        if stored_size != size & 0xFFFFFFFF:
+            raise OSError("Incorrect length of data produced")
+
+
+class _GzipStream:
+    """``readinto`` and a forward ``seek`` over the pieces of :func:`_inflated`."""
+
+    def __init__(self, f):
+        self._pieces, self._piece, self._pos = _inflated(f), memoryview(b""), 0
+
+    def readinto(self, view) -> int:
+        if not self._piece:
+            self._piece = memoryview(next(self._pieces, b""))
+        n = min(len(view), len(self._piece))
+        view[:n], self._piece = self._piece[:n], self._piece[n:]
+        self._pos += n
+        return n
+
+    def seek(self, offset: int) -> int:
+        while self._pos < offset and self.readinto(bytearray(min(offset - self._pos, _GZIP_PIECE))):
+            pass
+        return self._pos
 
 
 class _Header(NamedTuple):
@@ -336,29 +407,28 @@ def _read(path: str | Path, voxels: bool, check_grid=None) -> tuple[_Header, np.
     try:
         with path.open("rb") as f:
             size = os.fstat(f.fileno()).st_size
-            gz = f.read(2) == GZIP_MAGIC
-            f.seek(0)
-            with gzip.GzipFile(fileobj=f) if gz else f as stream:
-                head = bytearray(HEADER_SIZE)
-                header = _parse_header(head[: _fill(stream, head)], path)
-                count = int(np.prod(header.shape))
-                need = count * header.dtype.itemsize
-                # Before any allocation: the most the file can decode to.
-                most, holds = (_GZIP_MAX_RATIO * size, "can decode to at most") if gz else (size, "holds")
-                _check_extent(header.vox_offset, need, most, path, holds)
-                if check_grid is not None:
-                    check_grid(header.shape, header.affine)
-                decoded, flat = (HEADER_SIZE if gz else size), None
-                if voxels:
-                    # Skip the extension block. A gzip seek returns the position it reached;
-                    # a raw file's size has passed _check_extent.
-                    decoded = stream.seek(header.vox_offset)
-                    flat = np.empty(count, header.dtype)
-                    decoded += _fill(stream, flat.view(np.uint8))
-                if gz:  # inflate the rest, so every member's checksum is checked
-                    scratch = bytearray(_CHUNK)
-                    while n := _fill(stream, scratch):
-                        decoded += n
+            gz = f.peek(2)[:2] == GZIP_MAGIC
+            stream = _GzipStream(f) if gz else f
+            head = bytearray(HEADER_SIZE)
+            header = _parse_header(head[: _fill(stream, head)], path)
+            count = int(np.prod(header.shape))
+            need = count * header.dtype.itemsize
+            # Before any allocation: the most the file can decode to.
+            most, holds = (_GZIP_MAX_RATIO * size, "can decode to at most") if gz else (size, "holds")
+            _check_extent(header.vox_offset, need, most, path, holds)
+            if check_grid is not None:
+                check_grid(header.shape, header.affine)
+            decoded, flat = (HEADER_SIZE if gz else size), None
+            if voxels:
+                # Skip the extension block. A gzip seek returns the position it reached;
+                # a raw file's size has passed _check_extent.
+                decoded = stream.seek(header.vox_offset)
+                flat = np.empty(count, header.dtype)
+                decoded += _fill(stream, flat.view(np.uint8))
+            if gz:  # inflate the rest, so every member's checksum is checked
+                scratch = bytearray(_CHUNK)
+                while n := _fill(stream, scratch):
+                    decoded += n
     except (OSError, EOFError, zlib.error) as exc:
         raise IoFailure(f"cannot {'decompress' if gz else 'read'} {path}: {exc}") from exc
     _check_extent(header.vox_offset, need, decoded, path)

@@ -19,7 +19,8 @@ a bundle replaced with ``force`` is renamed aside first and deleted only
 after the swap. A write into the run or the bundle that the operating
 system refuses (a directory, a copy, a JSON record, the publish rename) is
 an ``IoFailure`` naming the path, and the staging directory is removed once
-the run's pool is done.
+the run's pool is done, all but an old bundle that could not be put back,
+which the ``IoFailure`` names.
 Partial algorithm failures degrade to warnings as long as at least one
 candidate survives; zero survivors abort the run. The manifest's content
 digest covers the file hash map only, never the timestamp, so identical
@@ -449,6 +450,10 @@ def _refuse_collision(target: Path, force: bool) -> None:
         raise OutputCollision(f"output bundle {target} already exists; use force to replace")
 
 
+# Where a forced publish parks the old bundle, beside the staged one.
+_PARKED = "replaced"
+
+
 def _atomic_publish(bundle_staging: Path, target: Path, force: bool) -> None:
     """Move the staged bundle to ``target``.
 
@@ -456,19 +461,24 @@ def _atomic_publish(bundle_staging: Path, target: Path, force: bool) -> None:
     first and deleted with the staging directory after the swap, so a crash
     at any point leaves one bundle whole: the new one at ``target``, or the
     old one there or, between the two renames, beside the staged one. If
-    the swap fails, the old bundle goes back. A bundle that another run
-    published at ``target`` in the meantime is an :class:`OutputCollision`.
+    the swap fails, the old bundle goes back; if that fails too, it stays
+    parked beside the staged one and the :class:`IoFailure` names it. A
+    bundle that another run published at ``target`` in the meantime is an
+    :class:`OutputCollision`.
     """
     _refuse_collision(target, force)
     target.parent.mkdir(parents=True, exist_ok=True)
-    aside = bundle_staging.with_name("replaced")
+    aside = bundle_staging.with_name(_PARKED)
     try:
         if target.exists():
             target.replace(aside)
         bundle_staging.replace(target)
     except OSError as exc:
         if aside.exists() and not target.exists():
-            aside.replace(target)
+            try:
+                aside.replace(target)
+            except OSError as stuck:
+                raise IoFailure(f"cannot publish {target}: {exc}; the old bundle is kept at {aside}: {stuck}") from exc
         if exc.errno in (errno.EEXIST, errno.ENOTEMPTY):
             raise OutputCollision(f"output bundle {target} was published by another run") from exc
         raise
@@ -580,7 +590,9 @@ def _staged_run(
     except OSError as exc:
         raise IoFailure(f"cannot write the bundle {target}: {exc}") from exc
     finally:
-        shutil.rmtree(staging_root, ignore_errors=True)
+        # An old bundle the swap could not put back stays parked where the IoFailure names it.
+        parked = (staging_root / _PARKED).exists() and not target.exists()
+        shutil.rmtree(bundle if parked else staging_root, ignore_errors=True)
 
     return OutputBundle(
         bundle_dir=target,

@@ -8,9 +8,11 @@ of the reader's own header layout.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import io
 import struct
+import time
 import tracemalloc
 import zlib
 from types import SimpleNamespace
@@ -629,6 +631,107 @@ def test_a_bad_header_in_a_damaged_stream_is_reported_as_the_header_error(tmp_pa
     for read in (read_volume, read_grid):
         with pytest.raises(MalformedHeader, match="magic"):
             read(path)
+
+
+# -- gzip members ----------------------------------------------------------------
+
+FHCRC, FEXTRA, FNAME, FCOMMENT = 0x02, 0x04, 0x08, 0x10
+
+
+def _gzip_member(data, level=6, flags=0, extra=b"", name=b"", comment=b"", header_crc=b"\0\0"):
+    """One gzip member of ``data`` (RFC 1952), framed by hand: ``flags`` may
+    hold any FLG bit, and each optional field is written when its bit is set."""
+    head = bytearray(b"\x1f\x8b\x08" + bytes([flags]) + bytes(4) + b"\x00\xff")
+    if flags & FEXTRA:
+        head += struct.pack("<H", len(extra)) + extra
+    head += (name + b"\0") * bool(flags & FNAME) + (comment + b"\0") * bool(flags & FCOMMENT)
+    head += header_crc * bool(flags & FHCRC)
+    deflate = zlib.compressobj(level, zlib.DEFLATED, -zlib.MAX_WBITS)
+    body = deflate.compress(data) + deflate.flush()
+    return bytes(head) + body + struct.pack("<II", zlib.crc32(data), len(data) & 0xFFFFFFFF)
+
+
+def _draw_framing(draw, blob):
+    """``blob`` as one to three gzip members split at random points, each
+    with random header fields, flag bits (reserved ones too) and NUL padding
+    after it, then maybe cut or with one byte flipped past the magic."""
+    cuts = sorted(draw(st.lists(st.integers(0, len(blob)), max_size=2)))
+    no_nul = st.binary(max_size=12).map(lambda b: b.replace(b"\0", b"n"))
+    stream = b""
+    for start, stop in zip([0, *cuts], [*cuts, len(blob)]):
+        stream += _gzip_member(
+            blob[start:stop],
+            level=draw(st.integers(0, 9)),
+            flags=sum(draw(st.sets(st.sampled_from([0x01, FHCRC, FEXTRA, FNAME, FCOMMENT, 0x20, 0x40, 0x80])))),
+            extra=draw(st.binary(max_size=12)),
+            name=draw(no_nul),
+            comment=draw(no_nul),
+            header_crc=draw(st.binary(min_size=2, max_size=2)),
+        ) + bytes(draw(st.integers(0, 3)))
+    damage = draw(st.sampled_from(["none", "none", "cut", "flip"]))
+    at = draw(st.integers(2, len(stream) - 1))
+    if damage == "cut":
+        stream = stream[:at]
+    elif damage == "flip":
+        stream = stream[:at] + bytes([stream[at] ^ draw(st.integers(1, 255))]) + stream[at + 1 :]
+    return stream
+
+
+# No explain phase, as for the hostile-file test below.
+@settings(max_examples=150, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(data=st.data())
+def test_gzip_reads_agree_with_gzip_decompress(tmp_path_factory, data):
+    tmp = tmp_path_factory.getbasetemp()
+    if data.draw(st.booleans(), label="flat"):  # inflates to several pieces
+        voxels = np.ones((data.draw(st.integers(1, 96)), 96, 80), dtype=np.uint8)
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        voxels = rng.integers(-999, 999, size=data.draw(st.tuples(*[st.integers(1, 12)] * 3)), dtype=np.int16)
+    blob = write_volume(Volume(data=voxels, affine=np.eye(4)), tmp / "agree-source.nii").read_bytes()
+    stream = _draw_framing(data.draw, blob)
+    path, oracle = tmp / "agree.nii.gz", tmp / "agree-oracle.nii"
+    path.write_bytes(stream)
+    found = [_outcome(read, path)[0] for read in (read_volume, read_grid)]
+    try:
+        oracle.write_bytes(gzip.decompress(stream))
+    except (OSError, EOFError, zlib.error):
+        # Refused: as an IoFailure or, when the header inflates cleanly in the
+        # first 8 KiB piece (GzipFile's buffer), as that header is.
+        allowed = {IoFailure}
+        with contextlib.suppress(OSError, EOFError, zlib.error):
+            oracle.write_bytes(gzip.GzipFile(fileobj=io.BytesIO(stream)).read(348))
+            allowed.add(_outcome(read_grid, oracle)[0])
+        assert set(found) <= allowed, (found, allowed)
+        return
+    assert found == [_outcome(read, oracle)[0] for read in (read_volume, read_grid)]
+    if found[0] is None:
+        vol, expected = read_volume(path), read_volume(oracle)
+        np.testing.assert_array_equal(vol.data, expected.data)
+        np.testing.assert_array_equal(vol.affine, expected.affine)
+
+
+@pytest.mark.parametrize("field", ["name_to_the_end", "long_comment"])
+def test_a_long_gzip_header_string_is_skipped_in_pieces(tmp_path, field):
+    text = b"n" * (8 << 20)
+    if field == "name_to_the_end":  # no NUL: the name runs to the end of the file
+        stream = b"\x1f\x8b\x08" + bytes([FNAME]) + bytes(4) + b"\x00\xff" + text
+    else:
+        stream = _gzip_member(_nifti_bytes(tmp_path), flags=FCOMMENT, comment=text)
+    path = tmp_path / "long.nii.gz"
+    path.write_bytes(stream)
+    try:
+        plain = gzip.decompress(stream)
+    except EOFError:
+        plain = None
+    for read in (read_volume, read_grid):
+        start = time.perf_counter()
+        kind, message = _outcome(read, path)
+        assert time.perf_counter() - start < 1.0
+        assert kind is (None if plain is not None else IoFailure), message
+        _, peak = _traced_peak(lambda: _outcome(read, path))
+        assert peak < 2 << 20
+    if plain is not None:
+        np.testing.assert_array_equal(read_volume(path).data, simple_volume(np.int16).data)
 
 
 # -- hostile inputs ------------------------------------------------------------

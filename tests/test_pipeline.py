@@ -851,6 +851,29 @@ def test_bundle_published_concurrently_is_an_output_collision(tmp_path, gli_subj
     assert not list((tmp_path / "bundles").glob(".staging-*"))
 
 
+def test_a_forced_publish_whose_swap_and_restore_fail_keeps_the_old_bundle(
+    tmp_path, gli_subject, override_catalog, monkeypatch
+):
+    inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
+    target = run_inference(inputs, gli_config(tmp_path, engine_with(), override_catalog)).bundle_dir
+    old = {p.relative_to(target): p.read_bytes() for p in target.rglob("*") if p.is_file()}
+    real_replace = Path.replace
+
+    def replace(self, to):
+        if self.name in ("bundle", "replaced"):  # the swap, then the restore
+            raise OSError(errno.EIO, os.strerror(errno.EIO), str(self))
+        return real_replace(self, to)
+
+    monkeypatch.setattr(Path, "replace", replace)
+    with pytest.raises(IoFailure, match=os.strerror(errno.EIO)) as excinfo:
+        run_inference(inputs, gli_config(tmp_path, engine_with(), override_catalog, force=True))
+    kept = target
+    if not target.exists():
+        [kept] = (tmp_path / "bundles").glob(".staging-*/replaced")
+        assert str(kept) in str(excinfo.value)
+    assert {p.relative_to(kept): p.read_bytes() for p in kept.rglob("*") if p.is_file()} == old
+
+
 # -- native-space output -----------------------------------------------------------
 
 
