@@ -9,13 +9,19 @@ of the reader's own header layout.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import gzip
 import io
+import os
 import struct
+import subprocess
+import sys
 import time
 import tracemalloc
 import zlib
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -681,7 +687,26 @@ def _draw_framing(draw, blob):
 @settings(max_examples=150, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
 @given(data=st.data())
 def test_gzip_reads_agree_with_gzip_decompress(tmp_path_factory, data):
-    tmp = tmp_path_factory.getbasetemp()
+    _assert_gzip_reads_agree(tmp_path_factory.getbasetemp(), data)
+
+
+# The same examples with libdeflate forced off, inside the body: Hypothesis
+# refuses a function-scoped fixture that would do it.
+@settings(max_examples=150, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(data=st.data())
+def test_gzip_reads_agree_with_gzip_decompress_on_zlib_alone(tmp_path_factory, data):
+    with _zlib_only():
+        _assert_gzip_reads_agree(tmp_path_factory.getbasetemp(), data)
+
+
+def _zlib_only():
+    """A context in which every gzip read goes through the zlib member reader."""
+    return mock.patch.object(nifti, "_libdeflate", lambda: None)
+
+
+def _assert_gzip_reads_agree(tmp, data):
+    """Both readers of a drawn gzip stream end as ``gzip.decompress`` of it
+    says: the volume of what it inflates to, or a refusal."""
     if data.draw(st.booleans(), label="flat"):  # inflates to several pieces
         voxels = np.ones((data.draw(st.integers(1, 96)), 96, 80), dtype=np.uint8)
     else:
@@ -732,6 +757,267 @@ def test_a_long_gzip_header_string_is_skipped_in_pieces(tmp_path, field):
         assert peak < 2 << 20
     if plain is not None:
         np.testing.assert_array_equal(read_volume(path).data, simple_volume(np.int16).data)
+
+
+# -- the libdeflate fast path -----------------------------------------------------
+
+
+@pytest.fixture
+def deflate_calls(monkeypatch):
+    """The libdeflate inflate calls made during the test; skips it where the
+    system has no libdeflate."""
+    if (lib := nifti._libdeflate()) is None:
+        pytest.skip("libdeflate is not installed")
+    calls, real = [], lib.libdeflate_deflate_decompress_ex
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lib, "libdeflate_deflate_decompress_ex", spy)
+    return calls
+
+
+def _compressible(shape=(64, 64, 16), dtype=np.uint8):
+    """A volume whose gzip file is far smaller than its payload."""
+    return Volume(data=(np.arange(int(np.prod(shape))) % 251).astype(dtype).reshape(shape), affine=np.eye(4))
+
+
+def _bits(*fields: str) -> bytes:
+    """Deflate bits, given in stream order as '0'/'1' strings, packed from
+    the lowest bit of each byte up (RFC 1951, 3.1.1)."""
+    bits = "".join(fields)
+    bits += "0" * (-len(bits) % 8)
+    return bytes(int(bits[i : i + 8][::-1], 2) for i in range(0, len(bits), 8))
+
+
+def _num(value: int, width: int) -> str:
+    """A deflate number field: least significant bit first."""
+    return f"{value:0{width}b}"[::-1]
+
+
+def _code(value: int, width: int) -> str:
+    """A Huffman code: most significant bit first."""
+    return f"{value:0{width}b}"
+
+
+def _fixed_literal(byte: int) -> str:
+    return _code(0x30 + byte, 8) if byte < 144 else _code(0x190 + byte - 144, 9)
+
+
+def _dynamic_literals(data: bytes) -> str:
+    """A final dynamic block of ``data`` as literals, with one distance code
+    length, and that one 0: an empty distance code. Literals 0-254 take 8-bit
+    codes, 255 and end-of-block 9-bit ones; the code-length code gives length
+    8 code 0, length 0 code 10 and length 9 code 11."""
+    head = "1" + _num(2, 2) + _num(0, 5) + _num(0, 5) + _num(3, 4)
+    head += "".join(_num(n, 3) for n in (0, 0, 0, 2, 1, 0, 2))  # for lengths 16, 17, 18, 0, 8, 7, 9
+    lengths = "0" * 255 + "11" * 2 + "10"
+    body = "".join(_code(b, 8) if b < 255 else _code(510, 9) for b in data)
+    return head + lengths + body + _code(511, 9)
+
+
+def _flushed(data: bytes) -> bytes:
+    """A non-final deflate of ``data`` that ends on a byte boundary."""
+    deflate = zlib.compressobj(6, zlib.DEFLATED, -zlib.MAX_WBITS)
+    return deflate.compress(data) + deflate.flush(zlib.Z_SYNC_FLUSH)
+
+
+def _framed(body: bytes, crc: int, size: int) -> bytes:
+    return b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff" + body + struct.pack("<II", crc & 0xFFFFFFFF, size & 0xFFFFFFFF)
+
+
+def _hand_built(case: str, blob: bytes) -> bytes:
+    """A gzip file of ``blob`` whose deflate stream is built as ``case`` says;
+    each stream inflates its first 20,000 bytes cleanly, past the header."""
+    crc, cut = zlib.crc32(blob), 20_000
+    whole = _gzip_member(blob)
+    tail = blob[-300:]
+    body = {
+        "stored_block": lambda: _flushed(blob[:-300]) + b"\x01" + struct.pack("<HH", 300, 0xFFFF ^ 300) + tail,
+        "fixed_block": lambda: _flushed(blob[:-300])
+        + _bits("1", _num(1, 2), *map(_fixed_literal, tail), _code(0, 7)),
+        "dynamic_block_empty_distance_code": lambda: _flushed(blob[:-300]) + _bits(_dynamic_literals(tail)),
+        # Length 3 (code 257) at distance 32768 (code 29, 13 extra bits) with 20,000 bytes out.
+        "distance_too_far_back": lambda: _flushed(blob[:cut])
+        + _bits("1", _num(1, 2), _code(1, 7), _code(29, 5), _num(32768 - 24577, 13), _code(0, 7)),
+        "one_byte_short": lambda: whole[10:-9],
+        "bytes_between_stream_and_trailer": lambda: whole[10:-8] + b"junk",
+    }
+    if case in body:
+        return _framed(body[case](), crc, len(blob))
+    if case == "isize_off_by_one":
+        return whole[:-4] + struct.pack("<I", len(blob) + 1)
+    if case == "crc_off_by_one":
+        return whole[:-8] + struct.pack("<I", (crc + 1) & 0xFFFFFFFF) + whole[-4:]
+    # Two members whose last trailer speaks for the whole file.
+    assert case == "two_members_posing_as_one"
+    return _gzip_member(blob[:cut]) + _gzip_member(blob[cut:])[:-8] + struct.pack("<II", crc, len(blob))
+
+
+HAND_BUILT = [
+    "stored_block",
+    "fixed_block",
+    "dynamic_block_empty_distance_code",
+    "distance_too_far_back",
+    "one_byte_short",
+    "bytes_between_stream_and_trailer",
+    "isize_off_by_one",
+    "crc_off_by_one",
+    "two_members_posing_as_one",
+]
+
+
+@pytest.mark.parametrize("case", HAND_BUILT)
+def test_both_inflate_engines_end_a_hand_built_stream_alike(tmp_path, case):
+    vol = _compressible()
+    blob = write_volume(vol, tmp_path / "plain.nii").read_bytes()
+    path = tmp_path / "hand.nii.gz"
+    path.write_bytes(_hand_built(case, blob))
+    assert path.stat().st_size <= vol.data.nbytes
+    fast = [_outcome(read, path) for read in (read_volume, read_grid)]
+    with _zlib_only():
+        assert [_outcome(read, path) for read in (read_volume, read_grid)] == fast
+    valid = case in ("stored_block", "fixed_block", "dynamic_block_empty_distance_code")
+    assert (fast[0][0] is None) is valid, fast
+    if valid:
+        np.testing.assert_array_equal(read_volume(path).data, vol.data)
+    else:
+        assert fast[0][0] is IoFailure and "cannot decompress" in fast[0][1]
+
+
+@pytest.mark.parametrize("case", [c for c in HAND_BUILT if c != "isize_off_by_one"])
+def test_libdeflate_sees_every_hand_built_stream_whose_trailer_fits(tmp_path, case, deflate_calls):
+    blob = write_volume(_compressible(), tmp_path / "plain.nii").read_bytes()
+    path = tmp_path / "hand.nii.gz"
+    path.write_bytes(_hand_built(case, blob))
+    _outcome(read_volume, path)
+    assert len(deflate_calls) == 1
+
+
+def _canonical_files(tmp_path):
+    """Gzip files of one compressible volume that the fast path takes, by name."""
+    vol = _compressible((48, 40, 30), np.int16)
+    blob = write_volume(vol, tmp_path / "plain.nii").read_bytes()
+    files = {"write_volume": write_volume(vol, tmp_path / "written.nii.gz")}
+    with gzip.GzipFile(tmp_path / "named.nii.gz", "wb") as gz:  # stores the file name (FNAME)
+        gz.write(blob)
+    files["gzip_file_name"] = tmp_path / "named.nii.gz"
+    for name, flags in (("extra", FEXTRA), ("comment", FCOMMENT), ("header_crc", FHCRC), ("all", 0x1E)):
+        files[name] = tmp_path / f"{name}.nii.gz"
+        files[name].write_bytes(_gzip_member(blob, flags=flags, extra=b"ab", name=b"n", comment=b"c"))
+    return vol, files
+
+
+def test_the_fast_path_takes_every_canonical_member(tmp_path, deflate_calls):
+    vol, files = _canonical_files(tmp_path)
+    for name, path in files.items():
+        deflate_calls.clear()
+        np.testing.assert_array_equal(read_volume(path).data, vol.data, err_msg=name)
+        assert len(deflate_calls) == 1, name
+    deflate_calls.clear()
+    read_grid(files["write_volume"])
+    assert deflate_calls == []
+
+
+def _not_canonical(tmp_path):
+    """Gzip files the fast path leaves to the zlib reader, by name, each with
+    the volume it reads as."""
+    vol = _compressible()
+    blob = write_volume(vol, tmp_path / "plain.nii").read_bytes()
+    one = _gzip_member(blob)
+    noise = Volume(data=np.random.default_rng(4).integers(0, 256, (32, 32, 8), dtype=np.uint8), affine=np.eye(4))
+    big_extension = bytearray(blob[:348] + bytes(4 + (64 << 10) + 4) + blob[352:])
+    struct.pack_into("<f", big_extension, OFF_VOX_OFFSET, 352.0 + (64 << 10) + 4)
+    return {
+        "two_members": (vol, _gzip_member(blob[:5000]) + _gzip_member(blob[5000:])),
+        "nul_padding": (vol, one + b"\0" * 4),
+        "trailing_member_of_zeros": (vol, one + _gzip_member(bytes(4096))),
+        "extension_over_the_limit": (vol, _gzip_member(bytes(big_extension))),
+        "larger_than_the_payload": (noise, gzip.compress(write_volume(noise, tmp_path / "n.nii").read_bytes())),
+    }
+
+
+@pytest.mark.parametrize("case", ["two_members", "nul_padding", "trailing_member_of_zeros",
+                                  "extension_over_the_limit", "larger_than_the_payload"])
+def test_the_fast_path_leaves_other_files_to_the_zlib_reader(tmp_path, case, deflate_calls):
+    vol, stream = _not_canonical(tmp_path)[case]
+    path = tmp_path / "other.nii.gz"
+    path.write_bytes(stream)
+    np.testing.assert_array_equal(read_volume(path).data, vol.data)
+    assert deflate_calls == []
+
+
+def test_the_fast_path_peaks_at_the_payload_plus_the_compressed_file(tmp_path, deflate_calls):
+    data = np.zeros((128, 128, 80), dtype=np.float32)
+    data[32:96, 32:96, 16:64] = np.random.default_rng(2).normal(100.0, 20.0, size=(64, 64, 48))
+    path = write_volume(Volume(data=data, affine=np.eye(4)), tmp_path / "c.nii.gz")
+    back, peak = _traced_peak(lambda: read_volume(path))
+    np.testing.assert_array_equal(back.data, data)
+    assert len(deflate_calls) == 1
+    assert peak <= data.nbytes + path.stat().st_size + (1 << 20)
+
+
+class _Without:
+    """A loaded library that lacks the function ``name``."""
+
+    def __init__(self, lib, name):
+        self._lib, self._name = lib, name
+
+    def __getattr__(self, attr):
+        if attr == self._name:
+            raise AttributeError(attr)
+        return getattr(self._lib, attr)
+
+
+@pytest.mark.parametrize("failure", ["library_missing", "function_missing"])
+def test_without_libdeflate_the_zlib_reader_reads_every_file_after_one_try(tmp_path, failure):
+    vol, files = _canonical_files(tmp_path)
+    expected = {name: read_volume(path).data for name, path in files.items()}
+    real, tries = ctypes.CDLL, []
+
+    def load(name, *args, **kwargs):
+        tries.append(name)
+        if failure == "library_missing":
+            raise OSError(f"{name}: cannot open shared object file: No such file or directory")
+        return _Without(real(name, *args, **kwargs), "libdeflate_deflate_decompress_ex")
+
+    nifti._libdeflate.cache_clear()
+    try:
+        with mock.patch.object(ctypes, "CDLL", load):
+            for _ in range(2):
+                for name, path in files.items():
+                    np.testing.assert_array_equal(read_volume(path).data, expected[name], err_msg=name)
+            assert nifti._libdeflate() is None
+    finally:
+        nifti._libdeflate.cache_clear()
+    assert tries == ["libdeflate.so.0"]
+
+
+def test_importing_the_package_loads_no_inflate_library(tmp_path):
+    # In a fresh interpreter: nothing before the first gzip read, the library
+    # (where it loads) after it.
+    code = (
+        "import sys, numpy as np, brainorch\n"
+        "from brainorch import nifti\n"
+        "def mapped():\n"
+        "    try:\n"
+        "        return 'libdeflate' in open('/proc/self/maps').read()\n"
+        "    except OSError:\n"
+        "        return False\n"
+        "before = nifti._libdeflate.cache_info().currsize, mapped()\n"
+        "nifti.read_volume(nifti.write_volume(nifti.Volume(np.zeros((8, 8, 8)), np.eye(4)), sys.argv[1]))\n"
+        "print(*before, nifti._libdeflate() is not None, mapped())\n"
+    )
+    src = str(Path(nifti.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "z.nii.gz")], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    loads_before, mapped_before, loaded, mapped = run.stdout.split()
+    assert (loads_before, mapped_before) == ("0", "False")
+    assert loaded == str(nifti._libdeflate() is not None)
+    if Path("/proc/self/maps").exists():
+        assert mapped == loaded
 
 
 # -- hostile inputs ------------------------------------------------------------
