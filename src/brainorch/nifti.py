@@ -16,9 +16,10 @@ other file as it is. The header is parsed first; the extension block is
 skipped with one seek; the payload goes straight into its array; the rest
 of a gzip stream is inflated and counted, so every member's CRC is checked.
 Where the system has libdeflate (loaded through ctypes at the first gzip
-read, not at import), :func:`read_volume` first tries one call that inflates a
-canonical one-member file (see :func:`_inflate_whole`) into one buffer whose
-payload it returns as a view; any other file, and a failed call, goes as above.
+read, not at import), :func:`read_volume` first hands a canonical one-member
+file (see :func:`_inflate_whole`) to one libdeflate gzip call, which checks the
+member's CRC-32 and ISIZE and inflates it into one buffer whose payload it
+returns as a view; any other file, and a failed call, goes as above.
 Before anything is allocated, one parse checks the header in this order:
 its fields, ``vox_offset`` at least 352, the declared payload at most
 ``MAX_PAYLOAD_BYTES``, then the affine (sform, else qform, else pixdim)
@@ -221,62 +222,51 @@ def _fill(stream, buf) -> int:
     return got
 
 
-def _take(data: bytes, n: int, more) -> tuple[bytes, bytes]:
-    """The first ``n`` bytes of ``data`` extended by ``more()``, and the rest."""
-    while len(data) < n:
-        if not (piece := more()):
-            raise EOFError("Compressed file ended before the end-of-stream marker was reached")
-        data += piece
-    return data[:n], data[n:]
-
-
-def _member_header(data: bytes, more) -> bytes:
-    """What follows the gzip member header that ``data`` opens, which ``more()``
-    extends (b"" at the end of the file). Like Python's ``gzip`` reader, it
-    skips optional header fields and ignores reserved flag bits and the header CRC."""
-    if data[:2] != GZIP_MAGIC:
-        raise OSError(f"Not a gzipped file ({data[:2]!r})")
-    fixed, data = _take(data, 10, more)
-    method, flags = fixed[2:4]
-    if method != 8:
-        raise OSError("Unknown compression method")
-    if flags & 4:  # FEXTRA (FLG bits: RFC 1952, 2.3.1)
-        length, data = _take(data, 2, more)
-        data = _take(data, int.from_bytes(length, "little"), more)[1]
-    for _ in range(bool(flags & 8) + bool(flags & 16)):  # FNAME, FCOMMENT: NUL-ended, or the rest of the file
-        while (end := data.find(b"\0")) < 0 and (piece := more()):
-            data = piece
-        data = data[end + 1 :] if end >= 0 else b""
-    if flags & 2:  # FHCRC
-        data = _take(data, 2, more)[1]
-    return data
-
-
 def _inflated(f):
     """Yield the inflated bytes of every gzip member of binary file ``f`` in
     non-empty pieces: of at most 8 KiB until the NIfTI header is out, as from
     ``gzip.GzipFile``'s buffer, then of at most _GZIP_PIECE. Like Python's ``gzip``
-    reader, it parses each member header with :func:`_member_header`, checks each
-    member's CRC-32 and ISIZE and skips NUL padding."""
+    reader, it skips optional header fields, ignores reserved flag bits and the
+    header CRC, checks each member's CRC-32 and ISIZE and skips NUL padding."""
     data, out = b"", 0  # data: read from the file, not yet parsed or inflated
-    more = functools.partial(f.read, _GZIP_READ)
+
+    def exact(n: int) -> bytes:
+        nonlocal data
+        while len(data) < n:
+            if not (more := f.read(_GZIP_READ)):
+                raise EOFError("Compressed file ended before the end-of-stream marker was reached")
+            data += more
+        got, data = data[:n], data[n:]
+        return got
+
     while True:
-        while len(data := data.lstrip(b"\0")) < 2 and (piece := more()):
-            data += piece
+        while len(data := data.lstrip(b"\0")) < 2 and (more := f.read(_GZIP_READ)):
+            data += more
         if not data:
             return
-        data = _member_header(data, more)
+        if data[:2] != GZIP_MAGIC:
+            raise OSError(f"Not a gzipped file ({data[:2]!r})")
+        method, flags = exact(10)[2:4]
+        if method != 8:
+            raise OSError("Unknown compression method")
+        if flags & 4:  # FEXTRA (FLG bits: RFC 1952, 2.3.1)
+            exact(int.from_bytes(exact(2), "little"))
+        for _ in range(bool(flags & 8) + bool(flags & 16)):  # FNAME, FCOMMENT: NUL-ended, or the rest of the file
+            while (end := data.find(b"\0")) < 0 and (more := f.read(_GZIP_READ)):
+                data = more
+            data = data[end + 1 :] if end >= 0 else b""
+        if flags & 2:  # FHCRC
+            exact(2)
         inflate, crc, size = zlib.decompressobj(-zlib.MAX_WBITS), 0, 0
         while not inflate.eof:
-            if not data and not (data := more()):
+            if not data and not (data := f.read(_GZIP_READ)):
                 raise EOFError("Compressed file ended before the end-of-stream marker was reached")
             piece = inflate.decompress(data, _GZIP_PIECE if out >= HEADER_SIZE else 8192)
             data = inflate.unused_data if inflate.eof else inflate.unconsumed_tail
             if piece:
                 crc, size, out = zlib.crc32(piece, crc), size + len(piece), out + len(piece)
                 yield piece
-        trailer, data = _take(data, 8, more)
-        stored_crc, stored_size = (int(n) for n in np.frombuffer(trailer, "<u4"))
+        stored_crc, stored_size = (int(n) for n in np.frombuffer(exact(8), "<u4"))
         if stored_crc != crc:
             raise OSError(f"CRC check failed {hex(stored_crc)} != {hex(crc)}")
         if stored_size != size & 0xFFFFFFFF:
@@ -425,10 +415,8 @@ def _libdeflate():
         lib.libdeflate_alloc_decompressor.argtypes = []
         lib.libdeflate_free_decompressor.restype = None
         lib.libdeflate_free_decompressor.argtypes = [void_p]
-        lib.libdeflate_deflate_decompress_ex.restype = ctypes.c_int
-        lib.libdeflate_deflate_decompress_ex.argtypes = [void_p] + [void_p, size_t] * 2 + [ctypes.POINTER(size_t)] * 2
-        lib.libdeflate_crc32.restype = ctypes.c_uint32
-        lib.libdeflate_crc32.argtypes = [ctypes.c_uint32, void_p, size_t]
+        lib.libdeflate_gzip_decompress_ex.restype = ctypes.c_int
+        lib.libdeflate_gzip_decompress_ex.argtypes = [void_p] + [void_p, size_t] * 2 + [ctypes.POINTER(size_t)] * 2
     except (OSError, AttributeError):
         return None
     return lib
@@ -436,40 +424,29 @@ def _libdeflate():
 
 def _inflate_whole(f, size: int, header: _Header, need: int) -> np.ndarray | None:
     """The flat payload of the ``size``-byte gzip file ``f``, a view into all of
-    it inflated by one libdeflate call; None, ``f`` unmoved, unless the library
-    loads and ``f`` is one member no larger than its payload, ending in its
-    trailer, with an aligned payload after at most _GZIP_READ extension bytes,
-    and the call makes exactly ISIZE bytes of exactly the deflate stream."""
-    lib, total = _libdeflate(), header.vox_offset + need
-    if lib is None or size > need or header.vox_offset > MIN_VOX_OFFSET + _GZIP_READ:
+    it inflated by one libdeflate call, which checks the member's CRC-32 and
+    ISIZE; None, ``f`` unmoved, unless the library loads, ``f`` is no larger than
+    its payload, the payload is aligned after at most _GZIP_READ extension bytes,
+    the file's last 4 bytes hold its ISIZE, and the call reads one member that
+    fills the file and makes exactly that many bytes."""
+    lib, offset, total = _libdeflate(), header.vox_offset, header.vox_offset + need
+    if lib is None or size > need or offset > MIN_VOX_OFFSET + _GZIP_READ or offset % header.dtype.itemsize:
         return None
-    fd, pos = f.fileno(), 0
-    crc, isize = (int.from_bytes(os.pread(fd, 4, at), "little") for at in (size - 8, size - 4))
-    if header.vox_offset % header.dtype.itemsize or isize != total:
+    if int.from_bytes(os.pread(f.fileno(), 4, size - 4), "little") != total:
         return None
-
-    def more() -> bytes:
-        nonlocal pos
-        piece = os.pread(fd, _GZIP_READ, pos)
-        pos += len(piece)
-        return piece
-
-    unparsed = len(_member_header(more(), more))
-    deflated = os.pread(fd, size - 8 - (pos - unparsed), pos - unparsed)
+    member = os.pread(f.fileno(), size, 0)
     buf, used, made = np.empty(total, np.uint8), ctypes.c_size_t(), ctypes.c_size_t()
     if not (decompressor := lib.libdeflate_alloc_decompressor()):
         return None
-    try:  # ctypes releases the GIL for this call and the CRC's
-        status = lib.libdeflate_deflate_decompress_ex(
-            decompressor, deflated, len(deflated), buf.ctypes.data, total, ctypes.byref(used), ctypes.byref(made)
+    try:  # ctypes releases the GIL for this call
+        status = lib.libdeflate_gzip_decompress_ex(
+            decompressor, member, len(member), buf.ctypes.data, total, ctypes.byref(used), ctypes.byref(made)
         )
     finally:
         lib.libdeflate_free_decompressor(decompressor)
-    if status or (used.value, made.value) != (len(deflated), total):
+    if status or (used.value, made.value) != (size, total):
         return None
-    if lib.libdeflate_crc32(0, buf.ctypes.data, total) != crc:
-        return None
-    return buf[header.vox_offset :].view(header.dtype)
+    return buf[offset:].view(header.dtype)
 
 
 def _read(path: str | Path, voxels: bool, check_grid=None) -> tuple[_Header, np.ndarray | None]:

@@ -768,13 +768,13 @@ def deflate_calls(monkeypatch):
     system has no libdeflate."""
     if (lib := nifti._libdeflate()) is None:
         pytest.skip("libdeflate is not installed")
-    calls, real = [], lib.libdeflate_deflate_decompress_ex
+    calls, real = [], lib.libdeflate_gzip_decompress_ex
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(lib, "libdeflate_deflate_decompress_ex", spy)
+    monkeypatch.setattr(lib, "libdeflate_gzip_decompress_ex", spy)
     return calls
 
 
@@ -829,7 +829,8 @@ def _framed(body: bytes, crc: int, size: int) -> bytes:
 
 def _hand_built(case: str, blob: bytes) -> bytes:
     """A gzip file of ``blob`` whose deflate stream is built as ``case`` says;
-    each stream inflates its first 20,000 bytes cleanly, past the header."""
+    each stream but a name's without a NUL inflates its first 20,000 bytes
+    cleanly, past the header."""
     crc, cut = zlib.crc32(blob), 20_000
     whole = _gzip_member(blob)
     tail = blob[-300:]
@@ -850,6 +851,10 @@ def _hand_built(case: str, blob: bytes) -> bytes:
         return whole[:-4] + struct.pack("<I", len(blob) + 1)
     if case == "crc_off_by_one":
         return whole[:-8] + struct.pack("<I", (crc + 1) & 0xFFFFFFFF) + whole[-4:]
+    if case == "name_without_nul":  # the name runs to the end of the file, trailer and all
+        return whole[:3] + bytes([FNAME]) + whole[4:10] + whole[10:].replace(b"\0", b"n")
+    if case == "isize_repeated_after_the_member":  # the file's last 4 bytes are still the ISIZE
+        return whole + whole[-4:]
     # Two members whose last trailer speaks for the whole file.
     assert case == "two_members_posing_as_one"
     return _gzip_member(blob[:cut]) + _gzip_member(blob[cut:])[:-8] + struct.pack("<II", crc, len(blob))
@@ -865,6 +870,8 @@ HAND_BUILT = [
     "isize_off_by_one",
     "crc_off_by_one",
     "two_members_posing_as_one",
+    "name_without_nul",
+    "isize_repeated_after_the_member",
 ]
 
 
@@ -886,7 +893,7 @@ def test_both_inflate_engines_end_a_hand_built_stream_alike(tmp_path, case):
         assert fast[0][0] is IoFailure and "cannot decompress" in fast[0][1]
 
 
-@pytest.mark.parametrize("case", [c for c in HAND_BUILT if c != "isize_off_by_one"])
+@pytest.mark.parametrize("case", [c for c in HAND_BUILT if c not in ("isize_off_by_one", "name_without_nul")])
 def test_libdeflate_sees_every_hand_built_stream_whose_trailer_fits(tmp_path, case, deflate_calls):
     blob = write_volume(_compressible(), tmp_path / "plain.nii").read_bytes()
     path = tmp_path / "hand.nii.gz"
@@ -896,16 +903,25 @@ def test_libdeflate_sees_every_hand_built_stream_whose_trailer_fits(tmp_path, ca
 
 
 def _canonical_files(tmp_path):
-    """Gzip files of one compressible volume that the fast path takes, by name."""
+    """Gzip files of one compressible volume that the fast path hands to
+    libdeflate, by name. It refuses reserved flag bits, which the zlib reader
+    ignores; a 64 KiB extra field crosses the zlib reader's first file read."""
     vol = _compressible((48, 40, 30), np.int16)
     blob = write_volume(vol, tmp_path / "plain.nii").read_bytes()
     files = {"write_volume": write_volume(vol, tmp_path / "written.nii.gz")}
     with gzip.GzipFile(tmp_path / "named.nii.gz", "wb") as gz:  # stores the file name (FNAME)
         gz.write(blob)
     files["gzip_file_name"] = tmp_path / "named.nii.gz"
-    for name, flags in (("extra", FEXTRA), ("comment", FCOMMENT), ("header_crc", FHCRC), ("all", 0x1E)):
+    members = {
+        name: _gzip_member(blob, flags=flags, extra=b"ab", name=b"n", comment=b"c")
+        for name, flags in (("extra", FEXTRA), ("comment", FCOMMENT), ("header_crc", FHCRC), ("all", 0x1E))
+    }
+    members["reserved_flag_bits"] = _gzip_member(blob, flags=0xE0)
+    members["wrong_header_crc"] = _gzip_member(blob, flags=FHCRC, header_crc=b"\xff\xff")
+    members["extra_across_the_first_read"] = _gzip_member(blob, flags=FEXTRA, extra=b"e" * 0xFFFF)
+    for name, member in members.items():
         files[name] = tmp_path / f"{name}.nii.gz"
-        files[name].write_bytes(_gzip_member(blob, flags=flags, extra=b"ab", name=b"n", comment=b"c"))
+        files[name].write_bytes(member)
     return vol, files
 
 
@@ -929,17 +945,22 @@ def _not_canonical(tmp_path):
     noise = Volume(data=np.random.default_rng(4).integers(0, 256, (32, 32, 8), dtype=np.uint8), affine=np.eye(4))
     big_extension = bytearray(blob[:348] + bytes(4 + (64 << 10) + 4) + blob[352:])
     struct.pack_into("<f", big_extension, OFF_VOX_OFFSET, 352.0 + (64 << 10) + 4)
+    wide = _compressible(dtype=np.int16)
+    unaligned = bytearray(write_volume(wide, tmp_path / "wide.nii").read_bytes())
+    unaligned[352:352] = b"\0"  # a 1-byte extension block puts the payload at an odd offset
+    struct.pack_into("<f", unaligned, OFF_VOX_OFFSET, 353.0)
     return {
         "two_members": (vol, _gzip_member(blob[:5000]) + _gzip_member(blob[5000:])),
         "nul_padding": (vol, one + b"\0" * 4),
         "trailing_member_of_zeros": (vol, one + _gzip_member(bytes(4096))),
         "extension_over_the_limit": (vol, _gzip_member(bytes(big_extension))),
         "larger_than_the_payload": (noise, gzip.compress(write_volume(noise, tmp_path / "n.nii").read_bytes())),
+        "unaligned_payload": (wide, _gzip_member(bytes(unaligned))),
     }
 
 
 @pytest.mark.parametrize("case", ["two_members", "nul_padding", "trailing_member_of_zeros",
-                                  "extension_over_the_limit", "larger_than_the_payload"])
+                                  "extension_over_the_limit", "larger_than_the_payload", "unaligned_payload"])
 def test_the_fast_path_leaves_other_files_to_the_zlib_reader(tmp_path, case, deflate_calls):
     vol, stream = _not_canonical(tmp_path)[case]
     path = tmp_path / "other.nii.gz"
@@ -958,6 +979,13 @@ def test_the_fast_path_peaks_at_the_payload_plus_the_compressed_file(tmp_path, d
     assert peak <= data.nbytes + path.stat().st_size + (1 << 20)
 
 
+def test_a_failed_decompressor_allocation_leaves_the_file_to_the_zlib_reader(tmp_path, deflate_calls, monkeypatch):
+    vol, files = _canonical_files(tmp_path)
+    monkeypatch.setattr(nifti._libdeflate(), "libdeflate_alloc_decompressor", lambda: None)  # NULL
+    np.testing.assert_array_equal(read_volume(files["write_volume"]).data, vol.data)
+    assert deflate_calls == []
+
+
 @pytest.mark.parametrize("failure", ["library_missing", "function_missing"])
 def test_without_libdeflate_the_zlib_reader_reads_every_file_after_one_try(tmp_path, failure):
     vol, files = _canonical_files(tmp_path)
@@ -968,8 +996,8 @@ def test_without_libdeflate_the_zlib_reader_reads_every_file_after_one_try(tmp_p
         tries.append(name)
         if failure == "library_missing":
             raise OSError(f"{name}: cannot open shared object file: No such file or directory")
-        lib = real(name, *args, **kwargs)  # the library, less libdeflate_deflate_decompress_ex
-        kept = ("libdeflate_alloc_decompressor", "libdeflate_free_decompressor", "libdeflate_crc32")
+        lib = real(name, *args, **kwargs)  # the library, less libdeflate_gzip_decompress_ex
+        kept = ("libdeflate_alloc_decompressor", "libdeflate_free_decompressor")
         return SimpleNamespace(**{function: getattr(lib, function) for function in kept})
 
     nifti._libdeflate.cache_clear()

@@ -4,6 +4,7 @@ client exercised against an in-process API stub."""
 from __future__ import annotations
 
 import json
+import socketserver
 import threading
 import time
 import tracemalloc
@@ -553,7 +554,8 @@ def test_demux_truncated_final_frame():
 
 
 class DockerStub:
-    """Tiny in-process Docker API endpoint recording every request."""
+    """Tiny in-process Docker API endpoint recording every request, served
+    over TCP or, given ``socket_path``, over a Unix socket as the daemon is."""
 
     def __init__(
         self,
@@ -563,6 +565,8 @@ class DockerStub:
         image_missing=False,
         logs_raw=None,
         replies=None,
+        statuses=None,
+        socket_path=None,
     ):
         stub = self
 
@@ -579,14 +583,20 @@ class DockerStub:
                 self.send_header("Content-Type", content_type)
                 self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()
-                self.wfile.write(payload)
+                if payload:  # over a Unix socket, even an empty write fails once the client has read and gone
+                    self.wfile.write(payload)
 
             def _handle(self, method):
                 body = self._read_body()
                 stub.requests.append((method, self.path, body))
                 path = urllib.parse.urlparse(self.path).path
+                status = next((code for end, code in stub.statuses.items() if path.endswith(end)), None)
                 raw = next((reply for end, reply in stub.replies.items() if path.endswith(end)), None)
-                if raw is not None:  # a scripted body in place of the daemon's
+                if status == 0:  # hang up without a reply
+                    return
+                if status is not None:  # a scripted error in place of the daemon's reply
+                    self._reply(status, json.dumps({"message": f"stub status {status}"}).encode())
+                elif raw is not None:  # a scripted body in place of the daemon's
                     if path.endswith("/containers/create"):
                         stub.create_bodies.append(json.loads(body))
                     self._reply(201 if path.endswith("/create") else 200, raw)
@@ -637,9 +647,14 @@ class DockerStub:
         self.image_missing = image_missing
         self.logs_raw = logs_raw
         self.replies = replies or {}  # path ending -> raw reply body
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.statuses = statuses or {}  # path ending -> HTTP status of an error reply; 0 hangs up
+        if socket_path is None:
+            self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+            self.endpoint = f"http://127.0.0.1:{self.server.server_address[1]}"
+        else:
+            self.server = socketserver.ThreadingUnixStreamServer(str(socket_path), Handler)
+            self.endpoint = f"unix://{socket_path}"
         self.server.daemon_threads = True
-        self.endpoint = f"http://127.0.0.1:{self.server.server_address[1]}"
         # shutdown() waits for serve_forever's next poll; the default 0.5 s
         # poll would add half a second to every test's teardown.
         self._thread = threading.Thread(
@@ -688,6 +703,24 @@ def test_docker_happy_path_lifecycle(tmp_path, docker_stub):
     # removal must force and drop anonymous volumes
     delete = next(p for m, p, _ in stub.requests if m == "DELETE")
     assert "force=1" in delete and "v=1" in delete
+
+
+def test_docker_happy_path_lifecycle_over_a_unix_socket(tmp_path, docker_stub):
+    sock = tmp_path / "d.sock"  # short: an AF_UNIX path holds at most 107 bytes
+    stub = docker_stub(socket_path=sock)
+    engine = DockerEngine(endpoint=f"unix://{sock}")
+    engine.pull_image("example/algo")
+    result = engine.run_job(make_spec(tmp_path))
+    assert result.ok
+    assert result.log_excerpt == "stub log"
+    assert stub.paths() == [
+        "POST /v1.41/images/create",
+        "POST /v1.41/containers/create",
+        "POST /v1.41/containers/cid123/start",
+        "POST /v1.41/containers/cid123/wait",
+        "GET /v1.41/containers/cid123/logs",
+        "DELETE /v1.41/containers/cid123",
+    ]
 
 
 def test_docker_mounts_and_resources(tmp_path, docker_stub):
@@ -822,6 +855,41 @@ def test_docker_inspect_reply_without_digests_is_a_digest_mismatch(docker_stub, 
     stub = docker_stub(replies={"/json": reply})
     with pytest.raises(DigestMismatch):
         DockerEngine(endpoint=stub.endpoint).pull_image(f"example/algo@{DIGEST}")
+
+
+# Path ending -> the status the stub replies with there (0: it hangs up), and
+# how a pinned pull and one job end: a typed error or the job's log excerpt.
+DOCKER_ERRORS = {
+    "pull-500": ("/images/create", 500, EngineUnreachable),
+    "inspect-404": ("/json", 404, ImageNotFound),
+    "inspect-500": ("/json", 500, EngineUnreachable),
+    "create-404": ("/containers/create", 404, ImageNotFound),
+    "create-500": ("/containers/create", 500, EngineUnreachable),
+    "start-500": ("/start", 500, EngineUnreachable),
+    "wait-500": ("/wait", 500, EngineUnreachable),
+    "logs-500": ("/logs", 500, "<logs unavailable: HTTP 500>"),
+    "logs-raises": ("/logs", 0, "<logs unavailable: cannot reach engine at "),
+}
+
+
+@pytest.mark.parametrize("case", DOCKER_ERRORS)
+def test_docker_error_replies_end_in_their_typed_outcome_and_remove_a_created_container(tmp_path, docker_stub, case):
+    end, status, outcome = DOCKER_ERRORS[case]
+    image = f"example/algo@{DIGEST}"
+    stub = docker_stub(repo_digests=[image], statuses={end: status})
+    engine = DockerEngine(endpoint=stub.endpoint)
+
+    def lifecycle():
+        engine.pull_image(image)
+        return engine.run_job(make_spec(tmp_path, image=image))
+
+    if isinstance(outcome, str):
+        result = lifecycle()
+        assert result.ok and result.log_excerpt.startswith(outcome), result.log_excerpt
+    else:
+        with pytest.raises(outcome):
+            lifecycle()
+    assert stub.deleted.is_set() is (end in ("/start", "/wait", "/logs"))  # a created container is removed
 
 
 def test_docker_unreachable_endpoint(tmp_path):
