@@ -25,26 +25,35 @@ voxel (i, j, k) maps to the source coordinates ``m[:, 0] * i + m[:, 1] * j
 to world, the inverse world map, then world to source voxel), summed
 elementwise left to right: the same IEEE operations on every CPU, with no
 BLAS kernel to pick a summation order, so a sample at a rounding boundary
-does not depend on the machine's kernel. The first two terms are one
-(3, X·Y) plane shared by every k. Memory holds the output, a
-Fortran-order copy of the source only when it is not in that order
-already (a NIfTI read never needs one), and a few (3, X·Y) float64 planes
-of coordinates and indices. Lookups within a plane then walk the source's
-memory forward.
+does not depend on the machine's kernel. Memory holds the output, a
+Fortran-order copy of the source only when it is not in that order already
+(a NIfTI read never needs one), a boolean cell map of the source's
+foreground box, and the coordinates and indices of one plane's rows at a
+time.
 
-Only the target voxels whose source neighbours can be nonzero are looked
-up or interpolated; every other voxel of the output stays 0, and no plane
-of an all-zero source computes a coordinate. Within a plane, a voxel is
-evaluated when its source coordinates lie within one voxel of the source's
-:func:`brainorch.metrics.foreground_box` on every axis (``[box.start - 1,
-box.stop]``). This tests the very coordinates the lookup would use, so it
-is exact without a rounding margin:
+Only the target voxels whose source cell holds foreground are looked up or
+interpolated; every other voxel of the output stays 0. A voxel's cell is
+the 2x2x2 source voxels its sample can read: ``floor(c)`` and ``floor(c) +
+1`` on each axis, except at an axis's last voxel ``n - 1``, where it is
+``n - 2`` and ``n - 1`` (scipy samples the coordinate ``n - 1`` from those
+two, the first with weight 0). The cell map, built once per warp over
+:func:`brainorch.metrics.foreground_box`, says which cells hold a voxel
+``!= 0``: NaN is foreground and -0.0 is not. The test uses the very
+coordinates the lookup would use, so it is exact without a rounding margin:
 
-- a nearest lookup outside that range reads a voxel that is 0, or none;
-- a trilinear sample there reads 8 neighbours that are 0 or -0.0, or off
-  the grid, and scipy's weighted sum of zeros is +0.0, as is its value
-  off the grid (``cval``);
-- NaN != 0, so a NaN voxel is foreground and inside the box.
+- a nearest lookup in any other cell reads a voxel that is 0, or none;
+- a trilinear sample there reads only voxels that are 0 or -0.0, or off the
+  grid, and scipy's weighted sum of zeros is +0.0, as is its value off the
+  grid (``cval``).
+
+The voxels to test are found row by row. Along a target row (j, k) each
+source coordinate is monotone in i, in floating point too, so the i whose
+coordinates lie within one voxel of the box on every axis (``[box.start -
+1, box.stop]``, at least half a voxel beyond any coordinate that reads a
+voxel of the box) are one range. It is solved in real arithmetic and
+widened by one voxel, and coordinates are computed only inside it: a plane
+whose rows all miss the box, like every plane of an all-zero source,
+computes none.
 
 Images are interpolated in float64, as from a float64 copy of the source,
 and scipy rounds each sample to the float32 output once: the result is
@@ -196,37 +205,99 @@ def _ignore(column) -> None:
     """The default ``sink``: the returned volume holds every plane."""
 
 
+def _cells(data: np.ndarray, box) -> np.ndarray:
+    """The cell map of ``data`` over its nonempty foreground ``box``, in
+    Fortran order: entry ``floor(c) - (box.start - 2)`` is True when the source
+    cell at the coordinates ``c`` holds a nonzero voxel (NaN is nonzero, -0.0
+    is not). It spans the floors ``box.start - 1`` to ``box.stop - 1`` plus one
+    all-False floor on each side."""
+    cells = np.zeros(tuple(s.stop - s.start + 3 for s in box), dtype=bool, order="F")
+    np.not_equal(data[box], 0, out=cells[1:-2, 1:-2, 1:-2])
+    for axis, (span, n) in enumerate(zip(box, data.shape)):
+        lines = np.moveaxis(cells, axis, 0)
+        lines[1:] |= lines[:-1]  # floor f holds voxels f and f + 1
+        if span.stop == n > 1:
+            lines[-2] = lines[-3]  # floor n - 1 holds voxels n - 2 and n - 1
+    return cells
+
+
+def _row_windows(m: np.ndarray, box, shape) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, stop)``, each (Y, Z) int64: target row (j, k) evaluates
+    only ``i`` in ``range(first[j, k], stop[j, k])``, the voxels whose source
+    coordinates under ``m`` lie in ``[box.start - 1, box.stop]`` on every axis,
+    widened by one voxel.
+
+    Along a row each coordinate is monotone in ``i``, in floating point too,
+    so the range is solved in real arithmetic. Its bounds lie at least half a
+    source voxel beyond any coordinate whose sample can read a voxel of the
+    box, far more than the rounding of the sums."""
+    nx, ny, nz = shape
+    j = np.arange(ny, dtype=np.float64)[:, None]
+    k = np.arange(nz, dtype=np.float64)[None, :]
+    first, last = np.zeros((ny, nz)), np.full((ny, nz), nx - 1.0)
+    for axis, span in enumerate(box):
+        slope, row = m[axis, 0], m[axis, 1] * j + m[axis, 2] * k + m[axis, 3]
+        lo, hi = span.start - 1 - row, span.stop - row
+        if slope == 0:  # the coordinate is ``row`` all along the row
+            inside = (lo <= 0) & (hi >= 0)
+            lo, hi = np.where(inside, -np.inf, np.inf), np.where(inside, np.inf, -np.inf)
+        else:
+            lo, hi = lo / slope, hi / slope
+            if slope < 0:
+                lo, hi = hi, lo
+        np.maximum(first, np.ceil(lo) - 1, out=first)
+        np.minimum(last, np.floor(hi) + 1, out=last)
+    np.minimum(first, nx, out=first)
+    return first.astype(np.int64), np.maximum(first, last + 1).astype(np.int64)
+
+
 def _resample(data: np.ndarray, affine: np.ndarray, world_map: AffineTransform, target: GridSpec, dtype, fill, sink):
     """``target`` filled with ``dtype`` samples of the Fortran-order source
     ``data`` on ``affine``, one target plane at a time, in order.
 
     ``fill(column, coords, idx)`` writes the samples at the source voxel
     coordinates ``coords`` (3, len(idx)) into ``column[idx]``, the plane's
-    own column of the Fortran-order output; ``idx`` holds the plane's
-    evaluated voxels in Fortran order. A plane with no evaluated voxel (every
-    plane of an all-zero source) calls no ``fill``. ``sink(column)`` then
-    gets the finished column.
+    own column of the Fortran-order output; ``idx`` holds, in Fortran order,
+    the plane's voxels whose source cell holds foreground. A plane with no
+    such voxel calls no ``fill``. ``sink(column)`` then gets the finished
+    column.
     """
     out = np.zeros(target.shape, dtype=dtype, order="F")
     nx, ny, nz = target.shape
     planes = out.reshape(-1, nz, order="F")  # a view: column k is plane k
     box = foreground_box([data])
-    empty = any(s.stop <= s.start for s in box)
-    if not empty:
-        lo = np.array([s.start - 1 for s in box], dtype=np.float64)[:, None]
-        hi = np.array([s.stop for s in box], dtype=np.float64)[:, None]
+    if all(s.stop > s.start for s in box):
         m = np.linalg.inv(affine) @ np.linalg.inv(world_map.matrix) @ target.affine
-        base = (
-            m[:3, 0:1] * np.tile(np.arange(nx, dtype=np.float64), ny)
-            + m[:3, 1:2] * np.repeat(np.arange(ny, dtype=np.float64), nx)
-        )
+        cells = _cells(data, box)
+        low = np.array([s.start - 2 for s in box], dtype=np.float64)[:, None]
+        high = low + np.array(cells.shape, dtype=np.float64)[:, None] - 1
+        strides = np.array([1, cells.shape[0], cells.shape[0] * cells.shape[1]], dtype=np.float64)
+        offset = strides @ low[:, 0]
+        cells = cells.reshape(-1, order="F")
+        first, stop = _row_windows(m, box, target.shape)
+    else:  # an all-zero source: no row has a window
+        first = stop = np.zeros((ny, nz), dtype=np.int64)
     for k in range(nz):
         column = planes[:, k]
-        if not empty:
-            coords = base + m[:3, 2:3] * k + m[:3, 3:4]
-            idx = np.flatnonzero(((coords >= lo) & (coords <= hi)).all(axis=0))
-            if idx.size:
-                fill(column, coords[:, idx], idx)
+        rows = np.flatnonzero(stop[:, k] > first[:, k])
+        if rows.size:
+            starts, lengths = first[rows, k], stop[rows, k] - first[rows, k]
+            ends = np.cumsum(lengths)
+            i = np.repeat((starts - ends + lengths).astype(np.float64), lengths)
+            i += np.arange(ends[-1], dtype=np.float64)
+            j = np.repeat(rows.astype(np.float64), lengths)
+            coords = m[:3, 0:1] * i
+            coords += m[:3, 1:2] * j
+            coords += m[:3, 2:3] * k
+            coords += m[:3, 3:4]
+            floors = np.floor(coords)
+            np.clip(floors, low, high, out=floors)  # floors off the map land on its all-False border
+            flat = strides @ floors
+            flat -= offset
+            hit = np.flatnonzero(cells[flat.astype(np.intp)])
+            del floors, flat
+            if hit.size:
+                fill(column, coords.take(hit, axis=1), (i.take(hit) + nx * j.take(hit)).astype(np.intp))
         sink(column)
     out.setflags(write=False)
     return Volume(data=out, affine=target.affine)

@@ -32,12 +32,13 @@ The writer mirrors the readers: it opens the target once (through one
 :class:`gzip.GzipFile` when the name ends in ``.gz``) and writes the header,
 the empty extension block, then the payload in Fortran order, one last-axis
 plane at a time, each plane checked and converted to the stored dtype and
-byte order as it goes, so no full-size copy of the payload is made. The
-planes come from a finished volume or, as a warp fills them, from any
-iterable; a write that fails removes its partial file. The gzip header carries
-no file name (``filename=""``; given a named file object, GzipFile would
-store its name) and a zeroed mtime, so identical volumes produce identical
-files whatever they are called.
+byte order as it goes and handed over as a flat Fortran-order view (a plane
+already stored that way is not copied), so no full-size copy of the payload
+is made. The planes come from a finished volume or, as a warp fills them,
+from any iterable; a write that fails removes its partial file. The gzip
+header carries no file name (``filename=""``; given a named file object,
+GzipFile would store its name) and a zeroed mtime, so identical volumes
+produce identical files whatever they are called.
 """
 
 from __future__ import annotations
@@ -444,6 +445,10 @@ def _inflate_whole(f, size: int, header: _Header, need: int) -> np.ndarray | Non
         )
     finally:
         lib.libdeflate_free_decompressor(decompressor)
+    # No file that got here fails the status or the size test: libdeflate sets
+    # ``used`` only on success, and one member ending at the file's end with
+    # ISIZE ``total`` (below 2**32) makes ``total`` bytes. Both stay as guards
+    # on that contract, so a library that broke it sends the file to zlib.
     if status or (used.value, made.value) != (size, total):
         return None
     return buf[offset:].view(header.dtype)
@@ -604,7 +609,7 @@ def write_volume(vol, path: str | Path, *, dtype: np.dtype | type | None = None,
                     voxels, need = 0, int(np.prod(vol.shape))
                     for plane in planes:  # Fortran order: one last-axis plane at a time
                         _check_representable(plane, target)
-                        out.write(plane.astype(stored, copy=False).tobytes(order="F"))
+                        out.write(plane.astype(stored, copy=False).ravel(order="F"))
                         voxels += plane.size
                     if voxels != need:
                         raise ValueError(f"{path}: the planes hold {voxels} voxels, the grid {vol.shape} {need}")

@@ -33,7 +33,7 @@ from brainorch.geometry import (
     write_transform,
 )
 from brainorch.fusion import CandidateSet, fuse
-from brainorch.metrics import connected_components, prepare_reference
+from brainorch.metrics import connected_components, foreground_box, prepare_reference
 from brainorch.nifti import Volume
 from brainorch.registry import Label
 
@@ -431,6 +431,109 @@ def test_foreground_bounded_resampling_of_sparse_sources_equals_the_full_grid_ma
         assert not resample_image(source, world_map, target).data.view(np.uint32).any()
 
 
+@st.composite
+def non_convex_sources(draw):
+    """A source whose foreground box holds background between its parts: the
+    faces of a hollow box, for floats with an optional NaN in its hole, or two
+    voxels in opposite corners, on a background of +0.0 or -0.0."""
+    shape = draw(st.tuples(*[st.integers(3, 7)] * 3))
+    dtype = np.dtype(draw(st.sampled_from(["u1", ">i2", "<f4", ">f4", "<f8"])))
+    background = -0.0 if dtype.kind == "f" and draw(st.booleans()) else 0.0
+    data = np.full(shape, background)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        lo = [draw(st.integers(0, n - 3)) for n in shape]
+        hi = [draw(st.integers(start + 3, n)) for start, n in zip(lo, shape)]
+        hole = tuple(slice(start + 1, stop - 1) for start, stop in zip(lo, hi))
+        part = data[tuple(slice(start, stop) for start, stop in zip(lo, hi))]
+        part[...] = rng.normal(0.0, 100.0, part.shape) if dtype.kind == "f" else rng.integers(1, 6, part.shape)
+        data[hole] = background
+        if dtype.kind == "f" and draw(st.booleans()):
+            data[tuple(draw(st.integers(s.start, s.stop - 1)) for s in hole)] = np.nan
+    else:
+        near = tuple(draw(st.integers(0, 1)) for _ in shape)
+        far = tuple(n - 1 - draw(st.integers(0, 1)) for n in shape)
+        data[near] = data[far] = 3.0
+    data = np.asarray(data.astype(dtype), order=draw(st.sampled_from("CF")))
+    return Volume(data=data, affine=random_affine(rng, (0.5, 3.0), shape)), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=non_convex_sources(), target_shape=st.tuples(extent, extent, extent))
+def test_resampling_of_non_convex_sources_equals_the_full_grid_map(case, target_shape):
+    # Target voxels mapping into a hole of the foreground box are skipped:
+    # their source cells hold only +0.0 or -0.0, which samples to +0.0.
+    source, rng = case
+    world_map = identity_transform(matrix=random_affine(rng, (0.8, 1.25)))
+    target = GridSpec(shape=target_shape, affine=random_affine(rng, (0.3, 1.5), target_shape))
+    assert_resampled_like_the_full_grid_map(source, world_map, target)
+
+
+def test_a_sample_on_the_last_voxel_reads_the_one_before_it():
+    # scipy samples the coordinate n - 1 from voxels n - 2 and n - 1, the
+    # first with weight 0, so a NaN at n - 2 still reaches it.
+    data = np.zeros((4, 4, 4))
+    data[2, 2, 2] = np.nan
+    source = Volume(data=data, affine=np.eye(4))
+    out = resample_image(source, identity_transform(), GridSpec.from_volume(source))
+    assert np.isnan(out.data[3, 3, 3]) and np.isnan(out.data[1, 3, 2])
+    assert out.data[0, 0, 0] == 0 and out.data[3, 0, 3] == 0
+    assert_resampled_like_the_full_grid_map(source, identity_transform(), GridSpec.from_volume(source))
+
+
+def foreground_cells(data, floors):
+    """Whether a sample whose source coordinates have the floors ``floors``
+    (3, N) can read a nonzero voxel of ``data``, by brute force over the 2x2x2
+    voxels it reads: ``f`` and ``f + 1`` on each axis, but ``n - 2`` and
+    ``n - 1`` when ``f`` is an axis's last voxel ``n - 1``."""
+    hit = np.zeros(floors.shape[1], dtype=bool)
+    for corner in itertools.product((0, 1), repeat=3):
+        voxel = [np.where(f == n - 1, f - 1, f) + d for f, n, d in zip(floors, data.shape, corner)]
+        on = np.logical_and.reduce([(v >= 0) & (v < n) for v, n in zip(voxel, data.shape)])
+        hit[on] |= data[tuple(v[on] for v in voxel)] != 0
+    return hit
+
+
+def evaluated_voxels(source, world_map, target):
+    """The Fortran-order indices of the target voxels ``_resample`` passes to
+    ``fill``, in the order it passes them, and the planes it passes them in."""
+    indices, planes, sunk = [], [], []
+
+    def fill(column, coords, idx):
+        indices.extend(len(sunk) * column.size + idx)
+        planes.append(len(sunk))
+
+    data = np.asfortranarray(source.data)
+    _resample(data, source.affine, world_map, target, data.dtype, fill, sunk.append)
+    assert len(sunk) == target.shape[2]
+    return indices, planes
+
+
+def test_the_warp_evaluates_exactly_the_voxels_whose_source_cell_holds_foreground():
+    # A hollow shell reaching the source's last voxel on one axis, with a NaN
+    # in its hole, and a speck in the opposite corner, on a -0.0 background:
+    # most of the foreground box is background.
+    data = np.full((9, 8, 7), -0.0, dtype=np.float32)
+    data[2:, 1:7, 1:6] = 5.0
+    data[3:8, 2:6, 2:5] = -0.0
+    data[5, 3, 3] = np.nan
+    data[0, 7, 6] = -2.0
+    rng = np.random.default_rng(3)
+    source = Volume(data=data, affine=random_affine(rng, (0.7, 1.6), data.shape))
+    world_map = identity_transform(matrix=random_affine(rng, (0.8, 1.25)))
+    target = GridSpec(shape=(16, 15, 13), affine=random_affine(rng, (0.9, 1.6), (16, 15, 13)))
+
+    indices, _ = evaluated_voxels(source, world_map, target)
+    assert indices == sorted(set(indices))
+    coords = full_map_coords(source.affine, world_map.matrix, target)
+    voxels = np.indices(target.shape).reshape(3, -1)
+    expected = np.ravel_multi_index(voxels, target.shape, order="F")[foreground_cells(data, np.floor(coords).astype(np.int64))]
+    assert sorted(indices) == sorted(expected)
+    near_box = ((coords >= -1) & (coords <= np.array(data.shape)[:, None])).all(axis=0)
+    assert 0 < len(indices) < np.count_nonzero(near_box) * 0.8
+    assert_resampled_like_the_full_grid_map(source, world_map, target)
+
+
 def test_warp_coordinates_follow_the_elementwise_rule_on_a_brats_plane():
     # A BLAS matmul picks its summation order by CPU kernel, and on planes
     # of this size it gives other last bits than the rule for part of them.
@@ -536,6 +639,20 @@ def test_the_sink_gets_every_plane_in_order(name):
         assert out.data.any() == (name != "empty")
         if name == "mostly-missed":
             assert np.count_nonzero(out.data.any(axis=(0, 1))) < native.shape[2] // 4
+
+
+def test_a_plane_that_misses_the_foreground_box_calls_no_fill():
+    labels, _, forward, native = warp_case("mostly-missed")
+    world_map = invert_affine(forward)
+    _, planes = evaluated_voxels(labels, world_map, native)
+    coords = full_map_coords(labels.affine, world_map.matrix, native).reshape(3, *native.shape)
+    box = foreground_box([labels.data])
+    lo = np.array([s.start - 1 for s in box])[:, None, None, None]
+    hi = np.array([s.stop for s in box])[:, None, None, None]
+    reaching = np.flatnonzero(((coords >= lo) & (coords <= hi)).all(axis=0).any(axis=(0, 1)))
+    assert planes == sorted(set(planes))
+    assert 0 < len(planes) and set(planes) <= set(reaching)
+    assert len(reaching) < native.shape[2] // 4
 
 
 def test_an_error_in_one_plane_reaches_the_caller_unchanged(monkeypatch):
