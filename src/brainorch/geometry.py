@@ -247,7 +247,7 @@ def _row_windows(m: np.ndarray, box, shape) -> tuple[np.ndarray, np.ndarray]:
                 lo, hi = hi, lo
         np.maximum(first, np.ceil(lo) - 1, out=first)
         np.minimum(last, np.floor(hi) + 1, out=last)
-    np.minimum(first, nx, out=first)
+    np.minimum(first, nx, out=first)  # +inf where a constant coordinate misses the box
     return first.astype(np.int64), np.maximum(first, last + 1).astype(np.int64)
 
 
