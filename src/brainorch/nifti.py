@@ -393,7 +393,9 @@ def _parse_header(blob: bytes, path: Path) -> _Header:
     if need > MAX_PAYLOAD_BYTES:
         raise UnsupportedDatatype(f"{path}: {need}-byte payload exceeds {MAX_PAYLOAD_BYTES} bytes")
     affine = checked_affine(_header_affine(h, path), f"{path}: header affine", MalformedHeader, MalformedHeader)
-    return _Header(shape, dtype, vox_offset, float(h["scl_slope"]), float(h["scl_inter"]), affine)
+    # A non-finite scaling field reads as 0, as nifti1_io's FIXED_FLOAT does.
+    slope, inter = (float(v) if np.isfinite(v) else 0.0 for v in (h["scl_slope"], h["scl_inter"]))
+    return _Header(shape, dtype, vox_offset, slope, inter, affine)
 
 
 def _check_extent(vox_offset: int, need: int, size: int, path: Path, holds: str = "holds") -> None:
@@ -510,8 +512,9 @@ def read_volume(path: str | Path, check_grid=None) -> Volume:
     """Read a single-file NIfTI-1 volume.
 
     Returns a :class:`Volume` whose data has intensity scaling applied
-    whenever the header carries a real transform (slope outside {0, 1}, or
-    slope 1 with a nonzero intercept); scaled data comes back as float64.
+    whenever the header carries a real transform (a nonzero slope, and not
+    slope 1 with intercept 0); scaled data comes back as float64. A
+    non-finite slope or intercept counts as 0.
     The data is read-only; the header and the extension block are not kept.
     ``check_grid(shape, affine)``, when given, sees the header's grid before
     any voxel is allocated or read; what it raises propagates.
@@ -519,10 +522,8 @@ def read_volume(path: str | Path, check_grid=None) -> Volume:
     header, flat = _read(path, voxels=True, check_grid=check_grid)
     data = flat.reshape(header.shape, order="F")
     slope, inter = header.slope, header.inter
-    if slope not in (0.0, 1.0):
+    if slope != 0.0 and (slope, inter) != (1.0, 0.0):
         data = data.astype(np.float64) * slope + inter
-    elif slope == 1.0 and inter != 0.0:
-        data = data.astype(np.float64) + inter
     data.setflags(write=False)
     return Volume(data=data, affine=header.affine)
 

@@ -13,14 +13,17 @@ A run produces one bundle directory per subject and task:
                                            only with keep_intermediate; only
                                            regular files and directories
 
-Bundles are written to a staging directory and published with one atomic
-rename, so a crashed run never leaves a partial bundle at the target path;
-a bundle replaced with ``force`` is renamed aside first and deleted only
-after the swap. A write into the run or the bundle that the operating
-system refuses (a directory, a copy, a JSON record, the publish rename) is
-an ``IoFailure`` naming the path, and the staging directory is removed once
-the run's pool is done, all but an old bundle that could not be put back,
-which the ``IoFailure`` names.
+A run works in ``.staging-*/`` beside the target. The staged inputs and
+each job's output sit in its ``work/`` (``input/``, ``jobs/<id>/``), beside
+the bundle being assembled, so nothing is deleted from the bundle before it
+is hashed; keep_intermediate moves ``work/`` into it with one rename first.
+The bundle is published with one atomic rename, so a crashed run never
+leaves a partial bundle at the target path; a bundle replaced with ``force``
+is renamed aside first and deleted only after the swap. A write that the
+operating system refuses (a directory, a copy, a JSON record, a rename) is
+an ``IoFailure`` naming the path. The run's one cleanup removes the staging
+directory once its pool is done, all but an old bundle that could not be
+put back, which the ``IoFailure`` names.
 Partial algorithm failures degrade to warnings as long as at least one
 candidate survives; zero survivors abort the run. The manifest's content
 digest covers the file hash map only, never the timestamp, so identical
@@ -213,6 +216,11 @@ def _hash_tree(root: Path, map) -> dict[str, str]:
     return dict(zip((p.relative_to(root).as_posix() for p in files), map(_sha256_file, files)))
 
 
+def _nifti_by_stem(directory: Path, stem: str) -> Path | None:
+    """The first of ``<stem>.nii.gz`` and ``<stem>.nii`` in ``directory`` that is a file, or None."""
+    return next((p for p in (directory / f"{stem}{s}" for s in NIFTI_SUFFIXES) if p.is_file()), None)
+
+
 def discover_subject_inputs(directory: str | Path, task: TaskId | str) -> SubjectInputs:
     """Build :class:`SubjectInputs` from a conventional subject directory.
 
@@ -228,27 +236,12 @@ def discover_subject_inputs(directory: str | Path, task: TaskId | str) -> Subjec
         raise FileNotFoundError(f"{directory} is not a directory")
     get_task_spec(task)  # validate the task id early
     subject = directory.name
-    files: dict[str, Path] = {}
-    consumed: set[Path] = set()
-    for tag in (*MODALITIES, "MASK"):
-        for suffix in NIFTI_SUFFIXES:
-            candidate = directory / f"{subject}-{tag.lower()}{suffix}"
-            if candidate.is_file():
-                files[tag] = candidate
-                consumed.add(candidate)
-                break
-    native_reference = None
-    for suffix in NIFTI_SUFFIXES:
-        candidate = directory / f"{subject}-native{suffix}"
-        if candidate.is_file():
-            native_reference = candidate
-            consumed.add(candidate)
-            break
+    found = {tag: _nifti_by_stem(directory, f"{subject}-{tag.lower()}") for tag in (*MODALITIES, "MASK")}
+    files = {tag: path for tag, path in found.items() if path is not None}
+    native_reference = _nifti_by_stem(directory, f"{subject}-native")
     sidecars = tuple(sorted(directory.glob(f"{subject}_*2*.json")))
-    consumed |= set(sidecars)
-    extras = tuple(
-        p for p in sorted(directory.iterdir()) if p.is_file() and p not in consumed
-    )
+    consumed = {*files.values(), native_reference, *sidecars}
+    extras = tuple(p for p in sorted(directory.iterdir()) if p.is_file() and p not in consumed)
     return SubjectInputs(
         subject_id=subject,
         files=files,
@@ -296,7 +289,7 @@ class _Run:
     task: TaskSpec
     config: PipelineConfig
     bundle: Path  # the bundle being assembled in the staging directory
-    stage_dir: Path  # the staged inputs every job reads
+    work: Path  # beside the bundle: input/ every job reads, jobs/<id>/ each job writes
     grid: GridSpec  # every accepted output sits on this input grid
     warnings: list[str]
     # (forward transform, native grid) when native-space output is asked for
@@ -320,19 +313,18 @@ class _Product:
     metrics: str | None = None
 
 
-def _pick_output_file(result: JobResult, preferred_stems: tuple[str, ...]) -> Path | None:
-    """The mask/volume a job produced: a preferred name, else the only NIfTI.
+def _pick_output_file(result: JobResult, stem: str) -> Path | None:
+    """The mask/volume a job produced: ``<stem>.nii.gz``, ``<stem>.nii``, else the only NIfTI.
 
     The engine lists symlinks among the produced files, so a symlink with a
     NIfTI name is picked and :func:`_unsafe_output` rejects it, rather than
     another file standing in.
     """
     produced = [p for p in result.produced_files if nifti_suffix(p)]
-    for stem in preferred_stems:
-        for suffix in NIFTI_SUFFIXES:
-            for p in produced:
-                if p.name == stem + suffix:
-                    return p
+    for suffix in NIFTI_SUFFIXES:
+        for p in produced:
+            if p.name == stem + suffix:
+                return p
     if len(produced) == 1:
         return produced[0]
     return None
@@ -373,13 +365,13 @@ def _run_and_read(run: _Run, entries: list[AlgorithmEntry], stem: str, noun: str
 
     def one(entry: AlgorithmEntry):
         """``(job row, warning or None, accepted output or None, captured exception or None)``."""
-        out_dir = run.bundle / "work" / "jobs" / entry.id
+        out_dir = run.work / "jobs" / entry.id
         out_dir.mkdir(parents=True, exist_ok=True)
         try:
             engine.pull_image(entry.image_reference)
             result = engine.run_job(JobSpec(
                 image_reference=entry.image_reference,
-                input_dir=run.stage_dir,
+                input_dir=run.work / "input",
                 output_dir=out_dir,
                 env={"ORCH_SUBJECT": run.inputs.subject_id, "ORCH_TASK": run.task.task_id.value},
                 requires_gpu=entry.requires_gpu,
@@ -397,7 +389,7 @@ def _run_and_read(run: _Run, entries: list[AlgorithmEntry], stem: str, noun: str
             tail = result.log_excerpt.strip().splitlines()
             detail = f" ({tail[-1]})" if tail else ""
             return row, f"{entry.id}: job {result.status}{detail}", None, None
-        path = _pick_output_file(result, preferred_stems=(stem,))
+        path = _pick_output_file(result, stem)
         if path is None:
             return row, f"{entry.id}: job succeeded but produced no unambiguous {noun}", None, None
         problem = _unsafe_output(path, out_dir)
@@ -407,8 +399,8 @@ def _run_and_read(run: _Run, entries: list[AlgorithmEntry], stem: str, noun: str
             except GridMismatch as exc:
                 problem = str(exc)
             except BrainorchError as exc:
-                # Name the file within the bundle: the staging path is the host's and new each run.
-                reason = str(exc).replace(str(path), path.relative_to(run.bundle).as_posix())
+                # Name the file as work/jobs/...: the staging path is the host's and new each run.
+                reason = str(exc).replace(str(path), path.relative_to(run.work.parent).as_posix())
                 return row, f"{entry.id}: unreadable {noun} {path.name}: {reason}", None, None
         vetted = None
         if problem is None and vet is not None:
@@ -525,7 +517,7 @@ def _staged_run(
     An ``OSError`` on the way is an :class:`IoFailure`."""
     target = config.output_dir / inputs.subject_id / task.task_id.value
     staging_root = config.output_dir / f".staging-{inputs.subject_id}-{task.task_id.value}-{uuid.uuid4().hex[:8]}"
-    bundle = staging_root / "bundle"
+    bundle, work = staging_root / "bundle", staging_root / "work"
     # The staging directory goes once the pool is shut down, so no job still
     # running after an error writes into it again.
     try:
@@ -537,12 +529,12 @@ def _staged_run(
 
             config.output_dir.mkdir(parents=True, exist_ok=True)
             warnings = [f"{f.code}: {f.message}" for f in report.warnings]
-            stage_dir = bundle / "work" / "input"
             # A passing report decoded exactly the inputs this task consumes.
-            staged = _stage_inputs(inputs, report.grids, stage_dir)
+            staged = _stage_inputs(inputs, report.grids, work / "input")
+            bundle.mkdir()
             # The run's grid is the one validation compared every input against: the first.
             grid = next(iter(report.grids.values()))
-            run = _Run(inputs, task, config, bundle, stage_dir, grid, warnings, report.native, pool.map)
+            run = _Run(inputs, task, config, bundle, work, grid, warnings, report.native, pool.map)
 
             logger.info(
                 "running %d algorithm(s) for %s/%s", len(entries), inputs.subject_id, task.task_id.value
@@ -561,7 +553,7 @@ def _staged_run(
                 )
 
             if config.keep_intermediate:
-                warnings.extend(_drop_non_regular(bundle / "work"))
+                warnings.extend(_drop_non_regular(work))
             input_digests = dict(zip(staged, pool.map(_sha256_file, staged.values())))
             manifest = {
                 "schema_version": MANIFEST_SCHEMA_VERSION,
@@ -581,8 +573,8 @@ def _staged_run(
                 "validation": report.to_json_dict(),
                 "warnings": warnings,
             }
-            if not config.keep_intermediate:
-                shutil.rmtree(bundle / "work", ignore_errors=True)
+            if config.keep_intermediate:
+                work.replace(bundle / "work")
             manifest["files"] = _hash_tree(bundle, pool.map)
             manifest["content_digest"] = manifest_digest(manifest["files"])
             jsondoc.dump(bundle / "manifest.json", manifest)
@@ -590,9 +582,10 @@ def _staged_run(
     except OSError as exc:
         raise IoFailure(f"cannot write the bundle {target}: {exc}") from exc
     finally:
-        # An old bundle the swap could not put back stays parked where the IoFailure names it.
+        # The run's one cleanup. An old bundle the swap could not put back stays parked where the IoFailure names it.
         parked = (staging_root / _PARKED).exists() and not target.exists()
-        shutil.rmtree(bundle if parked else staging_root, ignore_errors=True)
+        for path in [p for p in staging_root.iterdir() if p.name != _PARKED] if parked else [staging_root]:
+            shutil.rmtree(path, ignore_errors=True)
 
     return OutputBundle(
         bundle_dir=target,
@@ -629,7 +622,7 @@ def _produce_segmentation(run: _Run, entries: list[AlgorithmEntry]) -> _Product:
         run, entries, "seg", "mask", lambda vol: vet_candidate(vol.data, task.labels, "mask")
     )
     candidates_dir = bundle / "candidates"
-    candidates_dir.mkdir(parents=True, exist_ok=True)
+    candidates_dir.mkdir()
     per_algorithm: dict[str, str] = {}
     for entry, _, mask_path, _ in collected:
         dest = candidates_dir / f"{entry.id}{nifti_suffix(mask_path)}"

@@ -196,7 +196,7 @@ def check_grid_consistency(volumes: dict) -> list[Finding]:
 
 def _content_finding(tag: str, data: np.ndarray) -> Finding | None:
     """The inpainting mask must be binary; an image should vary and hold
-    no negative intensity. Outside its foreground box the mask is 0."""
+    no NaN and no negative intensity. Outside its foreground box the mask is 0."""
     if tag == INPAINT_MASK:
         stray = set(foreground_values(data)[1].tolist()) - {0, 1}
         if stray:
@@ -208,6 +208,8 @@ def _content_finding(tag: str, data: np.ndarray) -> Finding | None:
         return None
     lo = float(data.min())
     hi = float(data.max())
+    if np.isnan(lo):  # min propagates NaN
+        return Finding(SEVERITY_WARNING, INTENSITY_SUSPECT, f"{tag} holds NaN intensities")
     if lo == hi:
         return Finding(SEVERITY_WARNING, INTENSITY_SUSPECT, f"{tag} is constant (value {lo})")
     if lo < 0:

@@ -165,6 +165,32 @@ def test_scl_noop_forms_leave_data_untouched(tmp_path, slope, inter):
     np.testing.assert_array_equal(back.data, vol.data)
 
 
+@pytest.mark.parametrize("slope", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_scl_slope_reads_as_zero_and_leaves_data_untouched(tmp_path, slope):
+    # nifti1_io reads a non-finite scaling field as 0 (FIXED_FLOAT).
+    vol = simple_volume(np.int16)
+    path = write_volume(vol, tmp_path / "bad-slope.nii")
+    patch(path, OFF_SCL_SLOPE, "<2f", slope, 3.0)
+    back = read_volume(path)
+    assert back.data.dtype == np.int16
+    np.testing.assert_array_equal(back.data, vol.data)
+    shape, affine = read_grid(path)
+    assert shape == vol.shape and np.array_equal(affine, back.affine)
+
+
+@pytest.mark.parametrize("inter", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_scl_inter_reads_as_zero(tmp_path, inter):
+    vol = simple_volume(np.int16)
+    path = write_volume(vol, tmp_path / "bad-inter.nii")
+    patch(path, OFF_SCL_SLOPE, "<2f", 2.0, inter)
+    back = read_volume(path)
+    assert back.data.dtype == np.float64
+    np.testing.assert_array_equal(back.data, vol.data.astype(np.float64) * 2.0)
+    patch(path, OFF_SCL_SLOPE, "<2f", 1.0, inter)
+    np.testing.assert_array_equal(read_volume(path).data, vol.data)
+    assert read_volume(path).data.dtype == np.int16
+
+
 # -- crafted big-endian file -------------------------------------------------
 
 

@@ -287,8 +287,10 @@ def test_a_candidate_declaring_another_grid_is_refused_before_its_voxels_are_rea
         (400, (float("nan"), 0.0, 0.0, -16.0),
          "mock-huge: unreadable mask seg.nii.gz: work/jobs/mock-huge/seg.nii.gz: header affine must be finite"),
     ]:
-        out_dir = tmp_path / f"bundle-{n}" / "work" / "jobs" / "mock-huge"
+        work = tmp_path / f"bundle-{n}" / "work"
+        out_dir = work / "jobs" / "mock-huge"
         out_dir.mkdir(parents=True)
+        (work / "input").mkdir()
         header = bytearray(small.read_bytes()[:352])
         struct.pack_into("<3h", header, 42, n, n, n)  # dim[1..3]
         struct.pack_into("<4f", header, 280, *srow_x)
@@ -302,7 +304,7 @@ def test_a_candidate_declaring_another_grid_is_refused_before_its_voxels_are_rea
         result = JobResult("example/mock-huge", "succeeded", 0, 0.0, "", (path,))
         engine = SimpleNamespace(pull_image=lambda image: None, run_job=lambda spec: result)
         run = pipeline._Run(SimpleNamespace(subject_id="sub-01"), SimpleNamespace(task_id=TaskId.GLI_PRE),
-                            SimpleNamespace(engine=engine), tmp_path / f"bundle-{n}", tmp_path, grid, [], None, map)
+                            SimpleNamespace(engine=engine), tmp_path / f"bundle-{n}", work, grid, [], None, map)
         tracemalloc.start()
         try:
             with pytest.raises(AllJobsFailed):
@@ -407,6 +409,38 @@ def test_keep_intermediate_retains_work_tree(tmp_path, gli_subject, mock_engine,
     assert (bundle.bundle_dir / "work" / "input" / "sub-01-t1c.nii.gz").is_file()
     for algo_id in ALGO_IDS:
         assert (bundle.bundle_dir / "work" / "jobs" / algo_id / "seg.nii.gz").is_file()
+
+
+def test_a_job_file_the_run_cannot_delete_never_reaches_the_bundle(
+    tmp_path, gli_subject, override_catalog, monkeypatch
+):
+    # A root-owned file a container leaves behind cannot be unlinked by a
+    # non-root user: it stays in the staging directory and the bundle is
+    # the one a clean run publishes.
+    inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
+    clean = run_inference(inputs, gli_config(tmp_path / "clean", engine_with(), override_catalog))
+
+    def leave_scratch(spec):
+        (Path(spec.output_dir) / "tmp_nnunet").mkdir()
+        (Path(spec.output_dir) / "tmp_nnunet" / "softmax.npz").write_bytes(b"scratch")
+
+    real_unlink = os.unlink
+
+    def unlink(path, *args, **kwargs):
+        if os.path.basename(path) == "softmax.npz":
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return real_unlink(path, *args, **kwargs)
+
+    stock = behaviors_payload()["images"]["example/mock-gli-1"]["outputs"]
+    engine = engine_with({"example/mock-gli-1": {"outputs": (*stock, leave_scratch)}})
+    monkeypatch.setattr(os, "unlink", unlink)
+    stuck = run_inference(inputs, gli_config(tmp_path, engine, override_catalog))
+    monkeypatch.undo()
+
+    assert stuck.manifest["content_digest"] == clean.manifest["content_digest"]
+    assert stuck.manifest["files"] == clean.manifest["files"]
+    left = [p.relative_to(tmp_path / "bundles").parts for p in (tmp_path / "bundles").rglob("softmax.npz")]
+    assert left and all(parts[0].startswith(".staging-") and parts[1] == "work" for parts in left), left
 
 
 # -- segmentation failure handling -------------------------------------------------
@@ -796,7 +830,9 @@ def fail_first_call(monkeypatch, method: str, name: str, error: int) -> list[Pat
 
 
 # Every persistence point of a native segmentation run but the copies (see
-# the copy tests below) and the rmtree calls, which ignore errors.
+# the copy tests below) and the one cleanup, whose rmtree leaves what it
+# cannot remove in the staging directory. "kept-work" is the move of work/
+# into the bundle, which only a keep_intermediate run makes.
 RUN_WRITES = {
     "fusion.json": ("write_text", "fusion.json", errno.ENOSPC),
     "metrics.json": ("write_text", "metrics.json", errno.ENOSPC),
@@ -807,6 +843,8 @@ RUN_WRITES = {
     "candidates": ("mkdir", "candidates", errno.ENOSPC),
     "native": ("mkdir", "native", errno.ENOSPC),
     "bundle-parent": ("mkdir", "sub-01", errno.ENOSPC),
+    "bundle": ("mkdir", "bundle", errno.ENOSPC),
+    "kept-work": ("replace", "work", errno.EIO),
     "swap": ("replace", "bundle", errno.EIO),
 }
 
@@ -822,7 +860,8 @@ def test_a_failed_write_of_a_run_is_an_io_failure_naming_the_path(
     # The second job is still running when the first one's directory fails.
     engine = engine_with({f"example/{ALGO_IDS[1]}": {"sleep_s": 0.05 if point == "job-dir" else 0.0}})
     config = gli_config(
-        tmp_path, engine, override_catalog, native_space_output=True, force=force, parallel_jobs=parallel_jobs
+        tmp_path, engine, override_catalog, native_space_output=True, force=force, parallel_jobs=parallel_jobs,
+        keep_intermediate=point == "kept-work",
     )
     old = {}
     if force:

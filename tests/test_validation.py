@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from brainorch.geometry import GridSpec, read_transform
-from brainorch.nifti import Volume, read_grid, write_volume
+from brainorch.nifti import Volume, read_grid, read_volume, write_volume
 from brainorch.registry import TaskId, get_task_spec
 from brainorch.validation import (
     AFFINE_MISMATCH,
@@ -423,6 +423,18 @@ def test_negative_intensities_warn(tmp_path):
         f.code == INTENSITY_SUSPECT and "negative" in f.message for f in report.warnings
     )
     assert report.passed
+
+
+def test_nan_intensities_warn(tmp_path):
+    subj = write_subject(tmp_path, "sub-18")
+    t2w = subj / "sub-18-t2w.nii.gz"
+    data = np.array(read_volume(t2w).data, dtype=np.float32)
+    data[3, 4, 5] = np.nan
+    write_volume(Volume(data=data, affine=e2e_affine()), t2w)
+    report = validate_subject(inputs_for(subj, "sub-18"), get_task_spec("gli-pre"))
+    suspect = [f.message for f in report.warnings if f.code == INTENSITY_SUSPECT]
+    assert suspect == ["T2w holds NaN intensities"]
+    assert report.passed  # warning only
 
 
 def test_subject_id_validation():
