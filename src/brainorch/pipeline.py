@@ -23,7 +23,7 @@ is renamed aside first and deleted only after the swap. A write that the
 operating system refuses (a directory, a copy, a JSON record, a rename) is
 an ``IoFailure`` naming the path. The run's one cleanup removes the staging
 directory once its pool is done, all but an old bundle that could not be
-put back, which the ``IoFailure`` names.
+put back, which the ``IoFailure`` names; a warning names what else is left.
 Partial algorithm failures degrade to warnings as long as at least one
 candidate survives; zero survivors abort the run. The manifest's content
 digest covers the file hash map only, never the timestamp, so identical
@@ -586,6 +586,8 @@ def _staged_run(
         parked = (staging_root / _PARKED).exists() and not target.exists()
         for path in [p for p in staging_root.iterdir() if p.name != _PARKED] if parked else [staging_root]:
             shutil.rmtree(path, ignore_errors=True)
+        if staging_root.exists() and not parked:
+            logger.warning("could not remove all of the staging directory %s", staging_root)
 
     return OutputBundle(
         bundle_dir=target,

@@ -215,6 +215,13 @@ def list_tasks() -> tuple[TaskSpec, ...]:
     return tuple(_TASKS.values())
 
 
+# A job's container settings unless its entry says otherwise; runtime.JobSpec's too.
+DEFAULT_SHM_BYTES = 2 * 1024**3
+DEFAULT_TIMEOUT_S = 1800
+DEFAULT_INPUT_MOUNT = "/mlcube_io0"
+DEFAULT_OUTPUT_MOUNT = "/mlcube_io1"
+
+
 @dataclass(frozen=True)
 class AlgorithmEntry:
     """One ranked challenge entry, runnable as a container."""
@@ -227,10 +234,10 @@ class AlgorithmEntry:
     image_reference: str
     architecture_tags: tuple[str, ...] = ()
     requires_gpu: bool = True
-    shm_bytes: int = 2 * 1024**3
-    timeout_seconds: float = 1800
-    input_mount_path: str = "/mlcube_io0"
-    output_mount_path: str = "/mlcube_io1"
+    shm_bytes: int = DEFAULT_SHM_BYTES
+    timeout_seconds: float = DEFAULT_TIMEOUT_S
+    input_mount_path: str = DEFAULT_INPUT_MOUNT
+    output_mount_path: str = DEFAULT_OUTPUT_MOUNT
 
 
 def _synthetic_digest(algo_id: str) -> str:

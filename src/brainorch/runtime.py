@@ -15,7 +15,8 @@ its container step:
   socket or TCP endpoint, touching only create/start/wait/logs/remove and
   images/create; the endpoint comes from the constructor or the
   ``ORCH_ENGINE_ENDPOINT`` environment variable. It removes its container
-  in a ``finally`` block and streams the logs, keeping only a bounded tail.
+  in a ``finally`` block, reads the log frame by frame from the response,
+  keeping a bounded tail, and names the daemon's reason for a failed pull.
   Its replies are checked the same way; a wrong one is EngineUnreachable.
 """
 
@@ -41,7 +42,8 @@ from .errors import (
     ImageNotFound,
     MountFailure,
 )
-from .nifti import Volume, read_volume, write_mask, write_volume
+from .nifti import Volume, read_grid, read_volume, write_mask, write_volume
+from .registry import DEFAULT_INPUT_MOUNT, DEFAULT_OUTPUT_MOUNT, DEFAULT_SHM_BYTES, DEFAULT_TIMEOUT_S
 
 LOG_EXCERPT_BYTES = 64 * 1024
 
@@ -49,9 +51,6 @@ STATUS_SUCCEEDED = "succeeded"
 STATUS_NONZERO_EXIT = "nonzero_exit"
 STATUS_TIMED_OUT = "timed_out"
 STATUS_ENGINE_ERROR = "engine_error"
-
-DEFAULT_INPUT_MOUNT = "/mlcube_io0"
-DEFAULT_OUTPUT_MOUNT = "/mlcube_io1"
 
 _CONTAINER_LABEL = "brainorch.managed"
 # Seconds /wait may run past the job's timeout before the client kills it.
@@ -67,8 +66,8 @@ class JobSpec:
     output_dir: Path
     env: dict[str, str] = field(default_factory=dict)
     requires_gpu: bool = False
-    shm_bytes: int = 2 * 1024**3
-    timeout_seconds: float = 1800.0
+    shm_bytes: int = DEFAULT_SHM_BYTES
+    timeout_seconds: float = DEFAULT_TIMEOUT_S
     container_input_path: str = DEFAULT_INPUT_MOUNT
     container_output_path: str = DEFAULT_OUTPUT_MOUNT
 
@@ -80,8 +79,8 @@ class JobSpec:
                 raise MountFailure(f"{name} must be absolute, got {path}")
             if not path.is_dir():
                 raise MountFailure(f"{name} {path} is not an existing directory")
-        if self.timeout_seconds <= 0:
-            raise ValueError(f"timeout_seconds must be > 0, got {self.timeout_seconds}")
+        if not (math.isfinite(self.timeout_seconds) and self.timeout_seconds > 0):
+            raise ValueError(f"timeout_seconds must be a finite number > 0, got {self.timeout_seconds}")
         if self.shm_bytes < 0:
             raise ValueError(f"shm_bytes must be >= 0, got {self.shm_bytes}")
 
@@ -193,15 +192,15 @@ def _generate_label_blobs(spec: JobSpec, out_path: Path, script: dict) -> None:
     overlap. Squared distances are summed over the axes in order from
     per-axis ranges, so no full-grid index array is built.
     """
-    like = read_volume(_glob_one(spec.input_dir, script["like"]))
-    data = np.zeros(like.shape, dtype=np.uint8)
-    i, j, k = np.ogrid[tuple(slice(0, n) for n in like.shape)]
+    shape, affine = read_grid(_glob_one(spec.input_dir, script["like"]))
+    data = np.zeros(shape, dtype=np.uint8)
+    i, j, k = np.ogrid[tuple(slice(0, n) for n in shape)]
     for blob in script["blobs"]:
         ci, cj, ck = np.asarray(blob["center"], dtype=np.float64)
         radius = float(blob["radius"])
         inside = (i - ci) ** 2 + (j - cj) ** 2 + (k - ck) ** 2 <= radius * radius
         data[inside] = int(blob["label"])
-    write_mask(Volume(data=data, affine=like.affine), out_path)
+    write_mask(Volume(data=data, affine=affine), out_path)
 
 
 def _generate_mean_fill(spec: JobSpec, out_path: Path, script: dict) -> None:
@@ -395,49 +394,49 @@ class _UnixHTTPConnection(http.client.HTTPConnection):
         self.sock = sock
 
 
-class _LogDemuxer:
-    """Docker's log stream, demultiplexed as it arrives in pieces, keeping
-    only the last ``keep`` bytes of what the container wrote.
+def _log_tail(response, keep: int) -> str:
+    """The last ``keep`` bytes the container wrote, pulled from Docker's log
+    stream frame by frame: ``response.read(n)`` gives n bytes until the end.
 
     A stream that does not open with a frame header (stream byte 0, 1 or 2,
-    three zero bytes, u32 size) is a TTY stream: one endless frame. A frame
-    header may straddle two pieces; a cut final frame keeps what arrived, a
-    cut final header is dropped.
+    three zero bytes, u32 size) is a TTY stream: one endless frame. A cut
+    final frame keeps what arrived, a cut final header is dropped.
     """
+    tail = bytearray()
 
-    def __init__(self, keep: int):
-        self.keep = keep
-        self._tail = bytearray()
-        self._header = bytearray()  # the stream's head, then a partial frame header
-        self._due: float | None = None  # payload due in this frame; None until 4 bytes came
+    def copy(due: float) -> None:
+        while due and (piece := response.read(int(min(due, 1 << 16)))):
+            tail.extend(piece)
+            due -= len(piece)
+            if len(tail) > 2 * keep:  # trimmed in batches: each byte moves about once
+                del tail[:-keep]
 
-    def feed(self, piece: bytes) -> None:
-        if self._due is None:
-            self._header += piece
-            if len(self._header) < 4:
-                return
-            piece, self._header = bytes(self._header), bytearray()
-            self._due = 0 if piece[0] in (0, 1, 2) and piece[1:4] == b"\x00\x00\x00" else math.inf
-        view = memoryview(piece)
-        while view:
-            if self._due:
-                n = min(self._due, len(view))
-                self._tail += view[:n]
-                self._due -= n
-                if len(self._tail) > 2 * self.keep:  # trimmed in batches: each byte moves about once
-                    del self._tail[: -self.keep]
-            else:
-                n = min(8 - len(self._header), len(view))
-                self._header += view[:n]
-                if len(self._header) == 8:
-                    self._due = int.from_bytes(self._header[4:], "big")
-                    self._header.clear()
-            view = view[n:]
+    header = response.read(8)
+    # Fewer than four bytes never make a frame header: a TTY stream.
+    if len(header) < 4 or header[0] not in (0, 1, 2) or header[1:4] != b"\x00\x00\x00":
+        tail.extend(header)
+        copy(math.inf)
+    else:
+        while len(header) == 8:
+            copy(int.from_bytes(header[4:], "big"))
+            header = response.read(8)
+    return tail[max(len(tail) - keep, 0) :].decode("utf-8", errors="replace")
 
-    def text(self) -> str:
-        # Fewer than four bytes never make a frame header: a TTY stream.
-        raw = self._tail if self._due is not None else self._header
-        return raw[max(len(raw) - self.keep, 0) :].decode("utf-8", errors="replace")
+
+def _pull_reply(response) -> str:
+    """An error reply's body, or the last ``error`` a pull's JSON progress
+    stream reports ("" if none), read one line at a time."""
+    if response.status >= 400:
+        return response.read().decode("utf-8", errors="replace")
+    error = ""
+    for line in response:
+        try:
+            doc = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(doc, dict) and doc.get("error"):
+            error = str(doc["error"])
+    return error
 
 
 # What the daemon's replies must hold; any other reply is an EngineUnreachable.
@@ -480,27 +479,21 @@ class DockerEngine(_Engine):
         body: dict | None = None,
         read_timeout: float | None = None,
         timeout_ok: bool = False,
-        sink=None,
-    ) -> tuple[int | None, bytes]:
-        """The response's status and body, or ``(None, b"")`` on a read
-        timeout with ``timeout_ok``; with ``sink``, the body goes to it in
-        pieces instead and comes back empty."""
+        read=http.client.HTTPResponse.read,
+    ) -> tuple[int | None, object]:
+        """The response's status and ``read(response)``, by default its
+        body, or ``(None, b"")`` on a read timeout with ``timeout_ok``."""
         timeout = read_timeout if read_timeout is not None else self._connect_timeout
         conn = self._connection(timeout)
-        payload = None
-        headers = {}
-        if body is not None:
-            payload = json.dumps(body).encode()
-            headers["Content-Type"] = "application/json"
+        payload = None if body is None else json.dumps(body).encode()
+        headers = {} if body is None else {"Content-Type": "application/json"}
         try:
             conn.request(method, _API + path, body=payload, headers=headers)
             response = conn.getresponse()
-            pieces: list[bytes] = []
-            while piece := response.read(1 << 16):
-                (sink or pieces.append)(piece)
+            result = read(response)
             if response.length:  # the body was cut short
-                raise http.client.IncompleteRead(b"".join(pieces), response.length)
-            return response.status, b"".join(pieces)
+                raise http.client.IncompleteRead(b"", response.length)
+            return response.status, result
         except socket.timeout as exc:
             if timeout_ok:
                 return None, b""
@@ -513,12 +506,10 @@ class DockerEngine(_Engine):
     def pull_image(self, image_reference: str) -> None:
         """Pull and, for digest-pinned references, verify the digest."""
         quoted = urllib.parse.quote(image_reference, safe="")
-        status, body = self._request(
-            "POST", f"/images/create?fromImage={quoted}", read_timeout=600.0
-        )
-        text = body.decode("utf-8", errors="replace")
-        if status == 404 or "no such image" in text.lower() or "manifest unknown" in text.lower():
-            raise ImageNotFound(f"registry cannot provide {image_reference!r}")
+        status, text = self._request("POST", f"/images/create?fromImage={quoted}", read_timeout=600, read=_pull_reply)
+        reason = text.lower()  # a 2xx reply's text is the error its progress stream reported
+        if status == 404 or (status < 400 and text) or "no such image" in reason or "manifest unknown" in reason:
+            raise ImageNotFound(f"registry cannot provide {image_reference!r}: {text[:200]}")
         if status >= 400:
             raise EngineUnreachable(f"pull failed with HTTP {status}: {text[:200]}")
         name, digest = _split_image_reference(image_reference)
@@ -596,12 +587,11 @@ class DockerEngine(_Engine):
             # A tail 3 bytes longer than the excerpt gives the excerpt of the
             # whole log: UTF-8 decoding resynchronizes within 3 bytes, and no
             # byte re-encodes to fewer than one.
-            demuxer = _LogDemuxer(keep=LOG_EXCERPT_BYTES + 3)
             try:
-                status, _ = self._request(
-                    "GET", f"/containers/{container_id}/logs?stdout=1&stderr=1", sink=demuxer.feed
-                )
-                logs = demuxer.text() if status < 400 else f"<logs unavailable: HTTP {status}>"
+                path = f"/containers/{container_id}/logs?stdout=1&stderr=1"
+                status, logs = self._request("GET", path, read=lambda r: _log_tail(r, LOG_EXCERPT_BYTES + 3))
+                if status >= 400:
+                    logs = f"<logs unavailable: HTTP {status}>"
             except EngineUnreachable as exc:
                 logs = f"<logs unavailable: {exc}>"
             return exit_code, time.monotonic() - started, logs

@@ -8,6 +8,7 @@ import gzip
 import hashlib
 import itertools
 import json
+import logging
 import os
 import re
 import struct
@@ -412,13 +413,15 @@ def test_keep_intermediate_retains_work_tree(tmp_path, gli_subject, mock_engine,
 
 
 def test_a_job_file_the_run_cannot_delete_never_reaches_the_bundle(
-    tmp_path, gli_subject, override_catalog, monkeypatch
+    tmp_path, gli_subject, override_catalog, monkeypatch, caplog
 ):
     # A root-owned file a container leaves behind cannot be unlinked by a
-    # non-root user: it stays in the staging directory and the bundle is
-    # the one a clean run publishes.
+    # non-root user: it stays in the staging directory, one warning names
+    # that directory, and the bundle is the one a clean run publishes.
+    caplog.set_level(logging.WARNING, logger="brainorch.pipeline")
     inputs = discover_subject_inputs(gli_subject, TaskId.GLI_PRE)
     clean = run_inference(inputs, gli_config(tmp_path / "clean", engine_with(), override_catalog))
+    assert caplog.records == []
 
     def leave_scratch(spec):
         (Path(spec.output_dir) / "tmp_nnunet").mkdir()
@@ -441,6 +444,8 @@ def test_a_job_file_the_run_cannot_delete_never_reaches_the_bundle(
     assert stuck.manifest["files"] == clean.manifest["files"]
     left = [p.relative_to(tmp_path / "bundles").parts for p in (tmp_path / "bundles").rglob("softmax.npz")]
     assert left and all(parts[0].startswith(".staging-") and parts[1] == "work" for parts in left), left
+    staging = tmp_path / "bundles" / left[0][0]
+    assert [r.getMessage() for r in caplog.records] == [f"could not remove all of the staging directory {staging}"]
 
 
 # -- segmentation failure handling -------------------------------------------------

@@ -3,7 +3,10 @@ client exercised against an in-process API stub."""
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
+import random
 import socketserver
 import threading
 import time
@@ -79,8 +82,9 @@ def test_jobspec_requires_absolute_paths(tmp_path):
 
 
 def test_jobspec_validates_resources(tmp_path):
-    with pytest.raises(ValueError, match="timeout"):
-        make_spec(tmp_path, timeout_seconds=0)
+    for timeout in (0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="timeout_seconds must be a finite number > 0"):
+            make_spec(tmp_path, timeout_seconds=timeout)
     with pytest.raises(ValueError, match="shm"):
         make_spec(tmp_path, shm_bytes=-1)
 
@@ -526,10 +530,8 @@ def frame(stream: int, payload: bytes) -> bytes:
 
 
 def demux_whole(raw: bytes) -> str:
-    """The demultiplexer over a whole log, keeping all of it."""
-    demuxer = runtime._LogDemuxer(keep=len(raw))
-    demuxer.feed(raw)
-    return demuxer.text()
+    """The log reader over a whole log, keeping all of it."""
+    return runtime._log_tail(io.BytesIO(raw), keep=len(raw))
 
 
 def test_demux_interleaved_streams():
@@ -555,7 +557,9 @@ def test_demux_truncated_final_frame():
 
 class DockerStub:
     """Tiny in-process Docker API endpoint recording every request, served
-    over TCP or, given ``socket_path``, over a Unix socket as the daemon is."""
+    over TCP or, given ``socket_path``, over a Unix socket as the daemon is.
+    With ``log_chunks``, ``/logs`` is sent chunked, in chunks of those sizes
+    in turn."""
 
     def __init__(
         self,
@@ -564,6 +568,7 @@ class DockerStub:
         repo_digests=None,
         image_missing=False,
         logs_raw=None,
+        log_chunks=None,
         replies=None,
         statuses=None,
         socket_path=None,
@@ -586,6 +591,20 @@ class DockerStub:
                 if payload:  # over a Unix socket, even an empty write fails once the client has read and gone
                     self.wfile.write(payload)
 
+            def _reply_chunked(self, payload, sizes):
+                self.protocol_version = "HTTP/1.1"  # chunked transfer coding is HTTP/1.1's
+                self.send_response(200)
+                self.send_header("Content-Type", "application/octet-stream")
+                self.send_header("Transfer-Encoding", "chunked")
+                self.send_header("Connection", "close")
+                self.end_headers()
+                start, sizes = 0, itertools.cycle(sizes)
+                while start < len(payload):
+                    chunk = payload[start : start + next(sizes)]
+                    self.wfile.write(b"%x\r\n%s\r\n" % (len(chunk), chunk))
+                    start += len(chunk)
+                self.wfile.write(b"0\r\n\r\n")
+
             def _handle(self, method):
                 body = self._read_body()
                 stub.requests.append((method, self.path, body))
@@ -599,7 +618,7 @@ class DockerStub:
                 elif raw is not None:  # a scripted body in place of the daemon's
                     if path.endswith("/containers/create"):
                         stub.create_bodies.append(json.loads(body))
-                    self._reply(201 if path.endswith("/create") else 200, raw)
+                    self._reply(201 if path.endswith("/containers/create") else 200, raw)
                 elif path.endswith("/images/create"):
                     if stub.image_missing:
                         self._reply(404, b'{"message": "manifest unknown"}')
@@ -621,7 +640,10 @@ class DockerStub:
                     self._reply(204)
                 elif "/logs" in path:
                     payload = stub.logs_raw if stub.logs_raw is not None else frame(1, b"stub log")
-                    self._reply(200, payload, content_type="application/octet-stream")
+                    if stub.log_chunks:
+                        self._reply_chunked(payload, stub.log_chunks)
+                    else:
+                        self._reply(200, payload, content_type="application/octet-stream")
                 elif method == "DELETE" and "/containers/" in path:
                     stub.deleted.set()
                     self._reply(204)
@@ -646,6 +668,7 @@ class DockerStub:
         self.repo_digests = repo_digests
         self.image_missing = image_missing
         self.logs_raw = logs_raw
+        self.log_chunks = log_chunks
         self.replies = replies or {}  # path ending -> raw reply body
         self.statuses = statuses or {}  # path ending -> HTTP status of an error reply; 0 hangs up
         if socket_path is None:
@@ -795,6 +818,30 @@ def test_docker_pull_unknown_image(docker_stub):
     stub = docker_stub(image_missing=True)
     with pytest.raises(ImageNotFound):
         DockerEngine(endpoint=stub.endpoint).pull_image("example/ghost")
+
+
+# A 2xx pull reply whose JSON progress stream ends in an error line.
+RATE_LIMITED = b"".join(
+    json.dumps(line).encode() + b"\r\n"
+    for line in (
+        {"status": "Pulling from example/algo", "id": "latest"},
+        {"errorDetail": {"message": "toomanyrequests: pull rate limit"}, "error": "toomanyrequests: pull rate limit"},
+    )
+)
+
+
+@pytest.mark.parametrize("image", ["example/algo:latest", "example/algo@sha256:" + "d" * 64], ids=["tag", "digest"])
+def test_docker_pull_names_the_error_a_successful_reply_reports(docker_stub, image):
+    stub = docker_stub(repo_digests=["example/algo@sha256:" + "d" * 64], replies={"/images/create": RATE_LIMITED})
+    with pytest.raises(ImageNotFound, match=r"registry cannot provide .*: toomanyrequests: pull rate limit$"):
+        DockerEngine(endpoint=stub.endpoint).pull_image(image)
+    assert stub.paths() == ["POST /v1.41/images/create"]  # no inspect after a failed pull
+
+
+def test_docker_pull_progress_without_an_error_line_succeeds(docker_stub):
+    progress = b'{"status": "Pulling fs layer"}\nnot json\n[1]\n{"error": ""}\n{"status": "Downloaded"}\n'
+    stub = docker_stub(replies={"/images/create": progress})
+    DockerEngine(endpoint=stub.endpoint).pull_image("example/algo")
 
 
 def test_docker_wait_timeout_kills_and_reports(tmp_path, docker_stub, monkeypatch):
@@ -1015,20 +1062,19 @@ def log_bodies(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(raw=log_bodies(), data=st.data())
-def test_streamed_tail_gives_the_excerpt_of_the_whole_log(raw, data):
-    cuts = sorted(data.draw(st.lists(st.integers(0, len(raw)), max_size=6)))
-    demuxer = runtime._LogDemuxer(keep=LOG_EXCERPT_BYTES + 3)
-    for a, b in zip([0, *cuts], [*cuts, len(raw)]):
-        demuxer.feed(raw[a:b])
-    assert bound(demuxer.text()) == reference_excerpt(raw)
+@given(raw=log_bodies())
+def test_streamed_tail_gives_the_excerpt_of_the_whole_log(raw):
+    assert bound(runtime._log_tail(io.BytesIO(raw), keep=LOG_EXCERPT_BYTES + 3)) == reference_excerpt(raw)
     assert bound(demux_whole(raw)) == reference_excerpt(raw)
 
 
-# Bodies served whole by the stub; the engine reads them in 64 KiB pieces.
+# Bodies the stub serves with a Content-Length and chunked; the engine reads
+# each frame's payload in pieces of at most 64 KiB.
 _PIECE = 1 << 16
 LOG_CASES = {
     "framed streams": frame(1, b"out1 ") + frame(2, b"err1 ") + frame(1, b"out2"),
+    "zero-length frame": frame(1, b""),
+    "zero-length frame between two": frame(1, b"before ") + frame(2, b"") + frame(1, b"after"),
     "empty": b"",
     "short tty": b"ok",
     "long tty": filler("€", 3 * LOG_EXCERPT_BYTES + 1),
@@ -1041,17 +1087,25 @@ LOG_CASES = {
 }
 
 
+# Chunk sizes for the chunked replies, drawn after five that end at bytes 3,
+# 4, 6, 13 and 18: they split both the first and the second frame header of
+# "framed streams" (bytes 0-8 and 13-21).
+_rng = random.Random(5)
+LOG_CHUNKS = (3, 1, 2, 7, 5, *(_rng.randint(1, 9) if _rng.random() < 0.3 else _rng.randint(10, 5000) for _ in range(60)))
+
+
 def test_docker_log_excerpt_matches_the_whole_log(tmp_path, docker_stub):
-    stub = docker_stub()
-    engine = DockerEngine(endpoint=stub.endpoint)
-    engine.pull_image("example/algo")
     spec = make_spec(tmp_path)
     wrong = []
-    for name, raw in LOG_CASES.items():
-        stub.logs_raw = raw
-        expected = reference_excerpt(raw)
-        if engine.run_job(spec).log_excerpt != expected or bound(demux_whole(raw)) != expected:
-            wrong.append(name)
+    for mode, chunks in (("content-length", None), ("chunked", LOG_CHUNKS)):
+        stub = docker_stub(log_chunks=chunks)
+        engine = DockerEngine(endpoint=stub.endpoint)
+        engine.pull_image("example/algo")
+        for name, raw in LOG_CASES.items():
+            stub.logs_raw = raw
+            expected = reference_excerpt(raw)
+            if engine.run_job(spec).log_excerpt != expected or bound(demux_whole(raw)) != expected:
+                wrong.append((mode, name))
     assert wrong == []
 
 
